@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
 from .disk_core import BlaschkeProduct, CirclePoint, as_complex, boundary_values
@@ -183,6 +184,7 @@ def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float,
             f"{acc.failures} panel(s) hit depth {spec.max_depth} above their error share",
             value=acc.value,
             error_estimate=total_err,
+            evaluations=acc.evaluations,
         )
     return acc.value, total_err, acc.evaluations
 
@@ -202,25 +204,36 @@ def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
         val, err, _ = _adaptive_theta(g, -math.pi, math.pi, spec, spec.tolerance * TWO_PI)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(
-            str(exc), value=exc.value / TWO_PI, error_estimate=exc.error_estimate / TWO_PI
+            str(exc),
+            value=exc.value / TWO_PI,
+            error_estimate=exc.error_estimate / TWO_PI,
+            evaluations=exc.evaluations,
         ) from None
     return val / TWO_PI, err / TWO_PI
 
 
 def _pair_evaluator(f):
-    """Return pair(phi, theta) -> (f at e^{i(phi+theta)}, f at e^{i(phi-theta)})."""
+    """Return pair(phi, theta) -> (f at e^{i(phi+theta)}, f at e^{i(phi-theta)}).
+
+    Both halves come from one boundary sweep over the offsets [theta, -theta].
+    """
     if isinstance(f, BlaschkeProduct):
         # theta is passed as an offset so factors near the rotation angle
         # keep full relative accuracy at increments far below ulp(phi)
-        return lambda phi, theta: (
-            boundary_values(f, phi, offset=theta),
-            boundary_values(f, phi, offset=-theta),
-        )
-    fv = _vectorized(f)
-    return lambda phi, theta: (
-        np.asarray(fv(np.exp(1j * (phi + theta)))),
-        np.asarray(fv(np.exp(1j * (phi - theta)))),
-    )
+        def sweep(phi, offset):
+            return boundary_values(f, phi, offset=offset)
+
+    else:
+        fv = _vectorized(f)
+
+        def sweep(phi, offset):
+            return np.asarray(fv(np.exp(1j * (phi + offset))))
+
+    def pair(phi, theta):
+        both = sweep(phi, np.concatenate([theta, -theta]))
+        return both[: theta.size], both[theta.size :]
+
+    return pair
 
 
 def _feature_scales(f):
@@ -338,21 +351,27 @@ def _grid_scan(f, rotation_grid: int):
 
     The theta grid has size M = s * rotation_grid, so rotating by a grid step
     is an index shift and reflection is an index reversal; f is evaluated once.
+    Terms j and M-1-j of the rotation sum are equal (the kernel is even and the
+    pair is swapped), so only j < M/2 is summed and the result doubled. The
+    plus and minus operands are strided windows over F repeated twice and over
+    its reverse, one row per rotation, stepping by +s and -s. s is even, so M
+    is even and the grid never sits on theta = 0, where the kernel is infinite.
     """
     R = rotation_grid
     s = max(16, -(-4096 // R))
+    s += s % 2
     M = R * s
+    half = M // 2
     theta = -math.pi + (np.arange(M) + 0.5) * (TWO_PI / M)
     if isinstance(f, BlaschkeProduct):
         F = boundary_values(f, theta)
     else:
         F = np.asarray(_vectorized(f)(np.exp(1j * theta)))
-    kern = 1.0 / (2.0 * np.abs(np.sin(0.5 * theta)))
-    j = np.arange(M)
-    shifts = (np.arange(R) * s)[:, None]
-    plus = (j[None, :] + shifts) % M
-    minus = ((M - 1 - j)[None, :] + shifts) % M
-    vals = np.abs(F[plus] - F[minus]) @ kern / M
+    kern = 1.0 / (2.0 * np.abs(np.sin(0.5 * theta[:half])))
+    # row r: plus[r, j] = F[(j + r s) % M], minus[r, j] = F[(M - 1 - j + r s) % M]
+    plus = sliding_window_view(np.concatenate([F, F]), half)[0:M:s]
+    minus = sliding_window_view(np.concatenate([F[::-1], F[::-1]]), half)[M:0:-s]
+    vals = np.abs(plus - minus) @ kern * (2.0 / M)
     return (np.arange(R) * (TWO_PI / R)), vals, M
 
 
@@ -410,7 +429,7 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
         except ToleranceNotMet as exc:
             v = float(np.real(exc.value)) / math.pi
             e = exc.error_estimate / math.pi
-            k = 0
+            k = exc.evaluations
         evals += k
         loose_at[round(phi / 1e-18)] = v
         return v, e

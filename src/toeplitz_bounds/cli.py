@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -287,8 +288,22 @@ def _int_list(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",") if t)
 
 
+_UNSIGNED = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+# "-0.25" or "-0.25,0.1": a value, not an option (no option starts with a digit)
+_NEGATIVE_VALUE = re.compile(rf"^-{_UNSIGNED}(,[-+]?{_UNSIGNED})?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a complex token with a negative real part,
+    such as "-0.25,0.1", as a value the way argparse already reads "-0.25"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toeplitz-bounds",
         description="Certified bounds for Toeplitz operators with Blaschke symbols.",
     )

@@ -22,14 +22,18 @@ class PointCollision(ToeplitzBoundsError):
 class ToleranceNotMet(ToeplitzBoundsError):
     """Adaptive quadrature hit its depth limit before reaching tolerance.
 
-    Carries the best value found and an honest error estimate so callers
-    can degrade gracefully instead of losing the computation.
+    Carries the best value found, an honest error estimate and the number of
+    integrand evaluations spent, so callers can degrade gracefully instead of
+    losing the computation.
     """
 
-    def __init__(self, message: str, value=None, error_estimate: float | None = None):
+    def __init__(
+        self, message: str, value=None, error_estimate: float | None = None, evaluations: int = 0
+    ):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+        self.evaluations = evaluations
 
 
 class NumericalBreakdown(ToeplitzBoundsError):

@@ -15,6 +15,8 @@ from toeplitz_bounds import (
     lambda_at_rotation,
     lambda_functional,
 )
+from toeplitz_bounds import circle_quad
+from toeplitz_bounds.disk_core import boundary_values
 
 
 def aligned_single_zero_integral(a: float) -> float:
@@ -68,6 +70,7 @@ class TestIntegrateCircle:
             integrate_circle(sharp, spec)
         assert exc.value.value is not None
         assert exc.value.error_estimate > 0
+        assert exc.value.evaluations > 0
 
 
 class TestLambdaOracles:
@@ -154,3 +157,74 @@ class TestLambdaProperties:
         r = lambda_functional(BlaschkeProduct(zeros=(a,)))
         assert r.value > 2.0 - 1e-5
         assert r.value <= 2.0 + 1e-8
+
+
+def modulo_index_scan(f, R, M):
+    """Full-length rotation grid scan: every term of the rotation sum, gathered
+    through explicit index matrices taken modulo M."""
+    s = M // R
+    theta = -math.pi + (np.arange(M) + 0.5) * (2.0 * math.pi / M)
+    if isinstance(f, BlaschkeProduct):
+        F = boundary_values(f, theta)
+    else:
+        F = np.asarray(f(np.exp(1j * theta)))
+    kern = 1.0 / (2.0 * np.abs(np.sin(0.5 * theta)))
+    j = np.arange(M)
+    shifts = (np.arange(R) * s)[:, None]
+    plus = (j[None, :] + shifts) % M
+    minus = ((M - 1 - j)[None, :] + shifts) % M
+    return np.abs(F[plus] - F[minus]) @ kern / M
+
+
+class TestGridScan:
+    @pytest.mark.parametrize("R", [64, 100, 256])
+    def test_matches_the_full_length_modulo_formula(self, R):
+        rng = np.random.default_rng(53)
+        for f in (BlaschkeProduct(zeros=random_zeros(rng, 4)), lambda z: z**2):
+            phis, vals, M = circle_quad._grid_scan(f, R)
+            assert phis.shape == vals.shape == (R,)
+            ref = modulo_index_scan(f, R, M)
+            np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("R", [64, 99, 201, 256])
+    def test_grid_is_finite_for_any_grid_size(self, R):
+        _, vals, M = circle_quad._grid_scan(BlaschkeProduct(zeros=(0.5, 0.3j)), R)
+        assert M % 2 == 0
+        assert np.all(np.isfinite(vals))
+
+    def test_odd_sized_grid_finds_the_same_supremum(self):
+        B = BlaschkeProduct(zeros=(0.5, 0.3j))
+        coarse = lambda_functional(B, rotation_grid=201).value
+        fine = lambda_functional(B, rotation_grid=256).value
+        assert coarse == pytest.approx(fine, abs=1e-7)
+
+
+class TestPairEvaluator:
+    def test_one_sweep_matches_two_separate_sweeps(self):
+        rng = np.random.default_rng(59)
+        B = BlaschkeProduct(zeros=random_zeros(rng, 4, rmax=0.999))
+        theta = np.sort(rng.uniform(1e-12, math.pi, 257))
+        phi = 2.0 * math.pi * rng.uniform()
+        fp, fm = circle_quad._pair_evaluator(B)(phi, theta)
+        assert np.array_equal(fp, boundary_values(B, phi, offset=theta))
+        assert np.array_equal(fm, boundary_values(B, phi, offset=-theta))
+
+
+class TestSwallowedToleranceFailures:
+    def test_evaluations_of_a_swallowed_failure_are_counted(self, monkeypatch):
+        B = BlaschkeProduct(zeros=(0.5, 0.3j))
+        expected = lambda_functional(B).evaluations
+        real = circle_quad._adaptive_theta
+        raised = []
+
+        def fail_once(*args, **kwargs):
+            val, err, evals = real(*args, **kwargs)
+            if not raised:
+                raised.append(evals)
+                raise ToleranceNotMet("forced", value=val, error_estimate=err, evaluations=evals)
+            return val, err, evals
+
+        monkeypatch.setattr(circle_quad, "_adaptive_theta", fail_once)
+        r = lambda_functional(B)
+        assert raised and raised[0] > 0
+        assert r.evaluations == expected

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from toeplitz_bounds import BlaschkeProduct, lambda_functional
 from toeplitz_bounds.cli import main, parse_complex, zeros_digest
 from toeplitz_bounds.errors import InvalidConfiguration
 
@@ -60,6 +61,12 @@ class TestLambdaCommand:
         run_main(capsys, ["lambda", "--zeros", "0.5", "--out", str(a)])
         run_main(capsys, ["lambda", "--zeros", "0.5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_readme_example_with_a_negative_real_part(self, capsys):
+        code, out, err = run_main(capsys, ["lambda", "--zeros", "0.5", "-0.25,0.1"])
+        assert code == 0, err
+        value = lambda_functional(BlaschkeProduct(zeros=(0.5, -0.25 + 0.1j))).value
+        assert out == format(value, ".17g") + "\n"
 
     def test_bad_zero_token_exits_two(self, capsys):
         code, _, err = run_main(capsys, ["lambda", "--zeros", "abc"])
