@@ -47,7 +47,6 @@ from .omega_bounds import (
     build_configuration,
     certify_lower_bound,
     closed_form_functional,
-    direct_norm_estimate,
     ideal_limit,
     omega_convergence_study,
     study_to_csv,
@@ -56,7 +55,6 @@ from .omega_bounds import (
 from .pick_interp import (
     InterpolantCertificate,
     InterpolationProblem,
-    PickMatrix,
     construct_interpolant,
     minimal_level,
     pick_feasible,
@@ -64,7 +62,6 @@ from .pick_interp import (
 )
 from .toeplitz_op import (
     RationalFunction,
-    ToeplitzApplication,
     apply_toeplitz_contour,
     apply_toeplitz_residue,
     lemma1_upper_bound,
@@ -84,7 +81,6 @@ __all__ = [
     "NormBracket",
     "NotStrictlyFeasible",
     "NumericalBreakdown",
-    "PickMatrix",
     "PointCollision",
     "QuadratureSpec",
     "RationalFunction",
@@ -92,7 +88,6 @@ __all__ = [
     "RepeatedZero",
     "StudyResult",
     "StudyRow",
-    "ToeplitzApplication",
     "ToeplitzBoundsError",
     "ToleranceNotMet",
     "UnitDiskPoint",
@@ -104,7 +99,6 @@ __all__ = [
     "certify_lower_bound",
     "closed_form_functional",
     "construct_interpolant",
-    "direct_norm_estimate",
     "eval_blaschke",
     "eval_blaschke_derivative",
     "eval_moebius",

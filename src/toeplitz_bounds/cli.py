@@ -20,10 +20,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 from .circle_quad import QuadratureSpec, lambda_functional
 from .disk_core import BlaschkeProduct, CirclePoint
@@ -37,6 +35,7 @@ from .errors import (
 )
 from .omega_bounds import (
     RayConfiguration,
+    _fmt,
     bracket_norm,
     build_configuration,
     default_eps,
@@ -46,37 +45,6 @@ from .omega_bounds import (
 )
 from .pick_interp import InterpolationProblem, construct_interpolant, minimal_level
 from .toeplitz_op import RationalFunction, apply_toeplitz_contour, apply_toeplitz_residue
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one field per flag, unused fields stay at defaults."""
-
-    command: str
-    zeros: tuple = ()
-    zeros_file: str | None = None
-    h: str = "1"
-    z: complex = 0j
-    method: str = "residue"
-    problem_file: str | None = None
-    level: float | None = None
-    construct: bool = False
-    xi: complex = 1.0 + 0j
-    q: float | None = None
-    n: int | None = None
-    m: int | None = None
-    eps: float | None = None
-    q_schedule: tuple = (0.3, 0.2, 0.1, 0.05)
-    m_offsets: tuple = (2, 4, 8, 16)
-    tolerance: float = 1e-8
-    rotation_grid: int = 256
-    out: str | None = None
-    as_json: bool = False
-    threads: int = field(default_factory=lambda: int(os.environ.get("TOEPLITZ_BOUNDS_THREADS", "1")))
-
-
-def _fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else format(float(x), ".17g")
 
 
 def parse_complex(token: str) -> complex:
@@ -93,6 +61,14 @@ def parse_complex(token: str) -> complex:
 
 def parse_zeros(tokens) -> tuple:
     return tuple(parse_complex(t) for t in tokens)
+
+
+def _float_list(text: str) -> tuple:
+    return tuple(float(t) for t in text.split(",") if t)
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(int(t) for t in text.split(",") if t)
 
 
 def _load_zeros_file(path: str) -> tuple:
@@ -136,18 +112,20 @@ def _format_value(v: complex) -> str:
     return f"{_fmt(v.real)},{_fmt(v.imag)}"
 
 
-def _resolve_zeros(config: RunConfig) -> tuple:
-    if config.zeros_file is not None:
-        return _load_zeros_file(config.zeros_file)
-    return config.zeros
+def _resolve_zeros(args) -> tuple:
+    # a malformed --zeros token exits 2 even when --zeros-file is given
+    zeros = parse_zeros(args.zeros)
+    if args.zeros_file is not None:
+        return _load_zeros_file(args.zeros_file)
+    return zeros
 
 
-def _cmd_lambda(config: RunConfig) -> int:
-    zeros = _resolve_zeros(config)
+def _cmd_lambda(args) -> int:
+    zeros = _resolve_zeros(args)
     B = BlaschkeProduct(zeros=zeros)
-    spec = QuadratureSpec(tolerance=config.tolerance)
-    result = lambda_functional(B, spec=spec, rotation_grid=config.rotation_grid)
-    if config.out is None:
+    spec = QuadratureSpec(tolerance=args.tolerance)
+    result = lambda_functional(B, spec=spec, rotation_grid=args.rotation_grid)
+    if args.out is None:
         _emit(_fmt(result.value) + "\n", None)
     else:
         eta_angle = math.atan2(result.eta.value.imag, result.eta.value.real)
@@ -163,67 +141,58 @@ def _cmd_lambda(config: RunConfig) -> int:
                 ]
             ),
         ]
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_apply(config: RunConfig) -> int:
-    zeros = _resolve_zeros(config)
-    B = BlaschkeProduct(zeros=zeros)
-    h = _parse_h(config.h)
-    if config.method == "residue":
-        value = apply_toeplitz_residue(B, h, config.z)
+def _cmd_apply(args) -> int:
+    B = BlaschkeProduct(zeros=_resolve_zeros(args))
+    h = _parse_h(args.h)
+    z = parse_complex(args.z)
+    if args.method == "residue":
+        value = apply_toeplitz_residue(B, h, z)
     else:
-        spec = QuadratureSpec(tolerance=config.tolerance)
-        value, _ = apply_toeplitz_contour(B, h, config.z, spec=spec)
-    _emit(_format_value(value) + "\n", config.out)
+        spec = QuadratureSpec(tolerance=args.tolerance)
+        value, _ = apply_toeplitz_contour(B, h, z, spec=spec)
+    _emit(_format_value(value) + "\n", args.out)
     return 0
 
 
-def _cmd_pick(config: RunConfig) -> int:
-    if config.problem_file is None:
-        raise InvalidConfiguration("pick requires --problem-file")
-    with open(config.problem_file, encoding="utf-8") as fh:
+def _cmd_pick(args) -> int:
+    with open(args.problem_file, encoding="utf-8") as fh:
         problem = InterpolationProblem.from_dict(json.load(fh))
     mu = minimal_level(problem)
-    if not config.construct:
-        _emit(_fmt(mu) + "\n", config.out)
+    if not args.construct:
+        _emit(_fmt(mu) + "\n", args.out)
         return 0
-    level = config.level if config.level is not None else mu * (1.0 + 1e-6)
+    level = args.level if args.level is not None else mu * (1.0 + 1e-6)
     cert = construct_interpolant(problem, level)
     payload = cert.to_dict()
     payload["minimal_level"] = mu
-    _emit(json.dumps(payload, indent=2) + "\n", config.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
-def _make_ray(config: RunConfig) -> RayConfiguration:
-    if config.q is None or config.n is None or config.m is None:
-        raise InvalidConfiguration("a ray configuration needs --q, --n and --m")
-    eps = config.eps if config.eps is not None else default_eps(config.q)
-    return RayConfiguration(
-        xi=CirclePoint(config.xi), q=config.q, n=config.n, m=config.m, eps=eps
-    )
-
-
-def _cmd_bracket(config: RunConfig) -> int:
-    spec = QuadratureSpec(tolerance=config.tolerance)
-    if config.q is not None:
-        ray = _make_ray(config)
+def _cmd_bracket(args) -> int:
+    spec = QuadratureSpec(tolerance=args.tolerance)
+    zeros = parse_zeros(args.zeros)
+    xi = parse_complex(args.xi)
+    m_offsets = _int_list(args.m_offsets)
+    if args.q is not None:
+        if args.n is None or args.m is None:
+            raise InvalidConfiguration("a ray configuration needs --q, --n and --m")
+        eps = args.eps if args.eps is not None else default_eps(args.q)
+        ray = RayConfiguration(xi=CirclePoint(xi), q=args.q, n=args.n, m=args.m, eps=eps)
         _, symbol, _ = build_configuration(ray.xi, ray.q, ray.n, ray.m, ray.eps)
         bracket = bracket_norm(
-            symbol,
-            ray,
-            m_offsets=config.m_offsets,
-            lambda_spec=spec,
-            rotation_grid=config.rotation_grid,
+            symbol, ray, m_offsets=m_offsets, lambda_spec=spec, rotation_grid=args.rotation_grid
         )
     else:
-        symbol = BlaschkeProduct(zeros=_resolve_zeros(config))
-        bracket = bracket_norm(
-            symbol, None, lambda_spec=spec, rotation_grid=config.rotation_grid
-        )
-    if config.as_json:
+        if args.zeros_file is not None:
+            zeros = _load_zeros_file(args.zeros_file)
+        symbol = BlaschkeProduct(zeros=zeros)
+        bracket = bracket_norm(symbol, None, lambda_spec=spec, rotation_grid=args.rotation_grid)
+    if args.json:
         prov = bracket.lower_provenance
         payload = {
             "lower": bracket.lower,
@@ -231,61 +200,26 @@ def _cmd_bracket(config: RunConfig) -> int:
             "lower_provenance": prov.to_dict() if hasattr(prov, "to_dict") else str(prov),
             "upper_provenance": bracket.upper_provenance,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", config.out)
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit(f"{_fmt(bracket.lower)} {_fmt(bracket.upper)}\n", config.out)
+        _emit(f"{_fmt(bracket.lower)} {_fmt(bracket.upper)}\n", args.out)
     return 0
 
 
-def _cmd_omega_study(config: RunConfig) -> int:
-    if config.n is None:
-        raise InvalidConfiguration("omega-study requires --n")
-    spec = QuadratureSpec(tolerance=config.tolerance)
+def _cmd_omega_study(args) -> int:
+    spec = QuadratureSpec(tolerance=args.tolerance)
     result = omega_convergence_study(
-        n=config.n,
-        xi=CirclePoint(config.xi),
-        q_schedule=config.q_schedule,
-        m_offsets=config.m_offsets,
-        eps=config.eps,
+        n=args.n,
+        xi=CirclePoint(parse_complex(args.xi)),
+        q_schedule=_float_list(args.q_schedule),
+        m_offsets=_int_list(args.m_offsets),
+        eps=args.eps,
         lambda_spec=spec,
-        rotation_grid=config.rotation_grid,
-        threads=config.threads,
+        rotation_grid=args.rotation_grid,
     )
-    text = study_to_json(result) if config.as_json else study_to_csv(result)
-    _emit(text, config.out)
+    text = study_to_json(result) if args.json else study_to_csv(result)
+    _emit(text, args.out)
     return 0
-
-
-_COMMANDS = {
-    "lambda": _cmd_lambda,
-    "apply": _cmd_apply,
-    "pick": _cmd_pick,
-    "bracket": _cmd_bracket,
-    "omega-study": _cmd_omega_study,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit status."""
-    try:
-        return _COMMANDS[config.command](config)
-    except (InvalidConfiguration, RepeatedZero, PointCollision) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ToleranceNotMet, NumericalBreakdown, NotStrictlyFeasible) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _float_list(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t)
-
-
-def _int_list(text: str) -> tuple:
-    return tuple(int(t) for t in text.split(",") if t)
 
 
 _UNSIGNED = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
@@ -315,11 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("lambda", help="oscillation functional of a Blaschke product")
+    p.set_defaults(func=_cmd_lambda)
     p.add_argument("--zeros", nargs="*", default=[], help="zeros as re,im tokens")
     p.add_argument("--zeros-file", type=str, default=None, help="JSON file of [re,im] pairs")
     add_common(p)
 
     p = sub.add_parser("apply", help="apply the operator to one argument at one point")
+    p.set_defaults(func=_cmd_apply)
     p.add_argument("--zeros", nargs="*", default=[], help="symbol zeros as re,im tokens")
     p.add_argument("--zeros-file", type=str, default=None)
     p.add_argument("--h", type=str, default="1", help="constant or polynomial coefficients")
@@ -328,12 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("pick", help="minimal interpolation level, optional witness")
+    p.set_defaults(func=_cmd_pick)
     p.add_argument("--problem-file", type=str, required=True)
     p.add_argument("--construct", action="store_true")
     p.add_argument("--level", type=float, default=None)
     add_common(p)
 
     p = sub.add_parser("bracket", help="certified [lower, upper] for one symbol")
+    p.set_defaults(func=_cmd_bracket)
     p.add_argument("--zeros", nargs="*", default=[])
     p.add_argument("--zeros-file", type=str, default=None)
     p.add_argument("--xi", type=str, default="1")
@@ -346,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("omega-study", help="(q, m) sweep of certified bounds")
+    p.set_defaults(func=_cmd_omega_study)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--xi", type=str, default="1")
     p.add_argument("--q-schedule", type=str, default="0.3,0.2,0.1,0.05")
@@ -357,50 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.tolerance = args.tolerance
-    config.rotation_grid = args.rotation_grid
-    config.out = args.out
-    if hasattr(args, "zeros"):
-        config.zeros = parse_zeros(args.zeros)
-        config.zeros_file = args.zeros_file
-    if hasattr(args, "h"):
-        config.h = args.h
-        config.z = parse_complex(args.z)
-        config.method = args.method
-    if hasattr(args, "problem_file"):
-        config.problem_file = args.problem_file
-        config.construct = args.construct
-        config.level = args.level
-    if hasattr(args, "xi"):
-        config.xi = parse_complex(args.xi)
-    if hasattr(args, "q") and args.q is not None:
-        config.q = args.q
-    if hasattr(args, "n") and args.n is not None:
-        config.n = args.n
-    if hasattr(args, "m") and args.m is not None:
-        config.m = args.m
-    if hasattr(args, "eps") and args.eps is not None:
-        config.eps = args.eps
-    if hasattr(args, "q_schedule"):
-        config.q_schedule = _float_list(args.q_schedule)
-    if hasattr(args, "m_offsets"):
-        config.m_offsets = _int_list(args.m_offsets)
-    if hasattr(args, "json"):
-        config.as_json = args.json
-    return config
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-        config = config_from_args(args)
-    except InvalidConfiguration as exc:
+        return args.func(args)
+    except (InvalidConfiguration, RepeatedZero, PointCollision) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    except (ToleranceNotMet, NumericalBreakdown, NotStrictlyFeasible) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ telescopes to a closed real value
     V = 1 + sum_k (|x_k|^2 - 1) / (|x_k| - |x_m|),
 
 which decreases monotonically in m toward the limit 1 + 2n - sum_k q^k. An
-explicit interpolant h0 achieving the targets is built at a level slightly
-above minimal; |V| divided by the computed boundary sup-norm of h0 is then a
+explicit interpolant h0 achieving the targets is built by the Schur
+recursion at a level slightly above the closed-form minimal level; the
+recursion guarantees sup |h0| <= level, so |V| divided by the level is a
 certified lower bound on the operator norm, and 1 plus the oscillation
 functional of the symbol is the matching upper bound. Everything is finite
 and checkable: no asymptotic interpolation constant enters the certificate.
@@ -28,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circle_quad import DEFAULT_LAMBDA_SPEC, QuadratureSpec, lambda_functional
 from .disk_core import BlaschkeProduct, CirclePoint, as_complex
@@ -174,10 +174,10 @@ class LowerBoundCertificate:
 def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
     """Solve the interpolation problem and evaluate the certified quotient.
 
-    The divisor is the computed boundary sup-norm of the interpolant. The
-    construction guarantees sup |h0| < level, so if sampling ever reports a
-    value suspiciously far below the level, the level itself is used instead;
-    both choices are sound, the sampled norm is merely sharper.
+    The divisor is the construction level, which the Schur recursion
+    guarantees is at least sup |h0|; a sampled sup-norm would only bound
+    sup |h0| from below and could certify too much. The level is reported as
+    the interpolant norm.
     """
     config, symbol, problem = build_configuration(
         config.xi, config.q, config.n, config.m, config.eps
@@ -206,18 +206,11 @@ def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
             f"residue functional {V!r} deviates from the closed form {v_closed!r}"
         )
 
-    divisor = cert.sup_norm
-    if divisor < cert.level * (1.0 - 5e-6):
-        warnings.append(
-            "sampled interpolant norm is far below the level; dividing by the level"
-        )
-        divisor = cert.level
-
     return LowerBoundCertificate(
         configuration=config,
         functional_value=V,
-        interpolant_norm=cert.sup_norm,
-        certified=float(abs(V) / divisor),
+        interpolant_norm=cert.level,
+        certified=float(abs(V) / cert.level),
         ideal_limit=ideal_limit(config.n, config.q),
         level=cert.level,
         warnings=tuple(warnings),
@@ -439,57 +432,6 @@ def study_to_json(result: StudyResult) -> str:
 
 
 def _fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else format(x, ".17g")
+    """17 significant digits, or "nan": the one float format of every output."""
+    return "nan" if math.isnan(x) else format(float(x), ".17g")
 
-
-RHO_MAX = 0.9995
-
-
-def _zeros_from_params(p: np.ndarray) -> np.ndarray:
-    t = p[0::2] + 1j * p[1::2]
-    return RHO_MAX * t / np.sqrt(1.0 + np.abs(t) ** 2)
-
-
-def _params_from_zeros(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=complex)
-    r = np.abs(w)
-    cap = 0.95 * RHO_MAX
-    w = np.where(r > cap, w * (cap / np.maximum(r, 1e-300)), w)
-    t = w / np.sqrt(RHO_MAX**2 - np.abs(w) ** 2)
-    out = np.empty(2 * w.size)
-    out[0::2] = t.real
-    out[1::2] = t.imag
-    return out
-
-
-def direct_norm_estimate(B: BlaschkeProduct, z, restarts: int = 32, seed: int = 0) -> float:
-    """Best found value of |T_B b(z)| over unit-norm Blaschke arguments b.
-
-    Candidates have degree at most deg(B) + 1 and boundary sup-norm exactly 1,
-    so every evaluation is a genuine lower bound on the operator norm; the
-    multistart search just tries to make it large. The constant argument 1 is
-    always included. No global optimality is claimed.
-    """
-    zc = as_complex(z)
-    best = abs(apply_toeplitz_residue(B, 1.0, zc))
-    rng = np.random.default_rng(seed)
-    anchors = list(B.zeros) + [zc, 0.0]
-    k = B.degree + 1
-
-    def objective(p):
-        cand = BlaschkeProduct(zeros=tuple(_zeros_from_params(np.asarray(p))))
-        return -abs(apply_toeplitz_residue(B, cand, zc))
-
-    for r in range(restarts):
-        w0 = np.array(
-            [anchors[(r + i) % len(anchors)] for i in range(k)], dtype=complex
-        ) + 0.3 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        p0 = _params_from_zeros(w0)
-        res = minimize(
-            objective,
-            p0,
-            method="Nelder-Mead",
-            options={"maxiter": 400, "fatol": 1e-10, "xatol": 1e-8},
-        )
-        best = max(best, -float(res.fun))
-    return float(best)

@@ -1,11 +1,14 @@
 """Minimal-norm analytic interpolation on the disk, made constructive.
 
 Feasibility at level mu is the positive semidefiniteness of the matrix with
-entries (mu^2 - y_j conj(y_k)) / (1 - x_j conj(x_k)); the minimal level is
-found by bisection, and an explicit interpolant at any strictly feasible
-level comes from the Schur recursion with the free parameter pinned to zero
-at the last step. The recursion parameters gamma_j all lie strictly inside
-the unit disk, which certifies analyticity of the interpolant on the closed
+entries (mu^2 - y_j conj(y_k)) / (1 - x_j conj(x_k)). Writing the kernel
+matrix 1/(1 - x_j conj(x_k)) as L L*, that is mu^2 I >= A A* with
+A = L^-1 diag(y) L, so the minimal level is the spectral norm of A in closed
+form. An explicit interpolant at any strictly feasible level comes from the
+Schur recursion with the free parameter pinned to zero at the last step. The
+recursion is also the one strict-feasibility test: the level is strictly
+feasible exactly when every parameter gamma_j lies strictly inside the unit
+disk. Those parameters certify analyticity of the interpolant on the closed
 disk structurally: the returned function is mu times a composition of disk
 self-maps, so its sup-norm never exceeds the level used.
 
@@ -29,13 +32,12 @@ from .errors import (
 )
 from .toeplitz_op import RationalFunction
 
-# Eigenvalue tolerances for the scaled (unit-diagonal) Pick matrix.
+# Eigenvalue tolerance of pick_feasible, for the scaled (unit-diagonal) Pick matrix.
 FEASIBILITY_TOL = 1e-10
-STRICT_TOL = 1e-12
 # Pairs closer than this in the pseudohyperbolic metric trigger a conditioning
 # warning. The scaled Pick matrix has a minimum eigenvalue on the order of the
-# squared pseudohyperbolic separation, so below 1e-6 the strict feasibility
-# gate rejects outright; the warning band sits above that cliff.
+# squared pseudohyperbolic separation, so below 1e-6 the Schur recursion runs
+# out of precision and refuses the level; the warning band sits above that cliff.
 CLUSTER_GUARD = 1e-4
 
 
@@ -83,23 +85,14 @@ class InterpolationProblem:
         )
 
 
-@dataclass(frozen=True)
-class PickMatrix:
-    """Hermitian feasibility matrix at a given level."""
-
-    array: np.ndarray
-    level: float
-
-
-def pick_matrix(problem: InterpolationProblem, mu: float) -> PickMatrix:
-    """Assemble the feasibility matrix in extended precision, symmetrized."""
+def pick_matrix(problem: InterpolationProblem, mu: float) -> np.ndarray:
+    """Assemble the Hermitian feasibility matrix in extended precision, symmetrized."""
     x = np.array(problem.nodes, dtype=np.clongdouble)
     y = np.array(problem.targets, dtype=np.clongdouble)
     num = np.clongdouble(mu) ** 2 - np.outer(y, y.conj())
     den = 1.0 - np.outer(x, x.conj())
     M = (num / den).astype(complex)
-    M = 0.5 * (M + M.conj().T)
-    return PickMatrix(array=M, level=float(mu))
+    return 0.5 * (M + M.conj().T)
 
 
 def _scaled_eigs(M: np.ndarray) -> np.ndarray:
@@ -125,7 +118,7 @@ def pick_feasible(problem: InterpolationProblem, mu: float) -> bool:
     if not (ymax < mu * (1.0 + 1e9)):
         # Absurd scale: the diagonal is already negative beyond any tolerance.
         return False
-    M = pick_matrix(problem, mu).array
+    M = pick_matrix(problem, mu)
     if np.any(np.diag(M).real < -abs(np.trace(M)) * 1e-15 - 1e-300):
         return False
     w = _scaled_eigs(M)
@@ -133,36 +126,24 @@ def pick_feasible(problem: InterpolationProblem, mu: float) -> bool:
 
 
 def minimal_level(problem: InterpolationProblem) -> float:
-    """Infimal feasible level, by bisection to relative width 1e-10.
+    """Infimal feasible level, in closed form: mu = ||L^-1 diag(y) L||_2.
 
-    Seeded at max |y_k|, which is a lower bound on the minimal level and is
-    exact for one-node problems.
+    L L* is the kernel matrix 1/(1 - x_j conj(x_k)) after Jacobi scaling to a
+    unit diagonal, which leaves the norm unchanged (diagonal matrices
+    commute) and keeps clustered nodes well scaled. The entries are assembled
+    in clongdouble; Cholesky, solve and norm run in double. With one node the
+    formula gives |y|. A kernel matrix too ill-conditioned to factor raises
+    NumericalBreakdown.
     """
-    lo = max(abs(y) for y in problem.targets)
-    if lo == 0.0:
-        return 0.0
-    if len(problem.nodes) == 1:
-        # The 1x1 matrix is (mu^2 - |y|^2)/(1 - |x|^2), so the answer is |y|
-        # exactly.  Probing feasibility at the boundary instead would hinge on
-        # the rounding sign of mu^2 - |y|^2, which Jacobi scaling blows up to
-        # a full-size eigenvalue of either sign.
-        return lo
-    if pick_feasible(problem, lo):
-        return lo
-    hi = 2.0 * lo
-    doublings = 0
-    while not pick_feasible(problem, hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise NumericalBreakdown("feasible level not found; matrix badly scaled")
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if pick_feasible(problem, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    x = np.array(problem.nodes, dtype=np.clongdouble)
+    d = np.sqrt(1.0 - np.abs(x) ** 2)
+    K = (np.outer(d, d) / (1.0 - np.outer(x, x.conj()))).astype(complex)
+    try:
+        L = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"kernel matrix factorization failed: {exc}") from None
+    y = np.array(problem.targets, dtype=complex)
+    return float(np.linalg.norm(np.linalg.solve(L, y[:, None] * L), 2))
 
 
 @dataclass(frozen=True)
@@ -204,9 +185,8 @@ def _schur_parameters(nodes, targets, mu):
     for j in range(N):
         g = w[j]
         if not (abs(g) < 1.0):
-            raise NumericalBreakdown(
-                f"recursion parameter {j} has modulus {float(abs(g))!r}; "
-                "the level is too close to minimal for this precision"
+            raise NotStrictlyFeasible(
+                f"recursion parameter {j} has modulus {float(abs(g))!r} at level {mu!r}"
             )
         gammas[j] = g
         if j < N - 1:
@@ -253,19 +233,15 @@ def construct_interpolant(problem: InterpolationProblem, mu: float) -> Interpola
     """Build the interpolant at a strictly feasible level.
 
     Callers normally pass mu = minimal_level(problem) * (1 + 1e-6): the
-    recursion degenerates exactly at the minimal level. The result carries
-    achieved residuals and a computed boundary sup-norm; its analyticity is
-    certified by the recursion parameters, all strictly inside the disk.
+    recursion degenerates exactly at the minimal level. The Schur recursion
+    is the feasibility test: a parameter of modulus >= 1 raises
+    NotStrictlyFeasible, and a residual above 1e-8 (1 + max |y|) raises
+    NumericalBreakdown. The result carries achieved residuals and a sampled
+    boundary sup-norm; its analyticity, and sup |h| <= mu, are certified by
+    the recursion parameters, all strictly inside the disk.
     """
     if not (mu > 0):
         raise InvalidConfiguration("level mu must be positive")
-    M = pick_matrix(problem, mu).array
-    w = _scaled_eigs(M)
-    if not (w[0] > STRICT_TOL * max(abs(w[0]), abs(w[-1]))):
-        raise NotStrictlyFeasible(
-            f"scaled minimum eigenvalue {w[0]!r} is not strictly positive at level {mu!r}"
-        )
-
     x, gammas = _schur_parameters(problem.nodes, problem.targets, mu)
     evaluate = _chain_evaluator(x, gammas, mu)
     num, den = _chain_polynomials(x, gammas, mu)

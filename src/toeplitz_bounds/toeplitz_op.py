@@ -16,11 +16,17 @@ shrinks toward the rounding floor of double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_quad import DEFAULT_LAMBDA_SPEC, DEFAULT_SPEC, QuadratureSpec, integrate_circle, lambda_functional
+from .circle_quad import (
+    DEFAULT_LAMBDA_SPEC,
+    DEFAULT_SPEC,
+    QuadratureSpec,
+    golden_max,
+    integrate_circle,
+    lambda_functional,
+)
 from .disk_core import (
     SEPARATION,
     BlaschkeProduct,
@@ -94,7 +100,8 @@ class RationalFunction:
     def sup_norm(self, samples: int = 4096, peaks: int = 8) -> float:
         """Boundary sup-norm by dense sampling plus golden refinement at the top peaks.
 
-        This is a lower estimate of the true supremum; the refinement brings
+        The peaks are refined together, one batched evaluation per step. This
+        is a lower estimate of the true supremum; the refinement brings
         the gap to the scale of the local curvature times the final bracket
         width (about 1e-12 in angle).
         """
@@ -109,27 +116,13 @@ class RationalFunction:
                 break
             if all(min(abs(idx - c), samples - abs(idx - c)) > 2 for c in chosen):
                 chosen.append(int(idx))
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        for idx in chosen:
-            lo = theta[idx] - 2 * half
-            hi = theta[idx] + 2 * half
-            x1 = hi - invphi * (hi - lo)
-            x2 = lo + invphi * (hi - lo)
-            f1 = abs(self(np.exp(1j * x1)))
-            f2 = abs(self(np.exp(1j * x2)))
-            for _ in range(80):
-                if hi - lo < 1e-13:
-                    break
-                if f1 < f2:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + invphi * (hi - lo)
-                    f2 = abs(self(np.exp(1j * x2)))
-                else:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - invphi * (hi - lo)
-                    f1 = abs(self(np.exp(1j * x1)))
-            best = max(best, float(f1), float(f2))
-        return best
+        refined = golden_max(
+            lambda xs: np.abs(self(np.exp(1j * np.array(xs)))).tolist(),
+            [(t - 2 * half, t + 2 * half) for t in theta[chosen].tolist()],
+            1e-13,
+            80,
+        )
+        return max([best] + [v for _, v in refined])
 
     def to_dict(self) -> dict:
         return {
@@ -159,21 +152,6 @@ def _as_function(h):
         return out[()] if out.ndim == 0 else out
 
     return const
-
-
-@dataclass(frozen=True)
-class ToeplitzApplication:
-    """Record of one operator application, tagged by the route that produced it."""
-
-    symbol: BlaschkeProduct
-    argument: object
-    point: complex
-    value: complex
-    method: str
-
-    def __post_init__(self):
-        if self.method not in ("residue", "contour"):
-            raise InvalidConfiguration(f"unknown method {self.method!r}")
 
 
 def _require_simple_zeros(B: BlaschkeProduct):

@@ -180,3 +180,20 @@ def test_ideal_limit_column_matches_the_closed_form(studies):
             closed = 1.0 + 2.0 * n - sum(row.q**k for k in range(1, n + 1))
             worst = max(worst, abs(row.ideal_limit - closed))
     _report("ideal-limit-closed-form", worst <= 1e-12, f"max column deviation {worst:.3e}")
+
+
+def test_certified_lower_bounds_divide_by_the_level(studies):
+    # The level bounds sup |h0| from above; a sampled sup-norm bounds it from
+    # below, so dividing by a sample could certify too much.
+    checked = 0
+    violations = 0
+    for _, result, _ in studies:
+        for row in result.rows:
+            cert = row.certificate
+            if cert is None:
+                continue
+            checked += 1
+            if cert.certified > abs(cert.functional_value) / cert.level:
+                violations += 1
+    ok = violations == 0 and checked > 0
+    _report("certificate-divides-by-level", ok, f"{violations} rows above |V|/level across {checked} rows")

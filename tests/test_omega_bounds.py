@@ -9,14 +9,11 @@ from toeplitz_bounds import (
     BlaschkeProduct,
     InvalidConfiguration,
     RayConfiguration,
-    apply_toeplitz_residue,
     bracket_norm,
     build_configuration,
     certify_lower_bound,
     closed_form_functional,
-    direct_norm_estimate,
     ideal_limit,
-    lemma1_upper_bound,
     omega_convergence_study,
     study_to_csv,
     study_to_json,
@@ -214,17 +211,3 @@ class TestStudy:
         with pytest.raises(InvalidConfiguration):
             omega_convergence_study(1, 1.0, q_schedule=())
 
-
-class TestDirectEstimate:
-    def test_estimate_brackets_between_baseline_and_upper_bound(self):
-        B = BlaschkeProduct(zeros=(0.5,))
-        baseline = abs(apply_toeplitz_residue(B, 1.0, 0.25))
-        est = direct_norm_estimate(B, 0.25, restarts=2, seed=0)
-        assert est >= baseline - 1e-12
-        assert est <= lemma1_upper_bound(B) + 1e-6
-
-    def test_estimate_is_deterministic_for_a_fixed_seed(self):
-        B = BlaschkeProduct(zeros=(0.5,))
-        a = direct_norm_estimate(B, 0.25, restarts=2, seed=3)
-        b = direct_norm_estimate(B, 0.25, restarts=2, seed=3)
-        assert a == b

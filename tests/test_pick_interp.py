@@ -22,6 +22,14 @@ def random_problem(rng, max_nodes=6):
     return InterpolationProblem(nodes=nodes, targets=targets)
 
 
+def panel_problem(rng):
+    """2-7 nodes uniform in angle and in radius below 0.95, complex Gaussian targets."""
+    n = int(rng.integers(2, 8))
+    nodes = tuple(rng.uniform(0.0, 0.95, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+    targets = tuple(rng.normal(size=n) + 1j * rng.normal(size=n))
+    return InterpolationProblem(nodes=nodes, targets=targets)
+
+
 def construct_with_slack(problem, mu):
     # ill-conditioned random instances need more headroom above the minimal
     # level; walk the same ladder the bound certification uses
@@ -58,13 +66,13 @@ class TestProblemValidation:
 class TestPickMatrix:
     def test_two_node_entries_match_the_formula(self):
         p = InterpolationProblem(nodes=(0.0, 0.5), targets=(0.0, 0.25))
-        M = pick_matrix(p, 1.0).array
+        M = pick_matrix(p, 1.0)
         manual = np.array([[1.0, 1.0], [1.0, (1.0 - 0.0625) / (1.0 - 0.25)]])
         assert np.max(np.abs(M - manual)) < 1e-15
 
     def test_matrix_is_hermitian(self):
         p = InterpolationProblem(nodes=(0.2j, -0.3), targets=(0.1, 0.4j))
-        M = pick_matrix(p, 0.7).array
+        M = pick_matrix(p, 0.7)
         assert np.max(np.abs(M - M.conj().T)) == 0.0
 
 
@@ -119,6 +127,30 @@ class TestMinimalLevel:
         p = InterpolationProblem(nodes=(0.3,), targets=(0.25,))
         with pytest.raises(InvalidConfiguration):
             pick_feasible(p, 0.0)
+
+
+class TestLevelIsTheBoundary:
+    """The reported level separates feasible from infeasible on random problems."""
+
+    PROBLEMS = 200
+
+    def test_construction_succeeds_just_above_the_level(self):
+        rng = np.random.default_rng(0)
+        refused = []
+        for k in range(self.PROBLEMS):
+            p = panel_problem(rng)
+            try:
+                construct_interpolant(p, minimal_level(p) * (1 + 1e-6))
+            except NotStrictlyFeasible:
+                refused.append(k)
+        assert refused == []
+
+    def test_construction_is_refused_just_below_the_level(self):
+        rng = np.random.default_rng(0)
+        for _ in range(self.PROBLEMS):
+            p = panel_problem(rng)
+            with pytest.raises(NotStrictlyFeasible):
+                construct_interpolant(p, minimal_level(p) * (1 - 1e-6))
 
 
 class TestConstruction:

@@ -11,7 +11,6 @@ from toeplitz_bounds import (
     PointCollision,
     RationalFunction,
     RepeatedZero,
-    ToeplitzApplication,
     apply_toeplitz_contour,
     apply_toeplitz_residue,
     lambda_functional,
@@ -150,15 +149,6 @@ class TestRationalFunction:
     def test_trailing_zero_coefficients_are_trimmed(self):
         f = RationalFunction([1.0, 2.0, 0.0, 0.0])
         assert f.numerator.size == 2
-
-
-class TestApplicationRecord:
-    def test_records_carry_the_route_tag(self):
-        B = BlaschkeProduct(zeros=(0.5,))
-        rec = ToeplitzApplication(symbol=B, argument=1.0, point=0.0, value=-0.5, method="residue")
-        assert rec.method == "residue"
-        with pytest.raises(InvalidConfiguration):
-            ToeplitzApplication(symbol=B, argument=1.0, point=0.0, value=-0.5, method="direct")
 
 
 class TestUpperBound:
