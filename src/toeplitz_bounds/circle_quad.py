@@ -18,8 +18,9 @@ The supremum over rotations is approximated by a fixed uniform grid (shared
 function values, so the grid costs one boundary sweep regardless of grid
 size), a family of zero-aligned candidate rotations for zeros too close to
 the circle for the grid to see, and golden-section refinement around the
-winner. The reported value is therefore a certified lower estimate of the
-true supremum with a quadrature error bar; no global optimality is claimed.
+winner. The reported value is therefore a lower estimate of the supremum
+(the rotation search is not certified) with a quadrature error bar; no
+global optimality is claimed.
 """
 
 from __future__ import annotations
@@ -320,6 +321,10 @@ def _kink_solver(f):
 
     Returns None when there is nothing to solve (not a Blaschke product, or
     degree < 2); otherwise a callable phi -> array of fold angles in (0, pi).
+
+    The swept phase is scalar Python math over a list of factors: with at
+    most ~20 factors and about 10-26 evaluations per root, numpy's per-call
+    overhead would cost more than the arithmetic itself.
     """
     if not isinstance(f, BlaschkeProduct) or f.degree < 2:
         return None
@@ -327,31 +332,37 @@ def _kink_solver(f):
     rho = np.abs(zeros)
     gam = np.where(rho > 0, np.angle(np.where(rho > 0, zeros, 1.0)), 0.0)
     kappa = (1.0 + rho) / (1.0 - rho)
-    n = zeros.size
-
-    def psi(u):
-        # Continuous boundary phase of one Moebius factor at e^{i(u + gamma)},
-        # vectorized over factors: psi(u + 2 pi) = psi(u) + 2 pi with no jumps.
-        m = np.round(u / TWO_PI)
-        ur = u - TWO_PI * m
-        half = 0.5 * ur
-        return (
-            TWO_PI * m
-            + half
-            + np.arctan(kappa * np.tan(half))
-            + np.arctan(rho * np.sin(ur) / (1.0 - rho * np.cos(ur)))
-        )
+    factors = list(zip(gam.tolist(), kappa.tolist(), rho.tolist()))
+    targets = [TWO_PI * k for k in range(1, f.degree)]
 
     def solver(phi):
-        def swept(theta):
-            return float(np.sum(psi(phi + theta - gam) - psi(phi - theta - gam)))
+        phi = float(phi)  # a numpy scalar would slow every step of the kernel
 
-        targets = TWO_PI * np.arange(1, n)
+        def swept(theta):
+            total = 0.0
+            for gamma, k, r in factors:
+                total += _psi(phi + theta - gamma, k, r) - _psi(phi - theta - gamma, k, r)
+            return total
+
         return np.array(
             [brentq(lambda t, c=c: swept(t) - c, 0.0, math.pi, xtol=1e-15, rtol=8.9e-16) for c in targets]
         )
 
     return solver
+
+
+def _psi(u: float, kappa: float, rho: float) -> float:
+    """Continuous boundary phase of one Moebius factor at e^{i(u + gamma)}:
+    psi(u + 2 pi) = psi(u) + 2 pi with no jumps. round() is half to even."""
+    m = round(u / TWO_PI)
+    ur = u - TWO_PI * m
+    half = 0.5 * ur
+    return (
+        TWO_PI * m
+        + half
+        + math.atan(kappa * math.tan(half))
+        + math.atan(rho * math.sin(ur) / (1.0 - rho * math.cos(ur)))
+    )
 
 
 def _lambda_integral(pair, phi: float, spec: QuadratureSpec, tol: float, features=(), kink_fn=None):
@@ -435,7 +446,8 @@ def _candidate_rotations(f, rotation_grid: int):
 
 
 def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_grid: int = 256) -> LambdaResult:
-    """Supremum of the Lambda integral over rotations (certified lower estimate).
+    """Supremum of the Lambda integral over rotations: a lower estimate of the
+    supremum (the rotation search is not certified).
 
     Search: shared-grid scan over `rotation_grid` rotations, adaptive
     re-evaluation of the leading candidates, golden-section refinement around

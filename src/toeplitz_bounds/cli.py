@@ -63,12 +63,19 @@ def parse_zeros(tokens) -> tuple:
     return tuple(parse_complex(t) for t in tokens)
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t)
-
-
-def _int_list(text: str) -> tuple:
-    return tuple(int(t) for t in text.split(",") if t)
+def _parse_list(text: str, kind) -> tuple:
+    """Comma-separated values of type kind (float or int); empty items are skipped."""
+    values = []
+    for token in text.split(","):
+        if not token:
+            continue
+        try:
+            values.append(kind(token))
+        except ValueError:
+            raise InvalidConfiguration(
+                f"expected a comma-separated list of {kind.__name__} values, got {token!r}"
+            ) from None
+    return tuple(values)
 
 
 def _load_zeros_file(path: str) -> tuple:
@@ -177,7 +184,7 @@ def _cmd_bracket(args) -> int:
     spec = QuadratureSpec(tolerance=args.tolerance)
     zeros = parse_zeros(args.zeros)
     xi = parse_complex(args.xi)
-    m_offsets = _int_list(args.m_offsets)
+    m_offsets = _parse_list(args.m_offsets, int)
     if args.q is not None:
         if args.n is None or args.m is None:
             raise InvalidConfiguration("a ray configuration needs --q, --n and --m")
@@ -211,8 +218,8 @@ def _cmd_omega_study(args) -> int:
     result = omega_convergence_study(
         n=args.n,
         xi=CirclePoint(parse_complex(args.xi)),
-        q_schedule=_float_list(args.q_schedule),
-        m_offsets=_int_list(args.m_offsets),
+        q_schedule=_parse_list(args.q_schedule, float),
+        m_offsets=_parse_list(args.m_offsets, int),
         eps=args.eps,
         lambda_spec=spec,
         rotation_grid=args.rotation_grid,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from toeplitz_bounds import (
     BlaschkeProduct,
@@ -197,6 +198,77 @@ class TestGridScan:
         coarse = lambda_functional(B, rotation_grid=201).value
         fine = lambda_functional(B, rotation_grid=256).value
         assert coarse == pytest.approx(fine, abs=1e-7)
+
+
+def reference_swept(B, phi):
+    """The swept phase theta -> sum of per-factor boundary phase differences,
+    evaluated with numpy over the factors."""
+    zeros = np.asarray(B.zeros, dtype=complex)
+    rho = np.abs(zeros)
+    gam = np.where(rho > 0, np.angle(np.where(rho > 0, zeros, 1.0)), 0.0)
+    kappa = (1.0 + rho) / (1.0 - rho)
+
+    def psi(u):
+        m = np.round(u / (2.0 * math.pi))
+        ur = u - 2.0 * math.pi * m
+        half = 0.5 * ur
+        return (
+            2.0 * math.pi * m
+            + half
+            + np.arctan(kappa * np.tan(half))
+            + np.arctan(rho * np.sin(ur) / (1.0 - rho * np.cos(ur)))
+        )
+
+    return lambda theta: float(np.sum(psi(phi + theta - gam) - psi(phi - theta - gam)))
+
+
+class TestKinkSolver:
+    def seeded_products(self):
+        rng = np.random.default_rng(61)
+        products = [BlaschkeProduct(zeros=random_zeros(rng, n)) for n in range(2, 7) for _ in range(3)]
+        near = BlaschkeProduct(zeros=((1.0 - 1e-12) * np.exp(0.7j), 0.4 - 0.2j, -0.5j))
+        return rng, products, near
+
+    def test_nothing_to_solve_below_degree_two(self):
+        assert circle_quad._kink_solver(BlaschkeProduct(zeros=())) is None
+        assert circle_quad._kink_solver(BlaschkeProduct(zeros=(0.5j,))) is None
+        assert circle_quad._kink_solver(lambda w: w**2) is None
+
+    def test_returns_increasing_interior_folds(self):
+        rng, products, near = self.seeded_products()
+        for B in products + [near]:
+            solver = circle_quad._kink_solver(B)
+            for phi in rng.uniform(-math.pi, math.pi, 4):
+                folds = solver(phi)
+                assert folds.shape == (B.degree - 1,)
+                assert np.all(folds > 0.0) and np.all(folds < math.pi)
+                assert np.all(np.diff(folds) > 0.0)
+
+    def test_folds_are_roots_of_the_reference_phase(self):
+        rng, products, near = self.seeded_products()
+        for B in products:
+            solver = circle_quad._kink_solver(B)
+            for phi in rng.uniform(-math.pi, math.pi, 4):
+                swept = reference_swept(B, phi)
+                folds = solver(phi)
+                for k, t in enumerate(folds, start=1):
+                    target = 2.0 * math.pi * k
+                    assert abs(swept(t) - target) <= 1e-12
+                    ref = brentq(lambda x: swept(x) - target, 0.0, math.pi, xtol=1e-15, rtol=8.9e-16)
+                    assert abs(t - ref) <= 1e-14
+
+    def test_near_circle_folds_bracket_the_reference_phase_jump(self):
+        # the phase of a factor at 1 - 1e-12 climbs 2 pi within ~1e-12 rad, so
+        # a fold there is pinned by a sign change, not by a small residual
+        rng, _, near = self.seeded_products()
+        solver = circle_quad._kink_solver(near)
+        for phi in (0.7 + 1e-3, 0.7 - 0.5, 2.0, rng.uniform(-math.pi, math.pi)):
+            swept = reference_swept(near, phi)
+            for k, t in enumerate(solver(phi), start=1):
+                target = 2.0 * math.pi * k
+                assert swept(t - 1e-14) < target < swept(t + 1e-14)
+                ref = brentq(lambda x: swept(x) - target, 0.0, math.pi, xtol=1e-15, rtol=8.9e-16)
+                assert abs(t - ref) <= 1e-14
 
 
 class TestPairEvaluator:

@@ -176,6 +176,13 @@ class TestBracketCommand:
         code, _, _ = run_main(capsys, ["bracket", "--q", "1.5", "--n", "1", "--m", "3"])
         assert code == 2
 
+    def test_malformed_m_offsets_exit_two(self, capsys):
+        code, _, err = run_main(
+            capsys, ["bracket", "--q", "0.5", "--n", "1", "--m", "3", "--m-offsets", "2,x"]
+        )
+        assert code == 2
+        assert "'x'" in err
+
 
 class TestOmegaStudyCommand:
     ARGS = ["omega-study", "--n", "1", "--q-schedule", "0.3", "--m-offsets", "2,4"]
@@ -192,6 +199,17 @@ class TestOmegaStudyCommand:
         assert code == 0
         payload = json.loads(out)
         assert {r["m"] for r in payload["rows"]} == {3, 5}
+
+    @pytest.mark.parametrize(
+        "flag, value, token",
+        [("--q-schedule", "abc", "abc"), ("--q-schedule", "0.3,,1e", "1e"), ("--m-offsets", "2,1.5", "1.5")],
+    )
+    def test_malformed_list_exits_two(self, capsys, flag, value, token):
+        argv = ["omega-study", "--n", "1", "--q-schedule", "0.3", "--m-offsets", "2"] + [flag, value]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"{token!r}" in err
 
 
 class TestEntryPoint:
