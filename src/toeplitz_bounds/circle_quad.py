@@ -89,37 +89,27 @@ def _vectorized(f):
     return np.vectorize(f)
 
 
-def golden_max(f, brackets, width: float, steps: int):
-    """Golden-section maximization on several brackets at once.
+def golden_max(f, lo: float, hi: float, width: float, steps: int):
+    """Golden-section maximization of a scalar function on [lo, hi].
 
-    f maps a list of points to their values, in order. Each step narrows every
-    bracket still at least `width` wide, for at most `steps` steps, and
-    evaluates the one new interior point of each in a single call to f.
-    Returns one (x, value) per bracket: the better of its two final interior
-    points. The bookkeeping is per bracket in plain floats, because the
-    brackets are few and the steps many.
+    Each step narrows the bracket while it is at least `width` wide, for at
+    most `steps` steps, and evaluates f at its one new interior point.
+    Returns (x, f(x)) for the better of the two final interior points.
     """
-    # one [lo, hi, x1, x2, f1, f2] per bracket, lo < x1 < x2 < hi
-    state = [[lo, hi, hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo)] for lo, hi in brackets]
-    values = f([s[2] for s in state] + [s[3] for s in state])
-    for k, s in enumerate(state):
-        s += [values[k], values[len(state) + k]]
+    x1, x2 = hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
     for _ in range(steps):
-        active = [s for s in state if not (s[1] - s[0] < width)]
-        if not active:
+        if hi - lo < width:
             break
-        moved_lo = []
-        for s in active:
-            lo, hi, x1, x2, f1, f2 = s
-            moved_lo.append(f1 < f2)
-            if f1 < f2:
-                s[:] = [x1, hi, x2, x1 + INVPHI * (hi - x1), f2, f2]
-            else:
-                s[:] = [lo, x2, x2 - INVPHI * (x2 - lo), x1, f1, f1]
-        new = f([s[3] if up else s[2] for s, up in zip(active, moved_lo)])
-        for s, up, v in zip(active, moved_lo, new):
-            s[5 if up else 4] = v
-    return [(s[2], s[4]) if s[4] >= s[5] else (s[3], s[5]) for s in state]
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + INVPHI * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - INVPHI * (hi - lo)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 class _PanelAccumulator:
@@ -494,9 +484,10 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
             best_val, best_phi, best_h = v, phi, h
 
     # Golden-section maximization of the loose-tolerance value around best_phi.
-    [(phi_star, refined)] = golden_max(
-        lambda xs: [protected(x, loose)[0] for x in xs],
-        [(best_phi - best_h, best_phi + best_h)],
+    phi_star, refined = golden_max(
+        lambda x: protected(x, loose)[0],
+        best_phi - best_h,
+        best_phi + best_h,
         max(1e-13, 1e-5 * best_h),
         60,
     )

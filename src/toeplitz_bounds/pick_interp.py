@@ -13,9 +13,13 @@ disk structurally: the returned function is mu times a composition of disk
 self-maps, so its sup-norm never exceeds the level used.
 
 Ray configurations push nodes within 1e-11 of the circle, where the products
-1 - x_j conj(x_k) live at the rounding floor of double precision. Matrix
-entries and the whole recursion are therefore computed in clongdouble; on
-x86 that buys about ten extra digits exactly where the cancellation bites.
+1 - x_j conj(x_k) live at the rounding floor of double precision. The kernel
+matrix, its Cholesky factor and the whole recursion are therefore computed in
+clongdouble; on x86 that buys about ten extra digits exactly where the
+cancellation bites. The one exception is the boundary sweep behind the
+reported sup-norm: on the circle the Moebius factors come from the
+angle-based disk_core.boundary_values, which keeps full relative accuracy
+there, so that sweep runs in complex128.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk_core import SEPARATION, as_complex, pseudohyperbolic_distance
+from .disk_core import (
+    SEPARATION,
+    BlaschkeProduct,
+    as_complex,
+    boundary_values,
+    pseudohyperbolic_distance,
+)
 from .errors import (
     InvalidConfiguration,
     NotStrictlyFeasible,
@@ -130,20 +140,30 @@ def minimal_level(problem: InterpolationProblem) -> float:
 
     L L* is the kernel matrix 1/(1 - x_j conj(x_k)) after Jacobi scaling to a
     unit diagonal, which leaves the norm unchanged (diagonal matrices
-    commute) and keeps clustered nodes well scaled. The entries are assembled
-    in clongdouble; Cholesky, solve and norm run in double. With one node the
-    formula gives |y|. A kernel matrix too ill-conditioned to factor raises
+    commute) and keeps clustered nodes well scaled. Assembly, Cholesky factor
+    and forward solve run in clongdouble, row by row (N is at most about 20):
+    a double-precision factor misplaces the level once the kernel condition
+    passes about 1e12 and fails outright at a few times 1e18. Only the final
+    2-norm runs in double. With one node the formula gives |y|. A kernel
+    matrix that is not positive definite even in clongdouble raises
     NumericalBreakdown.
     """
     x = np.array(problem.nodes, dtype=np.clongdouble)
     d = np.sqrt(1.0 - np.abs(x) ** 2)
-    K = (np.outer(d, d) / (1.0 - np.outer(x, x.conj()))).astype(complex)
-    try:
-        L = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"kernel matrix factorization failed: {exc}") from None
-    y = np.array(problem.targets, dtype=complex)
-    return float(np.linalg.norm(np.linalg.solve(L, y[:, None] * L), 2))
+    K = np.outer(d, d) / (1.0 - np.outer(x, x.conj()))
+    L = np.zeros_like(K)
+    for j in range(x.size):
+        pivot = (K[j, j] - L[j, :j] @ L[j, :j].conj()).real
+        if not pivot > 0:
+            raise NumericalBreakdown(
+                f"kernel matrix is not positive definite (pivot {j} is {float(pivot)!r})"
+            )
+        L[j, j] = np.sqrt(pivot)
+        L[j + 1 :, j] = (K[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j].conj()) / L[j, j]
+    X = np.array(problem.targets, dtype=np.clongdouble)[:, None] * L
+    for i in range(x.size):
+        X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
+    return float(np.linalg.norm(X.astype(complex), 2))
 
 
 @dataclass(frozen=True)
@@ -213,6 +233,26 @@ def _chain_evaluator(x, gammas, mu):
     return evaluate
 
 
+def _boundary_evaluator(x, gammas, mu):
+    """Evaluate theta -> mu * f_0(e^{i theta}) through the same chain, in complex128.
+
+    On the circle each Moebius factor comes from boundary_values, whose
+    angle-based form keeps full relative accuracy for nodes within 1e-11 of
+    the circle, so the sup-norm sweep needs no extended precision.
+    """
+    factors = [BlaschkeProduct((complex(a),)) for a in x[:-1]]
+    g = gammas.astype(complex)
+
+    def evaluate(theta):
+        f = np.full(np.shape(theta), g[-1])
+        for j in range(len(factors) - 1, -1, -1):
+            bf = boundary_values(factors[j], theta) * f
+            f = (bf + g[j]) / (1.0 + np.conj(g[j]) * bf)
+        return mu * f
+
+    return evaluate
+
+
 def _chain_polynomials(x, gammas, mu):
     """Expand the chain to monomial numerator/denominator (degree <= N-1)."""
     P = np.array([gammas[-1]], dtype=np.clongdouble)
@@ -237,15 +277,23 @@ def construct_interpolant(problem: InterpolationProblem, mu: float) -> Interpola
     is the feasibility test: a parameter of modulus >= 1 raises
     NotStrictlyFeasible, and a residual above 1e-8 (1 + max |y|) raises
     NumericalBreakdown. The result carries achieved residuals and a sampled
-    boundary sup-norm; its analyticity, and sup |h| <= mu, are certified by
-    the recursion parameters, all strictly inside the disk.
+    boundary sup-norm, RationalFunction.sup_norm over the complex128 boundary
+    evaluator: a lower estimate reported for inspection, never divided by.
+    Analyticity, and sup |h| <= mu, are certified by the recursion
+    parameters, all strictly inside the disk.
     """
     if not (mu > 0):
         raise InvalidConfiguration("level mu must be positive")
     x, gammas = _schur_parameters(problem.nodes, problem.targets, mu)
     evaluate = _chain_evaluator(x, gammas, mu)
     num, den = _chain_polynomials(x, gammas, mu)
-    h = RationalFunction(num, den, evaluator=evaluate, validate_poles=False)
+    h = RationalFunction(
+        num,
+        den,
+        evaluator=evaluate,
+        boundary=_boundary_evaluator(x, gammas, mu),
+        validate_poles=False,
+    )
 
     nodes_arr = np.array(problem.nodes, dtype=complex)
     targets_arr = np.array(problem.targets, dtype=complex)

@@ -1,5 +1,7 @@
 """Feasibility, minimal level, and constructive interpolation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,15 @@ from toeplitz_bounds import (
     InterpolationProblem,
     InvalidConfiguration,
     NotStrictlyFeasible,
+    build_configuration,
     construct_interpolant,
     minimal_level,
     pick_feasible,
     pick_matrix,
 )
+from toeplitz_bounds.omega_bounds import SLACK_LADDER
+
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def random_problem(rng, max_nodes=6):
@@ -28,6 +34,81 @@ def panel_problem(rng):
     nodes = tuple(rng.uniform(0.0, 0.95, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
     targets = tuple(rng.normal(size=n) + 1j * rng.normal(size=n))
     return InterpolationProblem(nodes=nodes, targets=targets)
+
+
+def benchmark_problem(seed, round_index, k):
+    """Problem k of a pick_panel benchmark round, drawn as PickPanel.make_round
+    draws it: ten problems of each size 2..7 from default_rng([seed, 0, round])."""
+    rng = np.random.default_rng([seed, 0, round_index])
+    for size in range(2, 8):
+        for _ in range(10):
+            nodes = rng.uniform(0.0, 0.95, size) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, size))
+            targets = rng.normal(size=size) + 1j * rng.normal(size=size)
+            if k == 0:
+                return InterpolationProblem(nodes=tuple(nodes), targets=tuple(targets))
+            k -= 1
+    raise IndexError("a round holds 60 problems")
+
+
+def reference_sup_norm(h, samples=4096, peaks=8):
+    """The earlier sup_norm: a sweep through the interpolant's clongdouble chain
+    evaluator, then golden-section refinement of each top peak over one grid
+    step either side, to brackets narrower than 1e-13, all brackets batched."""
+    theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
+    mags = np.abs(h(np.exp(1j * theta)))
+    chosen = []
+    for k in np.argsort(mags)[::-1]:
+        if len(chosen) >= peaks:
+            break
+        if all(min(abs(k - c), samples - abs(k - c)) > 2 for c in chosen):
+            chosen.append(int(k))
+
+    def modulus(t):
+        return np.abs(h(np.exp(1j * t)))
+
+    lo = theta[chosen] - 2.0 * math.pi / samples
+    hi = theta[chosen] + 2.0 * math.pi / samples
+    x1, x2 = hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo)
+    f1, f2 = modulus(x1), modulus(x2)
+    for _ in range(80):
+        active = ~(hi - lo < 1e-13)
+        if not active.any():
+            break
+        up, down = active & (f1 < f2), active & ~(f1 < f2)
+        x_new = np.where(up, x1 + INVPHI * (hi - x1), x2 - INVPHI * (x2 - lo))
+        f_new = modulus(x_new)
+        lo, hi = np.where(up, x1, lo), np.where(down, x2, hi)
+        x1, x2, f1, f2 = (
+            np.where(up, x2, np.where(down, x_new, x1)),
+            np.where(up, x_new, np.where(down, x1, x2)),
+            np.where(up, f2, np.where(down, f_new, f1)),
+            np.where(up, f_new, np.where(down, f1, f2)),
+        )
+    return max(float(np.max(mags)), float(np.max(np.maximum(f1, f2))))
+
+
+def acceptance_certificates():
+    """Interpolants of every cell of the three acceptance plans, on one ray."""
+    plans = (
+        (1, (0.3, 0.2, 0.1, 0.05), (2, 4, 8, 16)),
+        (2, (0.01, 0.005, 0.002), (1, 2)),
+        (3, (0.005, 0.002, 0.001), (1,)),
+    )
+    certs = []
+    for n, qs, offsets in plans:
+        for q in qs:
+            for off in offsets:
+                if q ** (n + off) < 1e-12:
+                    continue
+                _, _, problem = build_configuration(np.exp(0.7j), q, n, n + off)
+                mu = minimal_level(problem)
+                for slack in SLACK_LADDER:
+                    try:
+                        certs.append(construct_interpolant(problem, mu * (1 + slack)))
+                        break
+                    except NotStrictlyFeasible:
+                        continue
+    return certs
 
 
 def construct_with_slack(problem, mu):
@@ -133,9 +214,10 @@ class TestLevelIsTheBoundary:
     """The reported level separates feasible from infeasible on random problems."""
 
     PROBLEMS = 200
+    SEED = 0
 
     def test_construction_succeeds_just_above_the_level(self):
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(self.SEED)
         refused = []
         for k in range(self.PROBLEMS):
             p = panel_problem(rng)
@@ -146,11 +228,55 @@ class TestLevelIsTheBoundary:
         assert refused == []
 
     def test_construction_is_refused_just_below_the_level(self):
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(self.SEED)
         for _ in range(self.PROBLEMS):
             p = panel_problem(rng)
             with pytest.raises(NotStrictlyFeasible):
                 construct_interpolant(p, minimal_level(p) * (1 - 1e-6))
+
+
+class TestLevelIsTheBoundarySeed1(TestLevelIsTheBoundary):
+    """Seed 1 draws kernel matrices of condition 7e12 and 4e13 (problems 29
+    and 17), where a double-precision factor misplaces the level."""
+
+    SEED = 1
+
+
+class TestIllConditionedKernel:
+    """Two pick_panel benchmark problems whose 7-node kernel matrices have
+    condition about 4e18 and 8e18: a double-precision Cholesky factor
+    breaks down on them."""
+
+    @pytest.mark.parametrize("seed, round_index, k", [(803, 214, 58), (820, 44, 57)])
+    def test_level_factors_and_the_interpolant_constructs(self, seed, round_index, k):
+        p = benchmark_problem(seed, round_index, k)
+        mu = minimal_level(p)
+        cert = construct_interpolant(p, mu * (1 + 1e-6))
+        ymax = max(abs(y) for y in p.targets)
+        assert max(cert.residuals) <= 1e-8 * (1.0 + ymax)
+
+
+class TestSupNorm:
+    """The double-precision sweep with parabolic refinement against the
+    clongdouble sweep with golden refinement it replaced."""
+
+    def check(self, certs):
+        assert certs
+        for cert in certs:
+            reference = reference_sup_norm(cert.interpolant)
+            assert abs(cert.sup_norm - reference) <= 1e-13 * reference
+            assert cert.sup_norm <= cert.level * (1 + 1e-12)
+
+    def test_matches_the_reference_on_panel_problems(self):
+        rng = np.random.default_rng(0)
+        certs = []
+        for _ in range(200):
+            p = panel_problem(rng)
+            certs.append(construct_interpolant(p, minimal_level(p) * (1 + 1e-6)))
+        self.check(certs)
+
+    def test_matches_the_reference_on_acceptance_certificates(self):
+        self.check(acceptance_certificates())
 
 
 class TestConstruction:
