@@ -25,7 +25,6 @@ def main(argv=None) -> int:
     parser.add_argument("--degrees", type=str, default="1,2,3", help="comma separated degrees to run")
     parser.add_argument("--xi", type=complex, default=1.0, help="boundary direction of the zero ray")
     parser.add_argument("--tolerance", type=float, default=1e-8)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("."))
     args = parser.parse_args(argv)
 
@@ -36,10 +35,7 @@ def main(argv=None) -> int:
             continue
         qs, offsets = PLANS[n]
         start = time.perf_counter()
-        result = omega_convergence_study(
-            n, args.xi, q_schedule=qs, m_offsets=offsets,
-            lambda_spec=spec, threads=args.threads,
-        )
+        result = omega_convergence_study(n, args.xi, q_schedule=qs, m_offsets=offsets, lambda_spec=spec)
         elapsed = time.perf_counter() - start
         target = args.out_dir / f"omega_study_n{n}.csv"
         target.write_text(study_to_csv(result))

@@ -8,6 +8,8 @@ whose norms are certified, not estimated. The extremal ray construction
 reproduces the growth 1 + 2n of the supremum over degree-n symbols.
 """
 
+import numpy as np
+
 from .circle_quad import (
     DEFAULT_LAMBDA_SPEC,
     DEFAULT_SPEC,
@@ -21,7 +23,6 @@ from .disk_core import (
     BlaschkeProduct,
     CirclePoint,
     MoebiusFactor,
-    UnitDiskPoint,
     boundary_values,
     eval_blaschke,
     eval_blaschke_derivative,
@@ -90,7 +91,6 @@ __all__ = [
     "StudyRow",
     "ToeplitzBoundsError",
     "ToleranceNotMet",
-    "UnitDiskPoint",
     "apply_toeplitz_contour",
     "apply_toeplitz_residue",
     "boundary_values",
@@ -117,3 +117,7 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# One freed 1 MB block makes glibc's malloc keep freed heap pages (trim threshold
+# 2 MB); otherwise each 4096-point boundary sweep faults ~0.4 MB of them back in.
+np.empty(1 << 17)

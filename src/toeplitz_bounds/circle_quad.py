@@ -21,6 +21,10 @@ the circle for the grid to see, and golden-section refinement around the
 winner. The reported value is therefore a lower estimate of the supremum
 (the rotation search is not certified) with a quadrature error bar; no
 global optimality is claimed.
+
+The integrand's interior folds are found by Brent's method (R. P. Brent,
+Algorithms for Minimization without Derivatives, 1973, ch. 4): `brentq` is a
+line-for-line port of scipy's brentq.c, bit-compatible with scipy's roots.
 """
 
 from __future__ import annotations
@@ -30,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import brentq
 
 from .disk_core import BlaschkeProduct, CirclePoint, as_complex, boundary_values
-from .errors import InvalidConfiguration, ToleranceNotMet
+from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
 
 TWO_PI = 2.0 * math.pi
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -237,35 +240,26 @@ def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
     return val / TWO_PI, err / TWO_PI
 
 
-def _pair_evaluator(f):
+def _pair_evaluator(f: BlaschkeProduct):
     """Return pair(phi, theta) -> (f at e^{i(phi+theta)}, f at e^{i(phi-theta)}).
 
     Both halves come from one boundary sweep over the offsets [theta, -theta].
+    theta is passed as an offset so factors near the rotation angle keep full
+    relative accuracy at increments far below ulp(phi).
     """
-    if isinstance(f, BlaschkeProduct):
-        # theta is passed as an offset so factors near the rotation angle
-        # keep full relative accuracy at increments far below ulp(phi)
-        def sweep(phi, offset):
-            return boundary_values(f, phi, offset=offset)
-
-    else:
-        fv = _vectorized(f)
-
-        def sweep(phi, offset):
-            return np.asarray(fv(np.exp(1j * (phi + offset))))
+    if not isinstance(f, BlaschkeProduct):
+        raise InvalidConfiguration(f"Lambda needs a BlaschkeProduct symbol, got {type(f).__name__}")
 
     def pair(phi, theta):
-        both = sweep(phi, np.concatenate([theta, -theta]))
+        both = boundary_values(f, phi, offset=np.concatenate([theta, -theta]))
         return both[: theta.size], both[theta.size :]
 
     return pair
 
 
-def _feature_scales(f):
+def _feature_scales(f: BlaschkeProduct):
     """(angle, width) of each boundary feature: a zero at a = (1-d) e^{i gamma}
     concentrates the symbol's phase swing in an angular window of width ~d."""
-    if not isinstance(f, BlaschkeProduct):
-        return ()
     return tuple(
         (float(np.angle(a)) if abs(a) > 0 else 0.0, 1.0 - abs(a)) for a in f.zeros
     )
@@ -296,7 +290,54 @@ def _seed_edges_for_rotation(features, phi: float, span: float = math.pi):
     return seeds
 
 
-def _kink_solver(f):
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign: secant or
+    inverse quadratic steps where they are short enough, bisection otherwise,
+    until half the bracket is below (xtol + rtol |x|) / 2. Raises
+    NumericalBreakdown after 100 iterations."""
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise InvalidConfiguration(f"f({a!r}) and f({b!r}) must differ in sign")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NumericalBreakdown(f"Brent's method did not converge in 100 iterations on [{a!r}, {b!r}]")
+
+
+def _kink_solver(f: BlaschkeProduct):
     """Exact interior fold locations of the Lambda integrand, per rotation.
 
     The numerator |f(e^{i(phi+theta)}) - f(e^{i(phi-theta)})| vanishes where
@@ -309,14 +350,14 @@ def _kink_solver(f):
     error is slope * delta^2 at every refinement level, while a fold exactly
     at an edge leaves both neighbors piecewise smooth and costs nothing.
 
-    Returns None when there is nothing to solve (not a Blaschke product, or
-    degree < 2); otherwise a callable phi -> array of fold angles in (0, pi).
+    Returns None when there is nothing to solve (degree < 2); otherwise a
+    callable phi -> array of fold angles in (0, pi).
 
     The swept phase is scalar Python math over a list of factors: with at
     most ~20 factors and about 10-26 evaluations per root, numpy's per-call
     overhead would cost more than the arithmetic itself.
     """
-    if not isinstance(f, BlaschkeProduct) or f.degree < 2:
+    if f.degree < 2:
         return None
     zeros = np.asarray(f.zeros, dtype=complex)
     rho = np.abs(zeros)
@@ -381,7 +422,7 @@ def lambda_at_rotation(f, eta, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> fl
     return val
 
 
-def _grid_scan(f, rotation_grid: int):
+def _grid_scan(f: BlaschkeProduct, rotation_grid: int):
     """Estimate the Lambda integral on every grid rotation from one boundary sweep.
 
     The theta grid has size M = s * rotation_grid, so rotating by a grid step
@@ -398,10 +439,7 @@ def _grid_scan(f, rotation_grid: int):
     M = R * s
     half = M // 2
     theta = -math.pi + (np.arange(M) + 0.5) * (TWO_PI / M)
-    if isinstance(f, BlaschkeProduct):
-        F = boundary_values(f, theta)
-    else:
-        F = np.asarray(_vectorized(f)(np.exp(1j * theta)))
+    F = boundary_values(f, theta)
     kern = 1.0 / (2.0 * np.abs(np.sin(0.5 * theta[:half])))
     # row r: plus[r, j] = F[(j + r s) % M], minus[r, j] = F[(M - 1 - j + r s) % M]
     plus = sliding_window_view(np.concatenate([F, F]), half)[0:M:s]
@@ -410,20 +448,19 @@ def _grid_scan(f, rotation_grid: int):
     return (np.arange(R) * (TWO_PI / R)), vals, M
 
 
-def _candidate_rotations(f, rotation_grid: int):
+def _candidate_rotations(f: BlaschkeProduct, rotation_grid: int):
     """Grid winners plus aligned rotations for zeros the grid cannot resolve."""
     phis, vals, grid_evals = _grid_scan(f, rotation_grid)
     order = np.argsort(vals)[::-1]
     cands = [(float(phis[r]), TWO_PI / rotation_grid) for r in order[:3]]
     cands.append((0.0, TWO_PI / rotation_grid))
-    if isinstance(f, BlaschkeProduct):
-        grid_res = TWO_PI / rotation_grid
-        for a in f.zeros:
-            d = 1.0 - abs(a)
-            if d < 4.0 * grid_res:
-                gamma = float(np.angle(a)) if abs(a) > 0 else 0.0
-                for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0):
-                    cands.append((gamma + t * d, 2.0 * d))
+    grid_res = TWO_PI / rotation_grid
+    for a in f.zeros:
+        d = 1.0 - abs(a)
+        if d < 4.0 * grid_res:
+            gamma = float(np.angle(a)) if abs(a) > 0 else 0.0
+            for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0):
+                cands.append((gamma + t * d, 2.0 * d))
     seen = []
     out = []
     for phi, h in cands:

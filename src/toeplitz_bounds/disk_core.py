@@ -26,19 +26,6 @@ def as_complex(x) -> complex:
 
 
 @dataclass(frozen=True)
-class UnitDiskPoint:
-    """A point strictly inside the unit disk."""
-
-    value: complex
-
-    def __post_init__(self):
-        v = complex(self.value)
-        if abs(v) >= 1.0:
-            raise InvalidConfiguration(f"|z| = {abs(v)!r} is not inside the open unit disk")
-        object.__setattr__(self, "value", v)
-
-
-@dataclass(frozen=True)
 class CirclePoint:
     """A point on the unit circle, renormalized to exact modulus 1 on construction."""
 
@@ -85,9 +72,6 @@ class BlaschkeProduct:
     @property
     def degree(self) -> int:
         return len(self.zeros)
-
-    def factors(self) -> tuple:
-        return tuple(MoebiusFactor(a) for a in self.zeros)
 
 
 def eval_moebius(factor: MoebiusFactor, z):

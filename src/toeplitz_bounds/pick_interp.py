@@ -185,16 +185,6 @@ class InterpolantCertificate:
             "warnings": list(self.warnings),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InterpolantCertificate":
-        return cls(
-            interpolant=RationalFunction.from_dict(d["interpolant"]),
-            level=float(d["level"]),
-            residuals=tuple(float(r) for r in d["residuals"]),
-            sup_norm=float(d["sup_norm"]),
-            warnings=tuple(d["warnings"]),
-        )
-
 
 def _schur_parameters(nodes, targets, mu):
     """Run the Schur reduction; returns the gamma parameters (clongdouble)."""

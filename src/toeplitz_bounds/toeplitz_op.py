@@ -94,16 +94,6 @@ class RationalFunction:
             return self._evaluator(z)
         return _polyval(self.numerator, z) / _polyval(self.denominator, z)
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return (
-            self.numerator.shape == other.numerator.shape
-            and self.denominator.shape == other.denominator.shape
-            and bool(np.all(self.numerator == other.numerator))
-            and bool(np.all(self.denominator == other.denominator))
-        )
-
     def __repr__(self):
         return f"RationalFunction(num deg {self.numerator.size - 1}, den deg {self.denominator.size - 1})"
 
@@ -183,12 +173,6 @@ class RationalFunction:
             "numerator": [[float(c.real), float(c.imag)] for c in self.numerator],
             "denominator": [[float(c.real), float(c.imag)] for c in self.denominator],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict, validate_poles: bool = False) -> "RationalFunction":
-        num = [complex(re, im) for re, im in d["numerator"]]
-        den = [complex(re, im) for re, im in d["denominator"]]
-        return cls(num, den, validate_poles=validate_poles)
 
 
 def _as_function(h):

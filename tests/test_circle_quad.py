@@ -1,15 +1,16 @@
 """Adaptive circle quadrature and the oscillation functional."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from toeplitz_bounds import (
     BlaschkeProduct,
     CirclePoint,
     InvalidConfiguration,
+    NumericalBreakdown,
     QuadratureSpec,
     ToleranceNotMet,
     integrate_circle,
@@ -146,6 +147,11 @@ class TestLambdaProperties:
                 wins += 1
         assert wins >= int(0.95 * trials)
 
+    def test_non_blaschke_symbol_is_rejected_at_entry(self):
+        for call in (lambda f: lambda_functional(f), lambda f: lambda_at_rotation(f, 1.0)):
+            with pytest.raises(InvalidConfiguration):
+                call(lambda z: z**2)
+
     def test_small_grid_rejected(self):
         with pytest.raises(InvalidConfiguration):
             lambda_functional(BlaschkeProduct(zeros=(0.5,)), rotation_grid=32)
@@ -165,10 +171,7 @@ def modulo_index_scan(f, R, M):
     through explicit index matrices taken modulo M."""
     s = M // R
     theta = -math.pi + (np.arange(M) + 0.5) * (2.0 * math.pi / M)
-    if isinstance(f, BlaschkeProduct):
-        F = boundary_values(f, theta)
-    else:
-        F = np.asarray(f(np.exp(1j * theta)))
+    F = boundary_values(f, theta)
     kern = 1.0 / (2.0 * np.abs(np.sin(0.5 * theta)))
     j = np.arange(M)
     shifts = (np.arange(R) * s)[:, None]
@@ -181,7 +184,7 @@ class TestGridScan:
     @pytest.mark.parametrize("R", [64, 100, 256])
     def test_matches_the_full_length_modulo_formula(self, R):
         rng = np.random.default_rng(53)
-        for f in (BlaschkeProduct(zeros=random_zeros(rng, 4)), lambda z: z**2):
+        for f in (BlaschkeProduct(zeros=random_zeros(rng, 4)), BlaschkeProduct((0, 0))):
             phis, vals, M = circle_quad._grid_scan(f, R)
             assert phis.shape == vals.shape == (R,)
             ref = modulo_index_scan(f, R, M)
@@ -222,6 +225,45 @@ def reference_swept(B, phi):
     return lambda theta: float(np.sum(psi(phi + theta - gam) - psi(phi - theta - gam)))
 
 
+def bisect_root(g, lo=0.0, hi=math.pi):
+    """Root of an increasing g on [lo, hi] by plain bisection, down to the
+    point where the midpoint is no longer a new float."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestBrentq:
+    @pytest.mark.parametrize(
+        "f, a, b, root",
+        [
+            (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+            (lambda x: x**3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+            (lambda x: 2.0 - x**3, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+        ],
+    )
+    def test_finds_known_roots_within_tolerance(self, f, a, b, root):
+        for xtol, rtol in ((1e-15, 8.9e-16), (1e-6, 1e-10)):
+            x = circle_quad.brentq(f, a, b, xtol=xtol, rtol=rtol)
+            assert abs(x - root) <= xtol + rtol * abs(x)
+
+    def test_root_at_an_endpoint_is_returned_exactly(self):
+        assert circle_quad.brentq(lambda x: x - 0.25, 0.25, 2.0, xtol=1e-15, rtol=8.9e-16) == 0.25
+        assert circle_quad.brentq(lambda x: x - 2.0, 0.25, 2.0, xtol=1e-15, rtol=8.9e-16) == 2.0
+
+    def test_typed_errors(self):
+        with pytest.raises(InvalidConfiguration):
+            circle_quad.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        # a sign jump with no zero and no tolerance to stop at exhausts the cap
+        with pytest.raises(NumericalBreakdown):
+            circle_quad.brentq(lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0, xtol=0.0, rtol=0.0)
+
+
 class TestKinkSolver:
     def seeded_products(self):
         rng = np.random.default_rng(61)
@@ -232,7 +274,31 @@ class TestKinkSolver:
     def test_nothing_to_solve_below_degree_two(self):
         assert circle_quad._kink_solver(BlaschkeProduct(zeros=())) is None
         assert circle_quad._kink_solver(BlaschkeProduct(zeros=(0.5j,))) is None
-        assert circle_quad._kink_solver(lambda w: w**2) is None
+
+    def test_folds_match_recorded_bits(self):
+        # float.hex of the folds scipy.optimize.brentq returned for these
+        # inputs; the port must reproduce them exactly
+        recorded = {
+            (0.5, -0.25 + 0.1j): {
+                0.3: ["0x1.467057b59e1a0p+0"],
+                -2.0: ["0x1.c228c0b8ab7aap+0"],
+                2.6: ["0x1.c61e396c99da1p+0"],
+            },
+            (0.3 + 0.4j, -0.6j, 0.7, -0.2 - 0.5j): {
+                1.1: ["0x1.ace72a2817eeep-1", "0x1.a4b5f6578ef39p+0", "0x1.4b8597a7d455cp+1"],
+                -0.4: ["0x1.338e0e882aaa3p-1", "0x1.2fea7b7835436p+0", "0x1.c7fe59f4be96cp+0"],
+                3.0: ["0x1.43ca475e21fdcp+0", "0x1.e5906a58a2518p+0", "0x1.4c62d99c30a90p+1"],
+            },
+            ((1.0 - 1e-12) * cmath.exp(0.7j), 0.4 - 0.2j, -0.5j): {
+                0.7 + 1e-3: ["0x1.0624e9ff131ccp-10", "0x1.b40969ea6a0f9p+0"],
+                0.7 - 1e-9: ["0x1.47b50728d6c39p-20", "0x1.b3deb18aaee36p+0"],
+                -1.5: ["0x1.dae171a499fd3p-1", "0x1.19999999991cap+1"],
+            },
+        }
+        for zeros, by_phi in recorded.items():
+            solver = circle_quad._kink_solver(BlaschkeProduct(zeros=zeros))
+            for phi, bits in by_phi.items():
+                assert [float(t).hex() for t in solver(phi)] == bits
 
     def test_returns_increasing_interior_folds(self):
         rng, products, near = self.seeded_products()
@@ -254,8 +320,7 @@ class TestKinkSolver:
                 for k, t in enumerate(folds, start=1):
                     target = 2.0 * math.pi * k
                     assert abs(swept(t) - target) <= 1e-12
-                    ref = brentq(lambda x: swept(x) - target, 0.0, math.pi, xtol=1e-15, rtol=8.9e-16)
-                    assert abs(t - ref) <= 1e-14
+                    assert abs(t - bisect_root(lambda x: swept(x) - target)) <= 1e-14
 
     def test_near_circle_folds_bracket_the_reference_phase_jump(self):
         # the phase of a factor at 1 - 1e-12 climbs 2 pi within ~1e-12 rad, so
@@ -267,8 +332,7 @@ class TestKinkSolver:
             for k, t in enumerate(solver(phi), start=1):
                 target = 2.0 * math.pi * k
                 assert swept(t - 1e-14) < target < swept(t + 1e-14)
-                ref = brentq(lambda x: swept(x) - target, 0.0, math.pi, xtol=1e-15, rtol=8.9e-16)
-                assert abs(t - ref) <= 1e-14
+                assert abs(t - bisect_root(lambda x: swept(x) - target)) <= 1e-14
 
 
 class TestPairEvaluator:

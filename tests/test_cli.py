@@ -222,3 +222,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "-0.5\n"
+
+    def test_importing_the_package_and_cli_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import toeplitz_bounds, toeplitz_bounds.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

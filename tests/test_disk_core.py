@@ -11,7 +11,6 @@ from toeplitz_bounds import (
     InvalidConfiguration,
     MoebiusFactor,
     RepeatedZero,
-    UnitDiskPoint,
     boundary_values,
     eval_blaschke,
     eval_blaschke_derivative,
@@ -25,17 +24,6 @@ disk_points = st.complex_numbers(max_magnitude=0.93, allow_nan=False, allow_infi
 def moderate_zeros(rng, degree, rmax=0.9):
     r = rmax * rng.uniform(0.05, 1.0, degree)
     return tuple(r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, degree)))
-
-
-class TestUnitDiskPoint:
-    def test_accepts_interior(self):
-        assert UnitDiskPoint(0.999).value == 0.999 + 0j
-
-    def test_rejects_boundary_and_exterior(self):
-        with pytest.raises(InvalidConfiguration):
-            UnitDiskPoint(1.0)
-        with pytest.raises(InvalidConfiguration):
-            UnitDiskPoint(1.2 + 0.1j)
 
 
 class TestCirclePoint:

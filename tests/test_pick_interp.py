@@ -1,12 +1,13 @@
 """Feasibility, minimal level, and constructive interpolation."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from toeplitz_bounds import (
-    InterpolantCertificate,
     InterpolationProblem,
     InvalidConfiguration,
     NotStrictlyFeasible,
@@ -328,12 +329,30 @@ class TestConstruction:
         with pytest.raises(InvalidConfiguration):
             construct_interpolant(p, -1.0)
 
-    def test_certificate_dict_round_trip(self):
-        p = InterpolationProblem(nodes=(0.2, -0.3j), targets=(0.1, 0.05 + 0.1j))
-        cert = construct_interpolant(p, minimal_level(p) * (1 + 1e-6))
-        back = InterpolantCertificate.from_dict(cert.to_dict())
-        assert back.level == cert.level
-        assert back.sup_norm == cert.sup_norm
-        assert back.residuals == cert.residuals
-        z = 0.3 + 0.2j
-        assert complex(back.interpolant(z)) == pytest.approx(complex(cert.interpolant(z)), abs=1e-9)
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from toeplitz_bounds import InterpolationProblem, construct_interpolant, minimal_level
+rng = np.random.default_rng(0)
+problems = []
+for _ in range(40):
+    nodes = rng.uniform(0.0, 0.95, 6) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 6))
+    targets = rng.normal(size=6) + 1j * rng.normal(size=6)
+    problems.append(InterpolationProblem(nodes=tuple(nodes), targets=tuple(targets)))
+for p in problems[:2]:
+    construct_interpolant(p, minimal_level(p) * (1 + 1e-6))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for p in problems:
+    construct_interpolant(p, minimal_level(p) * (1 + 1e-6))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(problems))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc page faults")
+def test_constructions_do_not_fault_heap_pages_back_in():
+    # without the package's import-time 1 MB block, each degree-6 construction
+    # here takes about 250 minor page faults; with it, under one
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 20.0

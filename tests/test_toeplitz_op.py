@@ -137,15 +137,6 @@ class TestRationalFunction:
         f = RationalFunction([-a, 1.0], [1.0, -np.conj(a)])
         assert f.sup_norm() == pytest.approx(1.0, abs=1e-9)
 
-    def test_dict_round_trip_preserves_equality(self):
-        f = RationalFunction([0.25, -0.5j], [1.0, 0.0, 0.5])
-        g = RationalFunction.from_dict(f.to_dict())
-        assert f == g
-
-    def test_equality_distinguishes_coefficients(self):
-        assert RationalFunction([1.0]) != RationalFunction([2.0])
-        assert RationalFunction([1.0]).__eq__(42) is NotImplemented
-
     def test_trailing_zero_coefficients_are_trimmed(self):
         f = RationalFunction([1.0, 2.0, 0.0, 0.0])
         assert f.numerator.size == 2
