@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ class TestGridScan:
         fine = lambda_functional(B, rotation_grid=256).value
         assert coarse == pytest.approx(fine, abs=1e-7)
 
+    def test_large_grid_memory_is_bounded(self):
+        B = BlaschkeProduct(zeros=(0.5, 0.3j, -0.7))
+        tracemalloc.start()
+        try:
+            _, vals, _ = circle_quad._grid_scan(B, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(vals))
+        assert peak < 64 << 20
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        B = BlaschkeProduct(zeros=random_zeros(np.random.default_rng(67), 4))
+        _, whole, M = circle_quad._grid_scan(B, 256)
+        # 37 rows a block: seven blocks, the last one partial
+        monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 24 * (M // 2) * 37)
+        _, blocked, _ = circle_quad._grid_scan(B, 256)
+        np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0.0)
+
 
 def reference_swept(B, phi):
     """The swept phase theta -> sum of per-factor boundary phase differences,
@@ -262,6 +282,72 @@ class TestBrentq:
         # a sign jump with no zero and no tolerance to stop at exhausts the cap
         with pytest.raises(NumericalBreakdown):
             circle_quad.brentq(lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0, xtol=0.0, rtol=0.0)
+
+
+def golden_evaluations(lo, hi, width):
+    """Evaluations golden-section search spends to narrow [lo, hi] below width:
+    two interior points, then one per step at a shrink factor of 0.618."""
+    return 2 + math.ceil(math.log(width / (hi - lo)) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+
+
+def counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+class TestLocalmax:
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: -((x - 0.7) ** 2),
+            lambda x: math.cos(x - 0.7),
+            lambda x: 1.0 / (1.0 + 9.0 * (x - 0.7) ** 2),
+        ],
+    )
+    def test_finds_a_smooth_peak_in_far_fewer_steps_than_golden_section(self, f):
+        lo, hi, width = 0.0, 2.0, 1e-5
+        g, calls = counted(f)
+        x, fx = circle_quad.localmax(g, lo, hi, 1.0, f(1.0), width, 60)
+        assert abs(x - 0.7) <= width
+        assert fx == f(x)
+        assert 2 * len(calls) <= golden_evaluations(lo, hi, width)
+
+    def test_never_returns_below_the_seed(self):
+        rng = np.random.default_rng(73)
+        for _ in range(50):
+            k, c = rng.uniform(3.0, 30.0, 2)
+            f = lambda x: math.sin(k * x) + 0.3 * math.cos(c * x)
+            seed = rng.uniform(-1.0, 1.0)
+            x, fx = circle_quad.localmax(f, -1.0, 1.0, seed, f(seed), 1e-9, 60)
+            assert -1.0 <= x <= 1.0
+            assert fx >= f(seed)
+            assert fx == f(x)
+
+    def test_constant_function_stops_within_the_step_cap(self):
+        g, calls = counted(lambda x: 1.0)
+        x, fx = circle_quad.localmax(g, -1.0, 1.0, 0.0, 1.0, 1e-9, 60)
+        assert len(calls) < 60
+        assert fx == 1.0 and -1.0 <= x <= 1.0
+
+    def test_step_cap_is_respected(self):
+        g, calls = counted(lambda x: -abs(x - 0.3))
+        circle_quad.localmax(g, -1.0, 1.0, 0.0, -0.3, 1e-13, 5)
+        assert len(calls) == 5
+
+    def test_resolves_a_peak_far_below_ulp_scaled_tolerances(self):
+        # a zero within 1e-12 of the circle gives a bracket 2e-12 wide near
+        # |phi| ~ 3; a tolerance growing like sqrt(eps) |x| (~4.5e-8) would
+        # stop at the seed
+        c = 3.0 + 4e-13
+        f = lambda x: 1.0 / (1.0 + ((x - c) / 1e-12) ** 2)
+        x, fx = circle_quad.localmax(f, 3.0 - 1e-12, 3.0 + 1e-12, 3.0, f(3.0), 1e-13, 60)
+        assert abs(x - c) <= 1e-13
+        assert fx > 0.99
 
 
 class TestKinkSolver:
@@ -333,6 +419,76 @@ class TestKinkSolver:
                 target = 2.0 * math.pi * k
                 assert swept(t - 1e-14) < target < swept(t + 1e-14)
                 assert abs(t - bisect_root(lambda x: swept(x) - target)) <= 1e-14
+
+
+class TestLambdaRegression:
+    # float.hex of (Lambda, angle of eta) recorded before the rotation search
+    # used Brent's localmin, when it was golden section. The products are
+    # drawn like the benchmark's Lambda panel; then the n = 3, q = 0.001 study
+    # symbol on the ray e^{0.7i}, one zero at 1 - 1e-9, and B(z) = z, whose
+    # grid values all tie, so its eta is arbitrary.
+    PANEL_SPEC = QuadratureSpec(tolerance=1e-7)
+    RECORDED = [
+        (((-0.249 - 0.044j),), PANEL_SPEC, "0x1.7a619015c9310p+0", "-0x1.7bbc8af14e53ep+1"),
+        (((0.675 + 0.2j), (-0.13 - 0.019j)), PANEL_SPEC, "0x1.02c184ad22363p+1", "0x1.274ac172716bbp-2"),
+        (
+            ((-0.149 + 0.145j), (-0.128 + 0.301j), (-0.419 - 0.68j)),
+            PANEL_SPEC,
+            "0x1.1b483e331e2a4p+1",
+            "-0x1.0ff9968b03da8p+1",
+        ),
+        (
+            ((-0.197 + 0.3j), (0.245 + 0.798j), (-0.193 - 0.468j), (-0.068 + 0.045j)),
+            PANEL_SPEC,
+            "0x1.2ac830f3a1f83p+1",
+            "0x1.4657958016868p+0",
+        ),
+        (
+            ((-0.513 - 0.537j), (-0.332 - 0.041j), (-0.577 - 0.364j), (0.28 + 0.353j), (0.017 - 0.12j)),
+            PANEL_SPEC,
+            "0x1.2b2e14861b662p+1",
+            "-0x1.3338454465862p+1",
+        ),
+        (
+            ((-0.66 - 0.263j), (0.064 + 0.333j), (0.127 + 0.035j))
+            + ((0.445 - 0.69j), (-0.503 - 0.074j), (0.293 - 0.064j)),
+            PANEL_SPEC,
+            "0x1.2b6a604040aaep+1",
+            "-0x1.fe3157e078f12p-1",
+        ),
+        (
+            tuple((1.0 - 0.001**k) * cmath.exp(0.7j) for k in (1, 2, 3)),
+            circle_quad.DEFAULT_LAMBDA_SPEC,
+            "0x1.6c53f819ec546p+2",
+            "0x1.6666666666666p-1",
+        ),
+        (
+            ((1.0 - 1e-9) * cmath.exp(1.234j),),
+            circle_quad.DEFAULT_LAMBDA_SPEC,
+            "0x1.fffffffd38cd3p+0",
+            "0x1.3be76c8b43958p+0",
+        ),
+        ((0j,), circle_quad.DEFAULT_LAMBDA_SPEC, "0x1.45f306dc9c885p+0", None),
+    ]
+
+    def test_values_and_rotations_match_the_recorded_ones(self):
+        for zeros, spec, value, eta in self.RECORDED:
+            r = lambda_functional(BlaschkeProduct(zeros=zeros), spec)
+            assert abs(r.value - float.fromhex(value)) <= 1e-11
+            if eta is not None:
+                gap = math.remainder(cmath.phase(r.eta.value) - float.fromhex(eta), 2.0 * math.pi)
+                assert abs(gap) <= 1e-5 * 2.0 * math.pi / 256
+
+    def test_work_budget(self):
+        # sum of evaluations over seeded products drawn like the Lambda panel;
+        # the golden-section rotation search spent 1,282,776 here
+        rng = np.random.default_rng(2027)
+        total = 0
+        for degree in (1, 2, 3, 4, 5, 6) * 2:
+            strata = (rng.permutation(degree) + rng.uniform(0.0, 1.0, degree)) / degree
+            zeros = (0.05 + 0.8 * strata) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, degree))
+            total += lambda_functional(BlaschkeProduct(zeros=tuple(zeros)), self.PANEL_SPEC).evaluations
+        assert total <= 0.6 * 1_282_776
 
 
 class TestPairEvaluator:
