@@ -118,6 +118,7 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# One freed 1 MB block makes glibc's malloc keep freed heap pages (trim threshold
-# 2 MB); otherwise each 4096-point boundary sweep faults ~0.4 MB of them back in.
-np.empty(1 << 17)
+# One freed 8 MB block raises glibc's malloc mmap threshold to 8 MB and its trim
+# threshold to 16 MB, so boundary sweeps reuse heap pages instead of faulting in
+# fresh ones; sweeps over 1 MB (next to near-circle zeros) would be mapped per call.
+np.empty(1 << 20)

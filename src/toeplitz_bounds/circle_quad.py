@@ -31,7 +31,7 @@ line-for-line port of scipy's brentq.c, bit-compatible with scipy's roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,8 +40,8 @@ from .disk_core import BlaschkeProduct, CirclePoint, as_complex, boundary_values
 from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
 
 TWO_PI = 2.0 * math.pi
-# Temporaries of one row block of the rotation grid scan; the default grid is one block.
-_GRID_BLOCK_BYTES = 16 << 20
+# Temporaries of one row block of the rotation grid scan, sized to stay in L2.
+_GRID_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ DEFAULT_LAMBDA_SPEC = QuadratureSpec(tolerance=1e-8)
 
 @dataclass(frozen=True)
 class LambdaResult:
-    """Value of Lambda(f) with the rotation that achieved it."""
+    """Value of Lambda(f) with the rotation that achieved it. evaluations counts
+    the boundary evaluations made; a reused first sweep (see lambda_functional) counts 0."""
 
     value: float
     eta: CirclePoint
@@ -151,7 +152,7 @@ class _PanelAccumulator:
         self.evaluations = 0
 
 
-def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float, seed_edges=None):
+def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float, seed_edges=None, first=None):
     """Integrate g over [a, b] adaptively; g maps a theta array to values.
 
     Returns (integral, error_estimate, evaluations). Panels are accepted
@@ -168,38 +169,46 @@ def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float,
     spacing, so a peak of width 1e-9 inside a width-0.05 panel would be
     reported as converged with essentially zero error; seeding guarantees
     nodes inside every known peak from the first sweep.
+
+    first, a list, keeps the first sweep (panels and estimates, independent of
+    tol_abs): an empty one receives it, a filled one is resumed at 0 evaluations.
     """
     acc = _PanelAccumulator()
     total_width = b - a
-    npan = spec.base_panels
-    edges = np.linspace(a, b, npan + 1)
-    if seed_edges is not None and len(seed_edges):
-        extra = np.asarray(seed_edges, dtype=float)
-        extra = extra[(extra > a) & (extra < b)]
-        edges = np.unique(np.concatenate([edges, extra]))
-    los = edges[:-1].copy()
-    his = edges[1:].copy()
-    depths = np.zeros(los.size, dtype=int)
-
     offsets = {c: (np.arange(c) + 0.5) / c for c in (4, 8, 16)}
-    while los.size:
+
+    def estimates(los, his):
         w = his - los
         blocks = [los[:, None] + w[:, None] * offsets[c][None, :] for c in (4, 8, 16)]
         flat = np.concatenate([blk.ravel() for blk in blocks])
         vals = np.asarray(g(flat))
         acc.evaluations += flat.size
         p = los.size
-        v4 = vals[: 4 * p].reshape(p, 4)
-        v8 = vals[4 * p : 12 * p].reshape(p, 8)
-        v16 = vals[12 * p :].reshape(p, 16)
-        m4 = w * v4.mean(axis=1)
-        m8 = w * v8.mean(axis=1)
-        m16 = w * v16.mean(axis=1)
+        m4 = w * vals[: 4 * p].reshape(p, 4).mean(axis=1)
+        m8 = w * vals[4 * p : 12 * p].reshape(p, 8).mean(axis=1)
+        m16 = w * vals[12 * p :].reshape(p, 16).mean(axis=1)
         r2 = (4.0 * m8 - m4) / 3.0
         r3 = (4.0 * m16 - m8) / 3.0
         r23 = (16.0 * r3 - r2) / 15.0
-        err = np.abs(r23 - r3) + 5e-17 * np.abs(r23)
-        share = 0.5 * tol_abs * (w / total_width)
+        return r23, np.abs(r23 - r3) + 5e-17 * np.abs(r23)
+
+    if first:
+        los, his, r23, err = first[0]
+    else:
+        edges = np.linspace(a, b, spec.base_panels + 1)
+        if seed_edges is not None and len(seed_edges):
+            extra = np.asarray(seed_edges, dtype=float)
+            extra = extra[(extra > a) & (extra < b)]
+            edges = np.unique(np.concatenate([edges, extra]))
+        los = edges[:-1].copy()
+        his = edges[1:].copy()
+        r23, err = estimates(los, his)
+        if first is not None:
+            first.append((los, his, r23, err))
+    depths = np.zeros(los.size, dtype=int)
+
+    while True:
+        share = 0.5 * tol_abs * ((his - los) / total_width)
 
         done = err <= share
         acc.value += r23[done].sum()
@@ -230,6 +239,9 @@ def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float,
         los = np.concatenate([los[rest], mid])
         his = np.concatenate([mid, his[rest]])
         depths = np.concatenate([depths[rest], depths[rest]]) + 1
+        if not los.size:
+            break
+        r23, err = estimates(los, his)
 
     total_err = acc.error + acc.failed_error
     if acc.failures:
@@ -421,21 +433,21 @@ def _psi(u: float, kappa: float, rho: float) -> float:
     )
 
 
-def _lambda_integral(pair, phi: float, spec: QuadratureSpec, tol: float, features=(), kink_fn=None):
+def _lambda_integral(pair, phi: float, spec: QuadratureSpec, tol: float, features=(), kink_fn=None, first=None):
     """The inner Lambda integral at a fixed rotation angle phi.
 
     Uses the evenness of the integrand in theta: the mean over the circle is
-    (1/pi) * integral over (0, pi).
+    (1/pi) * integral over (0, pi). A filled `first` needs no seed edges.
     """
 
     def g(theta):
         fp, fm = pair(phi, theta)
         return np.abs(fp - fm) / (2.0 * np.sin(0.5 * theta))
 
-    seeds = _seed_edges_for_rotation(features, phi)
-    if kink_fn is not None:
+    seeds = None if first else _seed_edges_for_rotation(features, phi)
+    if kink_fn is not None and not first:
         seeds = np.concatenate([seeds, kink_fn(phi)]) if len(seeds) else kink_fn(phi)
-    val, err, evals = _adaptive_theta(g, 0.0, math.pi, spec, tol * math.pi, seed_edges=seeds)
+    val, err, evals = _adaptive_theta(g, 0.0, math.pi, spec, tol * math.pi, seed_edges=seeds, first=first)
     return float(val.real) / math.pi, err / math.pi, evals
 
 
@@ -471,7 +483,9 @@ def _grid_scan(f: BlaschkeProduct, rotation_grid: int):
     minus = sliding_window_view(np.concatenate([F[::-1], F[::-1]]), half)[M:0:-s]
     # row blocks bound the complex difference and its modulus (24 bytes a term)
     rows = max(1, _GRID_BLOCK_BYTES // (24 * half))
-    vals = np.concatenate([np.abs(plus[i : i + rows] - minus[i : i + rows]) @ kern for i in range(0, R, rows)])
+    # einsum, not a BLAS gemv, which would start a second thread even for one row
+    blocks = (np.abs(plus[i : i + rows] - minus[i : i + rows]) for i in range(0, R, rows))
+    vals = np.concatenate([np.einsum("ij,j->i", blk, kern) for blk in blocks])
     vals *= 2.0 / M
     return (np.arange(R) * (TWO_PI / R)), vals, M
 
@@ -500,6 +514,14 @@ def _candidate_rotations(f: BlaschkeProduct, rotation_grid: int):
     return out, grid_evals
 
 
+@dataclass
+class _Rotation:
+    """One rotation's first sweep (panels on its seed edges) and loose value."""
+
+    first: list = field(default_factory=list)
+    loose: float | None = None
+
+
 def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_grid: int = 256) -> LambdaResult:
     """Supremum of the Lambda integral over rotations: a lower estimate of the
     supremum (the rotation search is not certified).
@@ -508,6 +530,9 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
     re-evaluation of the leading candidates, Brent's localmin on the
     loose-tolerance integral around the best, seeded with its value, then a
     final integral at the requested tolerance.
+
+    Each exact rotation angle gets one `_Rotation` record for the call, so its
+    seed ladders, folds and first sweep are computed once, whatever the tolerance.
     """
     if rotation_grid < 64:
         raise InvalidConfiguration("rotation grid size must be at least 64")
@@ -522,18 +547,22 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
     crude = max(1e-4, spec.tolerance * 1e4)
     loose = max(1e-6, spec.tolerance * 1e2)
 
-    loose_at = {}
+    rotations = {}
+
+    def integral(phi, tol):
+        return _lambda_integral(pair, phi, spec, tol, features, kink_fn, rotations.setdefault(phi, _Rotation()).first)
 
     def protected(phi, tol):
         nonlocal evals
         try:
-            v, e, k = _lambda_integral(pair, phi, spec, tol, features, kink_fn)
+            v, e, k = integral(phi, tol)
         except ToleranceNotMet as exc:
             v = float(np.real(exc.value)) / math.pi
             e = exc.error_estimate / math.pi
             k = exc.evaluations
         evals += k
-        loose_at[round(phi / 1e-18)] = v
+        if tol == loose:
+            rotations[phi].loose = v
         return v, e
 
     scored = []
@@ -552,13 +581,13 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
     lo, hi, width = best_phi - best_h, best_phi + best_h, max(1e-13, 1e-5 * best_h)
     phi_star, _ = localmax(lambda x: protected(x, loose)[0], lo, hi, best_phi, best_val, width, 60)
 
-    value, err, k = _lambda_integral(pair, phi_star, spec, spec.tolerance, features, kink_fn)
+    value, err, k = integral(phi_star, spec.tolerance)
     evals += k
     # A candidate may beat the refined point if the search surface is bumpy;
     # keep whichever certified value is larger.
     for v0, phi, _h in top:
         if v0 > value + err:
-            v, e, k = _lambda_integral(pair, phi, spec, spec.tolerance, features, kink_fn)
+            v, e, k = integral(phi, spec.tolerance)
             evals += k
             if v > value:
                 value, err, phi_star = v, e, phi
@@ -566,7 +595,7 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
     # loose screening value there and the final tight integral. The search
     # bracket width would overstate it badly when the surface has cliffs at
     # the scale of the smallest zero deficit.
-    agreement = abs(loose_at.get(round(phi_star / 1e-18), value) - value)
+    agreement = abs(rotations[phi_star].loose - value)
     return LambdaResult(
         value=float(value),
         eta=CirclePoint(np.exp(1j * phi_star)),

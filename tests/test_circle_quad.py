@@ -216,11 +216,24 @@ class TestGridScan:
 
     def test_row_blocks_match_one_block(self, monkeypatch):
         B = BlaschkeProduct(zeros=random_zeros(np.random.default_rng(67), 4))
-        _, whole, M = circle_quad._grid_scan(B, 256)
+        _, blocked, M = circle_quad._grid_scan(B, 256)
+        monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 24 * (M // 2) * 256)
+        _, whole, _ = circle_quad._grid_scan(B, 256)
         # 37 rows a block: seven blocks, the last one partial
         monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 24 * (M // 2) * 37)
-        _, blocked, _ = circle_quad._grid_scan(B, 256)
+        _, partial, _ = circle_quad._grid_scan(B, 256)
         np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(partial, whole, rtol=1e-15, atol=0.0)
+
+    def test_default_grid_scan_stays_cache_sized(self):
+        B = BlaschkeProduct(zeros=(0.5, 0.3j, -0.7))
+        tracemalloc.start()
+        try:
+            circle_quad._grid_scan(B, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 def reference_swept(B, phi):
@@ -489,6 +502,140 @@ class TestLambdaRegression:
             zeros = (0.05 + 0.8 * strata) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, degree))
             total += lambda_functional(BlaschkeProduct(zeros=tuple(zeros)), self.PANEL_SPEC).evaluations
         assert total <= 0.6 * 1_282_776
+
+
+class TestLambdaBitPins:
+    # float.hex of (Lambda, angle of eta, error estimate), recorded before a
+    # rotation's integrals shared their first sweep, which must not move a
+    # bit. Degrees 1-6 drawn like the benchmark's Lambda panel, the n = 3,
+    # q = 0.001 study symbol on the ray e^{0.7i}, and a zero at 1 - 1e-12 with
+    # two interior ones.
+    PANEL_SPEC = TestLambdaRegression.PANEL_SPEC
+    RECORDED = [
+        (((0.311 - 0.025j),), PANEL_SPEC, "0x1.8600220fa9b32p+0", "-0x1.488dd6935a552p-4", "0x1.eb72e3f73554fp-39"),
+        (
+            ((-0.283 + 0.231j), (-0.738 + 0.304j)),
+            PANEL_SPEC,
+            "0x1.1cb81d6ab34a0p+1",
+            "0x1.5fadef568fabep+1",
+            "0x1.23ccc8d9058ecp-29",
+        ),
+        (
+            ((-0.027 + 0.611j), (0.177 + 0.408j), (0.04 + 0.107j)),
+            PANEL_SPEC,
+            "0x1.0b10eb13e96adp+1",
+            "0x1.8e1a18b263781p+0",
+            "0x1.640d0fa759d09p-32",
+        ),
+        (
+            ((-0.443 - 0.586j), (0.256 - 0.159j), (0.333 + 0.46j), (-0.118 + 0.124j)),
+            PANEL_SPEC,
+            "0x1.11efda304bac0p+1",
+            "-0x1.1bcd7357e16edp+1",
+            "0x1.76c9657ab6bc7p-31",
+        ),
+        (
+            ((0.1 + 0.585j), (0.075 + 0.084j), (-0.377 + 0.693j), (0.364 + 0.251j), (-0.204 + 0.229j)),
+            PANEL_SPEC,
+            "0x1.2a7d419bbead0p+1",
+            "0x1.07a123171e330p+1",
+            "0x1.3f9746a4cd70cp-29",
+        ),
+        (
+            ((-0.324 - 0.005j), (-0.015 - 0.844j), (-0.105 + 0.259j))
+            + ((-0.68 + 0.221j), (-0.076 + 0.46j), (-0.095 + 0.031j)),
+            PANEL_SPEC,
+            "0x1.2e8a2706fae99p+1",
+            "-0x1.96f679eddd641p+0",
+            "0x1.c2ceb0139f166p-28",
+        ),
+        (
+            tuple((1.0 - 0.001**k) * cmath.exp(0.7j) for k in (1, 2, 3)),
+            circle_quad.DEFAULT_LAMBDA_SPEC,
+            "0x1.6c53f819ec546p+2",
+            "0x1.6666666666666p-1",
+            "0x1.09bc3409cf57ep-29",
+        ),
+        (
+            ((1.0 - 1e-12) * cmath.exp(0.3j), 0.4 - 0.3j, -0.6 + 0.1j),
+            circle_quad.DEFAULT_LAMBDA_SPEC,
+            "0x1.adb7b6147028fp+1",
+            "0x1.3333333333331p-2",
+            "0x1.9726ee5191b11p-28",
+        ),
+    ]
+
+    def test_values_rotations_and_errors_are_bit_identical(self):
+        for zeros, spec, value, eta, error in self.RECORDED:
+            r = lambda_functional(BlaschkeProduct(zeros=zeros), spec)
+            assert (r.value.hex(), cmath.phase(r.eta.value).hex(), r.error_estimate.hex()) == (value, eta, error)
+
+
+class TestRotationRecords:
+    def test_each_rotation_is_seeded_and_solved_once(self, monkeypatch):
+        seeded, solved = [], []
+        real_seeds = circle_quad._seed_edges_for_rotation
+        real_solver = circle_quad._kink_solver
+
+        def seeds(features, phi, *args):
+            seeded.append(phi)
+            return real_seeds(features, phi, *args)
+
+        def solver(f):
+            solve = real_solver(f)
+
+            def counted(phi):
+                solved.append(phi)
+                return solve(phi)
+
+            return counted
+
+        monkeypatch.setattr(circle_quad, "_seed_edges_for_rotation", seeds)
+        monkeypatch.setattr(circle_quad, "_kink_solver", solver)
+        for zeros in ((0.5, 0.3j, -0.7 + 0.1j), (0.5, (1.0 - 1e-6) * cmath.exp(1.0j))):
+            seeded.clear()
+            solved.clear()
+            lambda_functional(BlaschkeProduct(zeros=zeros))
+            assert solved and len(set(solved)) == len(solved) == len(seeded) == len(set(seeded))
+
+    def test_work_budget(self):
+        # the seeded set of TestLambdaRegression.test_work_budget, where the
+        # search spent 552,368 evaluations before a rotation's integrals
+        # shared their first sweep
+        rng = np.random.default_rng(2027)
+        total = 0
+        for degree in (1, 2, 3, 4, 5, 6) * 2:
+            strata = (rng.permutation(degree) + rng.uniform(0.0, 1.0, degree)) / degree
+            zeros = (0.05 + 0.8 * strata) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, degree))
+            total += lambda_functional(BlaschkeProduct(zeros=tuple(zeros)), TestLambdaRegression.PANEL_SPEC).evaluations
+        assert total <= 0.8 * 552_368
+
+    def test_resumed_first_sweep_matches_a_fresh_integral(self):
+        def g(theta):
+            return 1.0 / (1e-8 + (theta - 1.0) ** 2)
+
+        spec = QuadratureSpec()
+        first = []
+        circle_quad._adaptive_theta(g, 0.0, math.pi, spec, 1e-2, seed_edges=[1.0], first=first)
+        swept = 28 * first[0][0].size
+        for tol in (1e-2, 1e-5, 1e-8):
+            val, err, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, spec, tol, seed_edges=[1.0])
+            resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, spec, tol, first=first)
+            assert resumed == (val, err, evals - swept)
+
+    def test_a_failed_integral_leaves_its_first_sweep_reusable(self):
+        def g(theta):
+            return 1.0 / (1e-8 + (theta - 1.0) ** 2)
+
+        shallow = QuadratureSpec(max_depth=2)
+        first = []
+        with pytest.raises(ToleranceNotMet) as fresh:
+            circle_quad._adaptive_theta(g, 0.0, math.pi, shallow, 1e-8, first=first)
+        assert len(first) == 1
+        with pytest.raises(ToleranceNotMet) as resumed:
+            circle_quad._adaptive_theta(g, 0.0, math.pi, shallow, 1e-8, first=first)
+        assert resumed.value.value == fresh.value.value
+        assert resumed.value.evaluations == fresh.value.evaluations - 28 * first[0][0].size
 
 
 class TestPairEvaluator:
