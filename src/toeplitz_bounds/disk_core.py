@@ -2,13 +2,18 @@
 
 Evaluation routines accept scalars or numpy arrays and preserve the input
 precision, so callers that need extended precision can pass clongdouble
-values. Boundary evaluation has a dedicated angle-based path that stays
-accurate when zeros sit within 1e-9 of the circle, where the naive
-(z - a)/(1 - z*conj(a)) form loses digits to cancellation.
+values. On the circle, boundary_values uses a half-angle form: the factor
+of a zero rho e^{i gamma} at angle theta is e^{i gamma} w^2/|w|^2, with
+w = (1 - rho) cos(beta/2) + i (1 + rho) sin(beta/2), beta = theta - gamma.
+Needing only 1 - rho, it stays accurate for zeros within 1e-12 of the
+circle, where (z - a)/(1 - z*conj(a)) cancels. The half-angle trig of the
+array argument is shared by all factors; with an offset, theta is a scalar.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +39,7 @@ class CirclePoint:
     def __post_init__(self):
         v = complex(self.value)
         r = abs(v)
-        if abs(r - 1.0) > 1e-6:
+        if not abs(r - 1.0) <= 1e-6:
             raise InvalidConfiguration(f"|value| = {r!r} is too far from the unit circle")
         object.__setattr__(self, "value", v / r)
 
@@ -47,7 +52,7 @@ class MoebiusFactor:
 
     def __post_init__(self):
         a = complex(self.a)
-        if abs(a) >= 1.0:
+        if not abs(a) < 1.0:
             raise InvalidConfiguration(f"Moebius zero must lie inside the disk, got |a| = {abs(a)!r}")
         object.__setattr__(self, "a", a)
 
@@ -65,7 +70,7 @@ class BlaschkeProduct:
     def __post_init__(self):
         zs = tuple(complex(as_complex(z)) for z in self.zeros)
         for z in zs:
-            if abs(z) >= 1.0:
+            if not abs(z) < 1.0:
                 raise InvalidConfiguration(f"Blaschke zero must lie inside the disk, got |a| = {abs(z)!r}")
         object.__setattr__(self, "zeros", zs)
 
@@ -140,39 +145,48 @@ def eval_blaschke_derivative(B: BlaschkeProduct, z):
 def boundary_values(B: BlaschkeProduct, theta, offset=None):
     """Evaluate B(e^{i*(theta + offset)}) without cancellation near the zeros.
 
-    Each factor is computed from the angular offset beta = theta - arg(a):
-    real parts are expressed through (1 - |a|) and 2*sin(beta/2)^2, both of
-    which are benign, so the result keeps full relative accuracy even when
-    1 - |a| is 1e-12. theta may be any real array; values are complex128.
+    Uses the half-angle form of the module docstring. sin and cos of u/2,
+    u = offset if given and theta otherwise, are taken once; each factor
+    shifts them to beta/2 by angle addition with two scalars. A 2 pi shift of
+    beta only flips the sign of w, so no reduction is needed. The w are
+    multiplied as they come, and the product is divided by its modulus once
+    before it is squared. Values are complex128.
 
-    The split argument matters when the true angle is a base rotation plus a
-    tiny increment: forming theta + offset in one double rounds the increment
-    away at the scale of ulp(theta), which is fatal when the factor varies on
-    the scale of the increment. Passing the parts separately keeps beta exact
-    because the reduction is applied to the base alone. The trig identities
-    used below are invariant under beta -> beta - 2*pi, so the recombined
-    angle needs no second reduction.
+    The split argument keeps a tiny increment that theta + offset in one
+    double would round away at ulp(theta), fatal where a factor varies on
+    the scale of the increment: theta - gamma is reduced as a scalar and the
+    increment enters only through sin(offset/2), so theta must be a scalar
+    when offset is given.
     """
     theta = np.asarray(theta, dtype=float)
-    shape = theta.shape
-    if offset is not None:
-        offset = np.asarray(offset, dtype=float)
-        shape = np.broadcast_shapes(shape, offset.shape)
-    out = np.ones(shape, dtype=complex)
+    if offset is not None and theta.ndim:
+        raise InvalidConfiguration("boundary_values with an offset needs a scalar theta")
+    u, base = (theta, None) if offset is None else (np.asarray(offset, dtype=float), float(theta))
+    cu, su = np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
+    prod = np.ones(u.shape, dtype=complex)
+    w, v = np.empty_like(prod), np.empty_like(prod)
+    rot, floor = 1.0 + 0j, 1.0
     for a in B.zeros:
         rho = abs(a)
-        gamma = np.angle(a) if rho > 0 else 0.0
-        d = 1.0 - rho
-        beta = np.mod(theta - gamma + np.pi, 2 * np.pi) - np.pi
-        if offset is not None:
-            beta = beta + offset
-        s = np.sin(0.5 * beta)
-        s2 = 2.0 * s * s
-        sb = np.sin(beta)
-        num = (d - s2) + 1j * sb
-        den = (d + rho * s2) - 1j * (rho * sb)
-        out *= np.exp(1j * gamma) * num / den
-    return out
+        gamma = float(np.angle(a)) if rho > 0 else 0.0
+        half = 0.5 * (-gamma if base is None else math.remainder(base - gamma, 2 * math.pi))
+        s0, c0 = math.sin(half), math.cos(half)
+        # w = cu (d c0 + i e s0) + su (-d s0 + i e c0); cu and su hold real values
+        # as complex, so each term is one complex-by-scalar multiply, not a cast
+        d, e = 1.0 - rho, 1.0 + rho
+        np.multiply(cu, complex(d * c0, e * s0), out=w)
+        w += np.multiply(su, complex(-d * s0, e * c0), out=v)
+        prod *= w
+        # |w| >= 1 - rho: rescale before the product of the |w| can underflow
+        floor *= d
+        if floor < 1e-250:
+            prod /= np.abs(prod)
+            floor = 1.0
+        rot *= cmath.exp(1j * gamma)
+    prod /= np.abs(prod)
+    prod *= prod
+    prod *= rot
+    return prod
 
 
 def pseudohyperbolic_distance(z, w) -> float:

@@ -323,6 +323,8 @@ def omega_convergence_study(
     """
     if not q_schedule or not m_offsets:
         raise InvalidConfiguration("schedules must be nonempty")
+    if not all(0.0 < q < 1.0 for q in q_schedule):
+        raise InvalidConfiguration(f"every q must be in (0, 1), got {q_schedule!r}")
     xi_p = xi if isinstance(xi, CirclePoint) else CirclePoint(as_complex(xi))
 
     uppers = {}

@@ -17,9 +17,9 @@ Ray configurations push nodes within 1e-11 of the circle, where the products
 matrix, its Cholesky factor and the whole recursion are therefore computed in
 clongdouble; on x86 that buys about ten extra digits exactly where the
 cancellation bites. The one exception is the boundary sweep behind the
-reported sup-norm: on the circle the Moebius factors come from the
-angle-based disk_core.boundary_values, which keeps full relative accuracy
-there, so that sweep runs in complex128.
+reported sup-norm: on the circle the Moebius factors come from
+disk_core.boundary_values, whose half-angle form keeps full relative
+accuracy there, so that sweep runs in complex128.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class InterpolationProblem:
         if len(nodes) != len(targets):
             raise InvalidConfiguration("nodes and targets must have equal length")
         for x in nodes:
-            if abs(x) >= 1.0:
+            if not abs(x) < 1.0:
                 raise InvalidConfiguration(f"node |x| = {abs(x)!r} is not inside the open disk")
         for j in range(len(nodes)):
             for k in range(j + 1, len(nodes)):
@@ -226,9 +226,8 @@ def _chain_evaluator(x, gammas, mu):
 def _boundary_evaluator(x, gammas, mu):
     """Evaluate theta -> mu * f_0(e^{i theta}) through the same chain, in complex128.
 
-    On the circle each Moebius factor comes from boundary_values, whose
-    angle-based form keeps full relative accuracy for nodes within 1e-11 of
-    the circle, so the sup-norm sweep needs no extended precision.
+    Each Moebius factor on the circle comes from boundary_values, which needs
+    only 1 - |x_j|, so nodes within 1e-11 of the circle need no extended precision.
     """
     factors = [BlaschkeProduct((complex(a),)) for a in x[:-1]]
     g = gammas.astype(complex)

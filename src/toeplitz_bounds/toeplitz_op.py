@@ -209,7 +209,7 @@ def apply_toeplitz_residue(B: BlaschkeProduct, h, z) -> complex:
     back to a plain complex.
     """
     zc = as_complex(z)
-    if abs(zc) >= 1.0:
+    if not abs(zc) < 1.0:
         raise InvalidConfiguration(f"evaluation point must be inside the disk, got |z| = {abs(zc)!r}")
     _require_simple_zeros(B)
     for a in B.zeros:
@@ -233,7 +233,7 @@ def apply_toeplitz_contour(B: BlaschkeProduct, h, z, spec: QuadratureSpec = DEFA
     (value, error_estimate).
     """
     zc = as_complex(z)
-    if abs(zc) > 1.0 - 1e-3:
+    if not abs(zc) <= 1.0 - 1e-3:
         raise InvalidConfiguration("contour route requires |z| <= 1 - 1e-3")
     hf = _as_function(h)
 

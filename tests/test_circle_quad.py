@@ -505,70 +505,79 @@ class TestLambdaRegression:
 
 
 class TestLambdaBitPins:
-    # float.hex of (Lambda, angle of eta, error estimate), recorded before a
-    # rotation's integrals shared their first sweep, which must not move a
-    # bit. Degrees 1-6 drawn like the benchmark's Lambda panel, the n = 3,
+    # float.hex of (Lambda, angle of eta, error estimate), which must not move
+    # a bit. Degrees 1-6 drawn like the benchmark's Lambda panel, the n = 3,
     # q = 0.001 study symbol on the ray e^{0.7i}, and a zero at 1 - 1e-12 with
-    # two interior ones.
+    # two interior ones. Each entry holds the pins, recorded with the
+    # half-angle boundary kernel, then the values of the per-factor kernel
+    # before it, which rounded differently; the pins stay within DRIFT of them.
     PANEL_SPEC = TestLambdaRegression.PANEL_SPEC
+    # |dLambda|, |d angle of eta| in radians, relative change of the error estimate
+    DRIFT = (1e-14, 1e-9, 1e-4)
     RECORDED = [
-        (((0.311 - 0.025j),), PANEL_SPEC, "0x1.8600220fa9b32p+0", "-0x1.488dd6935a552p-4", "0x1.eb72e3f73554fp-39"),
+        (
+            ((0.311 - 0.025j),),
+            PANEL_SPEC,
+            ("0x1.8600220fa9b32p+0", "-0x1.488dd69359dd2p-4", "0x1.eb71f439de859p-39"),
+            ("0x1.8600220fa9b32p+0", "-0x1.488dd6935a552p-4", "0x1.eb72e3f73554fp-39"),
+        ),
         (
             ((-0.283 + 0.231j), (-0.738 + 0.304j)),
             PANEL_SPEC,
-            "0x1.1cb81d6ab34a0p+1",
-            "0x1.5fadef568fabep+1",
-            "0x1.23ccc8d9058ecp-29",
+            ("0x1.1cb81d6ab34a0p+1", "0x1.5fadef5695d05p+1", "0x1.23ccc8d8f12f9p-29"),
+            ("0x1.1cb81d6ab34a0p+1", "0x1.5fadef568fabep+1", "0x1.23ccc8d9058ecp-29"),
         ),
         (
             ((-0.027 + 0.611j), (0.177 + 0.408j), (0.04 + 0.107j)),
             PANEL_SPEC,
-            "0x1.0b10eb13e96adp+1",
-            "0x1.8e1a18b263781p+0",
-            "0x1.640d0fa759d09p-32",
+            ("0x1.0b10eb13e96adp+1", "0x1.8e1a18b267b75p+0", "0x1.640d0d4103444p-32"),
+            ("0x1.0b10eb13e96adp+1", "0x1.8e1a18b263781p+0", "0x1.640d0fa759d09p-32"),
         ),
         (
             ((-0.443 - 0.586j), (0.256 - 0.159j), (0.333 + 0.46j), (-0.118 + 0.124j)),
             PANEL_SPEC,
-            "0x1.11efda304bac0p+1",
-            "-0x1.1bcd7357e16edp+1",
-            "0x1.76c9657ab6bc7p-31",
+            ("0x1.11efda304bac1p+1", "-0x1.1bcd7357e180dp+1", "0x1.76c96541e53f6p-31"),
+            ("0x1.11efda304bac0p+1", "-0x1.1bcd7357e16edp+1", "0x1.76c9657ab6bc7p-31"),
         ),
         (
             ((0.1 + 0.585j), (0.075 + 0.084j), (-0.377 + 0.693j), (0.364 + 0.251j), (-0.204 + 0.229j)),
             PANEL_SPEC,
-            "0x1.2a7d419bbead0p+1",
-            "0x1.07a123171e330p+1",
-            "0x1.3f9746a4cd70cp-29",
+            ("0x1.2a7d419bbead0p+1", "0x1.07a1231721f34p+1", "0x1.3f9746da2dd8ep-29"),
+            ("0x1.2a7d419bbead0p+1", "0x1.07a123171e330p+1", "0x1.3f9746a4cd70cp-29"),
         ),
         (
             ((-0.324 - 0.005j), (-0.015 - 0.844j), (-0.105 + 0.259j))
             + ((-0.68 + 0.221j), (-0.076 + 0.46j), (-0.095 + 0.031j)),
             PANEL_SPEC,
-            "0x1.2e8a2706fae99p+1",
-            "-0x1.96f679eddd641p+0",
-            "0x1.c2ceb0139f166p-28",
+            ("0x1.2e8a2706fae99p+1", "-0x1.96f679eddfba1p+0", "0x1.c2ceaf5a94e81p-28"),
+            ("0x1.2e8a2706fae99p+1", "-0x1.96f679eddd641p+0", "0x1.c2ceb0139f166p-28"),
         ),
         (
             tuple((1.0 - 0.001**k) * cmath.exp(0.7j) for k in (1, 2, 3)),
             circle_quad.DEFAULT_LAMBDA_SPEC,
-            "0x1.6c53f819ec546p+2",
-            "0x1.6666666666666p-1",
-            "0x1.09bc3409cf57ep-29",
+            ("0x1.6c53f819ec547p+2", "0x1.6666666666666p-1", "0x1.09bc3bed41563p-29"),
+            ("0x1.6c53f819ec546p+2", "0x1.6666666666666p-1", "0x1.09bc3409cf57ep-29"),
         ),
         (
             ((1.0 - 1e-12) * cmath.exp(0.3j), 0.4 - 0.3j, -0.6 + 0.1j),
             circle_quad.DEFAULT_LAMBDA_SPEC,
-            "0x1.adb7b6147028fp+1",
-            "0x1.3333333333331p-2",
-            "0x1.9726ee5191b11p-28",
+            ("0x1.adb7b61470292p+1", "0x1.3333333333331p-2", "0x1.9726f47b6afe0p-28"),
+            ("0x1.adb7b6147028fp+1", "0x1.3333333333331p-2", "0x1.9726ee5191b11p-28"),
         ),
     ]
 
     def test_values_rotations_and_errors_are_bit_identical(self):
-        for zeros, spec, value, eta, error in self.RECORDED:
+        for zeros, spec, pins, _reference in self.RECORDED:
             r = lambda_functional(BlaschkeProduct(zeros=zeros), spec)
-            assert (r.value.hex(), cmath.phase(r.eta.value).hex(), r.error_estimate.hex()) == (value, eta, error)
+            assert (r.value.hex(), cmath.phase(r.eta.value).hex(), r.error_estimate.hex()) == pins
+
+    def test_pins_stay_near_the_per_factor_kernel(self):
+        for _zeros, _spec, pins, reference in self.RECORDED:
+            value, eta, error = (float.fromhex(h) for h in pins)
+            value0, eta0, error0 = (float.fromhex(h) for h in reference)
+            assert abs(value - value0) <= self.DRIFT[0]
+            assert abs(math.remainder(eta - eta0, 2.0 * math.pi)) <= self.DRIFT[1]
+            assert abs(error - error0) <= self.DRIFT[2] * error0
 
 
 class TestRotationRecords:
@@ -647,6 +656,30 @@ class TestPairEvaluator:
         fp, fm = circle_quad._pair_evaluator(B)(phi, theta)
         assert np.array_equal(fp, boundary_values(B, phi, offset=theta))
         assert np.array_equal(fm, boundary_values(B, phi, offset=-theta))
+
+
+class TestBoundaryTraffic:
+    def test_points_are_one_per_grid_node_and_two_per_adaptive_node(self, monkeypatch):
+        # the rule behind perfbench's evals_unreported: every Lambda evaluation
+        # goes through circle_quad.boundary_values, the grid scan as one point
+        # per node, the pair evaluator as two
+        points = []
+        real = circle_quad.boundary_values
+
+        def counted(B, theta, offset=None):
+            values = real(B, theta, offset)
+            points.append(np.size(values))
+            return values
+
+        products = ((0.5, 0.3j, -0.7 + 0.1j), ((1.0 - 1e-9) * cmath.exp(1.234j), 0.2), (0.1 - 0.6j,))
+        for zeros in products:
+            B = BlaschkeProduct(zeros=zeros)
+            M = circle_quad._grid_scan(B, 256)[2]
+            monkeypatch.setattr(circle_quad, "boundary_values", counted)
+            points.clear()
+            r = lambda_functional(B)
+            monkeypatch.undo()
+            assert sum(points) == M + 2 * (r.evaluations - M)
 
 
 class TestSwallowedToleranceFailures:

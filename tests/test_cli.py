@@ -212,6 +212,25 @@ class TestOmegaStudyCommand:
         assert f"{token!r}" in err
 
 
+class TestNaNInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda", "--zeros", "nan"],
+            ["bracket", "--zeros", "0.5,nan"],
+            ["omega-study", "--n", "1", "--q-schedule", "nan"],
+            ["omega-study", "--n", "1", "--xi", "nan"],
+            ["apply", "--zeros", "0.5", "--h", "1", "--z", "nan"],
+            ["apply", "--zeros", "0.5", "--h", "1", "--z", "nan", "--method", "contour"],
+        ],
+    )
+    def test_nan_input_exits_two(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestEntryPoint:
     def test_module_invocation_round_trip(self):
         proc = subprocess.run(

@@ -26,6 +26,39 @@ def moderate_zeros(rng, degree, rmax=0.9):
     return tuple(r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, degree)))
 
 
+def reference_boundary_values(B, theta, offset=None):
+    """The per-factor boundary formula: each zero reduces its own angle
+    beta = theta - arg(a) into [-pi, pi) and takes sin(beta/2) and sin(beta)."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.ones(np.broadcast_shapes(theta.shape, np.shape(offset)), dtype=complex)
+    for a in B.zeros:
+        rho = abs(a)
+        gamma = np.angle(a) if rho > 0 else 0.0
+        d = 1.0 - rho
+        beta = np.mod(theta - gamma + np.pi, 2 * np.pi) - np.pi
+        if offset is not None:
+            beta = beta + offset
+        s = np.sin(0.5 * beta)
+        s2 = 2.0 * s * s
+        sb = np.sin(beta)
+        out *= np.exp(1j * gamma) * ((d - s2) + 1j * sb) / ((d + rho * s2) - 1j * (rho * sb))
+    return out
+
+
+def well_conditioned(zeros, angles, aligned=None):
+    """Angles where no factor, except the aligned one, turns faster than 4
+    times the angle: the phase speed of a factor is (1 - rho^2)/|1 - a e^{-i t}|^2.
+    Elsewhere, within about sqrt(1 - rho) of a zero's angle, two formulas that
+    round the angle differently cannot agree to a few ulps."""
+    ok = np.ones(np.shape(angles), dtype=bool)
+    for j, a in enumerate(zeros):
+        if j != aligned:
+            rho = abs(a)
+            s = np.sin(0.5 * (angles - np.angle(a)))
+            ok &= (1.0 - rho) * (1.0 + rho) <= 4.0 * ((1.0 - rho) ** 2 + 4.0 * rho * s * s)
+    return ok
+
+
 class TestCirclePoint:
     def test_normalizes_to_exact_modulus_one(self):
         p = CirclePoint((1.0 + 1e-8) * np.exp(0.7j))
@@ -34,6 +67,13 @@ class TestCirclePoint:
     def test_rejects_interior_point(self):
         with pytest.raises(InvalidConfiguration):
             CirclePoint(0.9)
+
+
+@pytest.mark.parametrize("kind", [CirclePoint, MoebiusFactor, lambda a: BlaschkeProduct(zeros=(0.5, a))])
+@pytest.mark.parametrize("value", [complex("nan"), complex(0.5, float("nan")), complex("inf")])
+def test_nan_and_inf_fail_the_disk_and_circle_checks(kind, value):
+    with pytest.raises(InvalidConfiguration):
+        kind(value)
 
 
 class TestMoebius:
@@ -154,6 +194,64 @@ class TestBoundaryValues:
         B = BlaschkeProduct(zeros=(0.5,))
         v = boundary_values(B, 0.3)
         assert np.isscalar(v) or np.asarray(v).shape == ()
+
+    def test_matches_the_per_factor_formula(self):
+        # degrees 1-20, one zero at 1 - 1e-12 and the rest log-uniform in
+        # deficit; the offset form sits at that zero's angle, where both
+        # formulas take beta = offset exactly, with offsets down to 1e-14
+        rng = np.random.default_rng(71)
+        checked = 0
+        for n in range(1, 21):
+            deficits = 10.0 ** rng.uniform(-12.0, 0.0, n)
+            deficits[0] = 1e-12
+            zeros = tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+            B = BlaschkeProduct(zeros=zeros)
+            tol = 2e-15 * max(1, n)
+            theta = rng.uniform(-np.pi, np.pi, 512)
+            ok = well_conditioned(zeros, theta)
+            gap = np.abs(boundary_values(B, theta) - reference_boundary_values(B, theta))
+            assert np.max(gap[ok], initial=0.0) <= tol
+            checked += ok.sum()
+            base = float(np.angle(zeros[0]))
+            offset = rng.choice([-1.0, 1.0], 256) * 10.0 ** rng.uniform(-14.0, 0.0, 256)
+            ok = well_conditioned(zeros, base + offset, aligned=0)
+            gap = np.abs(boundary_values(B, base, offset) - reference_boundary_values(B, base, offset))
+            assert np.max(gap[ok], initial=0.0) <= tol
+            checked += ok.sum()
+        assert checked >= 0.75 * 20 * (512 + 256)
+
+    def test_periodic_without_reduction(self):
+        # dyadic angles make theta + 2 pi k exact up to the rounding of 2 pi k
+        # itself, which moves a factor with |a| <= 0.5 by at most 3 times that
+        rng = np.random.default_rng(73)
+        theta = np.arange(-201, 202) / 64.0
+        for degree in (1, 3):
+            B = BlaschkeProduct(zeros=moderate_zeros(rng, degree, rmax=0.5))
+            grid = boundary_values(B, theta)
+            split = boundary_values(B, 0.5, theta)
+            for k in range(-3, 4):
+                assert np.max(np.abs(boundary_values(B, theta + 2.0 * np.pi * k) - grid)) <= 1e-14
+                assert np.max(np.abs(boundary_values(B, 0.5 + 2.0 * np.pi * k, theta) - split)) <= 1e-14
+
+    def test_deep_zeros_do_not_underflow(self):
+        # thirty factors of modulus 1e-15 at their common angle: the product of
+        # the unnormalised half-angle terms would be 1e-450
+        a = (1.0 - 1e-15) * np.exp(0.4j)
+        B = BlaschkeProduct(zeros=(a,) * 30)
+        v = boundary_values(B, float(np.angle(a)), offset=np.array([0.0, 1e-17, -1e-15, 1e-3]))
+        assert np.all(np.abs(np.abs(v) - 1.0) < 1e-14)
+        assert abs(v[0] - np.exp(30j * np.angle(a))) < 1e-13
+
+    def test_degree_zero_is_one(self):
+        B = BlaschkeProduct(zeros=())
+        assert boundary_values(B, 0.3) == 1.0
+        assert np.array_equal(boundary_values(B, np.linspace(-3.0, 3.0, 7)), np.ones(7))
+        assert np.array_equal(boundary_values(B, 0.3, offset=np.array([0.0, 1e-9])), np.ones(2))
+
+    def test_offset_needs_a_scalar_theta(self):
+        B = BlaschkeProduct(zeros=(0.5,))
+        with pytest.raises(InvalidConfiguration):
+            boundary_values(B, np.array([0.1, 0.2]), offset=np.array([1e-9, -1e-9]))
 
 
 class TestPseudohyperbolicDistance:

@@ -18,6 +18,7 @@ from toeplitz_bounds import (
     study_to_csv,
     study_to_json,
 )
+from toeplitz_bounds import omega_bounds
 from toeplitz_bounds.omega_bounds import PROBE_DEFICIT_FLOOR, default_eps
 
 
@@ -211,3 +212,11 @@ class TestStudy:
         with pytest.raises(InvalidConfiguration):
             omega_convergence_study(1, 1.0, q_schedule=())
 
+    @pytest.mark.parametrize("q", [1.5, 0.0, -0.2, math.nan])
+    def test_each_q_is_checked_before_any_upper_bound(self, monkeypatch, q):
+        def no_upper_bound(*args):
+            raise AssertionError("upper bound computed for an invalid schedule")
+
+        monkeypatch.setattr(omega_bounds, "lemma1_upper_bound", no_upper_bound)
+        with pytest.raises(InvalidConfiguration):
+            omega_convergence_study(1, 1.0, q_schedule=(0.3, q))

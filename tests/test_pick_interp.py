@@ -133,6 +133,8 @@ class TestProblemValidation:
     def test_rejects_nodes_outside_the_open_disk(self):
         with pytest.raises(InvalidConfiguration):
             InterpolationProblem(nodes=(1.0,), targets=(0.5,))
+        with pytest.raises(InvalidConfiguration):
+            InterpolationProblem(nodes=(0.1, complex("nan")), targets=(0.5, 0.2))
 
     def test_rejects_coincident_nodes(self):
         with pytest.raises(InvalidConfiguration):

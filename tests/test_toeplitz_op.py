@@ -105,6 +105,12 @@ class TestGuards:
         with pytest.raises(InvalidConfiguration):
             apply_toeplitz_residue(B, 1.0, 1.0)
 
+    def test_nan_point_is_rejected_by_both_routes(self):
+        B = BlaschkeProduct(zeros=(0.5,))
+        for apply in (apply_toeplitz_residue, apply_toeplitz_contour):
+            with pytest.raises(InvalidConfiguration):
+                apply(B, 1.0, complex("nan"))
+
     def test_contour_point_must_stay_off_the_boundary(self):
         B = BlaschkeProduct(zeros=(0.5,))
         with pytest.raises(InvalidConfiguration):
