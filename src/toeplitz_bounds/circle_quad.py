@@ -23,9 +23,14 @@ integrals than golden section on the smooth peak. The reported value is
 therefore a lower estimate of the supremum (the rotation search is not
 certified) with a quadrature error bar; no global optimality is claimed.
 
-The integrand's interior folds are found by Brent's root finder (R. P. Brent,
-Algorithms for Minimization without Derivatives, 1973, ch. 4): `brentq` is a
-line-for-line port of scipy's brentq.c, bit-compatible with scipy's roots.
+The integrand's interior folds, where the swept boundary phase crosses a
+multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
+derivative is a sum of Poisson kernels: each fold's bracket starts at the fold
+before it and is narrowed by every phase value already computed at the
+rotation. The steps are safeguarded as in Brent's root finder (R. P. Brent,
+Algorithms for Minimization without Derivatives, 1973, ch. 4). `brentq`, a
+line-for-line port of scipy's brentq.c, has no caller in the pipeline; it
+stays only as the name the benchmark's tracer patches.
 """
 
 from __future__ import annotations
@@ -280,15 +285,15 @@ def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
 def _pair_evaluator(f: BlaschkeProduct):
     """Return pair(phi, theta) -> (f at e^{i(phi+theta)}, f at e^{i(phi-theta)}).
 
-    Both halves come from one boundary sweep over the offsets [theta, -theta].
-    theta is passed as an offset so factors near the rotation angle keep full
+    Both halves come from one call of boundary_values in its pair form.
+    theta is passed as the offset so factors near the rotation angle keep full
     relative accuracy at increments far below ulp(phi).
     """
     if not isinstance(f, BlaschkeProduct):
         raise InvalidConfiguration(f"Lambda needs a BlaschkeProduct symbol, got {type(f).__name__}")
 
     def pair(phi, theta):
-        both = boundary_values(f, phi, offset=np.concatenate([theta, -theta]))
+        both = boundary_values(f, phi, offset=theta)
         return both[: theta.size], both[theta.size :]
 
     return pair
@@ -331,7 +336,12 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign: secant or
     inverse quadratic steps where they are short enough, bisection otherwise,
     until half the bracket is below (xtol + rtol |x|) / 2. Raises
-    NumericalBreakdown after 100 iterations."""
+    NumericalBreakdown after 100 iterations.
+
+    No pipeline code calls it: the folds are solved by `_fold`. It stays only
+    because the benchmark's tracer (perfbench/tracing.py) patches
+    `circle_quad.brentq` by name; once the tracer counts folds through the
+    `_kink_solver` callable, it and its tests can go."""
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = f(xpre), f(xcur)
@@ -388,10 +398,15 @@ def _kink_solver(f: BlaschkeProduct):
     at an edge leaves both neighbors piecewise smooth and costs nothing.
 
     Returns None when there is nothing to solve (degree < 2); otherwise a
-    callable phi -> array of fold angles in (0, pi).
+    callable phi -> array of fold angles in (0, pi), found in increasing
+    order by `_fold` from the swept phase S and its derivative
+    S' = sum_k P_k(phi + theta - gamma_k) + P_k(phi - theta - gamma_k), where
+    P(u) = (1 - rho^2) / ((1 - rho)^2 + 4 rho sin^2(u/2)) is the Poisson
+    kernel in a form with no cancellation near the circle. Every (theta, S)
+    evaluated at a rotation narrows the brackets of the folds after it.
 
     The swept phase is scalar Python math over a list of factors: with at
-    most ~20 factors and about 10-26 evaluations per root, numpy's per-call
+    most ~20 factors and a few evaluations per root, numpy's per-call
     overhead would cost more than the arithmetic itself.
     """
     if f.degree < 2:
@@ -400,23 +415,86 @@ def _kink_solver(f: BlaschkeProduct):
     rho = np.abs(zeros)
     gam = np.where(rho > 0, np.angle(np.where(rho > 0, zeros, 1.0)), 0.0)
     kappa = (1.0 + rho) / (1.0 - rho)
-    factors = list(zip(gam.tolist(), kappa.tolist(), rho.tolist()))
+    # the Poisson kernel's numerator 1 - rho^2, and (1 - rho)^2 and 4 rho
+    d = 1.0 - rho
+    poisson = ((d * (1.0 + rho)).tolist(), (d * d).tolist(), (4.0 * rho).tolist())
+    factors = list(zip(gam.tolist(), kappa.tolist(), rho.tolist(), *poisson))
     targets = [TWO_PI * k for k in range(1, f.degree)]
 
     def solver(phi):
         phi = float(phi)  # a numpy scalar would slow every step of the kernel
+        seen = []
 
         def swept(theta):
-            total = 0.0
-            for gamma, k, r in factors:
-                total += _psi(phi + theta - gamma, k, r) - _psi(phi - theta - gamma, k, r)
-            return total
+            total = slope = 0.0
+            for gamma, k, r, q, d2, r4 in factors:
+                up, um = phi + theta - gamma, phi - theta - gamma
+                total += _psi(up, k, r) - _psi(um, k, r)
+                sp, sm = math.sin(0.5 * up), math.sin(0.5 * um)
+                slope += q / (d2 + r4 * sp * sp) + q / (d2 + r4 * sm * sm)
+            if math.isnan(total):
+                raise NumericalBreakdown(f"swept phase is NaN at theta = {theta!r}, phi = {phi!r}")
+            seen.append((theta, total))
+            return total, slope
 
-        return np.array(
-            [brentq(lambda t, c=c: swept(t) - c, 0.0, math.pi, xtol=1e-15, rtol=8.9e-16) for c in targets]
-        )
+        folds = [0.0]
+        for c in targets:
+            folds.append(_fold(swept, seen, c, folds[-1]))
+        return np.array(folds[1:])
 
     return solver
+
+
+def _split(lo: float, hi: float) -> float:
+    """Bisection point of (lo, hi): geometric while hi > 4 lo, since folds
+    sit anywhere from 1e-12 to pi; hi / 64 while lo is still 0."""
+    if lo == 0.0:
+        return hi / 64.0
+    return math.sqrt(lo * hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+
+
+def _fold(swept, seen, c: float, lo: float) -> float:
+    """The theta in (lo, pi) where the increasing swept phase crosses c.
+
+    swept(theta) -> (S, S') records every evaluation in seen, whose points
+    first narrow the bracket. Newton steps from the bracket's bisection
+    point; every evaluated point becomes an end of the bracket. A step that
+    leaves the open bracket, or is longer than half the step before it, is
+    replaced by bisection, the safeguard of Brent's method: across the
+    inflection of a phase jump, Newton alone can cycle between the two
+    flanks while the bracket shrinks by a few percent a step. Stops when the
+    bracket is at most 1e-15 + 8.9e-16 theta wide, or the step below half of
+    that, returning the last Newton estimate if it lies in the bracket and
+    the last point evaluated otherwise. Raises NumericalBreakdown after 100
+    iterations.
+    """
+    hi = math.pi
+    for t, s in seen:
+        if lo < t < hi:
+            if s < c:
+                lo = t
+            elif s > c:
+                hi = t
+            else:
+                return t
+    x, last = _split(lo, hi), hi - lo
+    for _ in range(100):
+        s, slope = swept(x)
+        if s == c:
+            return x
+        if s < c:
+            lo = x
+        else:
+            hi = x
+        step = (c - s) / slope
+        new = x + step
+        tol = 1e-15 + 8.9e-16 * x
+        if hi - lo <= tol or abs(step) < 0.5 * tol:
+            return new if lo <= new <= hi else x
+        if not (lo < new < hi and abs(step) <= 0.5 * last):
+            new = _split(lo, hi)
+        x, last = new, abs(new - x)
+    raise NumericalBreakdown(f"fold solver did not converge in 100 iterations on [{lo!r}, {hi!r}]")
 
 
 def _psi(u: float, kappa: float, rho: float) -> float:

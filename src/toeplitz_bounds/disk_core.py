@@ -7,7 +7,9 @@ of a zero rho e^{i gamma} at angle theta is e^{i gamma} w^2/|w|^2, with
 w = (1 - rho) cos(beta/2) + i (1 + rho) sin(beta/2), beta = theta - gamma.
 Needing only 1 - rho, it stays accurate for zeros within 1e-12 of the
 circle, where (z - a)/(1 - z*conj(a)) cancels. The half-angle trig of the
-array argument is shared by all factors; with an offset, theta is a scalar.
+array argument is shared by all factors. With an offset, theta is a scalar
+and the result is the symmetric pair B(e^{i(theta + offset)}) followed by
+B(e^{i(theta - offset)}), which share that trig by parity.
 """
 
 from __future__ import annotations
@@ -143,7 +145,9 @@ def eval_blaschke_derivative(B: BlaschkeProduct, z):
 
 
 def boundary_values(B: BlaschkeProduct, theta, offset=None):
-    """Evaluate B(e^{i*(theta + offset)}) without cancellation near the zeros.
+    """Evaluate B(e^{i*theta}), or with an offset the symmetric pair
+    B(e^{i*(theta + offset)}) followed by B(e^{i*(theta - offset)}),
+    without cancellation near the zeros.
 
     Uses the half-angle form of the module docstring. sin and cos of u/2,
     u = offset if given and theta otherwise, are taken once; each factor
@@ -156,26 +160,40 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None):
     double would round away at ulp(theta), fatal where a factor varies on
     the scale of the increment: theta - gamma is reduced as a scalar and the
     increment enters only through sin(offset/2), so theta must be a scalar
-    when offset is given.
+    when offset is given. The offset form returns 2N values for N offsets.
+    numpy's cos is even and its sin odd, bit for bit, so both signs share
+    one trig sweep and one pair of products per factor: w = x + y for
+    +offset and x - y for -offset, with the bits of evaluating -offset
+    directly.
     """
     theta = np.asarray(theta, dtype=float)
     if offset is not None and theta.ndim:
         raise InvalidConfiguration("boundary_values with an offset needs a scalar theta")
-    u, base = (theta, None) if offset is None else (np.asarray(offset, dtype=float), float(theta))
+    pair = offset is not None
+    u = np.asarray(offset, dtype=float).ravel() if pair else theta
+    base = float(theta) if pair else 0.0
     cu, su = np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
-    prod = np.ones(u.shape, dtype=complex)
-    w, v = np.empty_like(prod), np.empty_like(prod)
+    n = u.size
+    prod = np.ones((2 * n,) if pair else u.shape, dtype=complex)
+    w, y = np.empty_like(prod), np.empty_like(cu)
+    x = np.empty_like(cu) if pair else w  # the grid form adds y to x in place
     rot, floor = 1.0 + 0j, 1.0
     for a in B.zeros:
         rho = abs(a)
         gamma = float(np.angle(a)) if rho > 0 else 0.0
-        half = 0.5 * (-gamma if base is None else math.remainder(base - gamma, 2 * math.pi))
+        half = 0.5 * (math.remainder(base - gamma, 2 * math.pi) if pair else -gamma)
         s0, c0 = math.sin(half), math.cos(half)
-        # w = cu (d c0 + i e s0) + su (-d s0 + i e c0); cu and su hold real values
-        # as complex, so each term is one complex-by-scalar multiply, not a cast
+        # w = x + y, x = cu (d c0 + i e s0), y = su (-d s0 + i e c0); cu and su
+        # hold real values as complex, so each term is one complex-by-scalar
+        # multiply, not a cast
         d, e = 1.0 - rho, 1.0 + rho
-        np.multiply(cu, complex(d * c0, e * s0), out=w)
-        w += np.multiply(su, complex(-d * s0, e * c0), out=v)
+        np.multiply(cu, complex(d * c0, e * s0), out=x)
+        np.multiply(su, complex(-d * s0, e * c0), out=y)
+        if pair:
+            np.add(x, y, out=w[:n])
+            np.subtract(x, y, out=w[n:])
+        else:
+            w += y
         prod *= w
         # |w| >= 1 - rho: rescale before the product of the |w| can underflow
         floor *= d

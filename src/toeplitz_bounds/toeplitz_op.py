@@ -15,6 +15,7 @@ shrinks toward the rounding floor of double precision.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -55,14 +56,15 @@ def _polyval(coeffs, z):
 class RationalFunction:
     """Quotient of polynomials, analytic on the closed unit disk.
 
-    Coefficients are stored in ascending order. Construction checks that all
-    denominator roots stay outside |w| = 1 + 1e-9. Solver-built interpolants
-    may carry a trusted evaluator closure whose analyticity is certified
-    structurally (Schur parameters inside the disk); for those the root check
-    is skipped, since near-minimal interpolants have poles legitimately closer
-    to the circle than the margin while remaining outside it. They may also
-    carry a boundary evaluator, theta -> h(e^{i theta}) on an array of
-    angles, which sup_norm samples in place of the general one.
+    Coefficients are stored in ascending order and must be finite.
+    Construction checks that all denominator roots stay outside
+    |w| = 1 + 1e-9. Solver-built interpolants may carry a trusted evaluator
+    closure whose analyticity is certified structurally (Schur parameters
+    inside the disk); for those the root check is skipped, since near-minimal
+    interpolants have poles legitimately closer to the circle than the margin
+    while remaining outside it. They may also carry a boundary evaluator,
+    theta -> h(e^{i theta}) on an array of angles, which sup_norm samples in
+    place of the general one.
     """
 
     def __init__(
@@ -70,6 +72,8 @@ class RationalFunction:
     ):
         num = np.atleast_1d(np.asarray(numerator, dtype=complex))
         den = np.atleast_1d(np.asarray(denominator, dtype=complex))
+        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+            raise InvalidConfiguration("coefficients must be finite")
         if not np.any(den != 0):
             raise InvalidConfiguration("denominator is identically zero")
         while den.size > 1 and den[-1] == 0:
@@ -184,6 +188,8 @@ def _as_function(h):
     if callable(h):
         return h
     c = complex(h)
+    if not cmath.isfinite(c):
+        raise InvalidConfiguration(f"constant test function must be finite, got {c!r}")
 
     def const(w):
         out = np.full_like(np.asarray(w) * (1 + 0j), c)

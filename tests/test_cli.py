@@ -222,6 +222,12 @@ class TestNaNInputs:
             ["omega-study", "--n", "1", "--xi", "nan"],
             ["apply", "--zeros", "0.5", "--h", "1", "--z", "nan"],
             ["apply", "--zeros", "0.5", "--h", "1", "--z", "nan", "--method", "contour"],
+            ["apply", "--zeros", "0.5", "--h", "nan", "--z", "0"],
+            ["apply", "--zeros", "0.5", "--h", "inf", "--z", "0"],
+            ["apply", "--zeros", "0.5", "--h", "nan", "--z", "0", "--method", "contour"],
+            ["apply", "--zeros", "0.5", "--h", "1;nan", "--z", "0"],
+            ["apply", "--zeros", "0.5", "--h", "1;nan", "--z", "0", "--method", "contour"],
+            ["apply", "--zeros", "0.5", "--h", "0,inf;1", "--z", "0.1"],
         ],
     )
     def test_nan_input_exits_two(self, capsys, argv):

@@ -1,5 +1,8 @@
 """Disk geometry, Blaschke evaluation, and the stable boundary path."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +46,36 @@ def reference_boundary_values(B, theta, offset=None):
         sb = np.sin(beta)
         out *= np.exp(1j * gamma) * ((d - s2) + 1j * sb) / ((d + rho * s2) - 1j * (rho * sb))
     return out
+
+
+def previous_sweep(B, theta, offset=None):
+    """The half-angle kernel as it was before the pair form, inline: with an
+    offset it sweeps exactly the offsets given. The pair form must reproduce
+    its values on [offset, -offset] bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    u, base = (theta, None) if offset is None else (np.asarray(offset, dtype=float), float(theta))
+    cu, su = np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
+    prod = np.ones(u.shape, dtype=complex)
+    w, v = np.empty_like(prod), np.empty_like(prod)
+    rot, floor = 1.0 + 0j, 1.0
+    for a in B.zeros:
+        rho = abs(a)
+        gamma = float(np.angle(a)) if rho > 0 else 0.0
+        half = 0.5 * (-gamma if base is None else math.remainder(base - gamma, 2 * math.pi))
+        s0, c0 = math.sin(half), math.cos(half)
+        d, e = 1.0 - rho, 1.0 + rho
+        np.multiply(cu, complex(d * c0, e * s0), out=w)
+        w += np.multiply(su, complex(-d * s0, e * c0), out=v)
+        prod *= w
+        floor *= d
+        if floor < 1e-250:
+            prod /= np.abs(prod)
+            floor = 1.0
+        rot *= cmath.exp(1j * gamma)
+    prod /= np.abs(prod)
+    prod *= prod
+    prod *= rot
+    return prod
 
 
 def well_conditioned(zeros, angles, aligned=None):
@@ -197,8 +230,8 @@ class TestBoundaryValues:
 
     def test_matches_the_per_factor_formula(self):
         # degrees 1-20, one zero at 1 - 1e-12 and the rest log-uniform in
-        # deficit; the offset form sits at that zero's angle, where both
-        # formulas take beta = offset exactly, with offsets down to 1e-14
+        # deficit; the pair form sits at that zero's angle, where both
+        # formulas take beta = +-offset exactly, with offsets down to 1e-14
         rng = np.random.default_rng(71)
         checked = 0
         for n in range(1, 21):
@@ -214,11 +247,29 @@ class TestBoundaryValues:
             checked += ok.sum()
             base = float(np.angle(zeros[0]))
             offset = rng.choice([-1.0, 1.0], 256) * 10.0 ** rng.uniform(-14.0, 0.0, 256)
-            ok = well_conditioned(zeros, base + offset, aligned=0)
-            gap = np.abs(boundary_values(B, base, offset) - reference_boundary_values(B, base, offset))
+            both = np.concatenate([offset, -offset])
+            ok = well_conditioned(zeros, base + both, aligned=0)
+            gap = np.abs(boundary_values(B, base, offset) - reference_boundary_values(B, base, both))
             assert np.max(gap[ok], initial=0.0) <= tol
             checked += ok.sum()
-        assert checked >= 0.75 * 20 * (512 + 256)
+        assert checked >= 0.75 * 20 * (512 + 2 * 256)
+
+    def test_pair_form_is_the_previous_sweep_bit_for_bit(self):
+        # degrees 0-20, one zero at 1 - 1e-12 and the rest log-uniform in
+        # deficit; rotations at that zero's angle and at random, offsets of
+        # both signs from 1e-14 to pi. cos is even and sin odd bit for bit,
+        # and (-su) C = -(su C) exactly, so nothing may move
+        rng = np.random.default_rng(79)
+        for n in range(21):
+            deficits = 10.0 ** rng.uniform(-12.0, 0.0, n)
+            deficits[:1] = 1e-12
+            zeros = tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+            B = BlaschkeProduct(zeros=zeros)
+            offset = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-14.0, math.log10(math.pi), 300)
+            for base in (float(np.angle(zeros[0])) if n else 0.0, rng.uniform(-np.pi, np.pi)):
+                both = boundary_values(B, base, offset)
+                assert both.shape == (600,)
+                assert np.array_equal(both, previous_sweep(B, base, np.concatenate([offset, -offset])))
 
     def test_periodic_without_reduction(self):
         # dyadic angles make theta + 2 pi k exact up to the rounding of 2 pi k
@@ -238,15 +289,17 @@ class TestBoundaryValues:
         # the unnormalised half-angle terms would be 1e-450
         a = (1.0 - 1e-15) * np.exp(0.4j)
         B = BlaschkeProduct(zeros=(a,) * 30)
-        v = boundary_values(B, float(np.angle(a)), offset=np.array([0.0, 1e-17, -1e-15, 1e-3]))
+        offset = np.array([0.0, 1e-17, -1e-15, 1e-3])
+        v = boundary_values(B, float(np.angle(a)), offset=offset)
         assert np.all(np.abs(np.abs(v) - 1.0) < 1e-14)
         assert abs(v[0] - np.exp(30j * np.angle(a))) < 1e-13
+        assert np.array_equal(v, previous_sweep(B, float(np.angle(a)), np.concatenate([offset, -offset])))
 
     def test_degree_zero_is_one(self):
         B = BlaschkeProduct(zeros=())
         assert boundary_values(B, 0.3) == 1.0
         assert np.array_equal(boundary_values(B, np.linspace(-3.0, 3.0, 7)), np.ones(7))
-        assert np.array_equal(boundary_values(B, 0.3, offset=np.array([0.0, 1e-9])), np.ones(2))
+        assert np.array_equal(boundary_values(B, 0.3, offset=np.array([0.0, 1e-9])), np.ones(4))
 
     def test_offset_needs_a_scalar_theta(self):
         B = BlaschkeProduct(zeros=(0.5,))

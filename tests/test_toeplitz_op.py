@@ -111,6 +111,13 @@ class TestGuards:
             with pytest.raises(InvalidConfiguration):
                 apply(B, 1.0, complex("nan"))
 
+    @pytest.mark.parametrize("h", [float("nan"), complex(1.0, float("inf")), float("-inf")])
+    def test_non_finite_constant_is_rejected_by_both_routes(self, h):
+        B = BlaschkeProduct(zeros=(0.5,))
+        for apply in (apply_toeplitz_residue, apply_toeplitz_contour):
+            with pytest.raises(InvalidConfiguration):
+                apply(B, h, 0.0)
+
     def test_contour_point_must_stay_off_the_boundary(self):
         B = BlaschkeProduct(zeros=(0.5,))
         with pytest.raises(InvalidConfiguration):
@@ -125,6 +132,14 @@ class TestRationalFunction:
     def test_pole_check_can_be_skipped(self):
         f = RationalFunction([1.0], [1.0, -2.0], validate_poles=False)
         assert f(0.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [([1.0, float("nan")], [1.0]), ([float("inf")], [1.0]), ([1.0], [1.0, complex(0.0, float("nan"))])],
+    )
+    def test_rejects_non_finite_coefficients(self, num, den):
+        with pytest.raises(InvalidConfiguration):
+            RationalFunction(num, den)
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(InvalidConfiguration):
