@@ -6,10 +6,17 @@ values. On the circle, boundary_values uses a half-angle form: the factor
 of a zero rho e^{i gamma} at angle theta is e^{i gamma} w^2/|w|^2, with
 w = (1 - rho) cos(beta/2) + i (1 + rho) sin(beta/2), beta = theta - gamma.
 Needing only 1 - rho, it stays accurate for zeros within 1e-12 of the
-circle, where (z - a)/(1 - z*conj(a)) cancels. The half-angle trig of the
-array argument is shared by all factors. With an offset, theta is a scalar
-and the result is the symmetric pair B(e^{i(theta + offset)}) followed by
-B(e^{i(theta - offset)}), which share that trig by parity.
+circle, where (z - a)/(1 - z*conj(a)) cancels. One private generator,
+_half_angle_terms, takes the half-angle trig of the array argument once and
+yields each factor's term w from it. boundary_values multiplies the terms
+into B; with an offset, theta is a scalar and the result is the symmetric
+pair B(e^{i(theta + offset)}) followed by B(e^{i(theta - offset)}), which
+share that trig by parity. boundary_factors keeps the factors apart, one row
+each, for callers that compose them with more than multiplication.
+
+Both normalise by multiplying with the reciprocal modulus. numpy divides a
+complex by a real (cast to complex) as (re + im*0) * (1/r), so this has the
+bits of the division for about half its cost.
 """
 
 from __future__ import annotations
@@ -144,17 +151,53 @@ def eval_blaschke_derivative(B: BlaschkeProduct, z):
     return out[()] if scalar else out
 
 
+def _half_angle_terms(zeros, u, base=None):
+    """Yield, zero by zero, the half-angle term w at every angle, with
+    d = 1 - rho and e^{i gamma}; w is one buffer, overwritten by the next yield.
+
+    sin and cos of u/2 are taken once, and each zero shifts them to its
+    beta/2 by angle addition with two scalars. A 2 pi shift of beta only
+    flips the sign of w, so no reduction is needed. Without a base, beta is
+    u - gamma on the array u. With a scalar base, beta is base - gamma + u
+    and base - gamma - u, and w holds the + terms followed by the - terms.
+    No zeros, no sweep.
+    """
+    if not len(zeros):
+        return
+    pair = base is not None
+    cu, su = np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
+    n = u.size
+    w = np.empty((2 * n,) if pair else u.shape, dtype=complex)
+    y = np.empty_like(cu)
+    x = np.empty_like(cu) if pair else w  # the grid form adds y to x in place
+    for a in zeros:
+        rho = abs(a)
+        gamma = float(np.angle(a)) if rho > 0 else 0.0
+        half = 0.5 * (math.remainder(base - gamma, 2 * math.pi) if pair else -gamma)
+        s0, c0 = math.sin(half), math.cos(half)
+        # w = x + y, x = cu (d c0 + i e s0), y = su (-d s0 + i e c0); cu and su
+        # hold real values as complex, so each term is one complex-by-scalar
+        # multiply, not a cast
+        d, e = 1.0 - rho, 1.0 + rho
+        np.multiply(cu, complex(d * c0, e * s0), out=x)
+        np.multiply(su, complex(-d * s0, e * c0), out=y)
+        if pair:
+            np.add(x, y, out=w[:n])
+            np.subtract(x, y, out=w[n:])
+        else:
+            w += y
+        yield w, d, cmath.exp(1j * gamma)
+
+
 def boundary_values(B: BlaschkeProduct, theta, offset=None):
     """Evaluate B(e^{i*theta}), or with an offset the symmetric pair
     B(e^{i*(theta + offset)}) followed by B(e^{i*(theta - offset)}),
     without cancellation near the zeros.
 
-    Uses the half-angle form of the module docstring. sin and cos of u/2,
-    u = offset if given and theta otherwise, are taken once; each factor
-    shifts them to beta/2 by angle addition with two scalars. A 2 pi shift of
-    beta only flips the sign of w, so no reduction is needed. The w are
-    multiplied as they come, and the product is divided by its modulus once
-    before it is squared. Values are complex128.
+    Uses the half-angle form of the module docstring, with the terms w of
+    _half_angle_terms on u = offset if given and theta otherwise. The w are
+    multiplied as they come, and the product is normalised once, by the
+    reciprocal of its modulus, before it is squared. Values are complex128.
 
     The split argument keeps a tiny increment that theta + offset in one
     double would round away at ulp(theta), fatal where a factor varies on
@@ -171,40 +214,41 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None):
         raise InvalidConfiguration("boundary_values with an offset needs a scalar theta")
     pair = offset is not None
     u = np.asarray(offset, dtype=float).ravel() if pair else theta
-    base = float(theta) if pair else 0.0
-    cu, su = np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
-    n = u.size
-    prod = np.ones((2 * n,) if pair else u.shape, dtype=complex)
-    w, y = np.empty_like(prod), np.empty_like(cu)
-    x = np.empty_like(cu) if pair else w  # the grid form adds y to x in place
+    prod = np.ones((2 * u.size,) if pair else u.shape, dtype=complex)
     rot, floor = 1.0 + 0j, 1.0
-    for a in B.zeros:
-        rho = abs(a)
-        gamma = float(np.angle(a)) if rho > 0 else 0.0
-        half = 0.5 * (math.remainder(base - gamma, 2 * math.pi) if pair else -gamma)
-        s0, c0 = math.sin(half), math.cos(half)
-        # w = x + y, x = cu (d c0 + i e s0), y = su (-d s0 + i e c0); cu and su
-        # hold real values as complex, so each term is one complex-by-scalar
-        # multiply, not a cast
-        d, e = 1.0 - rho, 1.0 + rho
-        np.multiply(cu, complex(d * c0, e * s0), out=x)
-        np.multiply(su, complex(-d * s0, e * c0), out=y)
-        if pair:
-            np.add(x, y, out=w[:n])
-            np.subtract(x, y, out=w[n:])
-        else:
-            w += y
+    for w, d, turn in _half_angle_terms(B.zeros, u, float(theta) if pair else None):
         prod *= w
         # |w| >= 1 - rho: rescale before the product of the |w| can underflow
         floor *= d
         if floor < 1e-250:
-            prod /= np.abs(prod)
+            prod *= 1.0 / np.abs(prod)
             floor = 1.0
-        rot *= cmath.exp(1j * gamma)
-    prod /= np.abs(prod)
+        rot *= turn
+    prod *= 1.0 / np.abs(prod)
     prod *= prod
     prod *= rot
     return prod
+
+
+def boundary_factors(zeros, theta):
+    """Row k is the Moebius factor of zeros[k] at e^{i*theta}: e^{i gamma_k} (w_k/|w_k|)^2.
+
+    All rows share one half-angle sweep of theta, and row k has the bits of
+    boundary_values(BlaschkeProduct((zeros[k],)), theta), since that
+    multiplies w_k and e^{i gamma_k} into a product that starts at 1 + 0i.
+    The result has shape (len(zeros),) + shape(theta).
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty((len(zeros),) + theta.shape, dtype=complex)
+    scale = np.empty(theta.shape)
+    for k, (w, _, turn) in enumerate(_half_angle_terms(zeros, theta)):
+        row = out[k, ...]  # a view, also when theta is a scalar
+        np.abs(w, out=scale)
+        np.divide(1.0, scale, out=scale)
+        np.multiply(w, scale, out=row)
+        row *= row
+        row *= turn
+    return out
 
 
 def pseudohyperbolic_distance(z, w) -> float:

@@ -18,8 +18,9 @@ matrix, its Cholesky factor and the whole recursion are therefore computed in
 clongdouble; on x86 that buys about ten extra digits exactly where the
 cancellation bites. The one exception is the boundary sweep behind the
 reported sup-norm: on the circle the Moebius factors come from
-disk_core.boundary_values, whose half-angle form keeps full relative
-accuracy there, so that sweep runs in complex128.
+disk_core.boundary_factors, whose half-angle form keeps full relative
+accuracy there, so that sweep runs in complex128. All levels share one
+half-angle sweep per evaluation.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import numpy as np
 
 from .disk_core import (
     SEPARATION,
-    BlaschkeProduct,
     as_complex,
-    boundary_values,
+    boundary_factors,
     pseudohyperbolic_distance,
 )
 from .errors import (
@@ -226,16 +226,20 @@ def _chain_evaluator(x, gammas, mu):
 def _boundary_evaluator(x, gammas, mu):
     """Evaluate theta -> mu * f_0(e^{i theta}) through the same chain, in complex128.
 
-    Each Moebius factor on the circle comes from boundary_values, which needs
-    only 1 - |x_j|, so nodes within 1e-11 of the circle need no extended precision.
+    The Moebius factors of all levels on the circle come from one
+    boundary_factors call per evaluation, which takes the half-angle trig of
+    theta once and needs only 1 - |x_j|, so nodes within 1e-11 of the circle
+    need no extended precision. Row j has the bits of that level's own
+    boundary_values, so the chain's values do not depend on the sharing.
     """
-    factors = [BlaschkeProduct((complex(a),)) for a in x[:-1]]
+    zeros = [complex(a) for a in x[:-1]]
     g = gammas.astype(complex)
 
     def evaluate(theta):
+        factors = boundary_factors(zeros, theta)
         f = np.full(np.shape(theta), g[-1])
-        for j in range(len(factors) - 1, -1, -1):
-            bf = boundary_values(factors[j], theta) * f
+        for j in range(len(zeros) - 1, -1, -1):
+            bf = factors[j] * f
             f = (bf + g[j]) / (1.0 + np.conj(g[j]) * bf)
         return mu * f
 

@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, and exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -17,6 +18,15 @@ CLOSE_NODE_PROBLEM = {
     "nodes": [[-0.0323, 0.249], [-0.0145, 0.0256], [-0.0102, 0.189], [0.4508, 0.3138]],
     "targets": [[-0.723, -1.8404], [0.0437, 1.639], [-0.6242, -2.025], [1.2346, -0.041]],
 }
+
+# Seven nodes, one within 1e-11 of the circle, and a single node: `pick
+# --construct` prints the same bytes as with one boundary_values call per
+# Schur level, before the levels shared one half-angle sweep.
+NEAR_CIRCLE_PROBLEM = {
+    "nodes": [[1 - 1e-11, 0.0], [0.1, 0.5], [-0.6, 0.2], [0.3, -0.7], [-0.2, -0.4], [0.75, 0.35], [0.0, 0.0]],
+    "targets": [[0.4, 0.1], [-0.3, 0.6], [0.2, -0.5], [0.7, 0.2], [-0.1, -0.3], [0.5, -0.4], [0.05, 0.0]],
+}
+ONE_NODE_PROBLEM = {"nodes": [[0.3, -0.2]], "targets": [[0.6, 0.25]]}
 
 
 def run_main(capsys, argv):
@@ -139,6 +149,20 @@ class TestPickCommand:
         )
         assert code == 1
         assert "numeric failure" in err
+
+    @pytest.mark.parametrize(
+        "problem, digest",
+        [
+            (NEAR_CIRCLE_PROBLEM, "b8ae5caefcb40459f29c4c7bfa660fc2c36471e75dc8a2f39e941f9e845c85da"),
+            (ONE_NODE_PROBLEM, "3621429721c22d9be9d225006d0960a771d87f83a58dfd0408929f4ff78a8735"),
+        ],
+    )
+    def test_construct_stdout_is_pinned(self, capsys, tmp_path, problem, digest):
+        pf = tmp_path / "problem.json"
+        pf.write_text(json.dumps(problem))
+        code, out, err = run_main(capsys, ["pick", "--problem-file", str(pf), "--construct"])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_missing_problem_file_exits_two(self, capsys):
         code, _, _ = run_main(capsys, ["pick", "--problem-file", "/nonexistent/problem.json"])

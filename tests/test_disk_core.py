@@ -20,6 +20,7 @@ from toeplitz_bounds import (
     eval_moebius,
     pseudohyperbolic_distance,
 )
+from toeplitz_bounds.disk_core import boundary_factors
 
 disk_points = st.complex_numbers(max_magnitude=0.93, allow_nan=False, allow_infinity=False)
 
@@ -50,8 +51,10 @@ def reference_boundary_values(B, theta, offset=None):
 
 def previous_sweep(B, theta, offset=None):
     """The half-angle kernel as it was before the pair form, inline: with an
-    offset it sweeps exactly the offsets given. The pair form must reproduce
-    its values on [offset, -offset] bit for bit."""
+    offset it sweeps exactly the offsets given, and it normalises by dividing
+    by the modulus. The pair form must reproduce its values on
+    [offset, -offset] bit for bit, and both forms must reproduce its division
+    with their reciprocal multiply."""
     theta = np.asarray(theta, dtype=float)
     u, base = (theta, None) if offset is None else (np.asarray(offset, dtype=float), float(theta))
     cu, su = np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
@@ -271,6 +274,27 @@ class TestBoundaryValues:
                 assert both.shape == (600,)
                 assert np.array_equal(both, previous_sweep(B, base, np.concatenate([offset, -offset])))
 
+    def test_grid_and_pair_forms_are_the_dividing_kernel_bit_for_bit(self):
+        # degrees 0-20 with deficits log-uniform down to 1e-15, then degrees
+        # 18-20 with every deficit below 1e-14, whose product passes 1e-250 and
+        # takes the underflow rescale inside the loop
+        rng = np.random.default_rng(83)
+        cases = [(n, 10.0 ** rng.uniform(-15.0, 0.0, n)) for n in range(21)]
+        cases += [(n, 10.0 ** rng.uniform(-15.0, -14.0, n)) for n in (18, 19, 20)]
+        rescaled = 0
+        for n, deficits in cases:
+            zeros = tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+            B = BlaschkeProduct(zeros=zeros)
+            rescaled += math.prod(1.0 - abs(a) for a in B.zeros) < 1e-250
+            grid = np.concatenate([np.linspace(-np.pi, np.pi, 512, endpoint=False), rng.uniform(-10.0, 10.0, 64)])
+            assert np.array_equal(boundary_values(B, grid), previous_sweep(B, grid))
+            assert np.array_equal(boundary_values(B, 0.7), previous_sweep(B, 0.7))
+            offset = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-14.0, math.log10(math.pi), 300)
+            for base in (float(np.angle(zeros[0])) if n else 0.0, rng.uniform(-np.pi, np.pi)):
+                both = previous_sweep(B, base, np.concatenate([offset, -offset]))
+                assert np.array_equal(boundary_values(B, base, offset), both)
+        assert rescaled >= 3
+
     def test_periodic_without_reduction(self):
         # dyadic angles make theta + 2 pi k exact up to the rounding of 2 pi k
         # itself, which moves a factor with |a| <= 0.5 by at most 3 times that
@@ -305,6 +329,44 @@ class TestBoundaryValues:
         B = BlaschkeProduct(zeros=(0.5,))
         with pytest.raises(InvalidConfiguration):
             boundary_values(B, np.array([0.1, 0.2]), offset=np.array([1e-9, -1e-9]))
+
+
+class TestBoundaryFactors:
+    """Row k of boundary_factors is the single-factor boundary_values of zero k,
+    bit for bit, while all rows share one half-angle sweep."""
+
+    ZEROS = (0.0, 1.0 - 1e-12, -(1.0 - 1e-12) * 1j, 0.5, -0.3 + 0.4j, (1.0 - 1e-7) * np.exp(2.5j))
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            np.linspace(-np.pi, np.pi, 4096, endpoint=False),
+            (np.array([[-0.02], [0.0], [0.02]]) + np.linspace(-3.0, 3.0, 8)).ravel(),
+            np.array([-9.5, -2.0 * np.pi, -np.pi, 0.0, 1e-13, np.pi, 4.0, 12.25]),
+            0.3,
+        ],
+        ids=["sweep", "stencil", "beyond-pi", "scalar"],
+    )
+    def test_rows_are_single_factor_boundary_values(self, theta):
+        rng = np.random.default_rng(89)
+        deficits = 10.0 ** rng.uniform(-12.0, 0.0, 10)
+        zeros = self.ZEROS + tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 10)))
+        F = boundary_factors(zeros, theta)
+        assert F.shape == (len(zeros),) + np.shape(theta)
+        for row, a in zip(F, zeros):
+            assert np.array_equal(row, boundary_values(BlaschkeProduct((a,)), theta))
+
+    def test_product_of_rows_is_the_blaschke_product(self):
+        rng = np.random.default_rng(97)
+        zeros = moderate_zeros(rng, 5)
+        theta = np.linspace(-np.pi, np.pi, 257)
+        F = boundary_factors(zeros, theta)
+        assert np.max(np.abs(np.prod(F, axis=0) - boundary_values(BlaschkeProduct(zeros), theta))) < 1e-14
+
+    def test_empty_zero_list(self):
+        theta = np.linspace(-np.pi, np.pi, 24)
+        assert boundary_factors((), theta).shape == (0, 24)
+        assert boundary_factors([], 0.3).shape == (0,)
 
 
 class TestPseudohyperbolicDistance:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from toeplitz_bounds import (
+    BlaschkeProduct,
     InterpolationProblem,
     InvalidConfiguration,
     NotStrictlyFeasible,
@@ -16,7 +17,9 @@ from toeplitz_bounds import (
     minimal_level,
     pick_feasible,
     pick_matrix,
+    boundary_values,
 )
+from toeplitz_bounds import pick_interp
 from toeplitz_bounds.omega_bounds import SLACK_LADDER
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -49,6 +52,31 @@ def benchmark_problem(seed, round_index, k):
                 return InterpolationProblem(nodes=tuple(nodes), targets=tuple(targets))
             k -= 1
     raise IndexError("a round holds 60 problems")
+
+
+def near_circle_problem(rng, n):
+    """n nodes with deficits log-uniform down to 1e-11, the first at 1 - 1e-11."""
+    deficits = 10.0 ** rng.uniform(-11.0, 0.0, n)
+    deficits[0] = 1e-11
+    nodes = (1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    targets = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return InterpolationProblem(nodes=tuple(nodes), targets=tuple(targets))
+
+
+def per_level_chain(x, gammas, mu):
+    """The boundary chain as it was with one boundary_values call, and so one
+    half-angle sweep, per Schur level, inline."""
+    factors = [BlaschkeProduct((complex(a),)) for a in x[:-1]]
+    g = gammas.astype(complex)
+
+    def evaluate(theta):
+        f = np.full(np.shape(theta), g[-1])
+        for j in range(len(factors) - 1, -1, -1):
+            bf = boundary_values(factors[j], theta) * f
+            f = (bf + g[j]) / (1.0 + np.conj(g[j]) * bf)
+        return mu * f
+
+    return evaluate
 
 
 def reference_sup_norm(h, samples=4096, peaks=8):
@@ -280,6 +308,55 @@ class TestSupNorm:
 
     def test_matches_the_reference_on_acceptance_certificates(self):
         self.check(acceptance_certificates())
+
+
+class TestBoundaryChain:
+    """All Schur levels share one half-angle sweep per boundary evaluation."""
+
+    def test_matches_the_per_level_chain_bit_for_bit(self):
+        # the sweep of sup_norm, and a 24-point stencil of 8 centres, half of
+        # them at node angles, where the factors turn fastest
+        rng = np.random.default_rng(101)
+        sweep = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+        for n in range(1, 8):
+            for _ in range(3):
+                p = near_circle_problem(rng, n)
+                mu = 1.5 * minimal_level(p)
+                x, gammas = pick_interp._schur_parameters(p.nodes, p.targets, mu)
+                shared, reference = pick_interp._boundary_evaluator(x, gammas, mu), per_level_chain(x, gammas, mu)
+                centres = np.concatenate([np.angle(p.nodes[:4]), rng.uniform(-math.pi, math.pi, 8)])[:8]
+                width = 2.0 * math.pi / 4096 / 8.0 ** rng.integers(0, 7)
+                stencil = np.concatenate([centres - width, centres, centres + width])
+                for theta in (sweep, stencil):
+                    assert np.array_equal(shared(theta), reference(theta))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_trig_sweep_per_boundary_evaluation(self, monkeypatch, n):
+        # a deterministic work budget whatever the node count; one sweep per
+        # Schur level would take n - 1 per evaluation
+        sweeps, evaluations = [], []
+        cos, make = np.cos, pick_interp._boundary_evaluator
+
+        def counting_cos(*args, **kwargs):
+            sweeps.append(1)
+            return cos(*args, **kwargs)
+
+        def counting_evaluator(*args):
+            evaluate = make(*args)
+
+            def counted(theta):
+                evaluations.append(1)
+                return evaluate(theta)
+
+            return counted
+
+        p = near_circle_problem(np.random.default_rng(103 + n), n)
+        mu = minimal_level(p) * (1 + 1e-3)
+        monkeypatch.setattr(np, "cos", counting_cos)
+        monkeypatch.setattr(pick_interp, "_boundary_evaluator", counting_evaluator)
+        construct_interpolant(p, mu)
+        assert len(evaluations) >= 1
+        assert len(sweeps) <= len(evaluations)
 
 
 class TestConstruction:
