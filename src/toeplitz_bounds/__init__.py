@@ -22,11 +22,8 @@ from .circle_quad import (
 from .disk_core import (
     BlaschkeProduct,
     CirclePoint,
-    MoebiusFactor,
     boundary_values,
     eval_blaschke,
-    eval_blaschke_derivative,
-    eval_moebius,
     pseudohyperbolic_distance,
 )
 from .errors import (
@@ -78,7 +75,6 @@ __all__ = [
     "InvalidConfiguration",
     "LambdaResult",
     "LowerBoundCertificate",
-    "MoebiusFactor",
     "NormBracket",
     "NotStrictlyFeasible",
     "NumericalBreakdown",
@@ -100,8 +96,6 @@ __all__ = [
     "closed_form_functional",
     "construct_interpolant",
     "eval_blaschke",
-    "eval_blaschke_derivative",
-    "eval_moebius",
     "ideal_limit",
     "integrate_circle",
     "lambda_at_rotation",

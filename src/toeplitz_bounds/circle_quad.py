@@ -47,29 +47,23 @@ from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
 TWO_PI = 2.0 * math.pi
 # Temporaries of one row block of the rotation grid scan, sized to stay in L2.
 _GRID_BLOCK_BYTES = 1 << 20
+# Initial uniform panel count on (-pi, pi], a power of two so that theta = 0
+# and theta = pi are panel boundaries, never nodes.
+BASE_PANELS = 64
+# Bisection depth limit; 42 resolves peaks of width ~1e-11.
+MAX_DEPTH = 42
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Knobs for the adaptive circle integrator.
+    """Tolerance of the adaptive circle integrator: the absolute tolerance for
+    the normalized (mean-value) integral."""
 
-    base_panels: initial uniform panel count on (-pi, pi], a power of two (>= 64)
-        so that theta = 0 and theta = pi are panel boundaries, never nodes.
-    max_depth: bisection depth limit; 42 resolves peaks of width ~1e-11.
-    tolerance: absolute tolerance for the normalized (mean-value) integral.
-    """
-
-    base_panels: int = 64
-    max_depth: int = 42
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.base_panels < 64 or (self.base_panels & (self.base_panels - 1)) != 0:
-            raise InvalidConfiguration("base_panels must be a power of two, at least 64")
         if not (self.tolerance >= 1e-12):
             raise InvalidConfiguration("tolerance must be at least 1e-12")
-        if not (1 <= self.max_depth <= 60):
-            raise InvalidConfiguration("max_depth must be in [1, 60]")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -86,18 +80,6 @@ class LambdaResult:
     eta: CirclePoint
     error_estimate: float
     evaluations: int
-
-
-def _vectorized(f):
-    """Accept array-aware callables as-is, wrap scalar-only ones."""
-    probe = np.exp(1j * np.array([0.37, 1.91]))
-    try:
-        out = np.asarray(f(probe))
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return np.vectorize(f)
 
 
 def localmax(f, lo: float, hi: float, x: float, fx: float, width: float, steps: int):
@@ -157,7 +139,7 @@ class _PanelAccumulator:
         self.evaluations = 0
 
 
-def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float, seed_edges=None, first=None):
+def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, first=None):
     """Integrate g over [a, b] adaptively; g maps a theta array to values.
 
     Returns (integral, error_estimate, evaluations). Panels are accepted
@@ -166,7 +148,7 @@ def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float,
     below tol_abs; the share rule alone would keep splitting forever around
     integrable kinks, whose absolute contribution shrinks quadratically while
     their share shrinks only linearly. Raises ToleranceNotMet (carrying the
-    best value and an honest estimate) if panels at max_depth still miss both
+    best value and an honest estimate) if panels at MAX_DEPTH still miss both
     tests.
 
     seed_edges places extra panel boundaries at known feature locations.
@@ -200,7 +182,7 @@ def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float,
     if first:
         los, his, r23, err = first[0]
     else:
-        edges = np.linspace(a, b, spec.base_panels + 1)
+        edges = np.linspace(a, b, BASE_PANELS + 1)
         if seed_edges is not None and len(seed_edges):
             extra = np.asarray(seed_edges, dtype=float)
             extra = extra[(extra > a) & (extra < b)]
@@ -233,7 +215,7 @@ def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float,
             acc.failed_error += pending
             acc.failures += int(rest.sum())
             break
-        exhausted = rest & (depths + 1 > spec.max_depth)
+        exhausted = rest & (depths + 1 > MAX_DEPTH)
         if np.any(exhausted):
             acc.value += r23[exhausted].sum()
             acc.failed_error += float(err[exhausted].sum())
@@ -251,7 +233,7 @@ def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float,
     total_err = acc.error + acc.failed_error
     if acc.failures:
         raise ToleranceNotMet(
-            f"{acc.failures} panel(s) hit depth {spec.max_depth} above their error share",
+            f"{acc.failures} panel(s) hit depth {MAX_DEPTH} above their error share",
             value=acc.value,
             error_estimate=total_err,
             evaluations=acc.evaluations,
@@ -262,16 +244,15 @@ def _adaptive_theta(g, a: float, b: float, spec: QuadratureSpec, tol_abs: float,
 def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
     """Mean of f over the unit circle: (1/2pi) * integral of f(e^{i theta}).
 
-    f receives a complex array of boundary points and should return an array;
-    scalar-only callables are wrapped. Returns (value, error_estimate).
+    f receives a complex array of boundary points and must return an array
+    of the same shape. Returns (value, error_estimate).
     """
-    fv = _vectorized(f)
 
     def g(theta):
-        return np.asarray(fv(np.exp(1j * theta)))
+        return np.asarray(f(np.exp(1j * theta)))
 
     try:
-        val, err, _ = _adaptive_theta(g, -math.pi, math.pi, spec, spec.tolerance * TWO_PI)
+        val, err, _ = _adaptive_theta(g, -math.pi, math.pi, spec.tolerance * TWO_PI)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(
             str(exc),
@@ -511,7 +492,7 @@ def _psi(u: float, kappa: float, rho: float) -> float:
     )
 
 
-def _lambda_integral(pair, phi: float, spec: QuadratureSpec, tol: float, features=(), kink_fn=None, first=None):
+def _lambda_integral(pair, phi: float, tol: float, features=(), kink_fn=None, first=None):
     """The inner Lambda integral at a fixed rotation angle phi.
 
     Uses the evenness of the integrand in theta: the mean over the circle is
@@ -525,7 +506,7 @@ def _lambda_integral(pair, phi: float, spec: QuadratureSpec, tol: float, feature
     seeds = None if first else _seed_edges_for_rotation(features, phi)
     if kink_fn is not None and not first:
         seeds = np.concatenate([seeds, kink_fn(phi)]) if len(seeds) else kink_fn(phi)
-    val, err, evals = _adaptive_theta(g, 0.0, math.pi, spec, tol * math.pi, seed_edges=seeds, first=first)
+    val, err, evals = _adaptive_theta(g, 0.0, math.pi, tol * math.pi, seed_edges=seeds, first=first)
     return float(val.real) / math.pi, err / math.pi, evals
 
 
@@ -533,7 +514,7 @@ def lambda_at_rotation(f, eta, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> fl
     """The Lambda integrand's inner integral at one fixed rotation eta."""
     phi = float(np.angle(as_complex(eta)))
     pair = _pair_evaluator(f)
-    val, _, _ = _lambda_integral(pair, phi, spec, spec.tolerance, _feature_scales(f), _kink_solver(f))
+    val, _, _ = _lambda_integral(pair, phi, spec.tolerance, _feature_scales(f), _kink_solver(f))
     return val
 
 
@@ -628,7 +609,7 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
     rotations = {}
 
     def integral(phi, tol):
-        return _lambda_integral(pair, phi, spec, tol, features, kink_fn, rotations.setdefault(phi, _Rotation()).first)
+        return _lambda_integral(pair, phi, tol, features, kink_fn, rotations.setdefault(phi, _Rotation()).first)
 
     def protected(phi, tol):
         nonlocal evals

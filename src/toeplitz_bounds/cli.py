@@ -24,7 +24,7 @@ import re
 import sys
 
 from .circle_quad import QuadratureSpec, lambda_functional
-from .disk_core import BlaschkeProduct, CirclePoint
+from .disk_core import BlaschkeProduct, CirclePoint, complex_pairs
 from .errors import (
     InvalidConfiguration,
     NotStrictlyFeasible,
@@ -83,7 +83,7 @@ def _load_zeros_file(path: str) -> tuple:
         data = json.load(fh)
     if isinstance(data, dict):
         data = data["zeros"]
-    return tuple(complex(re, im) for re, im in data)
+    return complex_pairs(data)
 
 
 def zeros_digest(zeros) -> str:

@@ -1,9 +1,13 @@
-"""Complex calculus for Moebius factors and finite Blaschke products on the closed disk.
+"""Finite Blaschke products on the closed disk: values inside, the
+derivative at the zeros, and values on the circle.
 
-Evaluation routines accept scalars or numpy arrays and preserve the input
+eval_blaschke accepts scalars or numpy arrays and preserves the input
 precision, so callers that need extended precision can pass clongdouble
-values. On the circle, boundary_values uses a half-angle form: the factor
-of a zero rho e^{i gamma} at angle theta is e^{i gamma} w^2/|w|^2, with
+values. The residue route needs B' only at the zeros, where the private
+_derivative_at_zero takes it from the other factors.
+
+On the circle, boundary_values uses a half-angle form: the factor of a zero
+rho e^{i gamma} at angle theta is e^{i gamma} w^2/|w|^2, with
 w = (1 - rho) cos(beta/2) + i (1 + rho) sin(beta/2), beta = theta - gamma.
 Needing only 1 - rho, it stays accurate for zeros within 1e-12 of the
 circle, where (z - a)/(1 - z*conj(a)) cancels. One private generator,
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfiguration, RepeatedZero
+from .errors import InvalidConfiguration
 
 # Zeros closer than this are treated as confluent and rejected by the paths
 # that require simple zeros.
@@ -37,6 +41,16 @@ SEPARATION: float = 1e-12
 def as_complex(x) -> complex:
     """Unwrap a point wrapper to a plain complex number."""
     return complex(x.value) if hasattr(x, "value") else complex(x)
+
+
+def complex_pairs(entries) -> tuple:
+    """Complex values from a list of [re, im] pairs, as JSON files write them."""
+    values = []
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise InvalidConfiguration(f"expected an [re, im] pair, got {entry!r}")
+        values.append(complex(*entry))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -51,19 +65,6 @@ class CirclePoint:
         if not abs(r - 1.0) <= 1e-6:
             raise InvalidConfiguration(f"|value| = {r!r} is too far from the unit circle")
         object.__setattr__(self, "value", v / r)
-
-
-@dataclass(frozen=True)
-class MoebiusFactor:
-    """The disk automorphism factor z -> (z - a)/(1 - z*conj(a))."""
-
-    a: complex
-
-    def __post_init__(self):
-        a = complex(self.a)
-        if not abs(a) < 1.0:
-            raise InvalidConfiguration(f"Moebius zero must lie inside the disk, got |a| = {abs(a)!r}")
-        object.__setattr__(self, "a", a)
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,6 @@ class BlaschkeProduct:
         return len(self.zeros)
 
 
-def eval_moebius(factor: MoebiusFactor, z):
-    """Evaluate (z - a)/(1 - z*conj(a)); modulus <= 1 on the closed disk."""
-    a = factor.a
-    return (z - a) / (1 - z * np.conj(a))
-
-
 def eval_blaschke(B: BlaschkeProduct, z):
     """Evaluate the product of Moebius factors at z (scalar or array)."""
     out = np.ones_like(np.asarray(z) * (1 + 0j))
@@ -104,51 +99,22 @@ def eval_blaschke(B: BlaschkeProduct, z):
     return out
 
 
-def _factor_values(zeros, z):
-    """Matrix F[j] = value of the j-th factor at z (z may be an array)."""
-    z = np.asarray(z)
-    return np.stack([(z - a) / (1 - z * np.conj(a)) for a in zeros])
+def _derivative_at_zero(zeros, k):
+    """B'(a_k) in clongdouble for simple zeros: b_k'(a_k) = 1/(1 - |a_k|^2)
+    times the other factors at a_k.
 
-
-def eval_blaschke_derivative(B: BlaschkeProduct, z):
-    """Derivative B'(z) by the product rule over factors.
-
-    The sum sum_j b_j'(z) * prod_{k != j} b_k(z) is algebraically identical to
-    the logarithmic-derivative form B(z) * sum_j [1/(z - a_j) + conj(a_j)/(1 - z*conj(a_j))]
-    but stays finite at the zeros themselves, where only the j-th term survives.
-    Raises RepeatedZero when z sits on a confluent pair; higher-order zeros are
-    out of scope.
+    The product rule's terms j != k all carry the factor b_k(a_k), which is
+    exactly 0 at a_k, so this is the whole sum, with its bits as long as the
+    other factors are multiplied together before b_k'(a_k) joins them.
     """
-    zeros = B.zeros
-    n = len(zeros)
-    zarr = np.asarray(z)
-    scalar = zarr.ndim == 0
-    if n == 0:
-        out = np.zeros_like(zarr * (1 + 0j))
-        return out[()] if scalar else out
-
-    # Confluent-pair guard: only degenerate when the evaluation point is there.
-    for j in range(n):
-        for k in range(j + 1, n):
-            if abs(zeros[j] - zeros[k]) < SEPARATION and np.any(np.abs(zarr - zeros[j]) < SEPARATION):
-                raise RepeatedZero(
-                    f"zeros {zeros[j]} and {zeros[k]} coincide within {SEPARATION}; "
-                    "derivative at a higher-order zero is unsupported"
-                )
-
-    F = _factor_values(zeros, zarr * (1 + 0j))
-    out = np.zeros_like(F[0])
+    al = np.clongdouble(1) * zeros[k]
+    rest = np.clongdouble(1)
     for j, a in enumerate(zeros):
-        rho = abs(a)
-        # (1 - rho)(1 + rho) avoids cancellation for zeros near the circle.
-        dnum = (1.0 - rho) * (1.0 + rho)
-        dfac = dnum / (1 - zarr * np.conj(a)) ** 2
-        rest = np.ones_like(out) + 0
-        for k in range(n):
-            if k != j:
-                rest = rest * F[k]
-        out = out + dfac * rest
-    return out[()] if scalar else out
+        if j != k:
+            rest = rest * ((al - a) / (1 - al * np.conj(a)))
+    rho = abs(zeros[k])
+    # (1 - rho)(1 + rho) avoids cancellation for zeros near the circle.
+    return (1.0 - rho) * (1.0 + rho) / (1 - al * np.conj(zeros[k])) ** 2 * rest
 
 
 def _half_angle_terms(zeros, u, base=None):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle_quad import DEFAULT_LAMBDA_SPEC, QuadratureSpec, lambda_functional
+from .circle_quad import DEFAULT_LAMBDA_SPEC, QuadratureSpec
 from .disk_core import BlaschkeProduct, CirclePoint, as_complex
 from .errors import InvalidConfiguration, NotStrictlyFeasible, NumericalBreakdown
 from .pick_interp import InterpolationProblem, construct_interpolant, minimal_level

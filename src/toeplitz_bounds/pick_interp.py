@@ -25,6 +25,7 @@ half-angle sweep per evaluation.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ from .disk_core import (
     SEPARATION,
     as_complex,
     boundary_factors,
+    complex_pairs,
     pseudohyperbolic_distance,
 )
 from .errors import (
@@ -65,6 +67,9 @@ class InterpolationProblem:
             raise InvalidConfiguration("at least one node is required")
         if len(nodes) != len(targets):
             raise InvalidConfiguration("nodes and targets must have equal length")
+        for y in targets:
+            if not cmath.isfinite(y):
+                raise InvalidConfiguration(f"target {y!r} is not finite")
         for x in nodes:
             if not abs(x) < 1.0:
                 raise InvalidConfiguration(f"node |x| = {abs(x)!r} is not inside the open disk")
@@ -89,10 +94,7 @@ class InterpolationProblem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InterpolationProblem":
-        return cls(
-            nodes=tuple(complex(re, im) for re, im in d["nodes"]),
-            targets=tuple(complex(re, im) for re, im in d["targets"]),
-        )
+        return cls(nodes=complex_pairs(d["nodes"]), targets=complex_pairs(d["targets"]))
 
 
 def pick_matrix(problem: InterpolationProblem, mu: float) -> np.ndarray:
@@ -280,13 +282,7 @@ def construct_interpolant(problem: InterpolationProblem, mu: float) -> Interpola
     x, gammas = _schur_parameters(problem.nodes, problem.targets, mu)
     evaluate = _chain_evaluator(x, gammas, mu)
     num, den = _chain_polynomials(x, gammas, mu)
-    h = RationalFunction(
-        num,
-        den,
-        evaluator=evaluate,
-        boundary=_boundary_evaluator(x, gammas, mu),
-        validate_poles=False,
-    )
+    h = RationalFunction(num, den, evaluator=evaluate, boundary=_boundary_evaluator(x, gammas, mu))
 
     nodes_arr = np.array(problem.nodes, dtype=complex)
     targets_arr = np.array(problem.targets, dtype=complex)

@@ -5,7 +5,8 @@ For an inner rational symbol B and h analytic on the closed disk, the operator
     (T_B h)(z) = (1/2pi) * integral conj(B(zeta)) h(zeta) zeta / (zeta - z) dm(zeta)
 
 reduces by residue calculus to h(z)/B(z) + sum_k h(a_k) / (B'(a_k) (a_k - z))
-over the (simple) zeros a_k of B. Both routes are implemented independently;
+over the (simple) zeros a_k of B, with B'(a_k) = prod_{j != k} b_j(a_k) / (1 - |a_k|^2)
+taken from the other factors. Both routes are implemented independently;
 their agreement is a standing cross-check, never collapsed into one path.
 
 Residue evaluations run internally in extended precision (clongdouble) so the
@@ -30,10 +31,10 @@ from .circle_quad import (
 from .disk_core import (
     SEPARATION,
     BlaschkeProduct,
+    _derivative_at_zero,
     as_complex,
     boundary_values,
     eval_blaschke,
-    eval_blaschke_derivative,
 )
 from .errors import InvalidConfiguration, PointCollision, RepeatedZero
 
@@ -57,8 +58,8 @@ class RationalFunction:
     """Quotient of polynomials, analytic on the closed unit disk.
 
     Coefficients are stored in ascending order and must be finite.
-    Construction checks that all denominator roots stay outside
-    |w| = 1 + 1e-9. Solver-built interpolants may carry a trusted evaluator
+    Without an evaluator, construction checks that all denominator roots stay
+    outside |w| = 1 + 1e-9. Solver-built interpolants carry a trusted evaluator
     closure whose analyticity is certified structurally (Schur parameters
     inside the disk); for those the root check is skipped, since near-minimal
     interpolants have poles legitimately closer to the circle than the margin
@@ -67,9 +68,7 @@ class RationalFunction:
     place of the general one.
     """
 
-    def __init__(
-        self, numerator, denominator=(1.0,), *, evaluator=None, boundary=None, validate_poles=True
-    ):
+    def __init__(self, numerator, denominator=(1.0,), *, evaluator=None, boundary=None):
         num = np.atleast_1d(np.asarray(numerator, dtype=complex))
         den = np.atleast_1d(np.asarray(denominator, dtype=complex))
         if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
@@ -80,7 +79,7 @@ class RationalFunction:
             den = den[:-1]
         while num.size > 1 and num[-1] == 0:
             num = num[:-1]
-        if evaluator is None and validate_poles and den.size > 1:
+        if evaluator is None and den.size > 1:
             roots = np.roots(den[::-1])
             bad = np.abs(roots) <= 1.0 + POLE_MARGIN
             if np.any(bad):
@@ -224,9 +223,9 @@ def apply_toeplitz_residue(B: BlaschkeProduct, h, z) -> complex:
     hf = _as_function(h)
     zl = np.clongdouble(1) * zc
     value = hf(zl) / eval_blaschke(B, zl)
-    for a in B.zeros:
+    for k, a in enumerate(B.zeros):
         al = np.clongdouble(1) * a
-        value = value + hf(al) / (eval_blaschke_derivative(B, al) * (al - zl))
+        value = value + hf(al) / (_derivative_at_zero(B.zeros, k) * (al - zl))
     return complex(value)
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from toeplitz_bounds import BlaschkeProduct, lambda_functional
+from toeplitz_bounds import BlaschkeProduct, lambda_functional, toeplitz_op
 from toeplitz_bounds.cli import main, parse_complex, zeros_digest
 from toeplitz_bounds.errors import InvalidConfiguration
 
@@ -115,6 +115,38 @@ class TestApplyCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--zeros", "0.5", "-0.25,0.1", "0.3,-0.6", "--h", "1;0.5;0.25,0.1", "--z", "0.1,0.2"],
+                "191fa2bff0a626c87f5385e38d7010ae60116ff24ad1c30974fccc4c2b2abf7c",
+            ),
+            (
+                ["--zeros", "0.999999", "--h", "1;0.5", "--z", "0.2", "--method", "contour"],
+                "a1a664dfd8cd43f4f55add39d74c49162203305aee56c8276a542df9b471e6d6",
+            ),
+        ],
+        ids=["residue", "contour-fallback"],
+    )
+    def test_stdout_is_pinned(self, capsys, monkeypatch, argv, digest):
+        # the residue route on a degree-3 symbol, and the contour route next
+        # to a zero 1e-6 from the circle, where trapezoid doubling stalls and
+        # the adaptive integrate_circle takes over; digests recorded when B'
+        # at the zeros came from the full product rule
+        fallbacks = []
+        real = toeplitz_op.integrate_circle
+
+        def counted(f, spec):
+            fallbacks.append(spec)
+            return real(f, spec)
+
+        monkeypatch.setattr(toeplitz_op, "integrate_circle", counted)
+        code, out, err = run_main(capsys, ["apply"] + argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert len(fallbacks) == ("contour" in argv)
+
 
 class TestPickCommand:
     def test_minimal_level_of_the_derivative_problem(self, capsys, tmp_path):
@@ -168,8 +200,27 @@ class TestPickCommand:
         code, _, _ = run_main(capsys, ["pick", "--problem-file", "/nonexistent/problem.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["NaN", "1e400", "-Infinity"])
+    def test_non_finite_target_exits_two(self, capsys, tmp_path, target):
+        pf = tmp_path / "problem.json"
+        pf.write_text('{"nodes": [[0.0, 0.0], [0.5, 0.0]], "targets": [[0.0, 0.0], [%s, 0.0]]}' % target)
+        for extra in ([], ["--construct"]):
+            code, out, err = run_main(capsys, ["pick", "--problem-file", str(pf)] + extra)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+
 
 class TestBracketCommand:
+    def test_ray_json_stdout_is_pinned(self, capsys):
+        # the certificate carries V, the residue value at the probe; digest
+        # recorded when B' at the zeros came from the full product rule
+        code, out, err = run_main(capsys, ["bracket", "--q", "0.002", "--n", "2", "--m", "4", "--json"])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1bb618d31fcdfe8797600e88a4f25ecfb4f563d4c75cf77ff26b894751b191f8"
+        )
+
     def test_plain_symbol_prints_lower_and_upper(self, capsys):
         code, out, _ = run_main(capsys, ["bracket", "--zeros", "0.5"])
         assert code == 0
@@ -256,6 +307,29 @@ class TestNaNInputs:
     )
     def test_nan_input_exits_two(self, capsys, argv):
         code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+class TestMalformedFiles:
+    """A file entry that is not an [re, im] pair is invalid input, not a traceback."""
+
+    @pytest.mark.parametrize("entries", [[[0.5, 0.0, 1.0]], [[0.5]], [[0.5, 0.0], [0.25]]])
+    @pytest.mark.parametrize("command", ["lambda", "bracket"])
+    def test_zeros_file_entry_exits_two(self, capsys, tmp_path, command, entries):
+        zf = tmp_path / "zeros.json"
+        zf.write_text(json.dumps(entries))
+        code, out, err = run_main(capsys, [command, "--zeros-file", str(zf)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("key, entries", [("nodes", [[0.5, 0.0, 1.0]]), ("targets", [[0.5]])])
+    def test_problem_file_entry_exits_two(self, capsys, tmp_path, key, entries):
+        pf = tmp_path / "problem.json"
+        pf.write_text(json.dumps({"nodes": [[0.5, 0.0]], "targets": [[0.25, 0.0]], key: entries}))
+        code, out, err = run_main(capsys, ["pick", "--problem-file", str(pf)])
         assert code == 2
         assert out == ""
         assert err.startswith("error:")

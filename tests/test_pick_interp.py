@@ -174,6 +174,21 @@ class TestProblemValidation:
         assert q.nodes == p.nodes
         assert q.targets == p.targets
 
+    @pytest.mark.parametrize("target", [complex("nan"), complex(0.5, float("nan")), complex("inf"), complex(0.0, -1e400)])
+    def test_rejects_non_finite_targets(self, target):
+        # minimal_level's SVD would otherwise fail with a LinAlgError
+        with pytest.raises(InvalidConfiguration):
+            InterpolationProblem(nodes=(0.1, 0.5j), targets=(0.3, target))
+
+    @pytest.mark.parametrize(
+        "key, entries",
+        [("nodes", [[0.2, 0.0, 1.0], [0.5, 0.0]]), ("nodes", [[0.2], [0.5, 0.0]]), ("targets", [[0.3, 0.0], 0.5])],
+    )
+    def test_from_dict_rejects_entries_that_are_not_pairs(self, key, entries):
+        d = {"nodes": [[0.2, 0.0], [0.5, 0.0]], "targets": [[0.3, 0.0], [0.1, 0.2]], key: entries}
+        with pytest.raises(InvalidConfiguration):
+            InterpolationProblem.from_dict(d)
+
 
 class TestPickMatrix:
     def test_two_node_entries_match_the_formula(self):

@@ -129,10 +129,6 @@ class TestRationalFunction:
         with pytest.raises(InvalidConfiguration):
             RationalFunction([1.0], [1.0, -2.0])
 
-    def test_pole_check_can_be_skipped(self):
-        f = RationalFunction([1.0], [1.0, -2.0], validate_poles=False)
-        assert f(0.0) == pytest.approx(1.0)
-
     @pytest.mark.parametrize(
         "num, den",
         [([1.0, float("nan")], [1.0]), ([float("inf")], [1.0]), ([1.0], [1.0, complex(0.0, float("nan"))])],
