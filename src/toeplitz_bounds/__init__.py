@@ -42,7 +42,6 @@ from .omega_bounds import (
     StudyResult,
     StudyRow,
     bracket_norm,
-    build_configuration,
     certify_lower_bound,
     closed_form_functional,
     ideal_limit,
@@ -91,7 +90,6 @@ __all__ = [
     "apply_toeplitz_residue",
     "boundary_values",
     "bracket_norm",
-    "build_configuration",
     "certify_lower_bound",
     "closed_form_functional",
     "construct_interpolant",

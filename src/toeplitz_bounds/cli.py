@@ -37,8 +37,6 @@ from .omega_bounds import (
     RayConfiguration,
     _fmt,
     bracket_norm,
-    build_configuration,
-    default_eps,
     omega_convergence_study,
     study_to_csv,
     study_to_json,
@@ -182,23 +180,20 @@ def _cmd_pick(args) -> int:
 
 def _cmd_bracket(args) -> int:
     spec = QuadratureSpec(tolerance=args.tolerance)
-    zeros = parse_zeros(args.zeros)
-    xi = parse_complex(args.xi)
-    m_offsets = _parse_list(args.m_offsets, int)
     if args.q is not None:
+        if args.zeros or args.zeros_file is not None:
+            raise InvalidConfiguration("--zeros and --zeros-file cannot be combined with --q")
         if args.n is None or args.m is None:
             raise InvalidConfiguration("a ray configuration needs --q, --n and --m")
-        eps = args.eps if args.eps is not None else default_eps(args.q)
-        ray = RayConfiguration(xi=CirclePoint(xi), q=args.q, n=args.n, m=args.m, eps=eps)
-        _, symbol, _ = build_configuration(ray.xi, ray.q, ray.n, ray.m, ray.eps)
-        bracket = bracket_norm(
-            symbol, ray, m_offsets=m_offsets, lambda_spec=spec, rotation_grid=args.rotation_grid
-        )
+        xi = parse_complex("1" if args.xi is None else args.xi)
+        m_offsets = _parse_list("2,4,8,16" if args.m_offsets is None else args.m_offsets, int)
+        ray = RayConfiguration(xi=xi, q=args.q, n=args.n, m=args.m, eps=args.eps)
+        bracket = bracket_norm(ray, m_offsets, spec, args.rotation_grid)
     else:
-        if args.zeros_file is not None:
-            zeros = _load_zeros_file(args.zeros_file)
-        symbol = BlaschkeProduct(zeros=zeros)
-        bracket = bracket_norm(symbol, None, lambda_spec=spec, rotation_grid=args.rotation_grid)
+        if any(v is not None for v in (args.n, args.m, args.eps, args.xi, args.m_offsets)):
+            raise InvalidConfiguration("--n, --m, --eps, --xi and --m-offsets describe a ray and need --q")
+        symbol = BlaschkeProduct(zeros=_resolve_zeros(args))
+        bracket = bracket_norm(symbol, lambda_spec=spec, rotation_grid=args.rotation_grid)
     if args.json:
         prov = bracket.lower_provenance
         payload = {
@@ -250,9 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--tolerance", type=float, default=1e-8)
-        p.add_argument("--rotation-grid", type=int, default=256)
+    def add_common(p, tolerance=True, rotation_grid=True):
+        if tolerance:
+            p.add_argument("--tolerance", type=float, default=1e-8)
+        if rotation_grid:
+            p.add_argument("--rotation-grid", type=int, default=256)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("lambda", help="oscillation functional of a Blaschke product")
@@ -268,25 +265,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=str, default="1", help="constant or polynomial coefficients")
     p.add_argument("--z", type=str, default="0", help="evaluation point as re,im")
     p.add_argument("--method", choices=("residue", "contour"), default="residue")
-    add_common(p)
+    add_common(p, rotation_grid=False)
 
     p = sub.add_parser("pick", help="minimal interpolation level, optional witness")
     p.set_defaults(func=_cmd_pick)
     p.add_argument("--problem-file", type=str, required=True)
     p.add_argument("--construct", action="store_true")
     p.add_argument("--level", type=float, default=None)
-    add_common(p)
+    add_common(p, tolerance=False, rotation_grid=False)
 
     p = sub.add_parser("bracket", help="certified [lower, upper] for one symbol")
     p.set_defaults(func=_cmd_bracket)
     p.add_argument("--zeros", nargs="*", default=[])
     p.add_argument("--zeros-file", type=str, default=None)
-    p.add_argument("--xi", type=str, default="1")
+    p.add_argument("--xi", type=str, default=None, help='ray direction, "1" if not given')
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--m-offsets", type=str, default="2,4,8,16")
+    p.add_argument("--m-offsets", type=str, default=None, help='"2,4,8,16" if not given')
     p.add_argument("--json", action="store_true")
     add_common(p)
 

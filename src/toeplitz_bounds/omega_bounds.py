@@ -19,6 +19,14 @@ Target values are assembled from the radius deficits d_k = q^k, never from
 differences of the node coordinates themselves: identities such as
 1 - (1-d_j)(1-d_k) = d_j + d_k - d_j*d_k keep full relative accuracy where
 the direct form has already rounded to zero.
+
+RayConfiguration is the one place a ray is built. It fills in the inner
+radius floor eps = default_eps(q) when none is given, raises
+InvalidConfiguration when the probe deficit q^m lies below
+PROBE_DEFICIT_FLOOR, and builds the symbol (symbol()) and the interpolation
+problem (problem()). A convergence study sweeps configurations over a (q, m)
+schedule and emits a NaN row for each cell below the floor; the bracket of
+one configuration is the study of its single q.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,19 +52,40 @@ PROBE_DEFICIT_FLOOR = 1e-12
 SLACK_LADDER = (1e-6, 1e-5, 1e-4, 1e-3)
 
 
+def _ray_zeros(xi: complex, q: float, n: int) -> np.ndarray:
+    """Zeros (1 - q^k) xi, k = 1..n, of the ray symbol."""
+    return (1.0 - float(q) ** np.arange(1, n + 1, dtype=float)) * xi
+
+
+def default_eps(q: float) -> float:
+    """Inner radius floor used when none is given; comfortably below 1 - q."""
+    return 0.5 * (1.0 - q)
+
+
 @dataclass(frozen=True)
 class RayConfiguration:
-    """Zeros and probe on a common ray, with the generating parameters."""
+    """Zeros and probe on a common ray, with the generating parameters.
+
+    The one owner of a ray: it resolves eps to default_eps(q) when none is
+    given, normalises q, n, m and eps to float and int, and rejects a probe
+    whose deficit q^m lies below PROBE_DEFICIT_FLOOR. symbol() and problem()
+    build the Blaschke product and the interpolation problem it determines.
+    """
 
     xi: CirclePoint
     q: float
     n: int
     m: int
-    eps: float
+    eps: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.xi, CirclePoint):
             object.__setattr__(self, "xi", CirclePoint(as_complex(self.xi)))
+        eps = default_eps(self.q) if self.eps is None else self.eps
+        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "eps", float(eps))
         if not (0.0 < self.q < 1.0):
             raise InvalidConfiguration(f"q must be in (0, 1), got {self.q!r}")
         if self.n < 1:
@@ -66,6 +95,10 @@ class RayConfiguration:
         if not (0.0 < self.eps < 1.0 - self.q):
             raise InvalidConfiguration(
                 f"inner radius floor eps={self.eps!r} must lie in (0, 1 - q) = (0, {1.0 - self.q!r})"
+            )
+        if self.probe_deficit < PROBE_DEFICIT_FLOOR:
+            raise InvalidConfiguration(
+                f"probe deficit q^m = {self.probe_deficit!r} is below the representable floor"
             )
 
     @property
@@ -78,10 +111,37 @@ class RayConfiguration:
         return float(self.q ** self.m)
 
     def zeros(self) -> np.ndarray:
-        return (1.0 - self.deficits) * self.xi.value
+        return _ray_zeros(self.xi.value, self.q, self.n)
 
     def probe(self) -> complex:
         return (1.0 - self.probe_deficit) * self.xi.value
+
+    def symbol(self) -> BlaschkeProduct:
+        return BlaschkeProduct(zeros=tuple(self.zeros()))
+
+    def problem(self) -> InterpolationProblem:
+        """Targets y_k = B'(x_k) (|x_k|^2 - 1) xi at the zeros and y_m = B(x_m)
+        at the probe, both reduced to products over radius deficits. The
+        Schwarz-Pick inequality keeps every |y_k| at most 1.
+        """
+        xi_c = self.xi.value
+        d = self.deficits.astype(np.longdouble)
+        dm = np.longdouble(self.q) ** self.m
+
+        targets = []
+        for k in range(self.n):
+            prod = np.clongdouble(1.0)
+            for j in range(self.n):
+                if j != k:
+                    prod *= (d[j] - d[k]) / (d[j] + d[k] - d[j] * d[k])
+            targets.append(complex(-(xi_c**self.n) * complex(prod)))
+        prod = np.clongdouble(1.0)
+        for j in range(self.n):
+            prod *= (d[j] - dm) / (d[j] + dm - d[j] * dm)
+        targets.append(complex((xi_c**self.n) * complex(prod)))
+
+        nodes = tuple(self.zeros()) + (self.probe(),)
+        return InterpolationProblem(nodes=nodes, targets=tuple(targets))
 
     def to_dict(self) -> dict:
         return {
@@ -91,48 +151,6 @@ class RayConfiguration:
             "m": self.m,
             "eps": self.eps,
         }
-
-
-def default_eps(q: float) -> float:
-    """Inner radius floor used when none is given; comfortably below 1 - q."""
-    return 0.5 * (1.0 - q)
-
-
-def build_configuration(xi, q: float, n: int, m: int, eps: float | None = None):
-    """Assemble the ray configuration, its symbol, and the interpolation problem.
-
-    Targets: y_k = B'(x_k) (|x_k|^2 - 1) xi at the zeros and y_m = B(x_m) at
-    the probe, both reduced to products over radius deficits. The Schwarz-Pick
-    inequality keeps every |y_k| at most 1.
-    """
-    if eps is None:
-        eps = default_eps(q)
-    config = RayConfiguration(xi=xi, q=float(q), n=int(n), m=int(m), eps=float(eps))
-    if config.probe_deficit < PROBE_DEFICIT_FLOOR:
-        raise InvalidConfiguration(
-            f"probe deficit q^m = {config.probe_deficit!r} is below the representable floor"
-        )
-    xi_c = config.xi.value
-    d = config.deficits.astype(np.longdouble)
-    dm = np.longdouble(config.q) ** config.m
-
-    targets = []
-    for k in range(config.n):
-        prod = np.clongdouble(1.0)
-        for j in range(config.n):
-            if j != k:
-                prod *= (d[j] - d[k]) / (d[j] + d[k] - d[j] * d[k])
-        targets.append(complex(-(xi_c**config.n) * complex(prod)))
-    prod = np.clongdouble(1.0)
-    for j in range(config.n):
-        prod *= (d[j] - dm) / (d[j] + dm - d[j] * dm)
-    targets.append(complex((xi_c**config.n) * complex(prod)))
-
-    zeros = config.zeros()
-    nodes = tuple(zeros) + (config.probe(),)
-    problem = InterpolationProblem(nodes=nodes, targets=tuple(targets))
-    symbol = BlaschkeProduct(zeros=tuple(zeros))
-    return config, symbol, problem
 
 
 def ideal_limit(n: int, q: float) -> float:
@@ -153,7 +171,6 @@ class LowerBoundCertificate:
 
     configuration: RayConfiguration
     functional_value: complex
-    interpolant_norm: float
     certified: float
     ideal_limit: float
     level: float
@@ -163,7 +180,7 @@ class LowerBoundCertificate:
         return {
             "configuration": self.configuration.to_dict(),
             "functional_value": [self.functional_value.real, self.functional_value.imag],
-            "interpolant_norm": self.interpolant_norm,
+            "interpolant_norm": self.level,
             "certified": self.certified,
             "ideal_limit": self.ideal_limit,
             "level": self.level,
@@ -179,9 +196,7 @@ def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
     sup |h0| from below and could certify too much. The level is reported as
     the interpolant norm.
     """
-    config, symbol, problem = build_configuration(
-        config.xi, config.q, config.n, config.m, config.eps
-    )
+    problem = config.problem()
     mu_min = minimal_level(problem)
     warnings: list[str] = []
     cert = None
@@ -199,7 +214,7 @@ def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
         )
     warnings.extend(cert.warnings)
 
-    V = apply_toeplitz_residue(symbol, cert.interpolant, config.probe())
+    V = apply_toeplitz_residue(config.symbol(), cert.interpolant, config.probe())
     v_closed = closed_form_functional(config)
     if abs(V - v_closed) > 1e-7 * (1.0 + abs(V)):
         warnings.append(
@@ -209,7 +224,6 @@ def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
     return LowerBoundCertificate(
         configuration=config,
         functional_value=V,
-        interpolant_norm=cert.level,
         certified=float(abs(V) / cert.level),
         ideal_limit=ideal_limit(config.n, config.q),
         level=cert.level,
@@ -228,55 +242,39 @@ class NormBracket:
 
 
 def bracket_norm(
-    B: BlaschkeProduct,
-    config: RayConfiguration | None = None,
+    symbol: BlaschkeProduct | RayConfiguration,
     m_offsets: tuple = (2, 4, 8, 16),
     lambda_spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC,
     rotation_grid: int = 256,
 ) -> NormBracket:
     """Upper bound from the oscillation functional, lower from the best certificate.
 
-    Without a ray configuration the lower side falls back to 1: multiplication
-    by an inner symbol is an isometry of H-infinity that the operator inverts,
-    so the norm is never below 1. Degree 0 gives the degenerate bracket [1, 1].
+    A RayConfiguration brackets its own symbol: the lower side is the best
+    certificate over the probe indices m and n + m_offsets, which is the
+    convergence study of that one q; probes below the deficit floor are left
+    out, and the configured m is never below it. Any other Blaschke product
+    gets the lower bound 1: multiplication by an inner symbol is an isometry
+    of H-infinity that the operator inverts, so the norm is never below 1.
+    Degree 0 gives the degenerate bracket [1, 1].
     """
-    if B.degree == 0:
+    upper_prov = "1 + oscillation functional + quadrature error"
+    if isinstance(symbol, RayConfiguration):
+        offsets = sorted({symbol.m - symbol.n, *m_offsets})
+        study = omega_convergence_study(
+            symbol.n, symbol.xi, (symbol.q,), offsets, symbol.eps, lambda_spec, rotation_grid
+        )
+        return replace(study.best, upper_provenance=upper_prov)
+    if symbol.degree == 0:
         return NormBracket(
             lower=1.0,
             upper=1.0,
             lower_provenance="identity: the operator with constant symbol reproduces its argument",
             upper_provenance="constant symbol: oscillation functional vanishes",
         )
-    upper = lemma1_upper_bound(B, lambda_spec, rotation_grid)
-    upper_prov = "1 + oscillation functional + quadrature error"
-    if config is None:
-        return NormBracket(
-            lower=1.0,
-            upper=upper,
-            lower_provenance="inner-symbol identity lower bound",
-            upper_provenance=upper_prov,
-        )
-    expected = config.zeros()
-    if len(expected) != B.degree or not np.allclose(
-        np.sort_complex(np.asarray(B.zeros)), np.sort_complex(expected), atol=1e-12
-    ):
-        raise InvalidConfiguration("ray configuration does not describe the given symbol")
-    best: LowerBoundCertificate | None = None
-    ms = sorted({config.m, *(config.n + off for off in m_offsets)})
-    for m in ms:
-        if float(config.q) ** m < PROBE_DEFICIT_FLOOR:
-            continue
-        cand = certify_lower_bound(
-            RayConfiguration(xi=config.xi, q=config.q, n=config.n, m=m, eps=config.eps)
-        )
-        if best is None or cand.certified > best.certified:
-            best = cand
-    if best is None:
-        raise InvalidConfiguration("every probe index in the schedule fell below the deficit floor")
     return NormBracket(
-        lower=best.certified,
-        upper=upper,
-        lower_provenance=best,
+        lower=1.0,
+        upper=lemma1_upper_bound(symbol, lambda_spec, rotation_grid),
+        lower_provenance="inner-symbol identity lower bound",
         upper_provenance=upper_prov,
     )
 
@@ -327,17 +325,23 @@ def omega_convergence_study(
         raise InvalidConfiguration(f"every q must be in (0, 1), got {q_schedule!r}")
     xi_p = xi if isinstance(xi, CirclePoint) else CirclePoint(as_complex(xi))
 
-    uppers = {}
-    for q in q_schedule:
-        deficits = float(q) ** np.arange(1, n + 1, dtype=float)
-        symbol = BlaschkeProduct(zeros=tuple((1.0 - deficits) * xi_p.value))
-        uppers[q] = lemma1_upper_bound(symbol, lambda_spec, rotation_grid)
-
+    # every cell is checked before the first upper bound is computed
     cells = [(q, n + off) for q in q_schedule for off in m_offsets]
+    configs = {
+        (q, m): RayConfiguration(xi=xi_p, q=q, n=n, m=m, eps=eps)
+        for q, m in cells
+        if float(q) ** m >= PROBE_DEFICIT_FLOOR
+    }
+    uppers = {
+        q: lemma1_upper_bound(
+            BlaschkeProduct(zeros=tuple(_ray_zeros(xi_p.value, q, n))), lambda_spec, rotation_grid
+        )
+        for q in q_schedule
+    }
 
     def run_cell(cell):
         q, m = cell
-        if float(q) ** m < PROBE_DEFICIT_FLOOR:
+        if cell not in configs:
             return StudyRow(
                 n=n,
                 xi=xi_p.value,
@@ -349,12 +353,7 @@ def omega_convergence_study(
                 interp_norm=math.nan,
                 warnings=("probe deficit below representable floor; row skipped",),
             )
-        cert = certify_lower_bound(
-            RayConfiguration(
-                xi=xi_p, q=float(q), n=int(n), m=int(m),
-                eps=default_eps(q) if eps is None else eps,
-            )
-        )
+        cert = certify_lower_bound(configs[cell])
         return StudyRow(
             n=n,
             xi=xi_p.value,
@@ -363,7 +362,7 @@ def omega_convergence_study(
             lower=cert.certified,
             upper=uppers[q],
             ideal_limit=cert.ideal_limit,
-            interp_norm=cert.interpolant_norm,
+            interp_norm=cert.level,
             warnings=cert.warnings,
             certificate=cert,
         )

@@ -179,11 +179,7 @@ class RationalFunction:
 
 
 def _as_function(h):
-    """Normalize the test function argument: rational, Blaschke, callable, or constant."""
-    if isinstance(h, RationalFunction):
-        return h
-    if isinstance(h, BlaschkeProduct):
-        return lambda w: eval_blaschke(h, w)
+    """Normalize the test function argument: a callable, or a constant."""
     if callable(h):
         return h
     c = complex(h)

@@ -115,6 +115,12 @@ class TestApplyCommand:
         assert code == 2
         assert "error" in err
 
+    def test_rotation_grid_is_not_an_apply_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--zeros", "0.5", "--rotation-grid", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -200,6 +206,15 @@ class TestPickCommand:
         code, _, _ = run_main(capsys, ["pick", "--problem-file", "/nonexistent/problem.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [["--rotation-grid", "7"], ["--tolerance", "-5"]])
+    def test_options_pick_does_not_read_exit_two(self, capsys, tmp_path, extra):
+        pf = tmp_path / "problem.json"
+        pf.write_text(json.dumps(SCHWARZ_PROBLEM))
+        with pytest.raises(SystemExit) as exc:
+            main(["pick", "--problem-file", str(pf)] + extra)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("target", ["NaN", "1e400", "-Infinity"])
     def test_non_finite_target_exits_two(self, capsys, tmp_path, target):
         pf = tmp_path / "problem.json"
@@ -220,6 +235,55 @@ class TestBracketCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "1bb618d31fcdfe8797600e88a4f25ecfb4f563d4c75cf77ff26b894751b191f8"
         )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--q", "0.3", "--n", "1", "--m", "3", "--m-offsets", "8,2", "--json"],
+                "99a8f4fe2de2d7c885cd7bf6f468e015563f7721f902a499aef713571618e032",
+            ),
+            (
+                ["--q", "0.3", "--n", "1", "--m", "3", "--eps", "0.2", "--xi", "0,1", "--json"],
+                "a0ac60b3d9a316f8ffcc8964e29e69a62a305c92c73e59a4979ac074739e799a",
+            ),
+        ],
+        ids=["unsorted-offsets", "eps-and-xi"],
+    )
+    def test_ray_options_stdout_is_pinned(self, capsys, argv, digest):
+        # digests recorded while the ray bracket kept a loop over m of its own
+        code, out, err = run_main(capsys, ["bracket"] + argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--zeros", "0.9", "--q", "0.1", "--n", "1", "--m", "8"],
+            ["--zeros-file", "ZEROS", "--q", "0.1", "--n", "1", "--m", "8"],
+            ["--zeros", "0.5", "--n", "3", "--m", "9"],
+            ["--zeros", "0.5", "--n", "1"],
+            ["--zeros", "0.5", "--m", "3"],
+            ["--zeros", "0.5", "--eps", "0.2"],
+            ["--zeros", "0.5", "--xi", "1"],
+            ["--zeros", "0.5", "--m-offsets", "2,4"],
+            ["--zeros-file", "ZEROS", "--n", "1"],
+        ],
+    )
+    def test_conflicting_inputs_exit_two(self, capsys, tmp_path, argv):
+        zf = tmp_path / "zeros.json"
+        zf.write_text(json.dumps([[0.9, 0.0]]))
+        argv = [str(zf) if a == "ZEROS" else a for a in argv]
+        code, out, err = run_main(capsys, ["bracket"] + argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_malformed_zero_token_exits_two(self, capsys):
+        code, out, err = run_main(capsys, ["bracket", "--zeros", "0.5", "abc"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_plain_symbol_prints_lower_and_upper(self, capsys):
         code, out, _ = run_main(capsys, ["bracket", "--zeros", "0.5"])
@@ -274,6 +338,15 @@ class TestOmegaStudyCommand:
         assert code == 0
         payload = json.loads(out)
         assert {r["m"] for r in payload["rows"]} == {3, 5}
+
+    def test_degree_two_json_stdout_is_pinned(self, capsys):
+        # digest recorded while each cell's configuration was built inside its row
+        argv = ["omega-study", "--n", "2", "--q-schedule", "0.01,0.005,0.002", "--m-offsets", "1,2", "--json"]
+        code, out, err = run_main(capsys, argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "02524a01b7fa6ba2c9ce4ca080aca262a40d24a3eb62c04b8b4a13cdbe207b3e"
+        )
 
     @pytest.mark.parametrize(
         "flag, value, token",

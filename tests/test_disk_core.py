@@ -12,8 +12,8 @@ from toeplitz_bounds import (
     BlaschkeProduct,
     CirclePoint,
     InvalidConfiguration,
+    RayConfiguration,
     boundary_values,
-    build_configuration,
     eval_blaschke,
     pseudohyperbolic_distance,
 )
@@ -208,7 +208,7 @@ class TestDerivative:
             deficits[0] = 1e-12
             yield tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
         for n, q in ((1, 0.05), (2, 0.002), (3, 0.001)):
-            yield build_configuration(CirclePoint(cmath.exp(0.7j)), q, n, 4)[1].zeros
+            yield RayConfiguration(CirclePoint(cmath.exp(0.7j)), q, n, 4).symbol().zeros
 
     def test_is_the_product_rule_bit_for_bit(self):
         checked = 0

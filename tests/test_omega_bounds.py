@@ -10,10 +10,10 @@ from toeplitz_bounds import (
     InvalidConfiguration,
     RayConfiguration,
     bracket_norm,
-    build_configuration,
     certify_lower_bound,
     closed_form_functional,
     ideal_limit,
+    lemma1_upper_bound,
     omega_convergence_study,
     study_to_csv,
     study_to_json,
@@ -49,22 +49,27 @@ class TestConfiguration:
 
     def test_probe_below_the_deficit_floor_is_rejected(self):
         with pytest.raises(InvalidConfiguration):
-            build_configuration(1.0, 0.1, 1, 20)
+            RayConfiguration(xi=1.0, q=0.1, n=1, m=20)
         assert 0.1**12 >= PROBE_DEFICIT_FLOOR
+
+    def test_eps_defaults_and_parameters_are_normalised(self):
+        cfg = RayConfiguration(xi=1.0, q=np.float64(0.5), n=np.int64(1), m=3)
+        assert cfg.eps == default_eps(0.5)
+        assert [type(v) for v in (cfg.q, cfg.n, cfg.m, cfg.eps)] == [float, int, int, float]
 
 
 class TestTargets:
     def test_single_zero_target_is_exactly_minus_xi(self):
-        _, _, prob = build_configuration(1.0, 0.5, 1, 3)
+        prob = RayConfiguration(xi=1.0, q=0.5, n=1, m=3).problem()
         assert prob.targets[0] == -1.0
 
     def test_probe_target_closed_form(self):
         # (d1 - dm) / (d1 + dm - d1 dm) = (1/2 - 1/8) / (1/2 + 1/8 - 1/16)
-        _, _, prob = build_configuration(1.0, 0.5, 1, 3)
+        prob = RayConfiguration(xi=1.0, q=0.5, n=1, m=3).problem()
         assert prob.targets[1] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_symbol_zeros_match_the_configuration(self):
-        _, symbol, _ = build_configuration(1.0, 0.5, 2, 4)
+        symbol = RayConfiguration(xi=1.0, q=0.5, n=2, m=4).symbol()
         assert symbol.zeros == ((0.5 + 0j), (0.75 + 0j))
 
     def test_targets_never_exceed_unit_modulus(self):
@@ -73,7 +78,7 @@ class TestTargets:
                 for m in (n + 1, n + 4):
                     if q**m < PROBE_DEFICIT_FLOOR:
                         continue
-                    _, _, prob = build_configuration(np.exp(0.7j), q, n, m)
+                    prob = RayConfiguration(xi=np.exp(0.7j), q=q, n=n, m=m).problem()
                     assert max(abs(y) for y in prob.targets) <= 1.0 + 1e-10
 
 
@@ -146,21 +151,23 @@ class TestBracket:
         assert br.lower == 1.0
         assert br.upper > 1.0
 
-    def test_mismatched_configuration_is_rejected(self):
-        cfg = mild_config()
-        with pytest.raises(InvalidConfiguration):
-            bracket_norm(BlaschkeProduct(zeros=(0.5,)), cfg)
-
     def test_bracket_takes_the_best_probe_in_the_schedule(self):
-        cfg = RayConfiguration(xi=1.0, q=0.5, n=1, m=3, eps=default_eps(0.5))
-        symbol = BlaschkeProduct(zeros=tuple(cfg.zeros()))
-        br = bracket_norm(symbol, cfg, m_offsets=(2, 4))
+        cfg = RayConfiguration(xi=1.0, q=0.5, n=1, m=3)
+        br = bracket_norm(cfg, m_offsets=(2, 4))
         per_m = [
             certify_lower_bound(RayConfiguration(xi=1.0, q=0.5, n=1, m=m, eps=cfg.eps)).certified
             for m in (3, 5)
         ]
         assert br.lower == pytest.approx(max(per_m), rel=1e-12)
         assert br.lower <= br.upper + 1e-6
+
+    def test_ray_bracket_is_the_study_of_its_one_q(self):
+        cfg = RayConfiguration(xi=1j, q=0.3, n=1, m=3)
+        br = bracket_norm(cfg, m_offsets=(8, 2))
+        best = omega_convergence_study(1, 1j, q_schedule=(0.3,), m_offsets=(2, 8)).best
+        assert (br.lower, br.upper, br.lower_provenance) == (best.lower, best.upper, best.lower_provenance)
+        assert br.upper == lemma1_upper_bound(cfg.symbol())
+        assert br.upper_provenance == "1 + oscillation functional + quadrature error"
 
 
 class TestStudy:
@@ -212,11 +219,24 @@ class TestStudy:
         with pytest.raises(InvalidConfiguration):
             omega_convergence_study(1, 1.0, q_schedule=())
 
-    @pytest.mark.parametrize("q", [1.5, 0.0, -0.2, math.nan])
-    def test_each_q_is_checked_before_any_upper_bound(self, monkeypatch, q):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=1, q_schedule=(0.3, 1.5)),
+            dict(n=1, q_schedule=(0.3, 0.0)),
+            dict(n=1, q_schedule=(0.3, -0.2)),
+            dict(n=1, q_schedule=(0.3, math.nan)),
+            dict(n=3, q_schedule=(0.005, 0.002, 0.001), m_offsets=(0,)),
+            dict(n=0),
+            dict(n=1, eps=0.9999),
+        ],
+        ids=["1.5", "0.0", "-0.2", "nan", "m-equal-to-n", "n-zero", "eps-above-1-q"],
+    )
+    def test_each_q_is_checked_before_any_upper_bound(self, monkeypatch, kwargs):
+        # each q, and the configuration of each cell above the deficit floor
         def no_upper_bound(*args):
             raise AssertionError("upper bound computed for an invalid schedule")
 
         monkeypatch.setattr(omega_bounds, "lemma1_upper_bound", no_upper_bound)
         with pytest.raises(InvalidConfiguration):
-            omega_convergence_study(1, 1.0, q_schedule=(0.3, q))
+            omega_convergence_study(xi=1.0, **kwargs)

@@ -12,7 +12,7 @@ from toeplitz_bounds import (
     InterpolationProblem,
     InvalidConfiguration,
     NotStrictlyFeasible,
-    build_configuration,
+    RayConfiguration,
     construct_interpolant,
     minimal_level,
     pick_feasible,
@@ -129,7 +129,7 @@ def acceptance_certificates():
             for off in offsets:
                 if q ** (n + off) < 1e-12:
                     continue
-                _, _, problem = build_configuration(np.exp(0.7j), q, n, n + off)
+                problem = RayConfiguration(np.exp(0.7j), q, n, n + off).problem()
                 mu = minimal_level(problem)
                 for slack in SLACK_LADDER:
                     try:
