@@ -16,12 +16,14 @@ no special casing.
 
 The supremum over rotations is approximated by a fixed uniform grid (shared
 function values, so the grid costs one boundary sweep regardless of grid
-size), a family of zero-aligned candidate rotations for zeros too close to
-the circle for the grid to see, and refinement around the winner by Brent's
-localmin (ch. 5 of the book below), whose parabolic steps need far fewer
-integrals than golden section on the smooth peak. The reported value is
-therefore a lower estimate of the supremum (the rotation search is not
-certified) with a quadrature error bar; no global optimality is claimed.
+size, and for an even grid size a rotation and its half-turn share one row
+of moduli, so half the row work is done), a family of zero-aligned candidate
+rotations for zeros too close to the circle for the grid to see, and
+refinement around the winner by Brent's localmin (ch. 5 of the book below),
+whose parabolic steps need far fewer integrals than golden section on the
+smooth peak. The reported value is therefore a lower estimate of the
+supremum (the rotation search is not certified) with a quadrature error
+bar; no global optimality is claimed.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
@@ -41,12 +43,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .disk_core import BlaschkeProduct, CirclePoint, as_complex, boundary_values
+from .disk_core import BlaschkeProduct, CirclePoint, as_complex, as_int, boundary_values
 from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
 
 TWO_PI = 2.0 * math.pi
 # Temporaries of one row block of the rotation grid scan, sized to stay in L2.
 _GRID_BLOCK_BYTES = 1 << 20
+# Cell midpoints of the 4-, 8- and 16-cell midpoint rules on [0, 1], joined:
+# one row of 28 nodes per panel.
+_NODE_OFFSETS = np.concatenate([(np.arange(c) + 0.5) / c for c in (4, 8, 16)])
 # Initial uniform panel count on (-pi, pi], a power of two so that theta = 0
 # and theta = pi are panel boundaries, never nodes.
 BASE_PANELS = 64
@@ -139,6 +144,25 @@ class _PanelAccumulator:
         self.evaluations = 0
 
 
+def _panel_estimates(g, los, his):
+    """Richardson estimate and error of g's integral over each panel [lo, hi].
+
+    Each panel's 28 nodes (_NODE_OFFSETS) form one row, and g gets the rows
+    panel-major in one flat array. A rule's mean is its row sum times 1/4,
+    1/8 or 1/16, exact powers of two, so it has the bits of the division.
+    """
+    w = his - los
+    nodes = los[:, None] + w[:, None] * _NODE_OFFSETS
+    vals = np.asarray(g(nodes.ravel())).reshape(nodes.shape)
+    m4 = w * (vals[:, :4].sum(axis=1) * 0.25)
+    m8 = w * (vals[:, 4:12].sum(axis=1) * 0.125)
+    m16 = w * (vals[:, 12:].sum(axis=1) * 0.0625)
+    r2 = (4.0 * m8 - m4) / 3.0
+    r3 = (4.0 * m16 - m8) / 3.0
+    r23 = (16.0 * r3 - r2) / 15.0
+    return r23, np.abs(r23 - r3) + 5e-17 * np.abs(r23)
+
+
 def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, first=None):
     """Integrate g over [a, b] adaptively; g maps a theta array to values.
 
@@ -159,25 +183,16 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
 
     first, a list, keeps the first sweep (panels and estimates, independent of
     tol_abs): an empty one receives it, a filled one is resumed at 0 evaluations.
+
+    Every sweep is one call of g on all its panels' nodes, 28 a panel, laid
+    out panel-major (see _panel_estimates).
     """
     acc = _PanelAccumulator()
     total_width = b - a
-    offsets = {c: (np.arange(c) + 0.5) / c for c in (4, 8, 16)}
 
     def estimates(los, his):
-        w = his - los
-        blocks = [los[:, None] + w[:, None] * offsets[c][None, :] for c in (4, 8, 16)]
-        flat = np.concatenate([blk.ravel() for blk in blocks])
-        vals = np.asarray(g(flat))
-        acc.evaluations += flat.size
-        p = los.size
-        m4 = w * vals[: 4 * p].reshape(p, 4).mean(axis=1)
-        m8 = w * vals[4 * p : 12 * p].reshape(p, 8).mean(axis=1)
-        m16 = w * vals[12 * p :].reshape(p, 16).mean(axis=1)
-        r2 = (4.0 * m8 - m4) / 3.0
-        r3 = (4.0 * m16 - m8) / 3.0
-        r23 = (16.0 * r3 - r2) / 15.0
-        return r23, np.abs(r23 - r3) + 5e-17 * np.abs(r23)
+        acc.evaluations += _NODE_OFFSETS.size * los.size
+        return _panel_estimates(g, los, his)
 
     if first:
         los, his, r23, err = first[0]
@@ -268,49 +283,56 @@ def _pair_evaluator(f: BlaschkeProduct):
 
     Both halves come from one call of boundary_values in its pair form.
     theta is passed as the offset so factors near the rotation angle keep full
-    relative accuracy at increments far below ulp(phi).
+    relative accuracy at increments far below ulp(phi). sin_half, if given,
+    is np.sin(0.5 * theta), handed to the kernel so it is taken once.
     """
     if not isinstance(f, BlaschkeProduct):
         raise InvalidConfiguration(f"Lambda needs a BlaschkeProduct symbol, got {type(f).__name__}")
 
-    def pair(phi, theta):
-        both = boundary_values(f, phi, offset=theta)
+    def pair(phi, theta, sin_half=None):
+        both = boundary_values(f, phi, offset=theta, sin_half=sin_half)
         return both[: theta.size], both[theta.size :]
 
     return pair
 
 
-def _feature_scales(f: BlaschkeProduct):
-    """(angle, width) of each boundary feature: a zero at a = (1-d) e^{i gamma}
-    concentrates the symbol's phase swing in an angular window of width ~d."""
-    return tuple(
-        (float(np.angle(a)) if abs(a) > 0 else 0.0, 1.0 - abs(a)) for a in f.zeros
-    )
+def _seed_ladders(f: BlaschkeProduct):
+    """The rotation-free part of the seed edges, built once per Lambda call:
+    (gammas, counts, rungs).
+
+    A zero at a = (1-d) e^{i gamma} concentrates the symbol's phase swing in
+    an angular window of width ~d. Its ladder d * 2^k is geometric from d/2
+    all the way out to the integration span pi: a peak decays like the inverse
+    square of the distance, so every dyadic annulus carries comparable mass
+    and must start at its own panel edge to be estimated reliably. rungs
+    joins the ladders of all zeros, counts[k] of them for zero k at angle
+    gammas[k].
+    """
+    gammas, counts, rungs = [], [], []
+    for a in f.zeros:
+        width = 1.0 - abs(a)
+        ks = int(math.ceil(math.log2(max(math.pi / width, 2.0)))) + 1
+        gammas.append(float(np.angle(a)) if abs(a) > 0 else 0.0)
+        counts.append(ks + 1)
+        rungs.append(width * 2.0 ** np.arange(-1, ks))
+    return gammas, counts, np.concatenate(rungs) if rungs else np.empty(0)
 
 
-def _seed_edges_for_rotation(features, phi: float, span: float = math.pi):
-    """Panel boundaries bracketing every feature of the theta integrand.
+def _seed_edges_for_rotation(ladders, phi: float):
+    """Panel boundaries bracketing every feature of the theta integrand at
+    rotation phi, from the ladders of _seed_ladders.
 
     The integrand compares angles phi + theta and phi - theta, so a feature
     at boundary angle gamma shows up at theta = |gamma - phi| (mod 2 pi,
     folded to [0, pi]) and the pairing also creates structure at theta -> 0.
-    The ladder around each feature is geometric from half the feature width
-    all the way out to the integration span: a peak decays like the inverse
-    square of the distance, so every dyadic annulus carries comparable mass
-    and must start at its own panel edge to be estimated reliably.
+    The rungs themselves are the ladders around theta = 0 (whose mirror
+    images and centre lie outside (0, pi)); only the rungs centred at
+    |gamma - phi| are built here. Order is free: the edges are sorted.
     """
-    seeds = []
-    for gamma, width in features:
-        if width <= 0.0:
-            continue
-        delta = math.remainder(gamma - phi, TWO_PI)
-        ks = int(math.ceil(math.log2(max(span / width, 2.0)))) + 1
-        ladder = width * 2.0 ** np.arange(-1, ks)
-        for center in (abs(delta), 0.0):
-            seeds.append(center)
-            seeds.extend(center + ladder)
-            seeds.extend(center - ladder)
-    return seeds
+    gammas, counts, rungs = ladders
+    centers = np.array([abs(math.remainder(gamma - phi, TWO_PI)) for gamma in gammas])
+    around = np.repeat(centers, counts)
+    return np.concatenate([rungs, centers, around + rungs, around - rungs])
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -492,20 +514,25 @@ def _psi(u: float, kappa: float, rho: float) -> float:
     )
 
 
-def _lambda_integral(pair, phi: float, tol: float, features=(), kink_fn=None, first=None):
+def _lambda_integral(pair, phi: float, tol: float, ladders, kink_fn=None, first=None):
     """The inner Lambda integral at a fixed rotation angle phi.
 
     Uses the evenness of the integrand in theta: the mean over the circle is
-    (1/pi) * integral over (0, pi). A filled `first` needs no seed edges.
+    (1/pi) * integral over (0, pi). The integrand takes sin(theta/2) once and
+    shares it with the pair kernel for its half-angle terms. ladders come
+    from _seed_ladders; a filled `first` needs no seed edges.
     """
 
     def g(theta):
-        fp, fm = pair(phi, theta)
-        return np.abs(fp - fm) / (2.0 * np.sin(0.5 * theta))
+        sh = np.sin(0.5 * theta)
+        fp, fm = pair(phi, theta, sh)
+        return np.abs(fp - fm) / (2.0 * sh)
 
-    seeds = None if first else _seed_edges_for_rotation(features, phi)
-    if kink_fn is not None and not first:
-        seeds = np.concatenate([seeds, kink_fn(phi)]) if len(seeds) else kink_fn(phi)
+    seeds = None
+    if not first:
+        seeds = _seed_edges_for_rotation(ladders, phi)
+        if kink_fn is not None:
+            seeds = np.concatenate([seeds, kink_fn(phi)])
     val, err, evals = _adaptive_theta(g, 0.0, math.pi, tol * math.pi, seed_edges=seeds, first=first)
     return float(val.real) / math.pi, err / math.pi, evals
 
@@ -514,7 +541,7 @@ def lambda_at_rotation(f, eta, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> fl
     """The Lambda integrand's inner integral at one fixed rotation eta."""
     phi = float(np.angle(as_complex(eta)))
     pair = _pair_evaluator(f)
-    val, _, _ = _lambda_integral(pair, phi, spec.tolerance, _feature_scales(f), _kink_solver(f))
+    val, _, _ = _lambda_integral(pair, phi, spec.tolerance, _seed_ladders(f), _kink_solver(f))
     return val
 
 
@@ -528,6 +555,15 @@ def _grid_scan(f: BlaschkeProduct, rotation_grid: int):
     plus and minus operands are strided windows over F repeated twice and over
     its reverse, one row per rotation, stepping by +s and -s. s is even, so M
     is even and the grid never sits on theta = 0, where the kernel is infinite.
+
+    For even R, rotations r and r + R/2 sum the same unordered pairs
+    {F[a], F[c - a]} on the anti-diagonal c = M - 1 + 2rs (mod M), with the
+    columns reversed: column M/2 - 1 - j of row r + R/2 is |F_b - F_a| where
+    column j of row r is |F_a - F_b|, the same bits. So the moduli are taken
+    for rows r < R/2 only, and row r + R/2 is summed from a contiguous
+    reversed copy of row r's. Summing row r against a reversed kernel, or
+    through a negative-stride view, would add the terms in another order and
+    move the last bits. Odd R has no half-turn partner and sums every row.
     """
     R = rotation_grid
     s = max(16, -(-4096 // R))
@@ -540,11 +576,24 @@ def _grid_scan(f: BlaschkeProduct, rotation_grid: int):
     # row r: plus[r, j] = F[(j + r s) % M], minus[r, j] = F[(M - 1 - j + r s) % M]
     plus = sliding_window_view(np.concatenate([F, F]), half)[0:M:s]
     minus = sliding_window_view(np.concatenate([F[::-1], F[::-1]]), half)[M:0:-s]
-    # row blocks bound the complex difference and its modulus (24 bytes a term)
-    rows = max(1, _GRID_BLOCK_BYTES // (24 * half))
-    # einsum, not a BLAS gemv, which would start a second thread even for one row
-    blocks = (np.abs(plus[i : i + rows] - minus[i : i + rows]) for i in range(0, R, rows))
-    vals = np.concatenate([np.einsum("ij,j->i", blk, kern) for blk in blocks])
+    mirror = R // 2 if R % 2 == 0 else 0
+    direct = R - mirror
+    # a block holds the complex difference, its modulus and, for even R, the
+    # modulus reversed: 16 + 8 + 8 bytes a term
+    rows = max(1, _GRID_BLOCK_BYTES // ((32 if mirror else 24) * half))
+    diff = np.empty((rows, half), dtype=complex)
+    mod = np.empty((rows, half))
+    rev = np.empty((rows, half)) if mirror else None
+    vals = np.empty(R)
+    for i in range(0, direct, rows):
+        k = min(rows, direct - i)
+        np.subtract(plus[i : i + k], minus[i : i + k], out=diff[:k])
+        np.abs(diff[:k], out=mod[:k])
+        # einsum, not a BLAS gemv, which would start a second thread even for one row
+        vals[i : i + k] = np.einsum("ij,j->i", mod[:k], kern)
+        if mirror:
+            np.copyto(rev[:k], mod[:k, ::-1])
+            vals[mirror + i : mirror + i + k] = np.einsum("ij,j->i", rev[:k], kern)
     vals *= 2.0 / M
     return (np.arange(R) * (TWO_PI / R)), vals, M
 
@@ -588,15 +637,18 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
     Search: shared-grid scan over `rotation_grid` rotations, adaptive
     re-evaluation of the leading candidates, Brent's localmin on the
     loose-tolerance integral around the best, seeded with its value, then a
-    final integral at the requested tolerance.
+    final integral at the requested tolerance. rotation_grid is an integer of
+    at least 64; an integral float is taken as that integer.
 
-    Each exact rotation angle gets one `_Rotation` record for the call, so its
-    seed ladders, folds and first sweep are computed once, whatever the tolerance.
+    The seed ladders are built once for the call. Each exact rotation angle
+    gets one `_Rotation` record, so its seed edges, folds and first sweep are
+    computed once, whatever the tolerance.
     """
+    rotation_grid = as_int(rotation_grid, "rotation grid size")
     if rotation_grid < 64:
         raise InvalidConfiguration("rotation grid size must be at least 64")
     pair = _pair_evaluator(f)
-    features = _feature_scales(f)
+    ladders = _seed_ladders(f)
     kink_fn = _kink_solver(f)
     evals = 0
 
@@ -609,7 +661,7 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
     rotations = {}
 
     def integral(phi, tol):
-        return _lambda_integral(pair, phi, tol, features, kink_fn, rotations.setdefault(phi, _Rotation()).first)
+        return _lambda_integral(pair, phi, tol, ladders, kink_fn, rotations.setdefault(phi, _Rotation()).first)
 
     def protected(phi, tol):
         nonlocal evals

@@ -15,8 +15,10 @@ _half_angle_terms, takes the half-angle trig of the array argument once and
 yields each factor's term w from it. boundary_values multiplies the terms
 into B; with an offset, theta is a scalar and the result is the symmetric
 pair B(e^{i(theta + offset)}) followed by B(e^{i(theta - offset)}), which
-share that trig by parity. boundary_factors keeps the factors apart, one row
-each, for callers that compose them with more than multiplication.
+share that trig by parity. A caller that needs sin(offset/2) itself can
+take it first and pass it as sin_half, so the sine is taken once.
+boundary_factors keeps the factors apart, one row each, for callers that
+compose them with more than multiplication.
 
 Both normalise by multiplying with the reciprocal modulus. numpy divides a
 complex by a real (cast to complex) as (re + im*0) * (1/r), so this has the
@@ -41,6 +43,17 @@ SEPARATION: float = 1e-12
 def as_complex(x) -> complex:
     """Unwrap a point wrapper to a plain complex number."""
     return complex(x.value) if hasattr(x, "value") else complex(x)
+
+
+def as_int(value, name: str) -> int:
+    """value as an int when it is integral: an int (not a bool), a numpy
+    integer, or a float with no fractional part. Anything else raises
+    InvalidConfiguration."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InvalidConfiguration(f"{name} must be an integer, got {value!r}")
 
 
 def complex_pairs(entries) -> tuple:
@@ -117,7 +130,7 @@ def _derivative_at_zero(zeros, k):
     return (1.0 - rho) * (1.0 + rho) / (1 - al * np.conj(zeros[k])) ** 2 * rest
 
 
-def _half_angle_terms(zeros, u, base=None):
+def _half_angle_terms(zeros, u, base=None, sin_half=None):
     """Yield, zero by zero, the half-angle term w at every angle, with
     d = 1 - rho and e^{i gamma}; w is one buffer, overwritten by the next yield.
 
@@ -126,12 +139,14 @@ def _half_angle_terms(zeros, u, base=None):
     flips the sign of w, so no reduction is needed. Without a base, beta is
     u - gamma on the array u. With a scalar base, beta is base - gamma + u
     and base - gamma - u, and w holds the + terms followed by the - terms.
-    No zeros, no sweep.
+    sin_half, if given, is sin(u/2) already taken. No zeros, no sweep.
     """
     if not len(zeros):
         return
     pair = base is not None
-    cu, su = np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
+    if sin_half is None:
+        sin_half = np.sin(0.5 * u)
+    cu, su = np.cos(0.5 * u).astype(complex), sin_half.astype(complex)
     n = u.size
     w = np.empty((2 * n,) if pair else u.shape, dtype=complex)
     y = np.empty_like(cu)
@@ -155,7 +170,7 @@ def _half_angle_terms(zeros, u, base=None):
         yield w, d, cmath.exp(1j * gamma)
 
 
-def boundary_values(B: BlaschkeProduct, theta, offset=None):
+def boundary_values(B: BlaschkeProduct, theta, offset=None, sin_half=None):
     """Evaluate B(e^{i*theta}), or with an offset the symmetric pair
     B(e^{i*(theta + offset)}) followed by B(e^{i*(theta - offset)}),
     without cancellation near the zeros.
@@ -173,7 +188,8 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None):
     numpy's cos is even and its sin odd, bit for bit, so both signs share
     one trig sweep and one pair of products per factor: w = x + y for
     +offset and x - y for -offset, with the bits of evaluating -offset
-    directly.
+    directly. sin_half, np.sin(0.5 * u) already taken by the caller, stands
+    in for the kernel's own sine of u; the values keep their bits.
     """
     theta = np.asarray(theta, dtype=float)
     if offset is not None and theta.ndim:
@@ -182,7 +198,9 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None):
     u = np.asarray(offset, dtype=float).ravel() if pair else theta
     prod = np.ones((2 * u.size,) if pair else u.shape, dtype=complex)
     rot, floor = 1.0 + 0j, 1.0
-    for w, d, turn in _half_angle_terms(B.zeros, u, float(theta) if pair else None):
+    if sin_half is not None:
+        sin_half = np.asarray(sin_half, dtype=float).reshape(u.shape)
+    for w, d, turn in _half_angle_terms(B.zeros, u, float(theta) if pair else None, sin_half):
         prod *= w
         # |w| >= 1 - rho: rescale before the product of the |w| can underflow
         floor *= d

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circle_quad import DEFAULT_LAMBDA_SPEC, QuadratureSpec
-from .disk_core import BlaschkeProduct, CirclePoint, as_complex
+from .disk_core import BlaschkeProduct, CirclePoint, as_complex, as_int
 from .errors import InvalidConfiguration, NotStrictlyFeasible, NumericalBreakdown
 from .pick_interp import InterpolationProblem, construct_interpolant, minimal_level
 from .toeplitz_op import apply_toeplitz_residue, lemma1_upper_bound
@@ -67,8 +67,9 @@ class RayConfiguration:
     """Zeros and probe on a common ray, with the generating parameters.
 
     The one owner of a ray: it resolves eps to default_eps(q) when none is
-    given, normalises q, n, m and eps to float and int, and rejects a probe
-    whose deficit q^m lies below PROBE_DEFICIT_FLOOR. symbol() and problem()
+    given, normalises q and eps to float and the integral n and m to int
+    (raising for a fractional one), and rejects a probe whose deficit q^m
+    lies below PROBE_DEFICIT_FLOOR. symbol() and problem()
     build the Blaschke product and the interpolation problem it determines.
     """
 
@@ -83,8 +84,8 @@ class RayConfiguration:
             object.__setattr__(self, "xi", CirclePoint(as_complex(self.xi)))
         eps = default_eps(self.q) if self.eps is None else self.eps
         object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "n", as_int(self.n, "degree n"))
+        object.__setattr__(self, "m", as_int(self.m, "probe index m"))
         object.__setattr__(self, "eps", float(eps))
         if not (0.0 < self.q < 1.0):
             raise InvalidConfiguration(f"q must be in (0, 1), got {self.q!r}")
@@ -323,6 +324,8 @@ def omega_convergence_study(
         raise InvalidConfiguration("schedules must be nonempty")
     if not all(0.0 < q < 1.0 for q in q_schedule):
         raise InvalidConfiguration(f"every q must be in (0, 1), got {q_schedule!r}")
+    n = as_int(n, "degree n")
+    m_offsets = [as_int(off, "m offset") for off in m_offsets]
     xi_p = xi if isinstance(xi, CirclePoint) else CirclePoint(as_complex(xi))
 
     # every cell is checked before the first upper bound is computed
@@ -346,7 +349,7 @@ def omega_convergence_study(
                 n=n,
                 xi=xi_p.value,
                 q=float(q),
-                m=int(m),
+                m=m,
                 lower=math.nan,
                 upper=uppers[q],
                 ideal_limit=ideal_limit(n, q),
@@ -358,7 +361,7 @@ def omega_convergence_study(
             n=n,
             xi=xi_p.value,
             q=float(q),
-            m=int(m),
+            m=m,
             lower=cert.certified,
             upper=uppers[q],
             ideal_limit=cert.ideal_limit,

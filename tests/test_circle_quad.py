@@ -150,6 +150,15 @@ class TestLambdaProperties:
         with pytest.raises(InvalidConfiguration):
             lambda_functional(BlaschkeProduct(zeros=(0.5,)), rotation_grid=32)
 
+    def test_integral_grid_sizes_are_normalised_and_others_rejected(self):
+        B = BlaschkeProduct(zeros=(0.5, 0.3j))
+        expected = lambda_functional(B, rotation_grid=64)
+        for size in (64.0, np.int32(64), np.float64(64.0)):
+            assert lambda_functional(B, rotation_grid=size) == expected
+        for size in (100.5, "256", None, math.nan, math.inf, True):
+            with pytest.raises(InvalidConfiguration):
+                lambda_functional(B, rotation_grid=size)
+
     def test_near_boundary_zero_found_by_aligned_candidates(self):
         # deficit far below grid resolution: the uniform scan alone cannot
         # see the peak, the zero-aligned candidate family must recover it
@@ -174,7 +183,42 @@ def modulo_index_scan(f, R, M):
     return np.abs(F[plus] - F[minus]) @ kern / M
 
 
+def all_rows_scan(f, R):
+    """The grid scan before its half-turn sharing, inline: the moduli of every
+    row computed, in row blocks of 1 MB at 24 bytes a term."""
+    s = max(16, -(-4096 // R))
+    s += s % 2
+    M = R * s
+    half = M // 2
+    theta = -math.pi + (np.arange(M) + 0.5) * (2.0 * math.pi / M)
+    F = boundary_values(f, theta)
+    kern = 1.0 / (2.0 * np.abs(np.sin(0.5 * theta[:half])))
+    plus = np.lib.stride_tricks.sliding_window_view(np.concatenate([F, F]), half)[0:M:s]
+    minus = np.lib.stride_tricks.sliding_window_view(np.concatenate([F[::-1], F[::-1]]), half)[M:0:-s]
+    rows = max(1, (1 << 20) // (24 * half))
+    blocks = (np.abs(plus[i : i + rows] - minus[i : i + rows]) for i in range(0, R, rows))
+    vals = np.concatenate([np.einsum("ij,j->i", blk, kern) for blk in blocks])
+    vals *= 2.0 / M
+    return vals
+
+
 class TestGridScan:
+    @pytest.mark.parametrize("R", [64, 65, 201, 256, 1000, 4097])
+    def test_half_turn_rows_are_the_all_rows_scan_bit_for_bit(self, R):
+        # B(z) = z and the double zero at 0 tie on every rotation; a zero
+        # 1e-12 from the circle and a degree-6 product do not. R = 4097 sums
+        # 134M terms a scan, so it takes the degree-6 product only
+        products = (
+            (0.0,),
+            (0.0, 0.0),
+            ((1.0 - 1e-12) * cmath.exp(2.0j),),
+            random_zeros(np.random.default_rng(71), 6, rmax=0.95),
+        )
+        for zeros in products[3:] if R > 1000 else products:
+            B = BlaschkeProduct(zeros=zeros)
+            _, vals, _ = circle_quad._grid_scan(B, R)
+            assert np.array_equal(vals, all_rows_scan(B, R))
+
     @pytest.mark.parametrize("R", [64, 100, 256])
     def test_matches_the_full_length_modulo_formula(self, R):
         rng = np.random.default_rng(53)
@@ -210,10 +254,11 @@ class TestGridScan:
     def test_row_blocks_match_one_block(self, monkeypatch):
         B = BlaschkeProduct(zeros=random_zeros(np.random.default_rng(67), 4))
         _, blocked, M = circle_quad._grid_scan(B, 256)
-        monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 24 * (M // 2) * 256)
+        monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 32 * (M // 2) * 256)
         _, whole, _ = circle_quad._grid_scan(B, 256)
-        # 37 rows a block: seven blocks, the last one partial
-        monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 24 * (M // 2) * 37)
+        # 37 rows a block: four blocks for the direct half and four for its
+        # mirror, the last one of each partial
+        monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 32 * (M // 2) * 37)
         _, partial, _ = circle_quad._grid_scan(B, 256)
         np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(partial, whole, rtol=1e-15, atol=0.0)
@@ -729,6 +774,55 @@ class TestRotationRecords:
         assert resumed.value.evaluations == fresh.value.evaluations - 28 * first[0][0].size
 
 
+def previous_panel_estimates(g, los, his):
+    """The panel estimates before one 28-node row per panel, inline: g on the
+    4-, 8- and 16-cell nodes of every panel, cell count by cell count, and
+    each rule's mean taken by np.mean."""
+    w = his - los
+    offsets = {c: (np.arange(c) + 0.5) / c for c in (4, 8, 16)}
+    blocks = [los[:, None] + w[:, None] * offsets[c][None, :] for c in (4, 8, 16)]
+    vals = np.asarray(g(np.concatenate([blk.ravel() for blk in blocks])))
+    p = los.size
+    m4 = w * vals[: 4 * p].reshape(p, 4).mean(axis=1)
+    m8 = w * vals[4 * p : 12 * p].reshape(p, 8).mean(axis=1)
+    m16 = w * vals[12 * p :].reshape(p, 16).mean(axis=1)
+    r2 = (4.0 * m8 - m4) / 3.0
+    r3 = (4.0 * m16 - m8) / 3.0
+    r23 = (16.0 * r3 - r2) / 15.0
+    return r23, np.abs(r23 - r3) + 5e-17 * np.abs(r23)
+
+
+class TestPanelEstimates:
+    @pytest.mark.parametrize(
+        "seeds, panels",
+        [(None, 64), (np.geomspace(1e-9, 3.0, 400) + 1.0e-3, 64), (None, 1)],
+        ids=["no-seeds", "dense-seeds", "one-panel"],
+    )
+    def test_fresh_and_resumed_integrals_are_the_previous_estimates_bit_for_bit(self, monkeypatch, seeds, panels):
+        B = BlaschkeProduct(zeros=((1.0 - 1e-7) * cmath.exp(1.0j), 0.4 - 0.3j, -0.6))
+        pair = circle_quad._pair_evaluator(B)
+
+        def oscillation(theta):
+            fp, fm = pair(1.0, theta)
+            return np.abs(fp - fm) / (2.0 * np.sin(0.5 * theta))
+
+        def peak(theta):
+            return np.exp(1j * theta) / (1e-8 + (theta - 1.0) ** 2)
+
+        monkeypatch.setattr(circle_quad, "BASE_PANELS", panels)
+        for g in (oscillation, peak):
+            results = []
+            for estimates in (circle_quad._panel_estimates, previous_panel_estimates):
+                monkeypatch.setattr(circle_quad, "_panel_estimates", estimates)
+                first = []
+                for tol, record in ((1e-3, first), (1e-7, None), (1e-9, first)):
+                    results.append(circle_quad._adaptive_theta(g, 0.0, math.pi, tol, seeds, record))
+                results.append(first[0])
+            new, old = results[:4], results[4:]
+            assert new[:3] == old[:3]
+            assert all(np.array_equal(a, b) for a, b in zip(new[3], old[3]))
+
+
 class TestPairEvaluator:
     def test_one_sweep_matches_two_separate_sweeps(self):
         # each half equals, bit for bit, a sweep of the kernel before its
@@ -752,8 +846,8 @@ class TestBoundaryTraffic:
         points = []
         real = circle_quad.boundary_values
 
-        def counted(B, theta, offset=None):
-            values = real(B, theta, offset)
+        def counted(*args, **kwargs):
+            values = real(*args, **kwargs)
             points.append(np.size(values))
             return values
 

@@ -335,6 +335,19 @@ class TestBoundaryValues:
                 assert np.array_equal(boundary_values(B, base, offset), both)
         assert rescaled >= 3
 
+    def test_a_given_half_angle_sine_keeps_the_bits(self):
+        # the pair form with sin(offset/2) taken by the caller, as the Lambda
+        # integrand takes it, against the kernel taking its own
+        rng = np.random.default_rng(89)
+        for n in (0, 1, 6, 20):
+            deficits = 10.0 ** rng.uniform(-12.0, 0.0, n)
+            zeros = tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+            B = BlaschkeProduct(zeros=zeros)
+            offset = 10.0 ** rng.uniform(-14.0, math.log10(math.pi), 301)
+            for base in (float(np.angle(zeros[0])) if n else 0.0, rng.uniform(-np.pi, np.pi)):
+                shared = boundary_values(B, base, offset, sin_half=np.sin(0.5 * offset))
+                assert np.array_equal(shared, boundary_values(B, base, offset))
+
     def test_periodic_without_reduction(self):
         # dyadic angles make theta + 2 pi k exact up to the rounding of 2 pi k
         # itself, which moves a factor with |a| <= 0.5 by at most 3 times that

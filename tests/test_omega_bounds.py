@@ -57,6 +57,13 @@ class TestConfiguration:
         assert cfg.eps == default_eps(0.5)
         assert [type(v) for v in (cfg.q, cfg.n, cfg.m, cfg.eps)] == [float, int, int, float]
 
+    def test_integral_floats_are_normalised_and_fractions_rejected(self):
+        cfg = RayConfiguration(xi=1.0, q=0.5, n=2.0, m=np.float64(5.0))
+        assert (cfg.n, cfg.m) == (2, 5) and [type(cfg.n), type(cfg.m)] == [int, int]
+        for n, m in ((1.9, 3.7), (1.9, 4), (1, 3.7), ("1", 3), (True, 3), (1, math.inf)):
+            with pytest.raises(InvalidConfiguration):
+                RayConfiguration(xi=1.0, q=0.5, n=n, m=m)
+
 
 class TestTargets:
     def test_single_zero_target_is_exactly_minus_xi(self):
@@ -229,8 +236,12 @@ class TestStudy:
             dict(n=3, q_schedule=(0.005, 0.002, 0.001), m_offsets=(0,)),
             dict(n=0),
             dict(n=1, eps=0.9999),
+            dict(n=1, q_schedule=(0.3,), m_offsets=(2.5,)),
+            dict(n=1, q_schedule=(0.001,), m_offsets=(2, 20.5)),
+            dict(n=1.5, q_schedule=(0.3,)),
         ],
-        ids=["1.5", "0.0", "-0.2", "nan", "m-equal-to-n", "n-zero", "eps-above-1-q"],
+        ids=["1.5", "0.0", "-0.2", "nan", "m-equal-to-n", "n-zero", "eps-above-1-q",
+             "fractional-offset", "fractional-offset-below-the-floor", "fractional-n"],
     )
     def test_each_q_is_checked_before_any_upper_bound(self, monkeypatch, kwargs):
         # each q, and the configuration of each cell above the deficit floor

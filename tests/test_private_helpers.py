@@ -1,0 +1,45 @@
+"""Every private module-level name of the library has a reader in the library."""
+
+import ast
+
+from test_public_api import PACKAGE, read_names
+
+# name: why it stays without a reader
+EXEMPT: dict = {}
+
+
+def private_names(source: str) -> set:
+    """Module-level functions, classes and constants whose names start with
+    one underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def library_names() -> tuple:
+    """(private names defined, names read) over the package's modules."""
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    defined = set().union(*(private_names(src) for src in sources))
+    return defined, set().union(*(read_names(src) for src in sources))
+
+
+def test_every_private_name_has_a_library_reader():
+    defined, read = library_names()
+    assert sorted(defined - read - set(EXEMPT)) == []
+
+
+def test_exemptions_are_private_names_without_readers():
+    defined, read = library_names()
+    assert set(EXEMPT) <= defined
+    assert set(EXEMPT).isdisjoint(read)
+
+
+def test_the_scan_finds_private_functions_classes_and_constants():
+    source = "_A = 1\n_b: int = 2\n__all__ = []\ndef _f():\n    return _A\n\nclass _C:\n    pass\n\ndef g():\n    pass\n"
+    assert private_names(source) == {"_A", "_b", "_f", "_C"}
+    assert {"_f", "_C", "_b"}.isdisjoint(read_names(source))
