@@ -12,7 +12,9 @@ midpoint rules at 4/8/16 cells plus two Richardson sweeps (sixth order on
 smooth panels), and a panel is accepted once its internal discrepancy is
 below its proportional share of the tolerance budget. Nodes are cell
 midpoints, so theta = 0 is never sampled and the removable singularity needs
-no special casing.
+no special casing. At a fixed rotation the integrand is one call of
+boundary_values in its pair form, the symbol at the rotation plus and minus
+every node angle.
 
 The supremum over rotations is approximated by a fixed uniform grid (shared
 function values, so the grid costs one boundary sweep regardless of grid
@@ -23,7 +25,9 @@ refinement around the winner by Brent's localmin (ch. 5 of the book below),
 whose parabolic steps need far fewer integrals than golden section on the
 smooth peak. The reported value is therefore a lower estimate of the
 supremum (the rotation search is not certified) with a quadrature error
-bar; no global optimality is claimed.
+bar; no global optimality is claimed. The search keeps its state in locals
+of lambda_functional: each rotation's first sweep and loose-tolerance
+value, keyed by the exact angle.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
@@ -38,7 +42,7 @@ stays only as the name the benchmark's tracer patches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -133,17 +137,6 @@ def localmax(f, lo: float, hi: float, x: float, fx: float, width: float, steps: 
     return x, fx
 
 
-class _PanelAccumulator:
-    __slots__ = ("value", "error", "failed_error", "failures", "evaluations")
-
-    def __init__(self):
-        self.value = 0.0 + 0.0j
-        self.error = 0.0
-        self.failed_error = 0.0
-        self.failures = 0
-        self.evaluations = 0
-
-
 def _panel_estimates(g, los, his):
     """Richardson estimate and error of g's integral over each panel [lo, hi].
 
@@ -185,14 +178,15 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
     tol_abs): an empty one receives it, a filled one is resumed at 0 evaluations.
 
     Every sweep is one call of g on all its panels' nodes, 28 a panel, laid
-    out panel-major (see _panel_estimates).
+    out panel-major (see _panel_estimates), and counts 28 evaluations a
+    panel. The integral and the accepted and failed errors are running sums
+    over the sweeps, each sweep adding its accepted panels before the
+    pending ones.
     """
-    acc = _PanelAccumulator()
+    value = 0.0 + 0.0j
+    error = failed_error = 0.0
+    failures = evaluations = 0
     total_width = b - a
-
-    def estimates(los, his):
-        acc.evaluations += _NODE_OFFSETS.size * los.size
-        return _panel_estimates(g, los, his)
 
     if first:
         los, his, r23, err = first[0]
@@ -204,7 +198,8 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
             edges = np.unique(np.concatenate([edges, extra]))
         los = edges[:-1].copy()
         his = edges[1:].copy()
-        r23, err = estimates(los, his)
+        evaluations += _NODE_OFFSETS.size * los.size
+        r23, err = _panel_estimates(g, los, his)
         if first is not None:
             first.append((los, his, r23, err))
     depths = np.zeros(los.size, dtype=int)
@@ -213,28 +208,28 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
         share = 0.5 * tol_abs * ((his - los) / total_width)
 
         done = err <= share
-        acc.value += r23[done].sum()
-        acc.error += float(err[done].sum())
+        value += r23[done].sum()
+        error += float(err[done].sum())
 
         rest = ~done
         pending = float(err[rest].sum())
-        if acc.error + acc.failed_error + pending <= tol_abs:
-            acc.value += r23[rest].sum()
-            acc.error += pending
+        if error + failed_error + pending <= tol_abs:
+            value += r23[rest].sum()
+            error += pending
             break
         if int(rest.sum()) > (1 << 20):
             # runaway subdivision: the error estimates are noise-bound and
             # finer panels cannot help, so record the best value as a failure
             # instead of exhausting memory
-            acc.value += r23[rest].sum()
-            acc.failed_error += pending
-            acc.failures += int(rest.sum())
+            value += r23[rest].sum()
+            failed_error += pending
+            failures += int(rest.sum())
             break
         exhausted = rest & (depths + 1 > MAX_DEPTH)
         if np.any(exhausted):
-            acc.value += r23[exhausted].sum()
-            acc.failed_error += float(err[exhausted].sum())
-            acc.failures += int(exhausted.sum())
+            value += r23[exhausted].sum()
+            failed_error += float(err[exhausted].sum())
+            failures += int(exhausted.sum())
             rest = rest & ~exhausted
 
         mid = 0.5 * (los[rest] + his[rest])
@@ -243,17 +238,17 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
         depths = np.concatenate([depths[rest], depths[rest]]) + 1
         if not los.size:
             break
-        r23, err = estimates(los, his)
+        evaluations += _NODE_OFFSETS.size * los.size
+        r23, err = _panel_estimates(g, los, his)
 
-    total_err = acc.error + acc.failed_error
-    if acc.failures:
+    if failures:
         raise ToleranceNotMet(
-            f"{acc.failures} panel(s) hit depth {MAX_DEPTH} above their error share",
-            value=acc.value,
-            error_estimate=total_err,
-            evaluations=acc.evaluations,
+            f"{failures} panel(s) hit depth {MAX_DEPTH} above their error share",
+            value=value,
+            error_estimate=error + failed_error,
+            evaluations=evaluations,
         )
-    return acc.value, total_err, acc.evaluations
+    return value, error + failed_error, evaluations
 
 
 def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -278,27 +273,11 @@ def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
     return val / TWO_PI, err / TWO_PI
 
 
-def _pair_evaluator(f: BlaschkeProduct):
-    """Return pair(phi, theta) -> (f at e^{i(phi+theta)}, f at e^{i(phi-theta)}).
-
-    Both halves come from one call of boundary_values in its pair form.
-    theta is passed as the offset so factors near the rotation angle keep full
-    relative accuracy at increments far below ulp(phi). sin_half, if given,
-    is np.sin(0.5 * theta), handed to the kernel so it is taken once.
-    """
-    if not isinstance(f, BlaschkeProduct):
-        raise InvalidConfiguration(f"Lambda needs a BlaschkeProduct symbol, got {type(f).__name__}")
-
-    def pair(phi, theta, sin_half=None):
-        both = boundary_values(f, phi, offset=theta, sin_half=sin_half)
-        return both[: theta.size], both[theta.size :]
-
-    return pair
-
-
 def _seed_ladders(f: BlaschkeProduct):
     """The rotation-free part of the seed edges, built once per Lambda call:
-    (gammas, counts, rungs).
+    (gammas, counts, rungs). Both Lambda entry points call it before any
+    other use of f, so it is where a symbol that is not a BlaschkeProduct is
+    rejected.
 
     A zero at a = (1-d) e^{i gamma} concentrates the symbol's phase swing in
     an angular window of width ~d. Its ladder d * 2^k is geometric from d/2
@@ -308,6 +287,8 @@ def _seed_ladders(f: BlaschkeProduct):
     joins the ladders of all zeros, counts[k] of them for zero k at angle
     gammas[k].
     """
+    if not isinstance(f, BlaschkeProduct):
+        raise InvalidConfiguration(f"Lambda needs a BlaschkeProduct symbol, got {type(f).__name__}")
     gammas, counts, rungs = [], [], []
     for a in f.zeros:
         width = 1.0 - abs(a)
@@ -514,19 +495,23 @@ def _psi(u: float, kappa: float, rho: float) -> float:
     )
 
 
-def _lambda_integral(pair, phi: float, tol: float, ladders, kink_fn=None, first=None):
+def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, ladders, kink_fn, first=None):
     """The inner Lambda integral at a fixed rotation angle phi.
 
     Uses the evenness of the integrand in theta: the mean over the circle is
-    (1/pi) * integral over (0, pi). The integrand takes sin(theta/2) once and
-    shares it with the pair kernel for its half-angle terms. ladders come
-    from _seed_ladders; a filled `first` needs no seed edges.
+    (1/pi) * integral over (0, pi). The integrand is one call of
+    boundary_values in its pair form, f at e^{i(phi + theta)} then at
+    e^{i(phi - theta)}; theta is passed as the offset, so factors near the
+    rotation angle keep full relative accuracy at increments far below
+    ulp(phi), and the kernel gets the integrand's sin(theta/2) for its
+    half-angle terms. ladders come from _seed_ladders and kink_fn from
+    _kink_solver (None below degree 2); a filled `first` needs no seed edges.
     """
 
     def g(theta):
         sh = np.sin(0.5 * theta)
-        fp, fm = pair(phi, theta, sh)
-        return np.abs(fp - fm) / (2.0 * sh)
+        both = boundary_values(f, phi, offset=theta, sin_half=sh)
+        return np.abs(both[: theta.size] - both[theta.size :]) / (2.0 * sh)
 
     seeds = None
     if not first:
@@ -540,8 +525,7 @@ def _lambda_integral(pair, phi: float, tol: float, ladders, kink_fn=None, first=
 def lambda_at_rotation(f, eta, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> float:
     """The Lambda integrand's inner integral at one fixed rotation eta."""
     phi = float(np.angle(as_complex(eta)))
-    pair = _pair_evaluator(f)
-    val, _, _ = _lambda_integral(pair, phi, spec.tolerance, _seed_ladders(f), _kink_solver(f))
+    val, _, _ = _lambda_integral(f, phi, spec.tolerance, _seed_ladders(f), _kink_solver(f))
     return val
 
 
@@ -622,14 +606,6 @@ def _candidate_rotations(f: BlaschkeProduct, rotation_grid: int):
     return out, grid_evals
 
 
-@dataclass
-class _Rotation:
-    """One rotation's first sweep (panels on its seed edges) and loose value."""
-
-    first: list = field(default_factory=list)
-    loose: float | None = None
-
-
 def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_grid: int = 256) -> LambdaResult:
     """Supremum of the Lambda integral over rotations: a lower estimate of the
     supremum (the rotation search is not certified).
@@ -637,66 +613,62 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
     Search: shared-grid scan over `rotation_grid` rotations, adaptive
     re-evaluation of the leading candidates, Brent's localmin on the
     loose-tolerance integral around the best, seeded with its value, then a
-    final integral at the requested tolerance. rotation_grid is an integer of
+    final integral at the requested tolerance, and one at each leading
+    candidate whose screening value beats it. rotation_grid is an integer of
     at least 64; an integral float is taken as that integer.
 
-    The seed ladders are built once for the call. Each exact rotation angle
-    gets one `_Rotation` record, so its seed edges, folds and first sweep are
-    computed once, whatever the tolerance.
+    The seed ladders are built once for the call. The search state is two
+    dicts keyed by the exact rotation angle: each angle's first sweep, so its
+    seed edges, folds and first sweep are computed once whatever the
+    tolerance, and its value at the loose tolerance.
     """
     rotation_grid = as_int(rotation_grid, "rotation grid size")
     if rotation_grid < 64:
         raise InvalidConfiguration("rotation grid size must be at least 64")
-    pair = _pair_evaluator(f)
     ladders = _seed_ladders(f)
     kink_fn = _kink_solver(f)
-    evals = 0
-
-    candidates, grid_evals = _candidate_rotations(f, rotation_grid)
-    evals += grid_evals
+    candidates, evals = _candidate_rotations(f, rotation_grid)
 
     crude = max(1e-4, spec.tolerance * 1e4)
     loose = max(1e-6, spec.tolerance * 1e2)
-
-    rotations = {}
+    firsts, loose_values = {}, {}
 
     def integral(phi, tol):
-        return _lambda_integral(pair, phi, tol, ladders, kink_fn, rotations.setdefault(phi, _Rotation()).first)
+        return _lambda_integral(f, phi, tol, ladders, kink_fn, firsts.setdefault(phi, []))
 
     def protected(phi, tol):
         nonlocal evals
         try:
-            v, e, k = integral(phi, tol)
+            v, _, k = integral(phi, tol)
         except ToleranceNotMet as exc:
             v = float(np.real(exc.value)) / math.pi
-            e = exc.error_estimate / math.pi
             k = exc.evaluations
         evals += k
-        if tol == loose:
-            rotations[phi].loose = v
-        return v, e
+        return v
 
-    scored = []
-    for phi, h in candidates:
-        v, _ = protected(phi, crude)
-        scored.append((v, phi, h))
-    scored.sort(reverse=True)
-    top = scored[: min(3, len(scored))]
+    def screened(phi):
+        loose_values[phi] = v = protected(phi, loose)
+        return v
+
+    scored = sorted(((protected(phi, crude), phi, h) for phi, h in candidates), reverse=True)
+    top = scored[:3]
 
     best_phi, best_val, best_h = top[0][1], -1.0, top[0][2]
-    for v0, phi, h in top:
-        v, _ = protected(phi, loose)
+    for _v0, phi, h in top:
+        v = screened(phi)
         if v > best_val:
             best_val, best_phi, best_h = v, phi, h
 
     lo, hi, width = best_phi - best_h, best_phi + best_h, max(1e-13, 1e-5 * best_h)
-    phi_star, _ = localmax(lambda x: protected(x, loose)[0], lo, hi, best_phi, best_val, width, 60)
+    phi_star, _ = localmax(screened, lo, hi, best_phi, best_val, width, 60)
 
     value, err, k = integral(phi_star, spec.tolerance)
     evals += k
     # A candidate may beat the refined point if the search surface is bumpy;
-    # keep whichever certified value is larger.
-    for v0, phi, _h in top:
+    # keep whichever certified value is larger. The refined point is not one
+    # of the rivals: its tight integral is already done.
+    rivals = [(v0, phi) for v0, phi, _h in top if phi != phi_star]
+    for v0, phi in rivals:
         if v0 > value + err:
             v, e, k = integral(phi, spec.tolerance)
             evals += k
@@ -706,7 +678,7 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_gr
     # loose screening value there and the final tight integral. The search
     # bracket width would overstate it badly when the surface has cliffs at
     # the scale of the smallest zero deficit.
-    agreement = abs(rotations[phi_star].loose - value)
+    agreement = abs(loose_values[phi_star] - value)
     return LambdaResult(
         value=float(value),
         eta=CirclePoint(np.exp(1j * phi_star)),

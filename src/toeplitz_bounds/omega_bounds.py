@@ -315,7 +315,9 @@ def omega_convergence_study(
     """Sweep the (q, m) schedule; emit one row per cell, best bracket overall.
 
     Rows whose probe deficit cannot be represented are emitted with NaN bounds
-    and a warning marker instead of being dropped. The upper bound depends
+    and a warning marker instead of being dropped; a schedule with no
+    representable cell raises InvalidConfiguration before any upper bound is
+    computed. The upper bound depends
     only on q, so it is computed once per schedule entry. Rows are independent
     and may run on a thread pool; output order follows the schedule, not
     completion.
@@ -328,13 +330,16 @@ def omega_convergence_study(
     m_offsets = [as_int(off, "m offset") for off in m_offsets]
     xi_p = xi if isinstance(xi, CirclePoint) else CirclePoint(as_complex(xi))
 
-    # every cell is checked before the first upper bound is computed
+    # every cell is checked, and a schedule with no representable cell
+    # rejected, before the first upper bound is computed
     cells = [(q, n + off) for q in q_schedule for off in m_offsets]
     configs = {
         (q, m): RayConfiguration(xi=xi_p, q=q, n=n, m=m, eps=eps)
         for q, m in cells
         if float(q) ** m >= PROBE_DEFICIT_FLOOR
     }
+    if not configs:
+        raise InvalidConfiguration("no schedule cell survived the conditioning guards")
     uppers = {
         q: lemma1_upper_bound(
             BlaschkeProduct(zeros=tuple(_ray_zeros(xi_p.value, q, n))), lambda_spec, rotation_grid
@@ -344,29 +349,22 @@ def omega_convergence_study(
 
     def run_cell(cell):
         q, m = cell
-        if cell not in configs:
-            return StudyRow(
-                n=n,
-                xi=xi_p.value,
-                q=float(q),
-                m=m,
-                lower=math.nan,
-                upper=uppers[q],
-                ideal_limit=ideal_limit(n, q),
-                interp_norm=math.nan,
-                warnings=("probe deficit below representable floor; row skipped",),
-            )
-        cert = certify_lower_bound(configs[cell])
+        if cell in configs:
+            cert = certify_lower_bound(configs[cell])
+            lower, level, warnings = cert.certified, cert.level, cert.warnings
+        else:
+            cert, lower, level = None, math.nan, math.nan
+            warnings = ("probe deficit below representable floor; row skipped",)
         return StudyRow(
             n=n,
             xi=xi_p.value,
             q=float(q),
             m=m,
-            lower=cert.certified,
+            lower=lower,
             upper=uppers[q],
-            ideal_limit=cert.ideal_limit,
-            interp_norm=cert.level,
-            warnings=cert.warnings,
+            ideal_limit=ideal_limit(n, float(q)),
+            interp_norm=level,
+            warnings=warnings,
             certificate=cert,
         )
 
@@ -376,10 +374,7 @@ def omega_convergence_study(
     else:
         rows = tuple(run_cell(c) for c in cells)
 
-    finite = [r for r in rows if not math.isnan(r.lower)]
-    if not finite:
-        raise InvalidConfiguration("no schedule cell survived the conditioning guards")
-    best_row = max(finite, key=lambda r: r.lower)
+    best_row = max((r for r in rows if not math.isnan(r.lower)), key=lambda r: r.lower)
     best = NormBracket(
         lower=best_row.lower,
         upper=max(r.upper for r in rows),

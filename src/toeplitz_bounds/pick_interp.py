@@ -82,16 +82,6 @@ class InterpolationProblem:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
 
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": [[x.real, x.imag] for x in self.nodes],
-            "targets": [[y.real, y.imag] for y in self.targets],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "InterpolationProblem":
         return cls(nodes=complex_pairs(d["nodes"]), targets=complex_pairs(d["targets"]))
@@ -275,10 +265,11 @@ def construct_interpolant(problem: InterpolationProblem, mu: float) -> Interpola
     boundary sup-norm, RationalFunction.sup_norm over the complex128 boundary
     evaluator: a lower estimate reported for inspection, never divided by.
     Analyticity, and sup |h| <= mu, are certified by the recursion
-    parameters, all strictly inside the disk.
+    parameters, all strictly inside the disk. A level that is not positive
+    and finite raises InvalidConfiguration.
     """
-    if not (mu > 0):
-        raise InvalidConfiguration("level mu must be positive")
+    if not (0.0 < mu < np.inf):
+        raise InvalidConfiguration(f"level mu must be positive and finite, got {mu!r}")
     x, gammas = _schur_parameters(problem.nodes, problem.targets, mu)
     evaluate = _chain_evaluator(x, gammas, mu)
     num, den = _chain_polynomials(x, gammas, mu)

@@ -39,6 +39,10 @@ from .disk_core import (
 from .errors import InvalidConfiguration, PointCollision, RepeatedZero
 
 POLE_MARGIN = 1e-9
+# sup_norm sweep: SUP_SAMPLES uniform angles, of whose local maxima the
+# SUP_PEAKS highest are refined.
+SUP_SAMPLES = 4096
+SUP_PEAKS = 8
 # sup_norm refinement: at most REFINE_STEPS batched parabolic steps after the
 # sweep, a stencil shrink of REFINE_SHRINK per bracketed step, and a stencil
 # counts as settled at a relative change of a few units of rounding.
@@ -100,12 +104,12 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction(num deg {self.numerator.size - 1}, den deg {self.denominator.size - 1})"
 
-    def sup_norm(self, samples: int = 4096, peaks: int = 8) -> float:
+    def sup_norm(self) -> float:
         """Boundary sup-norm by dense sampling plus batched parabolic refinement of the top peaks.
 
-        The sweep evaluates |h(e^{i theta})| at `samples` uniform angles,
+        The sweep evaluates |h(e^{i theta})| at SUP_SAMPLES uniform angles,
         through the boundary evaluator when the function carries one. The
-        `peaks` highest local maxima of the samples, at least three grid steps
+        SUP_PEAKS highest local maxima of the samples, at least three grid steps
         apart, are then refined together, in at most REFINE_STEPS batched
         evaluations of one 3-point stencil per peak. Each step fits a parabola
         to (top sample / |h|)^2 on the stencil and moves the stencil to its
@@ -120,7 +124,7 @@ class RationalFunction:
         to REFINE_RTOL. The result is the largest modulus evaluated, a lower
         estimate of the true supremum.
         """
-        theta = np.linspace(-math.pi, math.pi, samples, endpoint=False)
+        theta = np.linspace(-math.pi, math.pi, SUP_SAMPLES, endpoint=False)
         mags = np.abs(self._on_circle(theta))
         tops = np.flatnonzero((mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)))
         chosen = []
@@ -128,9 +132,9 @@ class RationalFunction:
         for k in tops[np.argsort(mags[tops])[::-1]].tolist():
             if k not in near_chosen:
                 chosen.append(k)
-                if len(chosen) == peaks:
+                if len(chosen) == SUP_PEAKS:
                     break
-                near_chosen.update((k + d) % samples for d in range(-2, 3))
+                near_chosen.update((k + d) % SUP_SAMPLES for d in range(-2, 3))
         idx = np.array(chosen)
         scale = float(mags[idx[0]])
         if scale == 0.0:
@@ -141,8 +145,8 @@ class RationalFunction:
 
         best = scale
         center = theta[idx]
-        width = np.full(idx.size, 2.0 * math.pi / samples)
-        u = inverse_square(np.stack([mags[idx - 1], mags[idx], mags[(idx + 1) % samples]]))
+        width = np.full(idx.size, 2.0 * math.pi / SUP_SAMPLES)
+        u = inverse_square(np.stack([mags[idx - 1], mags[idx], mags[(idx + 1) % SUP_SAMPLES]]))
         predicted = np.full(idx.size, np.inf)
         for _ in range(REFINE_STEPS):
             u_lo, u_mid, u_hi = u

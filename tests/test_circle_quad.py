@@ -708,6 +708,45 @@ class TestLambdaBitPins:
             assert abs(error - error0) <= self.DRIFT[2] * error0
 
 
+class TestFinalRecheck:
+    # Zeros whose refined rotation is also a leading candidate with a crude
+    # value above the final value plus its error, so the final re-check of
+    # the candidates used to repeat the refined rotation's tight integral:
+    # 3,640 and 7,056 evaluations that could never win. The pins are the
+    # results before that integral was skipped, with the evaluations it cost.
+    CASES = [
+        (
+            (0.036882996120765336 + 0.908051741045587j,),
+            QuadratureSpec(tolerance=1e-10),
+            ("0x1.f0fd0129b971ep+0", "0x1.87bb3f4cb449ap+0", "0x1.258552c38edfcp-34"),
+            48_616 - 3_640,
+        ),
+        (
+            (0.8446868283546499 + 0.535260832647459j, -0.9969742406056947 + 0.0777325340527502j),
+            circle_quad.DEFAULT_LAMBDA_SPEC,
+            ("0x1.000000dd9042cp+1", "0x1.212fa12da044ep-1", "0x1.5e1bb730aaba2p-29"),
+            178_452 - 7_056,
+        ),
+    ]
+
+    @pytest.mark.parametrize("zeros, spec, pins, evaluations", CASES, ids=["one-zero", "two-zeros"])
+    def test_the_returned_rotation_has_one_tight_integral(self, monkeypatch, zeros, spec, pins, evaluations):
+        tight = []
+        real = circle_quad._lambda_integral
+
+        def recorded(f, phi, tol, *args):
+            if tol == spec.tolerance:
+                tight.append(phi)
+            return real(f, phi, tol, *args)
+
+        monkeypatch.setattr(circle_quad, "_lambda_integral", recorded)
+        r = lambda_functional(BlaschkeProduct(zeros=zeros), spec)
+        assert (r.value.hex(), cmath.phase(r.eta.value).hex(), r.error_estimate.hex()) == pins
+        assert r.evaluations == evaluations
+        assert len(set(tight)) == len(tight)
+        assert [phi for phi in tight if np.exp(1j * phi) == r.eta.value] == [tight[0]]
+
+
 class TestRotationRecords:
     def test_each_rotation_is_seeded_and_solved_once(self, monkeypatch):
         seeded, solved = [], []
@@ -800,10 +839,9 @@ class TestPanelEstimates:
     )
     def test_fresh_and_resumed_integrals_are_the_previous_estimates_bit_for_bit(self, monkeypatch, seeds, panels):
         B = BlaschkeProduct(zeros=((1.0 - 1e-7) * cmath.exp(1.0j), 0.4 - 0.3j, -0.6))
-        pair = circle_quad._pair_evaluator(B)
-
         def oscillation(theta):
-            fp, fm = pair(1.0, theta)
+            both = boundary_values(B, 1.0, offset=theta)
+            fp, fm = both[: theta.size], both[theta.size :]
             return np.abs(fp - fm) / (2.0 * np.sin(0.5 * theta))
 
         def peak(theta):
@@ -833,7 +871,8 @@ class TestPairEvaluator:
             B = BlaschkeProduct(zeros=zeros)
             theta = np.sort(10.0 ** rng.uniform(-14.0, math.log10(math.pi), 257))
             for phi in (2.0 * math.pi * rng.uniform(), cmath.phase(zeros[0])):
-                fp, fm = circle_quad._pair_evaluator(B)(phi, theta)
+                both = boundary_values(B, phi, offset=theta)
+                fp, fm = both[: theta.size], both[theta.size :]
                 assert np.array_equal(fp, previous_sweep(B, phi, theta))
                 assert np.array_equal(fm, previous_sweep(B, phi, -theta))
 
@@ -842,7 +881,7 @@ class TestBoundaryTraffic:
     def test_points_are_one_per_grid_node_and_two_per_adaptive_node(self, monkeypatch):
         # the rule behind perfbench's evals_unreported: every Lambda evaluation
         # goes through circle_quad.boundary_values, the grid scan as one point
-        # per node, the pair evaluator as two
+        # per node, the Lambda integrand's pair form as two
         points = []
         real = circle_quad.boundary_values
 

@@ -202,6 +202,15 @@ class TestPickCommand:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("level", ["inf", "nan", "0"])
+    def test_construct_at_a_level_that_is_not_positive_and_finite_exits_two(self, capsys, tmp_path, level):
+        pf = tmp_path / "problem.json"
+        pf.write_text(json.dumps(SCHWARZ_PROBLEM))
+        code, out, err = run_main(capsys, ["pick", "--problem-file", str(pf), "--construct", "--level", level])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: level mu must be positive and finite")
+
     def test_missing_problem_file_exits_two(self, capsys):
         code, _, _ = run_main(capsys, ["pick", "--problem-file", "/nonexistent/problem.json"])
         assert code == 2

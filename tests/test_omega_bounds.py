@@ -239,9 +239,11 @@ class TestStudy:
             dict(n=1, q_schedule=(0.3,), m_offsets=(2.5,)),
             dict(n=1, q_schedule=(0.001,), m_offsets=(2, 20.5)),
             dict(n=1.5, q_schedule=(0.3,)),
+            dict(n=1, q_schedule=(0.01, 0.02), m_offsets=(10, 12)),
         ],
         ids=["1.5", "0.0", "-0.2", "nan", "m-equal-to-n", "n-zero", "eps-above-1-q",
-             "fractional-offset", "fractional-offset-below-the-floor", "fractional-n"],
+             "fractional-offset", "fractional-offset-below-the-floor", "fractional-n",
+             "no-cell-above-the-floor"],
     )
     def test_each_q_is_checked_before_any_upper_bound(self, monkeypatch, kwargs):
         # each q, and the configuration of each cell above the deficit floor

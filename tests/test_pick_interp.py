@@ -168,9 +168,9 @@ class TestProblemValidation:
         with pytest.raises(InvalidConfiguration):
             InterpolationProblem(nodes=(0.5, 0.5), targets=(0.1, 0.2))
 
-    def test_dict_round_trip(self):
+    def test_from_dict(self):
         p = InterpolationProblem(nodes=(0.2, -0.4j), targets=(0.3, 0.1 + 0.2j))
-        q = InterpolationProblem.from_dict(p.to_dict())
+        q = InterpolationProblem.from_dict({"nodes": [[0.2, 0.0], [0.0, -0.4]], "targets": [[0.3, 0.0], [0.1, 0.2]]})
         assert q.nodes == p.nodes
         assert q.targets == p.targets
 
@@ -422,6 +422,14 @@ class TestConstruction:
         p = InterpolationProblem(nodes=(0.3,), targets=(0.25,))
         with pytest.raises(InvalidConfiguration):
             construct_interpolant(p, -1.0)
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0])
+    def test_level_must_be_positive_and_finite(self, mu):
+        # an infinite level would reach the Schur recursion, whose targets
+        # y / mu warn before the interpolant's coefficients are refused
+        p = InterpolationProblem(nodes=(0.0, 0.5), targets=(0.0, 0.25))
+        with pytest.raises(InvalidConfiguration, match=f"got {mu!r}"):
+            construct_interpolant(p, mu)
 
 
 FAULT_PROBE = """
