@@ -7,14 +7,14 @@ The functional computed here is
 with m the normalized Lebesgue measure. The integrand is even in the angle of
 zeta and bounded at zeta = 1 for the symbols of interest, but it develops
 peaks of width 1 - |a| when a zero a approaches the circle, so the integrator
-is an adaptive bisection scheme: each panel is estimated by composite
-midpoint rules at 4/8/16 cells plus two Richardson sweeps (sixth order on
-smooth panels), and a panel is accepted once its internal discrepancy is
-below its proportional share of the tolerance budget. Nodes are cell
-midpoints, so theta = 0 is never sampled and the removable singularity needs
-no special casing. At a fixed rotation the integrand is one call of
-boundary_values in its pair form, the symbol at the rotation plus and minus
-every node angle.
+is an adaptive bisection scheme: each panel is estimated by the 15-point
+Gauss-Kronrod rule (QUADPACK's qk15), whose embedded 7-point Gauss rule gives
+the error estimate at no extra evaluation, and a panel is accepted once that
+discrepancy is below its proportional share of the tolerance budget. Every
+node is interior to its panel, so theta = 0 is never sampled and the
+removable singularity needs no special casing. At a fixed rotation the
+integrand is one call of boundary_values in its pair form, the symbol at the
+rotation plus and minus every node angle.
 
 The supremum over rotations is approximated by a fixed uniform grid (shared
 function values, so the grid costs one boundary sweep regardless of grid
@@ -53,9 +53,31 @@ from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
 TWO_PI = 2.0 * math.pi
 # Temporaries of one row block of the rotation grid scan, sized to stay in L2.
 _GRID_BLOCK_BYTES = 1 << 20
-# Cell midpoints of the 4-, 8- and 16-cell midpoint rules on [0, 1], joined:
-# one row of 28 nodes per panel.
-_NODE_OFFSETS = np.concatenate([(np.arange(c) + 0.5) / c for c in (4, 8, 16)])
+# QUADPACK's qk15 (Piessens et al., QUADPACK, 1983): the 15-point Kronrod
+# rule on [-1, 1], exact to degree 22, and its embedded 7-point Gauss rule,
+# exact to degree 13, on every other node. Abscissae from 1 down to 0.
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+# The rules moved to [0, 1], nodes in increasing order: one row of 15 nodes
+# per panel, every node strictly inside it. The Gauss weights are 0 off its
+# 7 nodes.
+_NODE_OFFSETS = np.concatenate([0.5 - 0.5 * _XGK[:-1], 0.5 + 0.5 * _XGK[::-1]])
+_KRONROD_WEIGHTS = 0.5 * np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GAUSS_WEIGHTS = 0.5 * np.concatenate([_WG[:-1], _WG[::-1]])
 # Initial uniform panel count on (-pi, pi], a power of two so that theta = 0
 # and theta = pi are panel boundaries, never nodes.
 BASE_PANELS = 64
@@ -138,22 +160,20 @@ def localmax(f, lo: float, hi: float, x: float, fx: float, width: float, steps: 
 
 
 def _panel_estimates(g, los, his):
-    """Richardson estimate and error of g's integral over each panel [lo, hi].
+    """Gauss-Kronrod estimate and error of g's integral over each panel [lo, hi].
 
-    Each panel's 28 nodes (_NODE_OFFSETS) form one row, and g gets the rows
-    panel-major in one flat array. A rule's mean is its row sum times 1/4,
-    1/8 or 1/16, exact powers of two, so it has the bits of the division.
+    Each panel's 15 nodes (_NODE_OFFSETS) form one row, and g gets the rows
+    panel-major in one flat array. The estimate is the 15-point Kronrod
+    value K, the error |K - G| against the embedded 7-point Gauss value G
+    plus a rounding floor. The row sums are einsums, not BLAS gemvs, which
+    would start a second thread.
     """
     w = his - los
     nodes = los[:, None] + w[:, None] * _NODE_OFFSETS
     vals = np.asarray(g(nodes.ravel())).reshape(nodes.shape)
-    m4 = w * (vals[:, :4].sum(axis=1) * 0.25)
-    m8 = w * (vals[:, 4:12].sum(axis=1) * 0.125)
-    m16 = w * (vals[:, 12:].sum(axis=1) * 0.0625)
-    r2 = (4.0 * m8 - m4) / 3.0
-    r3 = (4.0 * m16 - m8) / 3.0
-    r23 = (16.0 * r3 - r2) / 15.0
-    return r23, np.abs(r23 - r3) + 5e-17 * np.abs(r23)
+    kronrod = w * np.einsum("ij,j->i", vals, _KRONROD_WEIGHTS)
+    gauss = w * np.einsum("ij,j->i", vals, _GAUSS_WEIGHTS)
+    return kronrod, np.abs(kronrod - gauss) + 5e-17 * np.abs(kronrod)
 
 
 def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, first=None):
@@ -169,7 +189,7 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
     tests.
 
     seed_edges places extra panel boundaries at known feature locations.
-    Richardson error estimates are blind to structure narrower than the node
+    Gauss-Kronrod error estimates are blind to structure narrower than the node
     spacing, so a peak of width 1e-9 inside a width-0.05 panel would be
     reported as converged with essentially zero error; seeding guarantees
     nodes inside every known peak from the first sweep.
@@ -177,8 +197,8 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
     first, a list, keeps the first sweep (panels and estimates, independent of
     tol_abs): an empty one receives it, a filled one is resumed at 0 evaluations.
 
-    Every sweep is one call of g on all its panels' nodes, 28 a panel, laid
-    out panel-major (see _panel_estimates), and counts 28 evaluations a
+    Every sweep is one call of g on all its panels' nodes, 15 a panel, laid
+    out panel-major (see _panel_estimates), and counts 15 evaluations a
     panel. The integral and the accepted and failed errors are running sums
     over the sweeps, each sweep adding its accepted panels before the
     pending ones.
@@ -189,7 +209,7 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
     total_width = b - a
 
     if first:
-        los, his, r23, err = first[0]
+        los, his, est, err = first[0]
     else:
         edges = np.linspace(a, b, BASE_PANELS + 1)
         if seed_edges is not None and len(seed_edges):
@@ -199,35 +219,35 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
         los = edges[:-1].copy()
         his = edges[1:].copy()
         evaluations += _NODE_OFFSETS.size * los.size
-        r23, err = _panel_estimates(g, los, his)
+        est, err = _panel_estimates(g, los, his)
         if first is not None:
-            first.append((los, his, r23, err))
+            first.append((los, his, est, err))
     depths = np.zeros(los.size, dtype=int)
 
     while True:
         share = 0.5 * tol_abs * ((his - los) / total_width)
 
         done = err <= share
-        value += r23[done].sum()
+        value += est[done].sum()
         error += float(err[done].sum())
 
         rest = ~done
         pending = float(err[rest].sum())
         if error + failed_error + pending <= tol_abs:
-            value += r23[rest].sum()
+            value += est[rest].sum()
             error += pending
             break
         if int(rest.sum()) > (1 << 20):
             # runaway subdivision: the error estimates are noise-bound and
             # finer panels cannot help, so record the best value as a failure
             # instead of exhausting memory
-            value += r23[rest].sum()
+            value += est[rest].sum()
             failed_error += pending
             failures += int(rest.sum())
             break
         exhausted = rest & (depths + 1 > MAX_DEPTH)
         if np.any(exhausted):
-            value += r23[exhausted].sum()
+            value += est[exhausted].sum()
             failed_error += float(err[exhausted].sum())
             failures += int(exhausted.sum())
             rest = rest & ~exhausted
@@ -239,7 +259,7 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
         if not los.size:
             break
         evaluations += _NODE_OFFSETS.size * los.size
-        r23, err = _panel_estimates(g, los, his)
+        est, err = _panel_estimates(g, los, his)
 
     if failures:
         raise ToleranceNotMet(
@@ -377,7 +397,7 @@ def _kink_solver(f: BlaschkeProduct):
     strictly increasing from 0 at theta = 0 to 2 pi n at theta = pi, so there
     are exactly n - 1 interior folds, each a bracketed root. They must become
     panel edges: a fold strictly inside a panel but hugging one edge at
-    distance delta defeats the Richardson estimate, because its quadrature
+    distance delta defeats the Gauss-Kronrod estimate, because its quadrature
     error is slope * delta^2 at every refinement level, while a fold exactly
     at an edge leaves both neighbors piecewise smooth and costs nothing.
 

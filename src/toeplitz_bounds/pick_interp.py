@@ -113,9 +113,10 @@ def _scaled_eigs(M: np.ndarray) -> np.ndarray:
 
 
 def pick_feasible(problem: InterpolationProblem, mu: float) -> bool:
-    """True iff the interpolation problem is solvable with sup-norm at most mu."""
-    if not (mu > 0):
-        raise InvalidConfiguration("level mu must be positive")
+    """True iff the interpolation problem is solvable with sup-norm at most mu.
+    A level that is not positive and finite raises InvalidConfiguration."""
+    if not (0.0 < mu < np.inf):
+        raise InvalidConfiguration(f"level mu must be positive and finite, got {mu!r}")
     ymax = max(abs(y) for y in problem.targets)
     if not (ymax < mu * (1.0 + 1e9)):
         # Absurd scale: the diagonal is already negative beyond any tolerance.

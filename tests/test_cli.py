@@ -130,7 +130,8 @@ class TestApplyCommand:
             ),
             (
                 ["--zeros", "0.999999", "--h", "1;0.5", "--z", "0.2", "--method", "contour"],
-                "a1a664dfd8cd43f4f55add39d74c49162203305aee56c8276a542df9b471e6d6",
+                # a1a664df...b471e6d6 with the 28-node midpoint panels
+                "7fa171a9a005f92b032c0b6cf23589afd1ba7bc85e7fd8e840dfdc91da8afc9c",
             ),
         ],
         ids=["residue", "contour-fallback"],
@@ -139,7 +140,9 @@ class TestApplyCommand:
         # the residue route on a degree-3 symbol, and the contour route next
         # to a zero 1e-6 from the circle, where trapezoid doubling stalls and
         # the adaptive integrate_circle takes over; digests recorded when B'
-        # at the zeros came from the full product rule
+        # at the zeros came from the full product rule, the contour one again
+        # with the Gauss-Kronrod panels, which moved its value from 1.4e-8 to
+        # 1.3e-13 off the residue route's
         fallbacks = []
         real = toeplitz_op.integrate_circle
 
@@ -238,11 +241,12 @@ class TestPickCommand:
 class TestBracketCommand:
     def test_ray_json_stdout_is_pinned(self, capsys):
         # the certificate carries V, the residue value at the probe; digest
-        # recorded when B' at the zeros came from the full product rule
+        # recorded with the Gauss-Kronrod panels, which moved the upper side
+        # by 8.9e-9 (1bb618d3...51b191f8 with the 28-node midpoint panels)
         code, out, err = run_main(capsys, ["bracket", "--q", "0.002", "--n", "2", "--m", "4", "--json"])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "1bb618d31fcdfe8797600e88a4f25ecfb4f563d4c75cf77ff26b894751b191f8"
+            "92caa47bade314030835cb47c3e57d2251c4b1ad01f22ae0782c7483ca01c27b"
         )
 
     @pytest.mark.parametrize(
@@ -250,17 +254,20 @@ class TestBracketCommand:
         [
             (
                 ["--q", "0.3", "--n", "1", "--m", "3", "--m-offsets", "8,2", "--json"],
-                "99a8f4fe2de2d7c885cd7bf6f468e015563f7721f902a499aef713571618e032",
+                # 99a8f4fe...1618e032 with the 28-node midpoint panels
+                "3c47b5c8ec524b0fe261d3e7a874346eb66c6f6cc44cb1af283c85e050ea81c0",
             ),
             (
                 ["--q", "0.3", "--n", "1", "--m", "3", "--eps", "0.2", "--xi", "0,1", "--json"],
-                "a0ac60b3d9a316f8ffcc8964e29e69a62a305c92c73e59a4979ac074739e799a",
+                # a0ac60b3...739e799a with the 28-node midpoint panels
+                "8ed4f1f5e580813eb658937321a86d8baf3d98ffd45173eac71771e4d77b1284",
             ),
         ],
         ids=["unsorted-offsets", "eps-and-xi"],
     )
     def test_ray_options_stdout_is_pinned(self, capsys, argv, digest):
-        # digests recorded while the ray bracket kept a loop over m of its own
+        # digests recorded while the ray bracket kept a loop over m of its own,
+        # then again with the Gauss-Kronrod panels: the upper side moved by 3.2e-10
         code, out, err = run_main(capsys, ["bracket"] + argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -349,12 +356,14 @@ class TestOmegaStudyCommand:
         assert {r["m"] for r in payload["rows"]} == {3, 5}
 
     def test_degree_two_json_stdout_is_pinned(self, capsys):
-        # digest recorded while each cell's configuration was built inside its row
+        # digest recorded while each cell's configuration was built inside its
+        # row, then again with the Gauss-Kronrod panels: the uppers moved by at
+        # most 8.9e-9 (02524a01...be207b3e with the 28-node midpoint panels)
         argv = ["omega-study", "--n", "2", "--q-schedule", "0.01,0.005,0.002", "--m-offsets", "1,2", "--json"]
         code, out, err = run_main(capsys, argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "02524a01b7fa6ba2c9ce4ca080aca262a40d24a3eb62c04b8b4a13cdbe207b3e"
+            "6f75e5297de6a407f3b7ecb040a162d31288569561ac8a84adac1c35ba1a7e47"
         )
 
     @pytest.mark.parametrize(

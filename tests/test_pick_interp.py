@@ -255,6 +255,14 @@ class TestMinimalLevel:
         with pytest.raises(InvalidConfiguration):
             pick_feasible(p, 0.0)
 
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, -math.inf])
+    def test_level_must_be_finite(self, mu):
+        # an infinite level used to read as infeasible, with RuntimeWarnings
+        # from the Pick matrix, on a problem feasible at every level >= 0.5
+        p = InterpolationProblem(nodes=(0.0, 0.5), targets=(0.0, 0.25))
+        with pytest.raises(InvalidConfiguration):
+            pick_feasible(p, mu)
+
 
 class TestLevelIsTheBoundary:
     """The reported level separates feasible from infeasible on random problems."""
