@@ -14,16 +14,20 @@ discrepancy is below its proportional share of the tolerance budget. Every
 node is interior to its panel, so theta = 0 is never sampled and the
 removable singularity needs no special casing. At a fixed rotation the
 integrand is one call of boundary_values in its pair form, the symbol at the
-rotation plus and minus every node angle.
+rotation plus and minus every node angle. The Lambda integral's first sweep
+is coarse: 8 uniform panels on (0, pi) plus seed edges at every known
+feature, ratio-4 ladders around each zero's angle and the folds. Each panel
+reports an honest error, so the adaptive loop pays for resolution where it
+is needed, not a fine starting grid everywhere.
 
 The supremum over rotations is approximated by a fixed uniform grid (shared
-function values, so the grid costs one boundary sweep regardless of grid
-size, and for an even grid size a rotation and its half-turn share one row
-of moduli, so half the row work is done), a family of zero-aligned candidate
-rotations for zeros too close to the circle for the grid to see, and
-refinement around the winner by Brent's localmin (ch. 5 of the book below),
-whose parabolic steps need far fewer integrals than golden section on the
-smooth peak. The reported value is therefore a lower estimate of the
+function values, so the grid costs one boundary sweep of 1,024 points at the
+default 256 rotations, and for an even grid size a rotation and its
+half-turn share one row of moduli, so half the row work is done), a family
+of zero-aligned candidate rotations for zeros too close to the circle for
+the grid to see, and refinement around the winner by Brent's localmin
+(ch. 5 of the book below), whose parabolic steps need far fewer integrals
+than golden section on the smooth peak. The reported value is therefore a lower estimate of the
 supremum (the rotation search is not certified) with a quadrature error
 bar; no global optimality is claimed. The search keeps its state in locals
 of lambda_functional: each rotation's first sweep and loose-tolerance
@@ -78,9 +82,12 @@ _WG = np.array([
 _NODE_OFFSETS = np.concatenate([0.5 - 0.5 * _XGK[:-1], 0.5 + 0.5 * _XGK[::-1]])
 _KRONROD_WEIGHTS = 0.5 * np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GAUSS_WEIGHTS = 0.5 * np.concatenate([_WG[:-1], _WG[::-1]])
-# Initial uniform panel count on (-pi, pi], a power of two so that theta = 0
-# and theta = pi are panel boundaries, never nodes.
-BASE_PANELS = 64
+# Initial uniform panel counts, powers of two so that theta = 0 and theta =
+# pi are panel boundaries, never nodes: integrate_circle's on (-pi, pi], which
+# has no seed edges, and the Lambda integral's on (0, pi), whose seed ladders
+# already place an edge at every known feature.
+CIRCLE_PANELS = 64
+LAMBDA_PANELS = 8
 # Bisection depth limit; 42 resolves peaks of width ~1e-11.
 MAX_DEPTH = 42
 
@@ -176,7 +183,7 @@ def _panel_estimates(g, los, his):
     return kronrod, np.abs(kronrod - gauss) + 5e-17 * np.abs(kronrod)
 
 
-def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, first=None):
+def _adaptive_theta(g, a: float, b: float, tol_abs: float, panels: int, seed_edges=None, first=None):
     """Integrate g over [a, b] adaptively; g maps a theta array to values.
 
     Returns (integral, error_estimate, evaluations). Panels are accepted
@@ -188,9 +195,13 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
     best value and an honest estimate) if panels at MAX_DEPTH still miss both
     tests.
 
+    panels is the number of uniform panels the first sweep starts from,
+    before any seed edges; each caller sets its own, since integrate_circle
+    has no seed edges and the Lambda integral has one at every known feature.
+
     seed_edges places extra panel boundaries at known feature locations.
     Gauss-Kronrod error estimates are blind to structure narrower than the node
-    spacing, so a peak of width 1e-9 inside a width-0.05 panel would be
+    spacing, so a peak of width 1e-9 inside a width-0.4 panel would be
     reported as converged with essentially zero error; seeding guarantees
     nodes inside every known peak from the first sweep.
 
@@ -211,7 +222,7 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, seed_edges=None, firs
     if first:
         los, his, est, err = first[0]
     else:
-        edges = np.linspace(a, b, BASE_PANELS + 1)
+        edges = np.linspace(a, b, panels + 1)
         if seed_edges is not None and len(seed_edges):
             extra = np.asarray(seed_edges, dtype=float)
             extra = extra[(extra > a) & (extra < b)]
@@ -282,7 +293,7 @@ def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
         return np.asarray(f(np.exp(1j * theta)))
 
     try:
-        val, err, _ = _adaptive_theta(g, -math.pi, math.pi, spec.tolerance * TWO_PI)
+        val, err, _ = _adaptive_theta(g, -math.pi, math.pi, spec.tolerance * TWO_PI, CIRCLE_PANELS)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(
             str(exc),
@@ -300,10 +311,14 @@ def _seed_ladders(f: BlaschkeProduct):
     rejected.
 
     A zero at a = (1-d) e^{i gamma} concentrates the symbol's phase swing in
-    an angular window of width ~d. Its ladder d * 2^k is geometric from d/2
-    all the way out to the integration span pi: a peak decays like the inverse
-    square of the distance, so every dyadic annulus carries comparable mass
-    and must start at its own panel edge to be estimated reliably. rungs
+    an angular window of width ~d. Its ladder d/2, 2d, 8d, ..., d 4^k / 2, is
+    geometric from d/2 out to the integration span pi: a peak decays like the
+    inverse square of the distance, so every annulus [x, 4x] carries
+    comparable mass and starts at its own panel edge. Ratio 4 is enough:
+    on [x, 4x] an inverse-square peak is smooth at the panel's own scale, so
+    the 15-point Gauss-Kronrod rule reports an honest error there, and the
+    adaptive loop splits the panel when that error asks for it. (Ratio 2
+    seeded twice the panels, for values within the error estimates.) rungs
     joins the ladders of all zeros, counts[k] of them for zero k at angle
     gammas[k].
     """
@@ -312,10 +327,10 @@ def _seed_ladders(f: BlaschkeProduct):
     gammas, counts, rungs = [], [], []
     for a in f.zeros:
         width = 1.0 - abs(a)
-        ks = int(math.ceil(math.log2(max(math.pi / width, 2.0)))) + 1
+        ks = int(math.ceil(math.log(2.0 * math.pi / width, 4.0))) + 1
         gammas.append(float(np.angle(a)) if abs(a) > 0 else 0.0)
-        counts.append(ks + 1)
-        rungs.append(width * 2.0 ** np.arange(-1, ks))
+        counts.append(ks)
+        rungs.append(0.5 * width * 4.0 ** np.arange(ks))
     return gammas, counts, np.concatenate(rungs) if rungs else np.empty(0)
 
 
@@ -422,7 +437,7 @@ def _kink_solver(f: BlaschkeProduct):
     # the Poisson kernel's numerator 1 - rho^2, and (1 - rho)^2 and 4 rho
     d = 1.0 - rho
     poisson = ((d * (1.0 + rho)).tolist(), (d * d).tolist(), (4.0 * rho).tolist())
-    factors = list(zip(gam.tolist(), kappa.tolist(), rho.tolist(), *poisson))
+    factors = list(zip(gam.tolist(), kappa.tolist(), *poisson))
     targets = [TWO_PI * k for k in range(1, f.degree)]
 
     def solver(phi):
@@ -431,9 +446,9 @@ def _kink_solver(f: BlaschkeProduct):
 
         def swept(theta):
             total = slope = 0.0
-            for gamma, k, r, q, d2, r4 in factors:
+            for gamma, k, q, d2, r4 in factors:
                 up, um = phi + theta - gamma, phi - theta - gamma
-                total += _psi(up, k, r) - _psi(um, k, r)
+                total += _psi(up, k) - _psi(um, k)
                 sp, sm = math.sin(0.5 * up), math.sin(0.5 * um)
                 slope += q / (d2 + r4 * sp * sp) + q / (d2 + r4 * sm * sm)
             if math.isnan(total):
@@ -501,18 +516,19 @@ def _fold(swept, seen, c: float, lo: float) -> float:
     raise NumericalBreakdown(f"fold solver did not converge in 100 iterations on [{lo!r}, {hi!r}]")
 
 
-def _psi(u: float, kappa: float, rho: float) -> float:
-    """Continuous boundary phase of one Moebius factor at e^{i(u + gamma)}:
-    psi(u + 2 pi) = psi(u) + 2 pi with no jumps. round() is half to even."""
+def _psi(u: float, kappa: float) -> float:
+    """Continuous boundary phase of one Moebius factor at e^{i(u + gamma)},
+    with kappa = (1 + rho) / (1 - rho): 2 pi m + 2 atan(kappa tan(u_r / 2)),
+    u_r = u - 2 pi m, so psi(u + 2 pi) = psi(u) + 2 pi with no jumps.
+    round() is half to even.
+
+    The same function as u_r / 2 + atan(kappa tan(u_r / 2)) + atan(rho sin u_r
+    / (1 - rho cos u_r)), in two transcendental calls instead of five and
+    without that form's cancellation in 1 - rho cos u_r, which cost about
+    1e-16 / |u_r| absolute next to a zero near the circle (5e-9 at u_r = 1e-8
+    for a zero 1e-9 from it). This one is accurate to rounding there."""
     m = round(u / TWO_PI)
-    ur = u - TWO_PI * m
-    half = 0.5 * ur
-    return (
-        TWO_PI * m
-        + half
-        + math.atan(kappa * math.tan(half))
-        + math.atan(rho * math.sin(ur) / (1.0 - rho * math.cos(ur)))
-    )
+    return TWO_PI * m + 2.0 * math.atan(kappa * math.tan(0.5 * (u - TWO_PI * m)))
 
 
 def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, ladders, kink_fn, first=None):
@@ -538,7 +554,9 @@ def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, ladders, kink_f
         seeds = _seed_edges_for_rotation(ladders, phi)
         if kink_fn is not None:
             seeds = np.concatenate([seeds, kink_fn(phi)])
-    val, err, evals = _adaptive_theta(g, 0.0, math.pi, tol * math.pi, seed_edges=seeds, first=first)
+    val, err, evals = _adaptive_theta(
+        g, 0.0, math.pi, tol * math.pi, LAMBDA_PANELS, seed_edges=seeds, first=first
+    )
     return float(val.real) / math.pi, err / math.pi, evals
 
 
@@ -554,6 +572,11 @@ def _grid_scan(f: BlaschkeProduct, rotation_grid: int):
 
     The theta grid has size M = s * rotation_grid, so rotating by a grid step
     is an index shift and reflection is an index reversal; f is evaluated once.
+    s = max(2, ceil(1024 / R)), rounded up to even, so M = 1,024 at the
+    default R = 256. The grid only ranks rotations for the candidates, whose
+    values come from adaptive integrals; a grid of four times the nodes
+    ranked them alike on every product tested, at four times the subtract,
+    modulus and sum work.
     Terms j and M-1-j of the rotation sum are equal (the kernel is even and the
     pair is swapped), so only j < M/2 is summed and the result doubled. The
     plus and minus operands are strided windows over F repeated twice and over
@@ -570,7 +593,7 @@ def _grid_scan(f: BlaschkeProduct, rotation_grid: int):
     move the last bits. Odd R has no half-turn partner and sums every row.
     """
     R = rotation_grid
-    s = max(16, -(-4096 // R))
+    s = max(2, -(-1024 // R))
     s += s % 2
     M = R * s
     half = M // 2

@@ -194,10 +194,12 @@ def modulo_index_scan(f, R, M):
     return np.abs(F[plus] - F[minus]) @ kern / M
 
 
-def all_rows_scan(f, R):
+def all_rows_scan(f, R, nodes=1024):
     """The grid scan before its half-turn sharing, inline: the moduli of every
-    row computed, in row blocks of 1 MB at 24 bytes a term."""
-    s = max(16, -(-4096 // R))
+    row computed, in row blocks of 1 MB at 24 bytes a term. Returns what
+    _grid_scan returns; its grid has `nodes` nodes at R = 256, as
+    _grid_scan's, and at least two a rotation."""
+    s = max(2, -(-nodes // R))
     s += s % 2
     M = R * s
     half = M // 2
@@ -210,7 +212,7 @@ def all_rows_scan(f, R):
     blocks = (np.abs(plus[i : i + rows] - minus[i : i + rows]) for i in range(0, R, rows))
     vals = np.concatenate([np.einsum("ij,j->i", blk, kern) for blk in blocks])
     vals *= 2.0 / M
-    return vals
+    return np.arange(R) * (2.0 * math.pi / R), vals, M
 
 
 class TestGridScan:
@@ -218,7 +220,7 @@ class TestGridScan:
     def test_half_turn_rows_are_the_all_rows_scan_bit_for_bit(self, R):
         # B(z) = z and the double zero at 0 tie on every rotation; a zero
         # 1e-12 from the circle and a degree-6 product do not. R = 4097 sums
-        # 134M terms a scan, so it takes the degree-6 product only
+        # 17M terms a scan, so it takes the degree-6 product only
         products = (
             (0.0,),
             (0.0, 0.0),
@@ -227,8 +229,9 @@ class TestGridScan:
         )
         for zeros in products[3:] if R > 1000 else products:
             B = BlaschkeProduct(zeros=zeros)
-            _, vals, _ = circle_quad._grid_scan(B, R)
-            assert np.array_equal(vals, all_rows_scan(B, R))
+            _, vals, M = circle_quad._grid_scan(B, R)
+            _, ref, M_ref = all_rows_scan(B, R)
+            assert M == M_ref and np.array_equal(vals, ref)
 
     @pytest.mark.parametrize("R", [64, 100, 256])
     def test_matches_the_full_length_modulo_formula(self, R):
@@ -295,26 +298,16 @@ def reference_swept(B, phi):
 
     def psi(u):
         m = np.round(u / (2.0 * math.pi))
-        ur = u - 2.0 * math.pi * m
-        half = 0.5 * ur
-        return (
-            2.0 * math.pi * m
-            + half
-            + np.arctan(kappa * np.tan(half))
-            + np.arctan(rho * np.sin(ur) / (1.0 - rho * np.cos(ur)))
-        )
+        return 2.0 * math.pi * m + 2.0 * np.arctan(kappa * np.tan(0.5 * (u - 2.0 * math.pi * m)))
 
     return lambda theta: float(np.sum(psi(phi + theta - gam) - psi(phi - theta - gam)))
 
 
 def fold_rounding(B, phi, t):
     """(S'(t), the rounding budget of a fold at t, in theta). The phase of a
-    factor carries a few ulps of its argument, times its speed P, and the
-    rounding of 1 - rho cos(u) inside _psi (and reference_swept): an absolute
-    error of eps there moves atan(x), x = rho sin(u) / D, D = 1 - rho cos(u),
-    by eps |x| / (D (1 + x^2)), about eps / |u| next to a zero near the
-    circle. Divided by S', the sum bounds how far from a root each of the
-    two phases may cross its target."""
+    factor carries a few ulps of its argument, times its speed P, plus a few
+    ulps of its value; divided by S', the sum bounds how far from a root
+    each of the two phases may cross its target."""
     eps = 2.0**-53
     zeros = np.asarray(B.zeros)
     rho, gam = np.abs(zeros), np.angle(zeros)
@@ -322,9 +315,7 @@ def fold_rounding(B, phi, t):
     for u in (phi + t - gam, phi - t - gam):
         s2 = np.sin(0.5 * u) ** 2
         p = (1.0 - rho) * (1.0 + rho) / ((1.0 - rho) ** 2 + 4.0 * rho * s2)
-        d = (1.0 - rho) + 2.0 * rho * s2
-        x = rho * np.sin(u) / d
-        error += np.sum(eps * np.abs(x) / (d * (1.0 + x * x)) + 4.0 * eps * (np.abs(u) + 8.0) * (1.0 + p))
+        error += np.sum(4.0 * eps * (np.abs(u) + 8.0) * (1.0 + p))
         slope += np.sum(p)
     return slope, error / slope
 
@@ -445,11 +436,18 @@ class TestKinkSolver:
         assert circle_quad._kink_solver(BlaschkeProduct(zeros=())) is None
         assert circle_quad._kink_solver(BlaschkeProduct(zeros=(0.5j,))) is None
 
+    # first fold at phi = 0.7 - 1e-9 of the near-circle product below: the
+    # Newton fold on the one-term phase, then the brentq fold on the
+    # three-term phase, then the 60-digit root of the exact swept phase of
+    # the same double zeros (mpmath, not a test dependency)
+    NEAR_FOLD = ("0x1.47b508bb1dc50p-20", "0x1.47b50728d6c39p-20", 1.2208043204621479105403314e-6)
+
     def test_folds_match_recorded_bits(self):
         # float.hex of the folds scipy.optimize.brentq returned for these
         # inputs, which its port reproduced exactly; the Newton solver stops
         # at the same tolerances but at other points, so it keeps them to
-        # within 1e-14
+        # within 1e-14. NEAR_FOLD is the one fold that the one-term phase
+        # moved by more
         recorded = {
             (0.5, -0.25 + 0.1j): {
                 0.3: ["0x1.467057b59e1a0p+0"],
@@ -463,7 +461,7 @@ class TestKinkSolver:
             },
             ((1.0 - 1e-12) * cmath.exp(0.7j), 0.4 - 0.2j, -0.5j): {
                 0.7 + 1e-3: ["0x1.0624e9ff131ccp-10", "0x1.b40969ea6a0f9p+0"],
-                0.7 - 1e-9: ["0x1.47b50728d6c39p-20", "0x1.b3deb18aaee36p+0"],
+                0.7 - 1e-9: [self.NEAR_FOLD[0], "0x1.b3deb18aaee36p+0"],
                 -1.5: ["0x1.dae171a499fd3p-1", "0x1.19999999991cap+1"],
             },
         }
@@ -473,6 +471,35 @@ class TestKinkSolver:
                 folds = solver(phi)
                 assert len(folds) == len(bits)
                 assert np.max(np.abs(folds - [float.fromhex(h) for h in bits])) <= 1e-14
+
+    def test_the_near_circle_fold_sits_on_its_60_digit_root(self):
+        # the three-term phase was 5e-9 off next to the zero, which put the
+        # fold 8.9e-14 below the root; the one-term phase is within the
+        # solver's stopping width of it
+        new, old, root = self.NEAR_FOLD
+        fold = circle_quad._kink_solver(self.seeded_products()[2])(0.7 - 1e-9)[0]
+        assert fold.hex() == new
+        assert abs(fold - root) <= 1e-15 < abs(float.fromhex(old) - root)
+        assert abs(fold - float.fromhex(old)) <= 1e-13
+
+    # the phase of a factor at rho = 1 - 1e-9 (the double), at u near 1e-8:
+    # 25 digits of 2 atan(kappa tan(u / 2)) with the exact kappa of that
+    # rho, which mpmath at 80 digits also gave from the three-term form. In
+    # double the three-term form was off by up to 5.0e-9 at these points
+    PSI_REFERENCES = [
+        (3e-9, "2.498091561465667789304228"),
+        (1e-8, "2.942255354108841763578037"),
+        (-1e-8, "-2.942255354108841763578037"),
+        (2.5e-8, "3.061635281562217269015809"),
+        (-4e-8, "-3.091603067740181858681954"),
+        (1e-7, "3.121593320772045849333551"),
+    ]
+
+    def test_phase_next_to_the_circle_is_accurate_to_rounding(self):
+        rho = 1.0 - 1e-9
+        kappa = (1.0 + rho) / (1.0 - rho)
+        for u, reference in self.PSI_REFERENCES:
+            assert abs(circle_quad._psi(u, kappa) - float(reference)) <= math.ulp(float(reference))
 
     def test_returns_increasing_interior_folds(self):
         rng, products, near = self.seeded_products()
@@ -535,7 +562,7 @@ class TestKinkSolver:
 
     def test_a_nan_phase_raises(self, monkeypatch):
         solver = circle_quad._kink_solver(BlaschkeProduct(zeros=(0.5, -0.3j, 0.2 + 0.6j)))
-        monkeypatch.setattr(circle_quad, "_psi", lambda u, kappa, rho: math.nan)
+        monkeypatch.setattr(circle_quad, "_psi", lambda u, kappa: math.nan)
         with pytest.raises(NumericalBreakdown):
             solver(0.4)
 
@@ -636,15 +663,16 @@ class TestLambdaRegression:
 
     def test_work_budget(self):
         # sum of evaluations over seeded products drawn like the Lambda panel;
-        # the golden-section rotation search spent 1,282,776 here and the
-        # 28-node midpoint rule 415,280
+        # the golden-section rotation search spent 1,282,776 here, the
+        # 28-node midpoint rule 415,280, and the 4,096-node grid with a
+        # 64-panel first sweep 258,072
         rng = np.random.default_rng(2027)
         total = 0
         for degree in (1, 2, 3, 4, 5, 6) * 2:
             strata = (rng.permutation(degree) + rng.uniform(0.0, 1.0, degree)) / degree
             zeros = (0.05 + 0.8 * strata) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, degree))
             total += lambda_functional(BlaschkeProduct(zeros=tuple(zeros)), self.PANEL_SPEC).evaluations
-        assert total <= 258_072
+        assert total <= 75_468
 
 
 class TestLambdaBitPins:
@@ -652,9 +680,10 @@ class TestLambdaBitPins:
     # a bit. Degrees 1-6 drawn like the benchmark's Lambda panel, the n = 3,
     # q = 0.001 study symbol on the ray e^{0.7i}, and a zero at 1 - 1e-12 with
     # two interior ones. Each entry holds the pins, recorded with the
-    # Gauss-Kronrod panel rule, then the pins of the 28-node midpoint rule
-    # before it: each value stays within the error estimate recorded with it,
-    # and each rotation within the widest localmin bracket.
+    # 1,024-node rotation grid, the 8-panel first sweep and the one-term
+    # phase, then the pins before them (4,096 nodes, 64 panels, ratio-2
+    # seed ladders): each pair of values stays within the sum of their error
+    # estimates, and each rotation within the widest localmin bracket.
     PANEL_SPEC = TestLambdaRegression.PANEL_SPEC
     # the search's localmin stops at 1e-5 of its bracket, at most a grid step
     LOCALMIN_WIDTH = 1e-5 * 2.0 * math.pi / 256
@@ -662,51 +691,51 @@ class TestLambdaBitPins:
         (
             ((0.311 - 0.025j),),
             PANEL_SPEC,
+            ("0x1.8600220fa9b32p+0", "-0x1.488dc61ac6d91p-4", "0x1.bd4a978ff2c6dp-52"),
             ("0x1.8600220fa9b32p+0", "-0x1.488dd69359a12p-4", "0x1.a153241f66217p-53"),
-            ("0x1.8600220fa9b32p+0", "-0x1.488dd69359dd2p-4", "0x1.eb71f439de859p-39"),
         ),
         (
             ((-0.283 + 0.231j), (-0.738 + 0.304j)),
             PANEL_SPEC,
+            ("0x1.1cb81d6ab38c4p+1", "0x1.5fadef5691127p+1", "0x1.466b95fa307f4p-38"),
             ("0x1.1cb81d6ab38c5p+1", "0x1.5fadef5688e20p+1", "0x1.30acfea1d7e02p-51"),
-            ("0x1.1cb81d6ab34a0p+1", "0x1.5fadef5695d05p+1", "0x1.23ccc8d8f12f9p-29"),
         ),
         (
             ((-0.027 + 0.611j), (0.177 + 0.408j), (0.04 + 0.107j)),
             PANEL_SPEC,
+            ("0x1.0b10eb13e96cep+1", "0x1.8e1a18b2681b3p+0", "0x1.8337efb35d595p-52"),
             ("0x1.0b10eb13e96cdp+1", "0x1.8e1a18b263db0p+0", "0x1.3ebc20ee02eb8p-51"),
-            ("0x1.0b10eb13e96adp+1", "0x1.8e1a18b267b75p+0", "0x1.640d0d3e775e3p-32"),
         ),
         (
             ((-0.443 - 0.586j), (0.256 - 0.159j), (0.333 + 0.46j), (-0.118 + 0.124j)),
             PANEL_SPEC,
+            ("0x1.11efda304b8e5p+1", "-0x1.1bcd7357dda11p+1", "0x1.ff6f8ee68b1ebp-50"),
             ("0x1.11efda304b8e5p+1", "-0x1.1bcd7357dd97dp+1", "0x1.c36a706f6356ap-51"),
-            ("0x1.11efda304bac1p+1", "-0x1.1bcd7357e180dp+1", "0x1.76c9654608953p-31"),
         ),
         (
             ((0.1 + 0.585j), (0.075 + 0.084j), (-0.377 + 0.693j), (0.364 + 0.251j), (-0.204 + 0.229j)),
             PANEL_SPEC,
+            ("0x1.2a7d419bbfa8dp+1", "0x1.07a1231718e33p+1", "0x1.95da060377046p-46"),
             ("0x1.2a7d419bbfa8fp+1", "0x1.07a123171a217p+1", "0x1.579b341f8753bp-51"),
-            ("0x1.2a7d419bbead0p+1", "0x1.07a1231723325p+1", "0x1.3f97461ab737cp-29"),
         ),
         (
             ((-0.324 - 0.005j), (-0.015 - 0.844j), (-0.105 + 0.259j))
             + ((-0.68 + 0.221j), (-0.076 + 0.46j), (-0.095 + 0.031j)),
             PANEL_SPEC,
+            ("0x1.2e8a2706f4c82p+1", "-0x1.96f679ee3b351p+0", "0x1.cae9e540fcf8fp-48"),
             ("0x1.2e8a2706f4c82p+1", "-0x1.96f679ee38dc5p+0", "0x1.8b3bc1a00c7acp-51"),
-            ("0x1.2e8a2706fae99p+1", "-0x1.96f679eddfba1p+0", "0x1.c2ceaf5a1b78ap-28"),
         ),
         (
             tuple((1.0 - 0.001**k) * cmath.exp(0.7j) for k in (1, 2, 3)),
             circle_quad.DEFAULT_LAMBDA_SPEC,
+            ("0x1.6c53f819ec74bp+2", "0x1.6666666666666p-1", "0x1.740cb3bb98d85p-28"),
             ("0x1.6c53f819ec74cp+2", "0x1.6666666666666p-1", "0x1.27166d11211a1p-33"),
-            ("0x1.6c53f819ec547p+2", "0x1.6666666666666p-1", "0x1.09bc3bec0b6c2p-29"),
         ),
         (
             ((1.0 - 1e-12) * cmath.exp(0.3j), 0.4 - 0.3j, -0.6 + 0.1j),
             circle_quad.DEFAULT_LAMBDA_SPEC,
+            ("0x1.adb7b61475b88p+1", "0x1.3333333333331p-2", "0x1.6225a6275db66p-29"),
             ("0x1.adb7b61475b8ap+1", "0x1.3333333333331p-2", "0x1.49d3315dba8ccp-34"),
-            ("0x1.adb7b61470292p+1", "0x1.3333333333331p-2", "0x1.9726f47ba6e08p-28"),
         ),
     ]
 
@@ -715,11 +744,11 @@ class TestLambdaBitPins:
             r = lambda_functional(BlaschkeProduct(zeros=zeros), spec)
             assert (r.value.hex(), cmath.phase(r.eta.value).hex(), r.error_estimate.hex()) == pins
 
-    def test_pins_stay_within_the_midpoint_rule_error(self):
+    def test_pins_stay_within_the_errors_of_the_pins_before(self):
         for _zeros, _spec, pins, before in self.RECORDED:
-            value, eta, _error = (float.fromhex(h) for h in pins)
+            value, eta, error = (float.fromhex(h) for h in pins)
             value0, eta0, error0 = (float.fromhex(h) for h in before)
-            assert abs(value - value0) <= error0
+            assert abs(value - value0) <= error + error0
             assert abs(math.remainder(eta - eta0, 2.0 * math.pi)) <= self.LOCALMIN_WIDTH
 
 
@@ -728,25 +757,26 @@ class TestFinalRecheck:
     # value above the final value plus its error, so the final re-check of
     # the candidates used to repeat the refined rotation's tight integral:
     # 3,640 and 7,056 evaluations that could never win. Each case holds the
-    # pins and evaluations with the Gauss-Kronrod panel rule, then the pins
-    # of the 28-node midpoint rule, recorded before that integral was
-    # skipped. The Gauss-Kronrod crude values no longer exceed the final
+    # pins and evaluations with the 1,024-node grid and the 8-panel first
+    # sweep, then the pins with the 4,096-node grid and 64 panels; the
+    # 28-node midpoint rule, before that integral was skipped, had the same
+    # rotations. The Gauss-Kronrod crude values no longer exceed the final
     # value plus its error, so test_a_refined_rival_is_not_integrated_again
     # forces the skip.
     CASES = [
         (
             (0.036882996120765336 + 0.908051741045587j,),
             QuadratureSpec(tolerance=1e-10),
+            ("0x1.f0fd0129b9720p+0", "0x1.87bb3f4cb449ap+0", "0x1.6095f2f0d2be6p-39"),
+            5_374,  # 24_046 with 4,096 nodes and 64 panels, 48_616 - 3_640 with the midpoint rule
             ("0x1.f0fd0129b9720p+0", "0x1.87bb3f4cb449ap+0", "0x1.08608d117d776p-44"),
-            24_046,  # 48_616 - 3_640 with the midpoint rule
-            ("0x1.f0fd0129b971ep+0", "0x1.87bb3f4cb449ap+0", "0x1.258552c38edfcp-34"),
         ),
         (
             (0.8446868283546499 + 0.535260832647459j, -0.9969742406056947 + 0.0777325340527502j),
             circle_quad.DEFAULT_LAMBDA_SPEC,
+            ("0x1.000000dd90033p+1", "0x1.212fa12da044ep-1", "0x1.ab255b53bb70bp-36"),
+            35_899,  # 89_941 with 4,096 nodes and 64 panels, 178_452 - 7_056 with the midpoint rule
             ("0x1.000000dd90032p+1", "0x1.212fa12da044ep-1", "0x1.1a2b5c8858263p-41"),
-            89_941,  # 178_452 - 7_056 with the midpoint rule
-            ("0x1.000000dd9042cp+1", "0x1.212fa12da044ep-1", "0x1.5e1bb730aaba2p-29"),
         ),
     ]
 
@@ -820,25 +850,27 @@ class TestRotationRecords:
     def test_work_budget(self):
         # the seeded set of TestLambdaRegression.test_work_budget, where the
         # search spent 552,368 evaluations before a rotation's integrals
-        # shared their first sweep, and 415,280 with the 28-node midpoint rule
+        # shared their first sweep, 415,280 with the 28-node midpoint rule,
+        # and 258,072 with the 4,096-node grid and a 64-panel first sweep
         rng = np.random.default_rng(2027)
         total = 0
         for degree in (1, 2, 3, 4, 5, 6) * 2:
             strata = (rng.permutation(degree) + rng.uniform(0.0, 1.0, degree)) / degree
             zeros = (0.05 + 0.8 * strata) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, degree))
             total += lambda_functional(BlaschkeProduct(zeros=tuple(zeros)), TestLambdaRegression.PANEL_SPEC).evaluations
-        assert total <= 258_072
+        assert total <= 75_468
 
     def test_resumed_first_sweep_matches_a_fresh_integral(self):
         def g(theta):
             return 1.0 / (1e-8 + (theta - 1.0) ** 2)
 
         first = []
-        circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-2, seed_edges=[1.0], first=first)
+        panels = circle_quad.LAMBDA_PANELS
+        circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-2, panels, seed_edges=[1.0], first=first)
         swept = circle_quad._NODE_OFFSETS.size * first[0][0].size
         for tol in (1e-2, 1e-5, 1e-8):
-            val, err, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, seed_edges=[1.0])
-            resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, first=first)
+            val, err, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels, seed_edges=[1.0])
+            resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels, first=first)
             assert resumed == (val, err, evals - swept)
 
     def test_a_failed_integral_leaves_its_first_sweep_reusable(self, monkeypatch):
@@ -848,10 +880,10 @@ class TestRotationRecords:
         monkeypatch.setattr(circle_quad, "MAX_DEPTH", 2)
         first = []
         with pytest.raises(ToleranceNotMet) as fresh:
-            circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, first=first)
+            circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, circle_quad.LAMBDA_PANELS, first=first)
         assert len(first) == 1
         with pytest.raises(ToleranceNotMet) as resumed:
-            circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, first=first)
+            circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, circle_quad.LAMBDA_PANELS, first=first)
         assert resumed.value.value == fresh.value.value
         assert resumed.value.evaluations == fresh.value.evaluations - circle_quad._NODE_OFFSETS.size * first[0][0].size
 
@@ -909,8 +941,9 @@ class TestPanelEstimates:
         offsets = circle_quad._NODE_OFFSETS
         assert offsets.size == 15 and np.all(np.diff(offsets) > 0.0)
         assert 0.0 < offsets[0] and offsets[-1] < 1.0
-        # a panel at theta = 0 as narrow as MAX_DEPTH bisections of a base panel
-        width = math.pi / circle_quad.BASE_PANELS / 2.0**circle_quad.MAX_DEPTH
+        # a panel at theta = 0 as narrow as MAX_DEPTH bisections of the
+        # narrower base panel, integrate_circle's
+        width = 2.0 * math.pi / circle_quad.CIRCLE_PANELS / 2.0**circle_quad.MAX_DEPTH
         for lo, hi in ((0.0, width), (0.0, math.pi), (1.0, 1.0 + 1e-9)):
             nodes = lo + (hi - lo) * offsets
             assert np.all(nodes > lo) and np.all(nodes < hi)
@@ -960,14 +993,13 @@ class TestPanelEstimates:
         def peak(theta):
             return np.exp(1j * theta) / (1e-8 + (theta - 1.0) ** 2)
 
-        monkeypatch.setattr(circle_quad, "BASE_PANELS", panels)
         for g in (oscillation, peak):
             results = []
             for estimates in (circle_quad._panel_estimates, reference_panel_estimates):
                 monkeypatch.setattr(circle_quad, "_panel_estimates", estimates)
                 first = []
                 for tol, record in ((1e-3, first), (1e-7, None), (1e-9, first)):
-                    results.append(circle_quad._adaptive_theta(g, 0.0, math.pi, tol, seeds, record))
+                    results.append(circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels, seeds, record))
                 results.append(first[0])
             new, ref = results[:4], results[4:]
             # panels whose error is at rounding level may be accepted in
@@ -983,22 +1015,75 @@ class TestPanelEstimates:
             assert np.all(np.abs(new[3][3] - ref[3][3]) <= 1e-12 * scale)
 
 
+def ray_zeros(n, q):
+    """The zeros (1 - q^k) e^{0.7i}, k = 1..n, of a study symbol on the ray e^{0.7i}."""
+    return tuple((1.0 - q**k) * cmath.exp(0.7j) for k in range(1, n + 1))
+
+
 class TestHardInputs:
     # the first slice of a hard-input gate: high degree, zeros within 1e-12
-    # of the circle, and a tight cluster next to it; the three take about
-    # 0.2 s together
+    # of the circle, a tight cluster next to it, and two ray symbols of
+    # degree 6 and 8, whose supremum sits on the ray; the five take about
+    # 0.3 s together
+    RAYS = {"ray-n6-q0.01": (6, 0.01), "ray-n8-q0.03": (8, 0.03)}
     CASES = {
         "degree-20": random_zeros(np.random.default_rng(97), 20, rmax=0.95),
         "two-at-1e-12": ((1.0 - 1e-12) * cmath.exp(0.4j), (1.0 - 1e-12) * cmath.exp(-2.1j)),
         "five-1e-9-apart": tuple((1.0 - 1e-9) * cmath.exp(1j * (0.9 + k * 1e-9)) for k in range(5)),
+        **{name: ray_zeros(n, q) for name, (n, q) in RAYS.items()},
     }
 
-    @pytest.mark.parametrize("zeros", CASES.values(), ids=CASES.keys())
-    def test_finite_value_and_error_within_the_degree_cap(self, zeros):
+    @pytest.mark.parametrize("name", CASES)
+    def test_finite_value_and_error_within_the_degree_cap(self, name):
+        zeros = self.CASES[name]
         r = lambda_functional(BlaschkeProduct(zeros=zeros))
         assert math.isfinite(r.value) and math.isfinite(r.error_estimate)
         assert 0.0 <= r.error_estimate
         assert 0.0 < r.value <= 2.0 * len(zeros)
+        if name in self.RAYS:
+            assert abs(r.eta.value - cmath.exp(0.7j)) <= 1e-12
+
+
+def ratio_two_ladders(f):
+    """_seed_ladders before its rungs were spaced by 4: d 2^k from d/2 out to pi."""
+    gammas, counts, rungs = [], [], []
+    for a in f.zeros:
+        width = 1.0 - abs(a)
+        ks = int(math.ceil(math.log2(max(math.pi / width, 2.0)))) + 1
+        gammas.append(float(np.angle(a)) if abs(a) > 0 else 0.0)
+        counts.append(ks + 1)
+        rungs.append(width * 2.0 ** np.arange(-1, ks))
+    return gammas, counts, np.concatenate(rungs) if rungs else np.empty(0)
+
+
+class TestSweepSizes:
+    # what the 1,024-node rotation grid and the 8-panel, ratio-4 first sweep
+    # give up against the sizes before them, on the bit-pinned products and
+    # the hard inputs
+    PRODUCTS = [(zeros, spec) for zeros, spec, _pins, _before in TestLambdaBitPins.RECORDED] + [
+        (zeros, circle_quad.DEFAULT_LAMBDA_SPEC) for zeros in TestHardInputs.CASES.values()
+    ]
+
+    def results(self):
+        return [lambda_functional(BlaschkeProduct(zeros=zeros), spec) for zeros, spec in self.PRODUCTS]
+
+    def test_a_4096_node_grid_moves_no_bit(self, monkeypatch):
+        # the grid only ranks the candidates: four times its nodes rank
+        # them alike, at 3,072 more evaluations
+        results = self.results()
+        monkeypatch.setattr(circle_quad, "_grid_scan", lambda f, R: all_rows_scan(f, R, nodes=4096))
+        for r, ref in zip(results, self.results()):
+            assert (r.value, r.eta.value, r.error_estimate) == (ref.value, ref.eta.value, ref.error_estimate)
+            assert ref.evaluations == r.evaluations + 3_072
+
+    def test_a_64_panel_ratio_two_first_sweep_agrees_within_the_errors(self, monkeypatch):
+        # each panel carries its Gauss-Kronrod error, so the fewer seeded
+        # panels cost resolution only where the adaptive loop pays for it
+        results = self.results()
+        monkeypatch.setattr(circle_quad, "LAMBDA_PANELS", 64)
+        monkeypatch.setattr(circle_quad, "_seed_ladders", ratio_two_ladders)
+        for r, ref in zip(results, self.results()):
+            assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
 
 
 class TestPairEvaluator:

@@ -35,6 +35,19 @@ def run_main(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_brackets_near(out, before):
+    """The (lower, upper) pairs of a `bracket --json` payload, or of every
+    row and then the best of an `omega-study --json` one, against the pairs
+    recorded before the 1,024-node rotation grid and the 8-panel first
+    sweep: every lower keeps its bits, every upper stays within 1e-8."""
+    payload = json.loads(out)
+    rows = payload["rows"] + [payload["best"]] if "rows" in payload else [payload]
+    assert len(rows) == len(before)
+    for row, (lower, upper) in zip(rows, before):
+        assert row["lower"] == lower
+        assert abs(row["upper"] - upper) <= 1e-8
+
+
 class TestParsing:
     def test_complex_tokens(self):
         assert parse_complex("0.5") == 0.5
@@ -242,35 +255,45 @@ class TestBracketCommand:
     def test_ray_json_stdout_is_pinned(self, capsys):
         # the certificate carries V, the residue value at the probe; digest
         # recorded with the Gauss-Kronrod panels, which moved the upper side
-        # by 8.9e-9 (1bb618d3...51b191f8 with the 28-node midpoint panels)
+        # by 8.9e-9 (1bb618d3...51b191f8 with the 28-node midpoint panels),
+        # then with the 1,024-node grid and the 8-panel first sweep, which
+        # moved it by 1.1e-9 (92caa47b...ca01c27b before)
         code, out, err = run_main(capsys, ["bracket", "--q", "0.002", "--n", "2", "--m", "4", "--json"])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "92caa47bade314030835cb47c3e57d2251c4b1ad01f22ae0782c7483ca01c27b"
+            "2ad14d2a50b268f5a2b369130469f031ab4adaa29be0b03551e39ea5de70a318"
         )
+        assert_brackets_near(out, [(4.588174221489721, 4.786330172159058)])
 
     @pytest.mark.parametrize(
-        "argv, digest",
+        "argv, digest, before",
         [
             (
                 ["--q", "0.3", "--n", "1", "--m", "3", "--m-offsets", "8,2", "--json"],
-                # 99a8f4fe...1618e032 with the 28-node midpoint panels
-                "3c47b5c8ec524b0fe261d3e7a874346eb66c6f6cc44cb1af283c85e050ea81c0",
+                # 99a8f4fe...1618e032 with the 28-node midpoint panels,
+                # 3c47b5c8...50ea81c0 with the 4,096-node grid and 64 panels
+                "e4028aab4626f40083c9465a99c8ec2bc14a8a006490a9d99aff67604de91de5",
+                (2.6602277425178857, 2.8024150662393397),
             ),
             (
                 ["--q", "0.3", "--n", "1", "--m", "3", "--eps", "0.2", "--xi", "0,1", "--json"],
-                # a0ac60b3...739e799a with the 28-node midpoint panels
-                "8ed4f1f5e580813eb658937321a86d8baf3d98ffd45173eac71771e4d77b1284",
+                # a0ac60b3...739e799a with the 28-node midpoint panels,
+                # 8ed4f1f5...d77b1284 with the 4,096-node grid and 64 panels
+                "34d41e554dbfb2ead02f5e83ba9c2d77a1de67bdb85fdc2da1439793faf4a3c8",
+                (2.6996706943501745, 2.8024150662393397),
             ),
         ],
         ids=["unsorted-offsets", "eps-and-xi"],
     )
-    def test_ray_options_stdout_is_pinned(self, capsys, argv, digest):
+    def test_ray_options_stdout_is_pinned(self, capsys, argv, digest, before):
         # digests recorded while the ray bracket kept a loop over m of its own,
-        # then again with the Gauss-Kronrod panels: the upper side moved by 3.2e-10
+        # then again with the Gauss-Kronrod panels: the upper side moved by
+        # 3.2e-10; then with the 1,024-node grid and the 8-panel first sweep,
+        # which moved it by 7e-13
         code, out, err = run_main(capsys, ["bracket"] + argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_brackets_near(out, [before])
 
     @pytest.mark.parametrize(
         "argv",
@@ -358,12 +381,26 @@ class TestOmegaStudyCommand:
     def test_degree_two_json_stdout_is_pinned(self, capsys):
         # digest recorded while each cell's configuration was built inside its
         # row, then again with the Gauss-Kronrod panels: the uppers moved by at
-        # most 8.9e-9 (02524a01...be207b3e with the 28-node midpoint panels)
+        # most 8.9e-9 (02524a01...be207b3e with the 28-node midpoint panels);
+        # then with the 1,024-node grid and the 8-panel first sweep, which
+        # moved them by at most 1.1e-9 (6f75e529...ba1a7e47 before)
         argv = ["omega-study", "--n", "2", "--q-schedule", "0.01,0.005,0.002", "--m-offsets", "1,2", "--json"]
         code, out, err = run_main(capsys, argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6f75e5297de6a407f3b7ecb040a162d31288569561ac8a84adac1c35ba1a7e47"
+            "87c61db45fd4b5dd6770ff4484d327b7e012f4307736efc19edd45591c08a88e"
+        )
+        assert_brackets_near(
+            out,
+            [
+                (3.8462354341979537, 4.557430887069555),
+                (4.162302655152227, 4.557430887069555),
+                (4.136720823574585, 4.6742178508130445),
+                (4.37783308603527, 4.6742178508130445),
+                (4.424733631315801, 4.786330172159058),
+                (4.588174221489721, 4.786330172159058),
+                (4.588174221489721, 4.786330172159058),
+            ],
         )
 
     @pytest.mark.parametrize(
