@@ -16,7 +16,6 @@ from .circle_quad import (
     LambdaResult,
     QuadratureSpec,
     integrate_circle,
-    lambda_at_rotation,
     lambda_functional,
 )
 from .disk_core import (
@@ -96,7 +95,6 @@ __all__ = [
     "eval_blaschke",
     "ideal_limit",
     "integrate_circle",
-    "lambda_at_rotation",
     "lambda_functional",
     "lemma1_upper_bound",
     "minimal_level",

@@ -20,18 +20,17 @@ feature, ratio-4 ladders around each zero's angle and the folds. Each panel
 reports an honest error, so the adaptive loop pays for resolution where it
 is needed, not a fine starting grid everywhere.
 
-The supremum over rotations is approximated by a fixed uniform grid (shared
-function values, so the grid costs one boundary sweep of 1,024 points at the
-default 256 rotations, and for an even grid size a rotation and its
-half-turn share one row of moduli, so half the row work is done), a family
-of zero-aligned candidate rotations for zeros too close to the circle for
-the grid to see, and refinement around the winner by Brent's localmin
-(ch. 5 of the book below), whose parabolic steps need far fewer integrals
-than golden section on the smooth peak. The reported value is therefore a lower estimate of the
-supremum (the rotation search is not certified) with a quadrature error
-bar; no global optimality is claimed. The search keeps its state in locals
-of lambda_functional: each rotation's first sweep and loose-tolerance
-value, keyed by the exact angle.
+The supremum over rotations is approximated by a fixed uniform grid of 256
+rotations (shared function values, so the grid costs one boundary sweep of
+1,024 points, and a rotation and its half-turn share one row of moduli, so
+half the row work is done), a family of zero-aligned candidate rotations for
+zeros too close to the circle for the grid to see, and refinement around the
+winner by Brent's localmin (ch. 5 of the book below), whose parabolic steps
+need far fewer integrals than golden section on the smooth peak. The
+reported value is therefore a lower estimate of the supremum (the rotation
+search is not certified) with a quadrature error bar; no global optimality
+is claimed. The search keeps its state in locals of lambda_functional: each
+rotation's first sweep and loose-tolerance value, keyed by the exact angle.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
@@ -51,10 +50,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .disk_core import BlaschkeProduct, CirclePoint, as_complex, as_int, boundary_values
+from .disk_core import BlaschkeProduct, CirclePoint, boundary_values
 from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
 
 TWO_PI = 2.0 * math.pi
+# The rotation grid: ROTATIONS rotations 2 pi / ROTATIONS apart, on a theta
+# grid of four nodes a rotation, so a grid step is an index shift of four.
+ROTATIONS = 256
+_GRID_NODES = 4 * ROTATIONS
+_GRID_THETA = -math.pi + (np.arange(_GRID_NODES) + 0.5) * (TWO_PI / _GRID_NODES)
+_GRID_KERNEL = 1.0 / (2.0 * np.abs(np.sin(0.5 * _GRID_THETA[: _GRID_NODES // 2])))
 # Temporaries of one row block of the rotation grid scan, sized to stay in L2.
 _GRID_BLOCK_BYTES = 1 << 20
 # QUADPACK's qk15 (Piessens et al., QUADPACK, 1983): the 15-point Kronrod
@@ -306,8 +311,8 @@ def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
 
 def _seed_ladders(f: BlaschkeProduct):
     """The rotation-free part of the seed edges, built once per Lambda call:
-    (gammas, counts, rungs). Both Lambda entry points call it before any
-    other use of f, so it is where a symbol that is not a BlaschkeProduct is
+    (gammas, counts, rungs). lambda_functional calls it before any other
+    use of f, so it is where a symbol that is not a BlaschkeProduct is
     rejected.
 
     A zero at a = (1-d) e^{i gamma} concentrates the symbol's phase swing in
@@ -560,117 +565,97 @@ def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, ladders, kink_f
     return float(val.real) / math.pi, err / math.pi, evals
 
 
-def lambda_at_rotation(f, eta, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> float:
-    """The Lambda integrand's inner integral at one fixed rotation eta."""
-    phi = float(np.angle(as_complex(eta)))
-    val, _, _ = _lambda_integral(f, phi, spec.tolerance, _seed_ladders(f), _kink_solver(f))
-    return val
-
-
-def _grid_scan(f: BlaschkeProduct, rotation_grid: int):
+def _grid_scan(f: BlaschkeProduct):
     """Estimate the Lambda integral on every grid rotation from one boundary sweep.
 
-    The theta grid has size M = s * rotation_grid, so rotating by a grid step
-    is an index shift and reflection is an index reversal; f is evaluated once.
-    s = max(2, ceil(1024 / R)), rounded up to even, so M = 1,024 at the
-    default R = 256. The grid only ranks rotations for the candidates, whose
-    values come from adaptive integrals; a grid of four times the nodes
-    ranked them alike on every product tested, at four times the subtract,
-    modulus and sum work.
+    Returns the ROTATIONS grid angles, their values and M, the number of
+    boundary evaluations. The theta grid has M = 4 R nodes for the
+    R = ROTATIONS rotations, so rotating by a grid step is an index shift by
+    s = 4 and reflection is an index reversal; f is evaluated once. The grid
+    only ranks rotations for the candidates, whose values come from adaptive
+    integrals; a grid of four times the nodes ranked them alike on every
+    product tested, at four times the subtract, modulus and sum work.
     Terms j and M-1-j of the rotation sum are equal (the kernel is even and the
     pair is swapped), so only j < M/2 is summed and the result doubled. The
     plus and minus operands are strided windows over F repeated twice and over
-    its reverse, one row per rotation, stepping by +s and -s. s is even, so M
-    is even and the grid never sits on theta = 0, where the kernel is infinite.
+    its reverse, one row per rotation, stepping by +s and -s. M is even, so
+    the grid never sits on theta = 0, where the kernel is infinite.
 
-    For even R, rotations r and r + R/2 sum the same unordered pairs
-    {F[a], F[c - a]} on the anti-diagonal c = M - 1 + 2rs (mod M), with the
-    columns reversed: column M/2 - 1 - j of row r + R/2 is |F_b - F_a| where
-    column j of row r is |F_a - F_b|, the same bits. So the moduli are taken
-    for rows r < R/2 only, and row r + R/2 is summed from a contiguous
-    reversed copy of row r's. Summing row r against a reversed kernel, or
-    through a negative-stride view, would add the terms in another order and
-    move the last bits. Odd R has no half-turn partner and sums every row.
+    Rotations r and r + R/2 sum the same unordered pairs {F[a], F[c - a]} on
+    the anti-diagonal c = M - 1 + 2rs (mod M), with the columns reversed:
+    column M/2 - 1 - j of row r + R/2 is |F_b - F_a| where column j of row r
+    is |F_a - F_b|, the same bits. So the moduli are taken for rows r < R/2
+    only, and row r + R/2 is summed from a contiguous reversed copy of row
+    r's. Summing row r against a reversed kernel, or through a
+    negative-stride view, would add the terms in another order and move the
+    last bits.
     """
-    R = rotation_grid
-    s = max(2, -(-1024 // R))
-    s += s % 2
-    M = R * s
+    M, s, mirror = _GRID_NODES, _GRID_NODES // ROTATIONS, ROTATIONS // 2
     half = M // 2
-    theta = -math.pi + (np.arange(M) + 0.5) * (TWO_PI / M)
-    F = boundary_values(f, theta)
-    kern = 1.0 / (2.0 * np.abs(np.sin(0.5 * theta[:half])))
-    # row r: plus[r, j] = F[(j + r s) % M], minus[r, j] = F[(M - 1 - j + r s) % M]
-    plus = sliding_window_view(np.concatenate([F, F]), half)[0:M:s]
-    minus = sliding_window_view(np.concatenate([F[::-1], F[::-1]]), half)[M:0:-s]
-    mirror = R // 2 if R % 2 == 0 else 0
-    direct = R - mirror
-    # a block holds the complex difference, its modulus and, for even R, the
-    # modulus reversed: 16 + 8 + 8 bytes a term
-    rows = max(1, _GRID_BLOCK_BYTES // ((32 if mirror else 24) * half))
+    F = boundary_values(f, _GRID_THETA)
+    # row r < R/2: plus[r, j] = F[(j + r s) % M], minus[r, j] = F[(M - 1 - j + r s) % M]
+    plus = sliding_window_view(np.concatenate([F, F]), half)[0:half:s]
+    minus = sliding_window_view(np.concatenate([F[::-1], F[::-1]]), half)[M:half:-s]
+    # a block holds the complex difference, its modulus and the modulus
+    # reversed: 16 + 8 + 8 bytes a term
+    rows = _GRID_BLOCK_BYTES // (32 * half)
     diff = np.empty((rows, half), dtype=complex)
     mod = np.empty((rows, half))
-    rev = np.empty((rows, half)) if mirror else None
-    vals = np.empty(R)
-    for i in range(0, direct, rows):
-        k = min(rows, direct - i)
+    rev = np.empty((rows, half))
+    vals = np.empty(ROTATIONS)
+    for i in range(0, mirror, rows):
+        k = min(rows, mirror - i)
         np.subtract(plus[i : i + k], minus[i : i + k], out=diff[:k])
         np.abs(diff[:k], out=mod[:k])
         # einsum, not a BLAS gemv, which would start a second thread even for one row
-        vals[i : i + k] = np.einsum("ij,j->i", mod[:k], kern)
-        if mirror:
-            np.copyto(rev[:k], mod[:k, ::-1])
-            vals[mirror + i : mirror + i + k] = np.einsum("ij,j->i", rev[:k], kern)
+        vals[i : i + k] = np.einsum("ij,j->i", mod[:k], _GRID_KERNEL)
+        np.copyto(rev[:k], mod[:k, ::-1])
+        vals[mirror + i : mirror + i + k] = np.einsum("ij,j->i", rev[:k], _GRID_KERNEL)
     vals *= 2.0 / M
-    return (np.arange(R) * (TWO_PI / R)), vals, M
+    return np.arange(ROTATIONS) * (TWO_PI / ROTATIONS), vals, M
 
 
-def _candidate_rotations(f: BlaschkeProduct, rotation_grid: int):
+def _candidate_rotations(f: BlaschkeProduct):
     """Grid winners plus aligned rotations for zeros the grid cannot resolve."""
-    phis, vals, grid_evals = _grid_scan(f, rotation_grid)
+    phis, vals, grid_evals = _grid_scan(f)
+    step = TWO_PI / ROTATIONS
     order = np.argsort(vals)[::-1]
-    cands = [(float(phis[r]), TWO_PI / rotation_grid) for r in order[:3]]
-    cands.append((0.0, TWO_PI / rotation_grid))
-    grid_res = TWO_PI / rotation_grid
+    cands = [(float(phis[r]), step) for r in order[:3]]
+    cands.append((0.0, step))
     for a in f.zeros:
         d = 1.0 - abs(a)
-        if d < 4.0 * grid_res:
+        if d < 4.0 * step:
             gamma = float(np.angle(a)) if abs(a) > 0 else 0.0
             for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0):
                 cands.append((gamma + t * d, 2.0 * d))
-    seen = []
+    seen = set()
     out = []
     for phi, h in cands:
         key = round(phi / 1e-15)
-        if key in seen:
-            continue
-        seen.append(key)
-        out.append((phi, h))
+        if key not in seen:
+            seen.add(key)
+            out.append((phi, h))
     return out, grid_evals
 
 
-def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC, rotation_grid: int = 256) -> LambdaResult:
+def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaResult:
     """Supremum of the Lambda integral over rotations: a lower estimate of the
     supremum (the rotation search is not certified).
 
-    Search: shared-grid scan over `rotation_grid` rotations, adaptive
+    Search: shared-grid scan over the ROTATIONS grid rotations, adaptive
     re-evaluation of the leading candidates, Brent's localmin on the
     loose-tolerance integral around the best, seeded with its value, then a
     final integral at the requested tolerance, and one at each leading
-    candidate whose screening value beats it. rotation_grid is an integer of
-    at least 64; an integral float is taken as that integer.
+    candidate whose screening value beats it.
 
     The seed ladders are built once for the call. The search state is two
     dicts keyed by the exact rotation angle: each angle's first sweep, so its
     seed edges, folds and first sweep are computed once whatever the
     tolerance, and its value at the loose tolerance.
     """
-    rotation_grid = as_int(rotation_grid, "rotation grid size")
-    if rotation_grid < 64:
-        raise InvalidConfiguration("rotation grid size must be at least 64")
     ladders = _seed_ladders(f)
     kink_fn = _kink_solver(f)
-    candidates, evals = _candidate_rotations(f, rotation_grid)
+    candidates, evals = _candidate_rotations(f)
 
     crude = max(1e-4, spec.tolerance * 1e4)
     loose = max(1e-6, spec.tolerance * 1e2)

@@ -129,7 +129,7 @@ def _cmd_lambda(args) -> int:
     zeros = _resolve_zeros(args)
     B = BlaschkeProduct(zeros=zeros)
     spec = QuadratureSpec(tolerance=args.tolerance)
-    result = lambda_functional(B, spec=spec, rotation_grid=args.rotation_grid)
+    result = lambda_functional(B, spec=spec)
     if args.out is None:
         _emit(_fmt(result.value) + "\n", None)
     else:
@@ -188,12 +188,12 @@ def _cmd_bracket(args) -> int:
         xi = parse_complex("1" if args.xi is None else args.xi)
         m_offsets = _parse_list("2,4,8,16" if args.m_offsets is None else args.m_offsets, int)
         ray = RayConfiguration(xi=xi, q=args.q, n=args.n, m=args.m, eps=args.eps)
-        bracket = bracket_norm(ray, m_offsets, spec, args.rotation_grid)
+        bracket = bracket_norm(ray, m_offsets, spec)
     else:
         if any(v is not None for v in (args.n, args.m, args.eps, args.xi, args.m_offsets)):
             raise InvalidConfiguration("--n, --m, --eps, --xi and --m-offsets describe a ray and need --q")
         symbol = BlaschkeProduct(zeros=_resolve_zeros(args))
-        bracket = bracket_norm(symbol, lambda_spec=spec, rotation_grid=args.rotation_grid)
+        bracket = bracket_norm(symbol, lambda_spec=spec)
     if args.json:
         prov = bracket.lower_provenance
         payload = {
@@ -217,7 +217,6 @@ def _cmd_omega_study(args) -> int:
         m_offsets=_parse_list(args.m_offsets, int),
         eps=args.eps,
         lambda_spec=spec,
-        rotation_grid=args.rotation_grid,
     )
     text = study_to_json(result) if args.json else study_to_csv(result)
     _emit(text, args.out)
@@ -245,11 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tolerance=True, rotation_grid=True):
+    def add_common(p, tolerance=True):
         if tolerance:
             p.add_argument("--tolerance", type=float, default=1e-8)
-        if rotation_grid:
-            p.add_argument("--rotation-grid", type=int, default=256)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("lambda", help="oscillation functional of a Blaschke product")
@@ -265,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=str, default="1", help="constant or polynomial coefficients")
     p.add_argument("--z", type=str, default="0", help="evaluation point as re,im")
     p.add_argument("--method", choices=("residue", "contour"), default="residue")
-    add_common(p, rotation_grid=False)
+    add_common(p)
 
     p = sub.add_parser("pick", help="minimal interpolation level, optional witness")
     p.set_defaults(func=_cmd_pick)
     p.add_argument("--problem-file", type=str, required=True)
     p.add_argument("--construct", action="store_true")
     p.add_argument("--level", type=float, default=None)
-    add_common(p, tolerance=False, rotation_grid=False)
+    add_common(p, tolerance=False)
 
     p = sub.add_parser("bracket", help="certified [lower, upper] for one symbol")
     p.set_defaults(func=_cmd_bracket)

@@ -246,7 +246,6 @@ def bracket_norm(
     symbol: BlaschkeProduct | RayConfiguration,
     m_offsets: tuple = (2, 4, 8, 16),
     lambda_spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC,
-    rotation_grid: int = 256,
 ) -> NormBracket:
     """Upper bound from the oscillation functional, lower from the best certificate.
 
@@ -261,9 +260,7 @@ def bracket_norm(
     upper_prov = "1 + oscillation functional + quadrature error"
     if isinstance(symbol, RayConfiguration):
         offsets = sorted({symbol.m - symbol.n, *m_offsets})
-        study = omega_convergence_study(
-            symbol.n, symbol.xi, (symbol.q,), offsets, symbol.eps, lambda_spec, rotation_grid
-        )
+        study = omega_convergence_study(symbol.n, symbol.xi, (symbol.q,), offsets, symbol.eps, lambda_spec)
         return replace(study.best, upper_provenance=upper_prov)
     if symbol.degree == 0:
         return NormBracket(
@@ -274,7 +271,7 @@ def bracket_norm(
         )
     return NormBracket(
         lower=1.0,
-        upper=lemma1_upper_bound(symbol, lambda_spec, rotation_grid),
+        upper=lemma1_upper_bound(symbol, lambda_spec),
         lower_provenance="inner-symbol identity lower bound",
         upper_provenance=upper_prov,
     )
@@ -309,7 +306,6 @@ def omega_convergence_study(
     m_offsets: tuple = (2, 4, 8, 16),
     eps: float | None = None,
     lambda_spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC,
-    rotation_grid: int = 256,
     threads: int = 1,
 ) -> StudyResult:
     """Sweep the (q, m) schedule; emit one row per cell, best bracket overall.
@@ -341,9 +337,7 @@ def omega_convergence_study(
     if not configs:
         raise InvalidConfiguration("no schedule cell survived the conditioning guards")
     uppers = {
-        q: lemma1_upper_bound(
-            BlaschkeProduct(zeros=tuple(_ray_zeros(xi_p.value, q, n))), lambda_spec, rotation_grid
-        )
+        q: lemma1_upper_bound(BlaschkeProduct(zeros=tuple(_ray_zeros(xi_p.value, q, n))), lambda_spec)
         for q in q_schedule
     }
 

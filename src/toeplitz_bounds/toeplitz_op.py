@@ -273,11 +273,7 @@ def _uniform_angles(n: int, odd_only: bool = False) -> np.ndarray:
     return (2.0 * math.pi / n) * np.arange(n)
 
 
-def lemma1_upper_bound(
-    f: BlaschkeProduct,
-    spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC,
-    rotation_grid: int = 256,
-) -> float:
+def lemma1_upper_bound(f: BlaschkeProduct, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> float:
     """Certified upper bound 1 + Lambda(f) + error for an inner symbol f.
 
     The boundary sup-norm of a finite Blaschke product is exactly 1, so the
@@ -285,5 +281,5 @@ def lemma1_upper_bound(
     search reports a lower estimate of the supremum (see circle_quad), which
     is the standing caveat on this bound.
     """
-    res = lambda_functional(f, spec, rotation_grid)
+    res = lambda_functional(f, spec)
     return 1.0 + res.value + res.error_estimate

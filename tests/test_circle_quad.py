@@ -15,7 +15,6 @@ from toeplitz_bounds import (
     QuadratureSpec,
     ToleranceNotMet,
     integrate_circle,
-    lambda_at_rotation,
     lambda_functional,
 )
 from toeplitz_bounds import circle_quad
@@ -30,6 +29,15 @@ def aligned_single_zero_integral(a: float) -> float:
     return (2.0 * (1.0 + a) / (math.pi * math.sqrt(a))) * math.atan(
         2.0 * math.sqrt(a) / (1.0 - a)
     )
+
+
+def lambda_at_rotation(f, eta):
+    """The Lambda search's inner integral at one fixed rotation eta, at the
+    default Lambda tolerance."""
+    phi = cmath.phase(eta)
+    ladders = circle_quad._seed_ladders(f)
+    tol = circle_quad.DEFAULT_LAMBDA_SPEC.tolerance
+    return circle_quad._lambda_integral(f, phi, tol, ladders, circle_quad._kink_solver(f))[0]
 
 
 def random_zeros(rng, degree, rmax=0.9):
@@ -140,35 +148,10 @@ class TestLambdaProperties:
             r = lambda_functional(BlaschkeProduct(zeros=random_zeros(rng, deg, rmax=0.97)))
             assert r.value <= 2.0 * deg + 1e-6
 
-    def test_finer_rotation_grid_does_not_lose_value(self):
-        rng = np.random.default_rng(41)
-        wins = 0
-        trials = 10
-        for _ in range(trials):
-            B = BlaschkeProduct(zeros=random_zeros(rng, 2, rmax=0.95))
-            coarse = lambda_functional(B, rotation_grid=64).value
-            fine = lambda_functional(B, rotation_grid=256).value
-            if fine >= coarse - 1e-7:
-                wins += 1
-        assert wins >= int(0.95 * trials)
-
     def test_non_blaschke_symbol_is_rejected_at_entry(self):
         for call in (lambda f: lambda_functional(f), lambda f: lambda_at_rotation(f, 1.0)):
             with pytest.raises(InvalidConfiguration):
                 call(lambda z: z**2)
-
-    def test_small_grid_rejected(self):
-        with pytest.raises(InvalidConfiguration):
-            lambda_functional(BlaschkeProduct(zeros=(0.5,)), rotation_grid=32)
-
-    def test_integral_grid_sizes_are_normalised_and_others_rejected(self):
-        B = BlaschkeProduct(zeros=(0.5, 0.3j))
-        expected = lambda_functional(B, rotation_grid=64)
-        for size in (64.0, np.int32(64), np.float64(64.0)):
-            assert lambda_functional(B, rotation_grid=size) == expected
-        for size in (100.5, "256", None, math.nan, math.inf, True):
-            with pytest.raises(InvalidConfiguration):
-                lambda_functional(B, rotation_grid=size)
 
     def test_near_boundary_zero_found_by_aligned_candidates(self):
         # deficit far below grid resolution: the uniform scan alone cannot
@@ -216,64 +199,38 @@ def all_rows_scan(f, R, nodes=1024):
 
 
 class TestGridScan:
-    @pytest.mark.parametrize("R", [64, 65, 201, 256, 1000, 4097])
-    def test_half_turn_rows_are_the_all_rows_scan_bit_for_bit(self, R):
+    def test_half_turn_rows_are_the_all_rows_scan_bit_for_bit(self):
         # B(z) = z and the double zero at 0 tie on every rotation; a zero
-        # 1e-12 from the circle and a degree-6 product do not. R = 4097 sums
-        # 17M terms a scan, so it takes the degree-6 product only
+        # 1e-12 from the circle and a degree-6 product do not
         products = (
             (0.0,),
             (0.0, 0.0),
             ((1.0 - 1e-12) * cmath.exp(2.0j),),
             random_zeros(np.random.default_rng(71), 6, rmax=0.95),
         )
-        for zeros in products[3:] if R > 1000 else products:
+        for zeros in products:
             B = BlaschkeProduct(zeros=zeros)
-            _, vals, M = circle_quad._grid_scan(B, R)
-            _, ref, M_ref = all_rows_scan(B, R)
+            _, vals, M = circle_quad._grid_scan(B)
+            _, ref, M_ref = all_rows_scan(B, 256)
             assert M == M_ref and np.array_equal(vals, ref)
 
-    @pytest.mark.parametrize("R", [64, 100, 256])
-    def test_matches_the_full_length_modulo_formula(self, R):
+    def test_matches_the_full_length_modulo_formula(self):
         rng = np.random.default_rng(53)
         for f in (BlaschkeProduct(zeros=random_zeros(rng, 4)), BlaschkeProduct((0, 0))):
-            phis, vals, M = circle_quad._grid_scan(f, R)
-            assert phis.shape == vals.shape == (R,)
-            ref = modulo_index_scan(f, R, M)
+            phis, vals, M = circle_quad._grid_scan(f)
+            assert phis.shape == vals.shape == (256,)
+            ref = modulo_index_scan(f, 256, M)
             np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("R", [64, 99, 201, 256])
-    def test_grid_is_finite_for_any_grid_size(self, R):
-        _, vals, M = circle_quad._grid_scan(BlaschkeProduct(zeros=(0.5, 0.3j)), R)
-        assert M % 2 == 0
-        assert np.all(np.isfinite(vals))
-
-    def test_odd_sized_grid_finds_the_same_supremum(self):
-        B = BlaschkeProduct(zeros=(0.5, 0.3j))
-        coarse = lambda_functional(B, rotation_grid=201).value
-        fine = lambda_functional(B, rotation_grid=256).value
-        assert coarse == pytest.approx(fine, abs=1e-7)
-
-    def test_large_grid_memory_is_bounded(self):
-        B = BlaschkeProduct(zeros=(0.5, 0.3j, -0.7))
-        tracemalloc.start()
-        try:
-            _, vals, _ = circle_quad._grid_scan(B, 2048)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.all(np.isfinite(vals))
-        assert peak < 64 << 20
 
     def test_row_blocks_match_one_block(self, monkeypatch):
         B = BlaschkeProduct(zeros=random_zeros(np.random.default_rng(67), 4))
-        _, blocked, M = circle_quad._grid_scan(B, 256)
+        _, blocked, M = circle_quad._grid_scan(B)
         monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 32 * (M // 2) * 256)
-        _, whole, _ = circle_quad._grid_scan(B, 256)
+        _, whole, _ = circle_quad._grid_scan(B)
         # 37 rows a block: four blocks for the direct half and four for its
         # mirror, the last one of each partial
         monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 32 * (M // 2) * 37)
-        _, partial, _ = circle_quad._grid_scan(B, 256)
+        _, partial, _ = circle_quad._grid_scan(B)
         np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(partial, whole, rtol=1e-15, atol=0.0)
 
@@ -281,7 +238,7 @@ class TestGridScan:
         B = BlaschkeProduct(zeros=(0.5, 0.3j, -0.7))
         tracemalloc.start()
         try:
-            circle_quad._grid_scan(B, 256)
+            circle_quad._grid_scan(B)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1071,7 +1028,7 @@ class TestSweepSizes:
         # the grid only ranks the candidates: four times its nodes rank
         # them alike, at 3,072 more evaluations
         results = self.results()
-        monkeypatch.setattr(circle_quad, "_grid_scan", lambda f, R: all_rows_scan(f, R, nodes=4096))
+        monkeypatch.setattr(circle_quad, "_grid_scan", lambda f: all_rows_scan(f, 256, nodes=4096))
         for r, ref in zip(results, self.results()):
             assert (r.value, r.eta.value, r.error_estimate) == (ref.value, ref.eta.value, ref.error_estimate)
             assert ref.evaluations == r.evaluations + 3_072
@@ -1118,7 +1075,7 @@ class TestBoundaryTraffic:
         products = ((0.5, 0.3j, -0.7 + 0.1j), ((1.0 - 1e-9) * cmath.exp(1.234j), 0.2), (0.1 - 0.6j,))
         for zeros in products:
             B = BlaschkeProduct(zeros=zeros)
-            M = circle_quad._grid_scan(B, 256)[2]
+            M = circle_quad._grid_scan(B)[2]
             monkeypatch.setattr(circle_quad, "boundary_values", counted)
             points.clear()
             r = lambda_functional(B)

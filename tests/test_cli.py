@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, and exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from toeplitz_bounds import BlaschkeProduct, lambda_functional, toeplitz_op
-from toeplitz_bounds.cli import main, parse_complex, zeros_digest
+from toeplitz_bounds.cli import build_parser, main, parse_complex, zeros_digest
 from toeplitz_bounds.errors import InvalidConfiguration
 
 SCHWARZ_PROBLEM = {"nodes": [[0.0, 0.0], [0.5, 0.0]], "targets": [[0.0, 0.0], [0.25, 0.0]]}
@@ -64,6 +65,48 @@ class TestParsing:
         assert len(d1) == 12
         assert all(c in "0123456789abcdef" for c in d1)
         assert zeros_digest((0.5 + 0j,)) != d1
+
+
+# Every option of every subcommand. A new option is a diff of this table.
+OPTIONS = {
+    "lambda": {"--zeros", "--zeros-file", "--tolerance", "--out"},
+    "apply": {"--zeros", "--zeros-file", "--h", "--z", "--method", "--tolerance", "--out"},
+    "pick": {"--problem-file", "--construct", "--level", "--out"},
+    "bracket": {
+        "--zeros", "--zeros-file", "--xi", "--q", "--n", "--m", "--eps", "--m-offsets", "--json",
+        "--tolerance", "--out",
+    },
+    "omega-study": {"--n", "--xi", "--q-schedule", "--m-offsets", "--eps", "--json", "--tolerance", "--out"},
+}
+# Arguments each subcommand parses with; the error names only what follows them.
+MINIMAL_ARGS = {
+    "lambda": ["--zeros", "0.5"],
+    "apply": ["--zeros", "0.5"],
+    "pick": ["--problem-file", "problem.json"],
+    "bracket": ["--zeros", "0.5"],
+    "omega-study": ["--n", "1"],
+}
+
+
+def option_strings(parser) -> set:
+    return {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+
+
+class TestOptionCensus:
+    def test_every_subcommand_has_exactly_the_listed_options(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert option_strings(parser) == set()
+        assert {name: option_strings(p) for name, p in sub.choices.items()} == OPTIONS
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_rotation_grid_is_not_an_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command] + MINIMAL_ARGS[command] + ["--rotation-grid", "256"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --rotation-grid 256" in captured.err
 
 
 class TestLambdaCommand:
@@ -127,12 +170,6 @@ class TestApplyCommand:
         code, _, err = run_main(capsys, ["apply", "--zeros", "0.5", "--z", "0.5"])
         assert code == 2
         assert "error" in err
-
-    def test_rotation_grid_is_not_an_apply_option(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["apply", "--zeros", "0.5", "--rotation-grid", "3"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "argv, digest",

@@ -16,7 +16,6 @@ from test_public_api import PACKAGE, READERS
 
 # module.qualname.parameter: why it stays without a caller that passes it
 EXEMPT = {
-    "circle_quad.lambda_at_rotation.spec": "the fixed-rotation oracle of the Lambda search tests",
     "cli.main.argv": "the command line passes sys.argv; tests pass argument lists",
 }
 
