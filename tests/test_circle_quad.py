@@ -198,29 +198,49 @@ def all_rows_scan(f, R, nodes=1024):
     return np.arange(R) * (2.0 * math.pi / R), vals, M
 
 
-class TestGridScan:
-    def test_half_turn_rows_are_the_all_rows_scan_bit_for_bit(self):
-        # B(z) = z and the double zero at 0 tie on every rotation; a zero
-        # 1e-12 from the circle and a degree-6 product do not
-        products = (
-            (0.0,),
-            (0.0, 0.0),
-            ((1.0 - 1e-12) * cmath.exp(2.0j),),
-            random_zeros(np.random.default_rng(71), 6, rmax=0.95),
-        )
-        for zeros in products:
-            B = BlaschkeProduct(zeros=zeros)
-            _, vals, M = circle_quad._grid_scan(B)
-            _, ref, M_ref = all_rows_scan(B, 256)
-            assert M == M_ref and np.array_equal(vals, ref)
+# B(z) = z and the double zero at 0 tie on every rotation; a zero 1e-12 from
+# the circle and a degree-6 product do not
+GRID_PRODUCTS = {
+    "identity": (0.0,),
+    "double-zero-at-0": (0.0, 0.0),
+    "zero-1e-12-from-circle": ((1.0 - 1e-12) * cmath.exp(2.0j),),
+    "degree-6": random_zeros(np.random.default_rng(71), 6, rmax=0.95),
+}
 
-    def test_matches_the_full_length_modulo_formula(self):
-        rng = np.random.default_rng(53)
-        for f in (BlaschkeProduct(zeros=random_zeros(rng, 4)), BlaschkeProduct((0, 0))):
-            phis, vals, M = circle_quad._grid_scan(f)
-            assert phis.shape == vals.shape == (256,)
-            ref = modulo_index_scan(f, 256, M)
-            np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0.0)
+
+class TestGridScan:
+    @pytest.mark.parametrize("name", sorted(GRID_PRODUCTS))
+    def test_half_turn_rows_are_the_all_rows_scan_bit_for_bit(self, name):
+        B = BlaschkeProduct(zeros=GRID_PRODUCTS[name])
+        _, vals, M = circle_quad._grid_scan(B)
+        _, ref, M_ref = all_rows_scan(B, 256)
+        assert M == M_ref and np.array_equal(vals, ref)
+
+    @pytest.mark.parametrize(
+        "zeros", [random_zeros(np.random.default_rng(53), 4), (0, 0)], ids=["degree-4", "double-zero-at-0"]
+    )
+    def test_matches_the_full_length_modulo_formula(self, zeros):
+        f = BlaschkeProduct(zeros=zeros)
+        phis, vals, M = circle_quad._grid_scan(f)
+        assert phis.shape == vals.shape == (256,)
+        ref = modulo_index_scan(f, 256, M)
+        np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0.0)
+
+    def test_grid_angles_are_one_rotation_step_apart(self):
+        phis, _, M = circle_quad._grid_scan(BlaschkeProduct(zeros=(0.5, 0.3j)))
+        assert circle_quad.ROTATIONS == 256 and M == 4 * circle_quad.ROTATIONS == 1024
+        np.testing.assert_array_equal(phis, np.arange(256) * (2.0 * math.pi / 256))
+
+    def test_theta_grid_is_symmetric_and_misses_the_kernel_pole(self):
+        # reflection is an index reversal, to rounding, and no node sits on
+        # theta = 0
+        theta = circle_quad._GRID_THETA
+        assert theta.shape == (1024,)
+        np.testing.assert_allclose(theta[::-1], -theta, rtol=0.0, atol=4.0 * np.finfo(float).eps)
+        assert np.min(np.abs(theta)) == pytest.approx(math.pi / 1024, rel=1e-12)
+        kernel = circle_quad._GRID_KERNEL
+        assert kernel.shape == (512,) and np.all(np.isfinite(kernel)) and np.all(kernel > 0)
+        np.testing.assert_array_equal(kernel, 1.0 / (2.0 * np.abs(np.sin(0.5 * theta[:512]))))
 
     def test_row_blocks_match_one_block(self, monkeypatch):
         B = BlaschkeProduct(zeros=random_zeros(np.random.default_rng(67), 4))
@@ -243,6 +263,29 @@ class TestGridScan:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+
+class TestCandidateRotations:
+    def test_grid_winners_lead_then_the_zero_rotation(self):
+        B = BlaschkeProduct(zeros=random_zeros(np.random.default_rng(59), 3))
+        phis, vals, M = circle_quad._grid_scan(B)
+        cands, evals = circle_quad._candidate_rotations(B)
+        step = 2.0 * math.pi / 256
+        winners = [(float(phis[r]), step) for r in np.argsort(vals)[::-1][:3]]
+        assert evals == M
+        assert cands[:3] == winners
+        assert (0.0, step) in cands and len(cands) <= 4
+
+    def test_a_zero_near_the_circle_adds_its_aligned_family_once(self):
+        d = 1e-9
+        a = (1.0 - d) * cmath.exp(1.234j)
+        cands, _ = circle_quad._candidate_rotations(BlaschkeProduct(zeros=(a, a)))
+        gamma, d = float(np.angle(a)), 1.0 - abs(a)
+        family = [(gamma + t * d, 2.0 * d) for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0)]
+        # the double zero offers its family twice; each angle is kept once, in order
+        assert cands[-9:] == family
+        keys = [round(phi / 1e-15) for phi, _ in cands]
+        assert len(set(keys)) == len(keys)
 
 
 def reference_swept(B, phi):

@@ -1,7 +1,10 @@
 """Every exported name has a reader in the library, the scripts or perfbench."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import pytest
 
 import toeplitz_bounds
 
@@ -56,3 +59,19 @@ def test_exemptions_are_exports_without_readers():
 def test_the_check_ignores_a_definition_reading_itself():
     source = "def f(x):\n    return f(x - 1)\n\nclass C:\n    def g(self):\n        return C\n\nh = f\n"
     assert read_names(source) == {"f", "x"}
+
+
+def test_lambda_at_rotation_is_not_exported():
+    from toeplitz_bounds import circle_quad
+
+    assert "lambda_at_rotation" not in toeplitz_bounds.__all__
+    assert not hasattr(toeplitz_bounds, "lambda_at_rotation")
+    assert not hasattr(circle_quad, "lambda_at_rotation")
+
+
+@pytest.mark.parametrize(
+    "name", ["lambda_functional", "lemma1_upper_bound", "bracket_norm", "omega_convergence_study"]
+)
+def test_the_rotation_grid_is_not_a_parameter(name):
+    # the grid is circle_quad.ROTATIONS; a caller cannot pass another size
+    assert "rotation_grid" not in inspect.signature(getattr(toeplitz_bounds, name)).parameters
