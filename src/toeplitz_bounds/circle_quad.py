@@ -16,21 +16,27 @@ removable singularity needs no special casing. At a fixed rotation the
 integrand is one call of boundary_values in its pair form, the symbol at the
 rotation plus and minus every node angle. The Lambda integral's first sweep
 is coarse: 8 uniform panels on (0, pi) plus seed edges at every known
-feature, ratio-4 ladders around each zero's angle and the folds. Each panel
-reports an honest error, so the adaptive loop pays for resolution where it
-is needed, not a fine starting grid everywhere.
+feature, ratio-4 ladders around the angles of the zeros, one ladder for the
+zeros that share a direction, and the folds. Each panel reports an honest
+error, so the adaptive loop pays for resolution where it is needed, not a
+fine starting grid everywhere.
 
-The supremum over rotations is approximated by a fixed uniform grid of 256
-rotations (shared function values, so the grid costs one boundary sweep of
-1,024 points, and a rotation and its half-turn share one row of moduli, so
-half the row work is done), a family of zero-aligned candidate rotations for
-zeros too close to the circle for the grid to see, and refinement around the
-winner by Brent's localmin (ch. 5 of the book below), whose parabolic steps
-need far fewer integrals than golden section on the smooth peak. The
-reported value is therefore a lower estimate of the supremum (the rotation
-search is not certified) with a quadrature error bar; no global optimality
-is claimed. The search keeps its state in locals of lambda_functional: each
-rotation's first sweep and loose-tolerance value, keyed by the exact angle.
+The supremum over rotations is searched in four stages. The grid: a fixed
+uniform grid of 256 rotations (shared function values, so the grid costs one
+boundary sweep of 1,024 points, and a rotation and its half-turn share one
+row of moduli, so half the row work is done) ranks the rotations, and its
+leaders join a family of zero-aligned candidate rotations for zeros too
+close to the circle for the grid to see. The screen: every candidate is
+integrated once, at a loose tolerance. Localmin: Brent's localmin (ch. 5 of
+the book below), whose parabolic steps need far fewer integrals than golden
+section on the smooth peak, refines the best candidate inside the window
+that the screens around it bound. The final stage: integrals at the
+requested tolerance at the refined rotation and at the leading candidates
+that could still beat it. The reported value is therefore a lower estimate
+of the supremum (the rotation search is not certified) with a quadrature
+error bar; no global optimality is claimed. The search keeps its state in
+locals of lambda_functional: each rotation's first sweep and loose-tolerance
+value, keyed by the exact angle.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
@@ -95,6 +101,12 @@ CIRCLE_PANELS = 64
 LAMBDA_PANELS = 8
 # Bisection depth limit; 42 resolves peaks of width ~1e-11.
 MAX_DEPTH = 42
+# Zeros whose angles differ by at most this fraction of the farther zero's
+# width share one seed ladder (_seed_ladders). The angles of a ray's zeros
+# differ by rounding, up to 4.4e-16, so they share one while every zero but
+# the nearest is at least 4.4e-12 from the circle. Two random zeros 1/2 from
+# it share one about once in 6e4 pairs.
+SHARED_DIRECTION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -323,17 +335,29 @@ def _seed_ladders(f: BlaschkeProduct):
     on [x, 4x] an inverse-square peak is smooth at the panel's own scale, so
     the 15-point Gauss-Kronrod rule reports an honest error there, and the
     adaptive loop splits the panel when that error asks for it. (Ratio 2
-    seeded twice the panels, for values within the error estimates.) rungs
-    joins the ladders of all zeros, counts[k] of them for zero k at angle
-    gammas[k].
+    seeded twice the panels, for values within the error estimates.)
+
+    Zeros that share a direction share one ladder, built from the smallest
+    width among them: its rungs reach from below every other zero's d/2 out
+    to pi, so each of those zeros' peaks meets rungs at its own scale, as
+    its own ladder would give it. The zeros of a ray symbol, on one ray at
+    deficits q, q^2, ..., q^n, so get one ladder, not n ladders around the
+    same centre. A zero shares the ladder of a zero nearer the circle when
+    their angles differ by at most SHARED_DIRECTION times its own width, a
+    shift far inside its peak. rungs joins the ladders, counts[k] of them
+    for the ladder at angle gammas[k].
     """
     if not isinstance(f, BlaschkeProduct):
         raise InvalidConfiguration(f"Lambda needs a BlaschkeProduct symbol, got {type(f).__name__}")
     gammas, counts, rungs = [], [], []
-    for a in f.zeros:
+    # nearest the circle first, so a direction's first zero has its smallest width
+    for a in sorted(f.zeros, key=abs, reverse=True):
         width = 1.0 - abs(a)
+        gamma = float(np.angle(a)) if abs(a) > 0 else 0.0
+        if any(abs(math.remainder(gamma - g, TWO_PI)) <= SHARED_DIRECTION * width for g in gammas):
+            continue
         ks = int(math.ceil(math.log(2.0 * math.pi / width, 4.0))) + 1
-        gammas.append(float(np.angle(a)) if abs(a) > 0 else 0.0)
+        gammas.append(gamma)
         counts.append(ks)
         rungs.append(0.5 * width * 4.0 ** np.arange(ks))
     return gammas, counts, np.concatenate(rungs) if rungs else np.empty(0)
@@ -642,11 +666,18 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
     """Supremum of the Lambda integral over rotations: a lower estimate of the
     supremum (the rotation search is not certified).
 
-    Search: shared-grid scan over the ROTATIONS grid rotations, adaptive
-    re-evaluation of the leading candidates, Brent's localmin on the
-    loose-tolerance integral around the best, seeded with its value, then a
-    final integral at the requested tolerance, and one at each leading
-    candidate whose screening value beats it.
+    Search, in four stages:
+    - grid: the shared-grid scan over the ROTATIONS grid rotations picks the
+      candidates (_candidate_rotations);
+    - screen: every candidate is integrated once, at the loose tolerance;
+    - localmin: Brent's localmin on the loose-tolerance integral, seeded with
+      the best candidate's value, on the window [best - h, best + h] narrowed
+      to the nearest screened rotations on each side that score below the
+      best. localmin assumes one peak per window, so the maximum it seeks
+      lies between them;
+    - final: one integral at the requested tolerance at the refined rotation,
+      and one at each of the three leading candidates whose screening value
+      beats that integral plus its error.
 
     The seed ladders are built once for the call. The search state is two
     dicts keyed by the exact rotation angle: each angle's first sweep, so its
@@ -657,37 +688,32 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
     kink_fn = _kink_solver(f)
     candidates, evals = _candidate_rotations(f)
 
-    crude = max(1e-4, spec.tolerance * 1e4)
     loose = max(1e-6, spec.tolerance * 1e2)
     firsts, loose_values = {}, {}
 
     def integral(phi, tol):
         return _lambda_integral(f, phi, tol, ladders, kink_fn, firsts.setdefault(phi, []))
 
-    def protected(phi, tol):
+    def screened(phi):
         nonlocal evals
         try:
-            v, _, k = integral(phi, tol)
+            v, _, k = integral(phi, loose)
         except ToleranceNotMet as exc:
             v = float(np.real(exc.value)) / math.pi
             k = exc.evaluations
         evals += k
+        loose_values[phi] = v
         return v
 
-    def screened(phi):
-        loose_values[phi] = v = protected(phi, loose)
-        return v
-
-    scored = sorted(((protected(phi, crude), phi, h) for phi, h in candidates), reverse=True)
-    top = scored[:3]
-
-    best_phi, best_val, best_h = top[0][1], -1.0, top[0][2]
-    for _v0, phi, h in top:
-        v = screened(phi)
-        if v > best_val:
-            best_val, best_phi, best_h = v, phi, h
-
+    scored = sorted(((screened(phi), phi, h) for phi, h in candidates), reverse=True)
+    best_val, best_phi, best_h = scored[0]
     lo, hi, width = best_phi - best_h, best_phi + best_h, max(1e-13, 1e-5 * best_h)
+    for v, phi, _h in scored:
+        if v < best_val:
+            if lo < phi < best_phi:
+                lo = phi
+            elif best_phi < phi < hi:
+                hi = phi
     phi_star, _ = localmax(screened, lo, hi, best_phi, best_val, width, 60)
 
     value, err, k = integral(phi_star, spec.tolerance)
@@ -695,7 +721,7 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
     # A candidate may beat the refined point if the search surface is bumpy;
     # keep whichever certified value is larger. The refined point is not one
     # of the rivals: its tight integral is already done.
-    rivals = [(v0, phi) for v0, phi, _h in top if phi != phi_star]
+    rivals = [(v0, phi) for v0, phi, _h in scored[:3] if phi != phi_star]
     for v0, phi in rivals:
         if v0 > value + err:
             v, e, k = integral(phi, spec.tolerance)

@@ -294,11 +294,13 @@ class TestBracketCommand:
         # recorded with the Gauss-Kronrod panels, which moved the upper side
         # by 8.9e-9 (1bb618d3...51b191f8 with the 28-node midpoint panels),
         # then with the 1,024-node grid and the 8-panel first sweep, which
-        # moved it by 1.1e-9 (92caa47b...ca01c27b before)
+        # moved it by 1.1e-9 (92caa47b...ca01c27b before), then with the
+        # one-stage screen and one seed ladder per ray, which raised it by
+        # 3.0e-9 (2ad14d2a...5de70a318 before)
         code, out, err = run_main(capsys, ["bracket", "--q", "0.002", "--n", "2", "--m", "4", "--json"])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "2ad14d2a50b268f5a2b369130469f031ab4adaa29be0b03551e39ea5de70a318"
+            "b8f751057b1d4a69e372c81e6edb17694042e644ca2feb65a9a0deea3ed623a9"
         )
         assert_brackets_near(out, [(4.588174221489721, 4.786330172159058)])
 
@@ -420,12 +422,14 @@ class TestOmegaStudyCommand:
         # row, then again with the Gauss-Kronrod panels: the uppers moved by at
         # most 8.9e-9 (02524a01...be207b3e with the 28-node midpoint panels);
         # then with the 1,024-node grid and the 8-panel first sweep, which
-        # moved them by at most 1.1e-9 (6f75e529...ba1a7e47 before)
+        # moved them by at most 1.1e-9 (6f75e529...ba1a7e47 before); then
+        # with the one-stage screen and one seed ladder per ray, which raised
+        # them by at most 3.0e-9 (87c61db4...5591c08a88e before)
         argv = ["omega-study", "--n", "2", "--q-schedule", "0.01,0.005,0.002", "--m-offsets", "1,2", "--json"]
         code, out, err = run_main(capsys, argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "87c61db45fd4b5dd6770ff4484d327b7e012f4307736efc19edd45591c08a88e"
+            "d506c98a35a6468b5622c1abf25c357dc43fb2a12d835a3a16a137376c7d81cf"
         )
         assert_brackets_near(
             out,
