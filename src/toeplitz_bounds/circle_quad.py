@@ -25,8 +25,9 @@ The supremum over rotations is searched in four stages. The grid: a fixed
 uniform grid of 256 rotations (shared function values, so the grid costs one
 boundary sweep of 1,024 points, and a rotation and its half-turn share one
 row of moduli, so half the row work is done) ranks the rotations, and its
-leaders join a family of zero-aligned candidate rotations for zeros too
-close to the circle for the grid to see. The screen: every candidate is
+leaders join one stencil of aligned candidate rotations for each direction
+of zeros too close to the circle for the grid to see, the directions that
+share a seed ladder. The screen: every candidate is
 integrated once, at a loose tolerance. Localmin: Brent's localmin (ch. 5 of
 the book below), whose parabolic steps need far fewer integrals than golden
 section on the smooth peak, refines the best candidate inside the window
@@ -325,7 +326,8 @@ def _seed_ladders(f: BlaschkeProduct):
     """The rotation-free part of the seed edges, built once per Lambda call:
     (gammas, counts, rungs). lambda_functional calls it before any other
     use of f, so it is where a symbol that is not a BlaschkeProduct is
-    rejected.
+    rejected. The same grouping places the aligned candidates
+    (_candidate_rotations).
 
     A zero at a = (1-d) e^{i gamma} concentrates the symbol's phase swing in
     an angular window of width ~d. Its ladder d/2, 2d, 8d, ..., d 4^k / 2, is
@@ -345,17 +347,25 @@ def _seed_ladders(f: BlaschkeProduct):
     same centre. A zero shares the ladder of a zero nearer the circle when
     their angles differ by at most SHARED_DIRECTION times its own width, a
     shift far inside its peak. rungs joins the ladders, counts[k] of them
-    for the ladder at angle gammas[k].
+    for the ladder at angle gammas[k], whose first rung is half its width.
+    The ladders come in the order of each direction's first zero in
+    f.zeros, so zeros that share no direction keep their own order.
     """
     if not isinstance(f, BlaschkeProduct):
         raise InvalidConfiguration(f"Lambda needs a BlaschkeProduct symbol, got {type(f).__name__}")
-    gammas, counts, rungs = [], [], []
-    # nearest the circle first, so a direction's first zero has its smallest width
-    for a in sorted(f.zeros, key=abs, reverse=True):
+    directions = []  # [index of its first zero in f.zeros, gamma, width]
+    # nearest the circle first, so a direction takes its smallest width
+    for i, a in sorted(enumerate(f.zeros), key=lambda item: abs(item[1]), reverse=True):
         width = 1.0 - abs(a)
         gamma = float(np.angle(a)) if abs(a) > 0 else 0.0
-        if any(abs(math.remainder(gamma - g, TWO_PI)) <= SHARED_DIRECTION * width for g in gammas):
-            continue
+        for direction in directions:
+            if abs(math.remainder(gamma - direction[1], TWO_PI)) <= SHARED_DIRECTION * width:
+                direction[0] = min(direction[0], i)
+                break
+        else:
+            directions.append([i, gamma, width])
+    gammas, counts, rungs = [], [], []
+    for _, gamma, width in sorted(directions):
         ks = int(math.ceil(math.log(2.0 * math.pi / width, 4.0))) + 1
         gammas.append(gamma)
         counts.append(ks)
@@ -639,17 +649,23 @@ def _grid_scan(f: BlaschkeProduct):
     return np.arange(ROTATIONS) * (TWO_PI / ROTATIONS), vals, M
 
 
-def _candidate_rotations(f: BlaschkeProduct):
-    """Grid winners plus aligned rotations for zeros the grid cannot resolve."""
+def _candidate_rotations(f: BlaschkeProduct, ladders):
+    """Grid winners plus aligned rotations for the directions the grid cannot
+    resolve: one stencil per ladder of _seed_ladders whose width d is below
+    four grid steps, at gamma + t d for t in {0, +-1/2, +-1, +-2, +-4} with
+    half-width h = 2 d. A ray's zeros share one ladder, so its stencil is
+    that of its zero nearest the circle, which brackets the peak at gamma."""
     phis, vals, grid_evals = _grid_scan(f)
     step = TWO_PI / ROTATIONS
     order = np.argsort(vals)[::-1]
     cands = [(float(phis[r]), step) for r in order[:3]]
     cands.append((0.0, step))
-    for a in f.zeros:
-        d = 1.0 - abs(a)
+    gammas, counts, rungs = ladders
+    start = 0
+    for gamma, count in zip(gammas, counts):
+        d = 2.0 * float(rungs[start])
+        start += count
         if d < 4.0 * step:
-            gamma = float(np.angle(a)) if abs(a) > 0 else 0.0
             for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0):
                 cands.append((gamma + t * d, 2.0 * d))
     seen = set()
@@ -679,14 +695,15 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
       and one at each of the three leading candidates whose screening value
       beats that integral plus its error.
 
-    The seed ladders are built once for the call. The search state is two
+    The seed ladders are built once for the call; they also place the
+    aligned candidates. The search state is two
     dicts keyed by the exact rotation angle: each angle's first sweep, so its
     seed edges, folds and first sweep are computed once whatever the
     tolerance, and its value at the loose tolerance.
     """
     ladders = _seed_ladders(f)
     kink_fn = _kink_solver(f)
-    candidates, evals = _candidate_rotations(f)
+    candidates, evals = _candidate_rotations(f, ladders)
 
     loose = max(1e-6, spec.tolerance * 1e2)
     firsts, loose_values = {}, {}

@@ -1,7 +1,9 @@
 """Adaptive circle quadrature and the oscillation functional."""
 
 import cmath
+import importlib.util
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -270,7 +272,7 @@ class TestCandidateRotations:
     def test_grid_winners_lead_then_the_zero_rotation(self):
         B = BlaschkeProduct(zeros=random_zeros(np.random.default_rng(59), 3))
         phis, vals, M = circle_quad._grid_scan(B)
-        cands, evals = circle_quad._candidate_rotations(B)
+        cands, evals = circle_quad._candidate_rotations(B, circle_quad._seed_ladders(B))
         step = 2.0 * math.pi / 256
         winners = [(float(phis[r]), step) for r in np.argsort(vals)[::-1][:3]]
         assert evals == M
@@ -280,13 +282,44 @@ class TestCandidateRotations:
     def test_a_zero_near_the_circle_adds_its_aligned_family_once(self):
         d = 1e-9
         a = (1.0 - d) * cmath.exp(1.234j)
-        cands, _ = circle_quad._candidate_rotations(BlaschkeProduct(zeros=(a, a)))
+        B = BlaschkeProduct(zeros=(a, a))
+        cands, _ = circle_quad._candidate_rotations(B, circle_quad._seed_ladders(B))
         gamma, d = float(np.angle(a)), 1.0 - abs(a)
         family = [(gamma + t * d, 2.0 * d) for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0)]
         # the double zero offers its family twice; each angle is kept once, in order
         assert cands[-9:] == family
         keys = [round(phi / 1e-15) for phi, _ in cands]
         assert len(set(keys)) == len(keys)
+
+    def test_a_ray_offers_one_stencil_from_its_zero_nearest_the_circle(self):
+        # the n = 3, q = 0.001 study symbol on the ray e^{0.7i}: the grid's
+        # four and one stencil, where one stencil per near-circle zero gave 29
+        B = BlaschkeProduct(zeros=ray_zeros(3, 0.001))
+        cands, _ = circle_quad._candidate_rotations(B, circle_quad._seed_ladders(B))
+        inner = B.zeros[-1]
+        gamma, d = float(np.angle(inner)), 1.0 - abs(inner)
+        assert len(cands) <= 13
+        assert cands[-9:] == [(gamma + t * d, 2.0 * d) for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0)]
+
+    @pytest.mark.parametrize("group", ["lambda-panel", "bit-pins", "hard-inputs"])
+    def test_zeros_that_share_no_direction_keep_the_per_zero_candidates(self, group):
+        # the benchmark's Lambda panel (seed 0, rounds 0-7), the bit-pinned
+        # products but the ray, and the hard inputs but the rays: every zero
+        # has its own direction, so the candidates are one stencil per
+        # near-circle zero, in the order of the zeros, as before
+        if group == "lambda-panel":
+            symbols = lambda_panel_symbols(seed=0, rounds=8)
+        elif group == "bit-pins":
+            symbols = [BlaschkeProduct(zeros=zeros) for zeros, *_ in TestLambdaBitPins.RECORDED]
+            symbols = [B for B in symbols if len(circle_quad._seed_ladders(B)[0]) == B.degree]
+            assert len(symbols) == len(TestLambdaBitPins.RECORDED) - 1
+        else:
+            names = ("degree-20", "two-at-1e-12", "five-1e-9-apart")
+            symbols = [BlaschkeProduct(zeros=TestHardInputs.CASES[name]) for name in names]
+        for B in symbols:
+            ladders = circle_quad._seed_ladders(B)
+            assert len(ladders[0]) == B.degree
+            assert circle_quad._candidate_rotations(B, ladders) == per_zero_candidates(B, ladders)
 
 
 class TestSeedLadders:
@@ -328,8 +361,11 @@ class TestSeedLadders:
                 outer = (1.0 - width) * cmath.exp(1j * (gamma + side * turn * edge))
                 gammas, counts, rungs = circle_quad._seed_ladders(BlaschkeProduct(zeros=(outer, inner)))
                 assert len(gammas) == ladders
-                # the ladder of the zero nearer the circle comes first, from its own width
-                assert gammas[0] == cmath.phase(inner) and rungs[0] == 0.5 * (1.0 - abs(inner))
+                # the ladders come in the order of the zeros, and the one
+                # the inner zero builds, shared or its own, is from its width
+                k = ladders - 1
+                assert gammas[k] == cmath.phase(inner) and rungs[sum(counts[:k])] == 0.5 * (1.0 - abs(inner))
+                assert gammas[0] == cmath.phase(inner if ladders == 1 else outer)
 
 
 def reference_swept(B, phi):
@@ -950,7 +986,8 @@ class TestRotationRecords:
         # the ten symbols of the acceptance studies on the ray e^{0.7i}: fresh
         # rotations (each seeded once) and evaluations. With a crude stage
         # before the screen, the localmin window unnarrowed and one seed
-        # ladder per zero they took 269 and 252,970
+        # ladder per zero they took 269 and 252,970; with one aligned
+        # stencil per near-circle zero, 213 and 132,655
         seeded = []
         real = circle_quad._seed_edges_for_rotation
 
@@ -963,8 +1000,8 @@ class TestRotationRecords:
         evaluations = sum(
             lambda_functional(BlaschkeProduct(zeros=ray_zeros(n, q))).evaluations for n, qs in plans for q in qs
         )
-        assert len(seeded) <= 213
-        assert evaluations <= 0.55 * 252_970
+        assert len(seeded) <= 151
+        assert evaluations <= 96_070
 
     def test_resumed_first_sweep_matches_a_fresh_integral(self):
         def g(theta):
@@ -1132,9 +1169,11 @@ class TestHardInputs:
     # degree 6 and 8, whose supremum sits on the ray; the five take about
     # 0.2 s together
     RAYS = {"ray-n6-q0.01": (6, 0.01), "ray-n8-q0.03": (8, 0.03)}
-    # evaluation ceilings on the rays, whose zeros share one seed ladder;
-    # with one ladder per zero they took 218,284 and 349,024
-    RAY_EVALUATIONS = {"ray-n6-q0.01": 77_000, "ray-n8-q0.03": 125_000}
+    # evaluation ceilings on the rays, whose zeros share one seed ladder and
+    # one aligned stencil; with one stencil per near-circle zero they took
+    # 76,999 and 124,999, and with one ladder per zero as well 218,284 and
+    # 349,024
+    RAY_EVALUATIONS = {"ray-n6-q0.01": 27_140, "ray-n8-q0.03": 30_470}
     CASES = {
         "degree-20": random_zeros(np.random.default_rng(97), 20, rmax=0.95),
         "two-at-1e-12": ((1.0 - 1e-12) * cmath.exp(0.4j), (1.0 - 1e-12) * cmath.exp(-2.1j)),
@@ -1193,6 +1232,47 @@ def per_zero_ladders(f):
     return gammas, counts, np.concatenate(rungs) if rungs else np.empty(0)
 
 
+def per_zero_candidates(f, ladders):
+    """_candidate_rotations before the aligned candidates read the seed
+    ladders: a stencil for every zero within four grid steps of the circle,
+    around its own angle and scaled by its own width, in the order of the
+    zeros. ladders is not read."""
+    phis, vals, grid_evals = circle_quad._grid_scan(f)
+    step = 2.0 * math.pi / circle_quad.ROTATIONS
+    order = np.argsort(vals)[::-1]
+    cands = [(float(phis[r]), step) for r in order[:3]]
+    cands.append((0.0, step))
+    for a in f.zeros:
+        d = 1.0 - abs(a)
+        if d < 4.0 * step:
+            gamma = float(np.angle(a)) if abs(a) > 0 else 0.0
+            for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0):
+                cands.append((gamma + t * d, 2.0 * d))
+    seen = set()
+    out = []
+    for phi, h in cands:
+        key = round(phi / 1e-15)
+        if key not in seen:
+            seen.add(key)
+            out.append((phi, h))
+    return out, grid_evals
+
+
+def lambda_panel_symbols(seed, rounds):
+    """Every symbol of the benchmark's Lambda panel (perfbench/workloads.py)
+    in its first rounds on a seed: the products, their splits and the
+    single factors."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    symbols = []
+    for r in range(rounds):
+        products, singles = workloads.LambdaPanel().make_round(workloads.rng_for(seed, 0, r))
+        symbols += [B for parts in products for B in parts] + list(singles)
+    return symbols
+
+
 class TestSweepSizes:
     # what the 1,024-node rotation grid, the 8-panel, ratio-4 first sweep
     # and one seed ladder per direction give up against the sizes before
@@ -1223,15 +1303,39 @@ class TestSweepSizes:
             assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
 
     def test_one_ladder_per_zero_agrees_within_the_errors(self, monkeypatch):
-        # the ray symbols' zeros share a direction: their ladders around one
-        # centre cost evaluations for values within the error estimates
+        # the ray symbols' zeros share a direction: their ladders and
+        # aligned stencils around one centre cost evaluations for values
+        # within the error estimates
         results = self.results()
         shared = [len(circle_quad._seed_ladders(BlaschkeProduct(zeros=z))[0]) < len(z) for z, _ in self.PRODUCTS]
         assert sum(shared) == 3
         monkeypatch.setattr(circle_quad, "_seed_ladders", per_zero_ladders)
+        monkeypatch.setattr(circle_quad, "_candidate_rotations", per_zero_candidates)
         for r, ref, fewer in zip(results, self.results(), shared):
             assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
             assert r.evaluations < ref.evaluations if fewer else r.evaluations == ref.evaluations
+
+    def test_one_stencil_per_direction_agrees_on_collinear_products(self, monkeypatch):
+        # 100 seeded products of 2-6 zeros on one ray, deficits log-uniform
+        # in [1e-10, 0.3], a third of them with two more zeros off the ray:
+        # against one stencil per near-circle zero, Lambda stays within the
+        # summed error estimates, so it never reads lower by more than them,
+        # for at most the evaluations and half of them in total
+        rng = np.random.default_rng(131)
+        products = []
+        for i in range(100):
+            deficits = 10.0 ** rng.uniform(-10.0, math.log10(0.3), int(rng.integers(2, 7)))
+            zeros = tuple((1.0 - deficits) * cmath.exp(2j * math.pi * rng.uniform()))
+            if i % 3 == 0:
+                zeros += random_zeros(rng, 2, rmax=0.95)
+            products.append(BlaschkeProduct(zeros=zeros))
+        results = [lambda_functional(B) for B in products]
+        monkeypatch.setattr(circle_quad, "_candidate_rotations", per_zero_candidates)
+        refs = [lambda_functional(B) for B in products]
+        for r, ref in zip(results, refs):
+            assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
+            assert r.evaluations <= ref.evaluations
+        assert sum(r.evaluations for r in results) <= 0.5 * sum(ref.evaluations for ref in refs)
 
 
 class TestPairEvaluator:
