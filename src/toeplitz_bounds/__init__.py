@@ -111,4 +111,6 @@ __version__ = "0.1.0"
 # One freed 8 MB block raises glibc's malloc mmap threshold to 8 MB and its trim
 # threshold to 16 MB, so boundary sweeps reuse heap pages instead of faulting in
 # fresh ones; sweeps over 1 MB (next to near-circle zeros) would be mapped per call.
+# It tunes glibc only and does nothing on other allocators. The page-fault tests
+# of Lambda and of the Pick construction pin what it buys.
 np.empty(1 << 20)

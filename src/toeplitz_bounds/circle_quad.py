@@ -41,9 +41,11 @@ value, keyed by the exact angle.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
-derivative is a sum of Poisson kernels: each fold's bracket starts at the fold
-before it and is narrowed by every phase value already computed at the
-rotation. The steps are safeguarded as in Brent's root finder (R. P. Brent,
+share from each factor is the argument of w(phi + theta) conj(w(phi - theta))
+for disk_core's half-angle terms w, with no unwrapping, and whose derivative
+is a sum of Poisson kernels: each fold's bracket starts at the fold before
+it and is narrowed by every phase value already computed at the rotation.
+The steps are safeguarded as in Brent's root finder (R. P. Brent,
 Algorithms for Minimization without Derivatives, 1973, ch. 4). `brentq`, a
 line-for-line port of scipy's brentq.c, has no caller in the pipeline; it
 stays only as the name the benchmark's tracer patches.
@@ -457,10 +459,16 @@ def _kink_solver(f: BlaschkeProduct):
 
     Returns None when there is nothing to solve (degree < 2); otherwise a
     callable phi -> array of fold angles in (0, pi), found in increasing
-    order by `_fold` from the swept phase S and its derivative
-    S' = sum_k P_k(phi + theta - gamma_k) + P_k(phi - theta - gamma_k), where
-    P(u) = (1 - rho^2) / ((1 - rho)^2 + 4 rho sin^2(u/2)) is the Poisson
-    kernel in a form with no cancellation near the circle. Every (theta, S)
+    order by `_fold` from the swept phase S and its derivative S'. With
+    disk_core's half-angle term w = d cos(beta/2) + i e sin(beta/2),
+    d = 1 - rho, e = 1 + rho, a factor's share of S is 2 arg(w_+ conj(w_-)):
+    s_k = 2 atan2(d e sin theta, d^2 c_+ c_- + e^2 s_+ s_-), c_+- and s_+- the
+    cos and sin of beta_+-/2, beta_+- = phi - gamma_k +- theta. It lies in
+    (0, 2 pi) for theta in (0, pi), so nothing is unwrapped, and it is
+    accurate to rounding next to the circle. phi - gamma_k is reduced once
+    per rotation; c_+- and s_+- come by angle addition from one cos and sin
+    of theta/2, which keeps the 1e-16 offsets between a ray's zero angles.
+    S' sums the Poisson kernels d e / (d^2 + 4 rho s_+-^2). Every (theta, S)
     evaluated at a rotation narrows the brackets of the folds after it.
 
     The swept phase is scalar Python math over a list of factors: with at
@@ -472,24 +480,27 @@ def _kink_solver(f: BlaschkeProduct):
     zeros = np.asarray(f.zeros, dtype=complex)
     rho = np.abs(zeros)
     gam = np.where(rho > 0, np.angle(np.where(rho > 0, zeros, 1.0)), 0.0)
-    kappa = (1.0 + rho) / (1.0 - rho)
-    # the Poisson kernel's numerator 1 - rho^2, and (1 - rho)^2 and 4 rho
-    d = 1.0 - rho
-    poisson = ((d * (1.0 + rho)).tolist(), (d * d).tolist(), (4.0 * rho).tolist())
-    factors = list(zip(gam.tolist(), kappa.tolist(), *poisson))
+    d, e = 1.0 - rho, 1.0 + rho
+    factors = list(zip(gam.tolist(), (d * e).tolist(), (d * d).tolist(), (e * e).tolist(), (4.0 * rho).tolist()))
     targets = [TWO_PI * k for k in range(1, f.degree)]
 
     def solver(phi):
         phi = float(phi)  # a numpy scalar would slow every step of the kernel
+        rows = []
+        for gamma, de, d2, e2, r4 in factors:
+            h = 0.5 * math.remainder(phi - gamma, TWO_PI)
+            rows.append((math.cos(h), math.sin(h), de, d2, e2, r4))
         seen = []
 
         def swept(theta):
+            ct, st = math.cos(0.5 * theta), math.sin(0.5 * theta)
+            sin_theta = 2.0 * st * ct
             total = slope = 0.0
-            for gamma, k, q, d2, r4 in factors:
-                up, um = phi + theta - gamma, phi - theta - gamma
-                total += _psi(up, k) - _psi(um, k)
-                sp, sm = math.sin(0.5 * up), math.sin(0.5 * um)
-                slope += q / (d2 + r4 * sp * sp) + q / (d2 + r4 * sm * sm)
+            for ch, sh, de, d2, e2, r4 in rows:
+                cc, ss, sc, cs = ch * ct, sh * st, sh * ct, ch * st
+                cp, cm, sp, sm = cc - ss, cc + ss, sc + cs, sc - cs
+                total += 2.0 * math.atan2(de * sin_theta, d2 * cp * cm + e2 * sp * sm)
+                slope += de / (d2 + r4 * sp * sp) + de / (d2 + r4 * sm * sm)
             if math.isnan(total):
                 raise NumericalBreakdown(f"swept phase is NaN at theta = {theta!r}, phi = {phi!r}")
             seen.append((theta, total))
@@ -553,21 +564,6 @@ def _fold(swept, seen, c: float, lo: float) -> float:
             new = _split(lo, hi)
         x, last = new, abs(new - x)
     raise NumericalBreakdown(f"fold solver did not converge in 100 iterations on [{lo!r}, {hi!r}]")
-
-
-def _psi(u: float, kappa: float) -> float:
-    """Continuous boundary phase of one Moebius factor at e^{i(u + gamma)},
-    with kappa = (1 + rho) / (1 - rho): 2 pi m + 2 atan(kappa tan(u_r / 2)),
-    u_r = u - 2 pi m, so psi(u + 2 pi) = psi(u) + 2 pi with no jumps.
-    round() is half to even.
-
-    The same function as u_r / 2 + atan(kappa tan(u_r / 2)) + atan(rho sin u_r
-    / (1 - rho cos u_r)), in two transcendental calls instead of five and
-    without that form's cancellation in 1 - rho cos u_r, which cost about
-    1e-16 / |u_r| absolute next to a zero near the circle (5e-9 at u_r = 1e-8
-    for a zero 1e-9 from it). This one is accurate to rounding there."""
-    m = round(u / TWO_PI)
-    return TWO_PI * m + 2.0 * math.atan(kappa * math.tan(0.5 * (u - TWO_PI * m)))
 
 
 def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, ladders, kink_fn, first=None):

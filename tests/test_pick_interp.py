@@ -461,7 +461,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(proble
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc page faults")
 def test_constructions_do_not_fault_heap_pages_back_in():
-    # without the package's import-time 1 MB block, each degree-6 construction
+    # without the package's import-time 8 MB block, each degree-6 construction
     # here takes about 250 minor page faults; with it, under one
     proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
