@@ -19,7 +19,12 @@ is coarse: 8 uniform panels on (0, pi) plus seed edges at every known
 feature, ratio-4 ladders around the angles of the zeros, one ladder for the
 zeros that share a direction, and the folds. Each panel reports an honest
 error, so the adaptive loop pays for resolution where it is needed, not a
-fine starting grid everywhere.
+fine starting grid everywhere. The first sweeps of many rotations are made
+together (_first_sweeps): one row of edges a rotation, sorted row by row,
+and one boundary_values call per block of rotations, with one rotation per
+node, each block capped at _SWEEP_BLOCK_NODES nodes. Each rotation's
+integral then resumes from its own first sweep, and every later sweep is
+at that rotation alone.
 
 The supremum over rotations is searched in four stages. The grid: a fixed
 uniform grid of 256 rotations (shared function values, so the grid costs one
@@ -28,7 +33,8 @@ row of moduli, so half the row work is done) ranks the rotations, and its
 leaders join one stencil of aligned candidate rotations for each direction
 of zeros too close to the circle for the grid to see, the directions that
 share a seed ladder. The screen: every candidate is
-integrated once, at a loose tolerance. Localmin: Brent's localmin (ch. 5 of
+integrated once, at a loose tolerance, all their first sweeps made together
+before any is integrated. Localmin: Brent's localmin (ch. 5 of
 the book below), whose parabolic steps need far fewer integrals than golden
 section on the smooth peak, refines the best candidate inside the window
 that the screens around it bound. The final stage: integrals at the
@@ -37,7 +43,8 @@ that could still beat it. The reported value is therefore a lower estimate
 of the supremum (the rotation search is not certified) with a quadrature
 error bar; no global optimality is claimed. The search keeps its state in
 locals of lambda_functional: each rotation's first sweep and loose-tolerance
-value, keyed by the exact angle.
+value, keyed by the exact angle. Localmin and the final stage sweep their
+new rotations with the same _first_sweeps, one rotation a call.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
@@ -96,12 +103,17 @@ _WG = np.array([
 _NODE_OFFSETS = np.concatenate([0.5 - 0.5 * _XGK[:-1], 0.5 + 0.5 * _XGK[::-1]])
 _KRONROD_WEIGHTS = 0.5 * np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GAUSS_WEIGHTS = 0.5 * np.concatenate([_WG[:-1], _WG[::-1]])
-# Initial uniform panel counts, powers of two so that theta = 0 and theta =
-# pi are panel boundaries, never nodes: integrate_circle's on (-pi, pi], which
-# has no seed edges, and the Lambda integral's on (0, pi), whose seed ladders
-# already place an edge at every known feature.
+# The first sweeps' uniform panels, so that theta = 0 and theta = pi are
+# panel boundaries, never nodes: integrate_circle's 64 on (-pi, pi], which
+# has no seed edges, and the Lambda integral's base grid of 8 on (0, pi),
+# whose seed ladders already place an edge at every known feature.
 CIRCLE_PANELS = 64
-LAMBDA_PANELS = 8
+LAMBDA_EDGES = np.linspace(0.0, math.pi, 9)
+# Nodes per boundary_values call of the batched first sweeps (_first_sweeps):
+# a block of rotations stops before it would pass this, and a rotation with
+# more nodes is a block of its own. Unbounded blocks held the first sweeps of
+# every candidate at once, 285 MB on a product of 20 zeros 1e-6 from the circle.
+_SWEEP_BLOCK_NODES = 1 << 14
 # Bisection depth limit; 42 resolves peaks of width ~1e-11.
 MAX_DEPTH = 42
 # Zeros whose angles differ by at most this fraction of the farther zero's
@@ -203,7 +215,7 @@ def _panel_estimates(g, los, his):
     return kronrod, np.abs(kronrod - gauss) + 5e-17 * np.abs(kronrod)
 
 
-def _adaptive_theta(g, a: float, b: float, tol_abs: float, panels: int, seed_edges=None, first=None):
+def _adaptive_theta(g, a: float, b: float, tol_abs: float, panels: int = 0, first=None):
     """Integrate g over [a, b] adaptively; g maps a theta array to values.
 
     Returns (integral, error_estimate, evaluations). Panels are accepted
@@ -215,18 +227,10 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, panels: int, seed_edg
     best value and an honest estimate) if panels at MAX_DEPTH still miss both
     tests.
 
-    panels is the number of uniform panels the first sweep starts from,
-    before any seed edges; each caller sets its own, since integrate_circle
-    has no seed edges and the Lambda integral has one at every known feature.
-
-    seed_edges places extra panel boundaries at known feature locations.
-    Gauss-Kronrod error estimates are blind to structure narrower than the node
-    spacing, so a peak of width 1e-9 inside a width-0.4 panel would be
-    reported as converged with essentially zero error; seeding guarantees
-    nodes inside every known peak from the first sweep.
-
-    first, a list, keeps the first sweep (panels and estimates, independent of
-    tol_abs): an empty one receives it, a filled one is resumed at 0 evaluations.
+    The first sweep is `panels` uniform panels, unless first gives one
+    already made on [a, b], (los, his, est, err) as _first_sweeps builds
+    them; the integral then resumes from it at 0 evaluations, and leaves it
+    as it was, so any tolerance can resume from it again.
 
     Every sweep is one call of g on all its panels' nodes, 15 a panel, laid
     out panel-major (see _panel_estimates), and counts 15 evaluations a
@@ -239,20 +243,13 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, panels: int, seed_edg
     failures = evaluations = 0
     total_width = b - a
 
-    if first:
-        los, his, est, err = first[0]
+    if first is not None:
+        los, his, est, err = first
     else:
         edges = np.linspace(a, b, panels + 1)
-        if seed_edges is not None and len(seed_edges):
-            extra = np.asarray(seed_edges, dtype=float)
-            extra = extra[(extra > a) & (extra < b)]
-            edges = np.unique(np.concatenate([edges, extra]))
-        los = edges[:-1].copy()
-        his = edges[1:].copy()
+        los, his = edges[:-1], edges[1:]
         evaluations += _NODE_OFFSETS.size * los.size
         est, err = _panel_estimates(g, los, his)
-        if first is not None:
-            first.append((los, his, est, err))
     depths = np.zeros(los.size, dtype=int)
 
     while True:
@@ -375,21 +372,27 @@ def _seed_ladders(f: BlaschkeProduct):
     return gammas, counts, np.concatenate(rungs) if rungs else np.empty(0)
 
 
-def _seed_edges_for_rotation(ladders, phi: float):
-    """Panel boundaries bracketing every feature of the theta integrand at
-    rotation phi, from the ladders of _seed_ladders.
+def _seed_edges_for_rotation(ladders, phis):
+    """Panel boundaries bracketing every feature of the theta integrand, one
+    row for each rotation in phis, from the ladders of _seed_ladders.
 
-    The integrand compares angles phi + theta and phi - theta, so a feature
-    at boundary angle gamma shows up at theta = |gamma - phi| (mod 2 pi,
-    folded to [0, pi]) and the pairing also creates structure at theta -> 0.
-    The rungs themselves are the ladders around theta = 0 (whose mirror
-    images and centre lie outside (0, pi)); only the rungs centred at
-    |gamma - phi| are built here. Order is free: the edges are sorted.
+    Gauss-Kronrod error estimates are blind to structure narrower than the
+    node spacing, so a peak of width 1e-9 inside a width-0.4 panel would be
+    reported as converged with essentially zero error; seeding guarantees
+    nodes inside every known peak from the first sweep. The integrand
+    compares angles phi + theta and phi - theta, so a feature at boundary
+    angle gamma shows up at theta = |gamma - phi| (mod 2 pi, folded to
+    [0, pi]) and the pairing also creates structure at theta -> 0. The
+    rungs themselves are the ladders around theta = 0 (whose mirror images
+    and centre lie outside (0, pi)); only the rungs centred at |gamma - phi|
+    are built here. Order is free, and edges may fall outside (0, pi):
+    _first_sweeps sorts each row and drops those.
     """
     gammas, counts, rungs = ladders
-    centers = np.array([abs(math.remainder(gamma - phi, TWO_PI)) for gamma in gammas])
-    around = np.repeat(centers, counts)
-    return np.concatenate([rungs, centers, around + rungs, around - rungs])
+    centers = np.array([[abs(math.remainder(gamma - phi, TWO_PI)) for gamma in gammas] for phi in phis])
+    centers = centers.reshape(len(phis), len(gammas))
+    around = np.repeat(centers, counts, axis=1)
+    return np.concatenate([np.broadcast_to(rungs, around.shape), centers, around + rungs, around - rungs], axis=1)
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -566,32 +569,76 @@ def _fold(swept, seen, c: float, lo: float) -> float:
     raise NumericalBreakdown(f"fold solver did not converge in 100 iterations on [{lo!r}, {hi!r}]")
 
 
-def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, ladders, kink_fn, first=None):
-    """The inner Lambda integral at a fixed rotation angle phi.
+def _integrand(f: BlaschkeProduct, phi, theta):
+    """The Lambda integrand |f(e^{i(phi + theta)}) - f(e^{i(phi - theta)})|
+    / |1 - e^{i theta}| at the node angles theta, at the rotation phi: a
+    scalar, or one rotation per node.
+
+    One call of boundary_values in its pair form: theta is passed as the
+    offset, so factors near the rotation angle keep full relative accuracy
+    at increments far below ulp(phi), and the kernel gets the integrand's
+    sin(theta/2) for its half-angle terms.
+    """
+    sh = np.sin(0.5 * theta)
+    both = boundary_values(f, phi, offset=theta, sin_half=sh)
+    return np.abs(both[: theta.size] - both[theta.size :]) / (2.0 * sh)
+
+
+def _first_sweeps(f: BlaschkeProduct, phis, ladders, kink_fn):
+    """The first sweeps of the Lambda integral at the rotations phis, and the
+    evaluations they made: a list of (los, his, est, err), one a rotation in
+    order, for _adaptive_theta to resume from.
+
+    A rotation's panels have the edges of the base grid LAMBDA_EDGES, its
+    seed edges (_seed_edges_for_rotation, from the ladders of _seed_ladders)
+    and its folds (kink_fn, from _kink_solver, None below degree 2), one row
+    a rotation, sorted row by row; an edge that repeats the one before it,
+    or lies outside (0, pi), makes no panel. Consecutive rotations are swept
+    together, in blocks of at most _SWEEP_BLOCK_NODES nodes: each block is
+    one call of _panel_estimates, so one of boundary_values with one
+    rotation per node. Every estimate has the bits of its rotation's sweep
+    alone, and counts 15 evaluations a panel, once.
+    """
+    seeds = _seed_edges_for_rotation(ladders, phis)
+    if kink_fn is not None:
+        seeds = np.concatenate([seeds, [kink_fn(phi) for phi in phis]], axis=1)
+    # seeds outside (0, pi) land on its ends, which repeat the base grid's
+    np.clip(seeds, 0.0, math.pi, out=seeds)
+    base = np.broadcast_to(LAMBDA_EDGES, (len(phis), LAMBDA_EDGES.size))
+    edges = np.sort(np.concatenate([base, seeds], axis=1), axis=1)
+    panel = edges[:, 1:] > edges[:, :-1]
+    los, his = edges[:, :-1][panel], edges[:, 1:][panel]
+    counts = panel.sum(axis=1)
+    starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+
+    nodes = _NODE_OFFSETS.size
+    blocks, start = [], 0
+    for r in range(1, len(phis)):
+        if nodes * (starts[r + 1] - starts[start]) > _SWEEP_BLOCK_NODES:
+            blocks.append((start, r))
+            start = r
+    blocks.append((start, len(phis)))
+
+    sweeps = []
+    for i, j in blocks:
+        a, b = starts[i], starts[j]
+        rotation = np.repeat(np.asarray(phis[i:j], dtype=float), nodes * counts[i:j])
+        est, err = _panel_estimates(lambda theta: _integrand(f, rotation, theta), los[a:b], his[a:b])
+        for r in range(i, j):
+            k, m = starts[r], starts[r + 1]
+            sweeps.append((los[k:m], his[k:m], est[k - a : m - a], err[k - a : m - a]))
+    return sweeps, nodes * starts[-1]
+
+
+def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, first):
+    """The inner Lambda integral at a fixed rotation angle phi, resumed from
+    its first sweep, one entry of _first_sweeps; the evaluations returned
+    are those made after it.
 
     Uses the evenness of the integrand in theta: the mean over the circle is
-    (1/pi) * integral over (0, pi). The integrand is one call of
-    boundary_values in its pair form, f at e^{i(phi + theta)} then at
-    e^{i(phi - theta)}; theta is passed as the offset, so factors near the
-    rotation angle keep full relative accuracy at increments far below
-    ulp(phi), and the kernel gets the integrand's sin(theta/2) for its
-    half-angle terms. ladders come from _seed_ladders and kink_fn from
-    _kink_solver (None below degree 2); a filled `first` needs no seed edges.
+    (1/pi) * integral over (0, pi).
     """
-
-    def g(theta):
-        sh = np.sin(0.5 * theta)
-        both = boundary_values(f, phi, offset=theta, sin_half=sh)
-        return np.abs(both[: theta.size] - both[theta.size :]) / (2.0 * sh)
-
-    seeds = None
-    if not first:
-        seeds = _seed_edges_for_rotation(ladders, phi)
-        if kink_fn is not None:
-            seeds = np.concatenate([seeds, kink_fn(phi)])
-    val, err, evals = _adaptive_theta(
-        g, 0.0, math.pi, tol * math.pi, LAMBDA_PANELS, seed_edges=seeds, first=first
-    )
+    val, err, evals = _adaptive_theta(lambda theta: _integrand(f, phi, theta), 0.0, math.pi, tol * math.pi, first=first)
     return float(val.real) / math.pi, err / math.pi, evals
 
 
@@ -681,7 +728,9 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
     Search, in four stages:
     - grid: the shared-grid scan over the ROTATIONS grid rotations picks the
       candidates (_candidate_rotations);
-    - screen: every candidate is integrated once, at the loose tolerance;
+    - screen: the first sweeps of all candidates are made together, in
+      blocks (_first_sweeps), and each candidate is integrated once from its
+      own, at the loose tolerance;
     - localmin: Brent's localmin on the loose-tolerance integral, seeded with
       the best candidate's value, on the window [best - h, best + h] narrowed
       to the nearest screened rotations on each side that score below the
@@ -692,10 +741,13 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
       beats that integral plus its error.
 
     The seed ladders are built once for the call; they also place the
-    aligned candidates. The search state is two
-    dicts keyed by the exact rotation angle: each angle's first sweep, so its
-    seed edges, folds and first sweep are computed once whatever the
-    tolerance, and its value at the loose tolerance.
+    aligned candidates. The search state is two dicts keyed by the exact
+    rotation angle: each angle's first sweep, so its seed edges, folds and
+    first sweep are computed once whatever the tolerance, and its value at
+    the loose tolerance. A first sweep's evaluations are counted when it is
+    made, once; integrals resume from it at 0 evaluations. A rotation new to
+    localmin or the final stage gets its first sweep from the same
+    _first_sweeps, alone.
     """
     ladders = _seed_ladders(f)
     kink_fn = _kink_solver(f)
@@ -704,8 +756,16 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
     loose = max(1e-6, spec.tolerance * 1e2)
     firsts, loose_values = {}, {}
 
+    def sweep(phis):
+        nonlocal evals
+        sweeps, k = _first_sweeps(f, phis, ladders, kink_fn)
+        firsts.update(zip(phis, sweeps))
+        evals += k
+
     def integral(phi, tol):
-        return _lambda_integral(f, phi, tol, ladders, kink_fn, firsts.setdefault(phi, []))
+        if phi not in firsts:
+            sweep([phi])
+        return _lambda_integral(f, phi, tol, firsts[phi])
 
     def screened(phi):
         nonlocal evals
@@ -718,6 +778,7 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
         loose_values[phi] = v
         return v
 
+    sweep([phi for phi, _h in candidates])
     scored = sorted(((screened(phi), phi, h) for phi, h in candidates), reverse=True)
     best_val, best_phi, best_h = scored[0]
     lo, hi, width = best_phi - best_h, best_phi + best_h, max(1e-13, 1e-5 * best_h)

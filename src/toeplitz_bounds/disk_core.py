@@ -13,10 +13,14 @@ Needing only 1 - rho, it stays accurate for zeros within 1e-12 of the
 circle, where (z - a)/(1 - z*conj(a)) cancels. One private generator,
 _half_angle_terms, takes the half-angle trig of the array argument once and
 yields each factor's term w from it. boundary_values multiplies the terms
-into B; with an offset, theta is a scalar and the result is the symmetric
-pair B(e^{i(theta + offset)}) followed by B(e^{i(theta - offset)}), which
-share that trig by parity. A caller that needs sin(offset/2) itself can
-take it first and pass it as sin_half, so the sine is taken once.
+into B; with an offset, the result is the symmetric pair
+B(e^{i(theta + offset)}) followed by B(e^{i(theta - offset)}), which share
+that trig by parity. There theta is a scalar, or one rotation per offset,
+constant along runs, so the sweeps of many rotations share one call: each
+run's theta - gamma is reduced once, as a scalar theta's is, and each node
+keeps the bits of the call at its own rotation. A caller that needs
+sin(offset/2) itself can take it first and pass it as sin_half, so the sine
+is taken once.
 boundary_factors keeps the factors apart, one row each, for callers that
 compose them with more than multiplication.
 
@@ -137,9 +141,12 @@ def _half_angle_terms(zeros, u, base=None, sin_half=None):
     sin and cos of u/2 are taken once, and each zero shifts them to its
     beta/2 by angle addition with two scalars. A 2 pi shift of beta only
     flips the sign of w, so no reduction is needed. Without a base, beta is
-    u - gamma on the array u. With a scalar base, beta is base - gamma + u
-    and base - gamma - u, and w holds the + terms followed by the - terms.
-    sin_half, if given, is sin(u/2) already taken. No zeros, no sweep.
+    u - gamma on the array u. With a base, beta is base - gamma + u and
+    base - gamma - u, and w holds the + terms followed by the - terms. The
+    base is a scalar, or an array of u's shape that is constant along runs:
+    base - gamma is then reduced once per run, and each node gets the two
+    scalars of its run, the ones a scalar base would give it. sin_half, if
+    given, is sin(u/2) already taken. No zeros, no sweep.
     """
     if not len(zeros):
         return
@@ -151,17 +158,27 @@ def _half_angle_terms(zeros, u, base=None, sin_half=None):
     w = np.empty((2 * n,) if pair else u.shape, dtype=complex)
     y = np.empty_like(cu)
     x = np.empty_like(cu) if pair else w  # the grid form adds y to x in place
+    # one (base, cu, su, x, y) a run of equal bases, views of the sweep's arrays
+    runs = [(base, cu, su, x, y)]
+    if pair and np.ndim(base):
+        first = np.ones(n, dtype=bool)  # the first node of each run
+        first[1:] = base[1:] != base[:-1]
+        starts = np.flatnonzero(first).tolist()
+        runs = [
+            (float(base[i]), cu[i:j], su[i:j], x[i:j], y[i:j]) for i, j in zip(starts, starts[1:] + [n])
+        ]
     for a in zeros:
         rho = abs(a)
         gamma = float(np.angle(a)) if rho > 0 else 0.0
-        half = 0.5 * (math.remainder(base - gamma, 2 * math.pi) if pair else -gamma)
-        s0, c0 = math.sin(half), math.cos(half)
-        # w = x + y, x = cu (d c0 + i e s0), y = su (-d s0 + i e c0); cu and su
-        # hold real values as complex, so each term is one complex-by-scalar
-        # multiply, not a cast
         d, e = 1.0 - rho, 1.0 + rho
-        np.multiply(cu, complex(d * c0, e * s0), out=x)
-        np.multiply(su, complex(-d * s0, e * c0), out=y)
+        for b, cu_r, su_r, x_r, y_r in runs:
+            half = 0.5 * (math.remainder(b - gamma, 2 * math.pi) if pair else -gamma)
+            s0, c0 = math.sin(half), math.cos(half)
+            # w = x + y, x = cu (d c0 + i e s0), y = su (-d s0 + i e c0); cu and
+            # su hold real values as complex, so each term is one
+            # complex-by-scalar multiply, not a cast
+            np.multiply(cu_r, complex(d * c0, e * s0), out=x_r)
+            np.multiply(su_r, complex(-d * s0, e * c0), out=y_r)
         if pair:
             np.add(x, y, out=w[:n])
             np.subtract(x, y, out=w[n:])
@@ -183,8 +200,11 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, sin_half=None):
     The split argument keeps a tiny increment that theta + offset in one
     double would round away at ulp(theta), fatal where a factor varies on
     the scale of the increment: theta - gamma is reduced as a scalar and the
-    increment enters only through sin(offset/2), so theta must be a scalar
-    when offset is given. The offset form returns 2N values for N offsets.
+    increment enters only through sin(offset/2). With an offset, theta is a
+    scalar, or has the offset's shape: one rotation per offset, constant
+    along runs, reduced once per run, so every value has the bits of the
+    scalar call at its rotation; any other shape raises
+    InvalidConfiguration. The offset form returns 2N values for N offsets.
     numpy's cos is even and its sin odd, bit for bit, so both signs share
     one trig sweep and one pair of products per factor: w = x + y for
     +offset and x - y for -offset, with the bits of evaluating -offset
@@ -192,15 +212,19 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, sin_half=None):
     in for the kernel's own sine of u; the values keep their bits.
     """
     theta = np.asarray(theta, dtype=float)
-    if offset is not None and theta.ndim:
-        raise InvalidConfiguration("boundary_values with an offset needs a scalar theta")
     pair = offset is not None
-    u = np.asarray(offset, dtype=float).ravel() if pair else theta
+    u = np.asarray(offset, dtype=float) if pair else theta
+    if pair:
+        if theta.ndim and theta.shape != u.shape:
+            raise InvalidConfiguration(
+                f"boundary_values needs a scalar theta or one of the offset's shape {u.shape}, got {theta.shape}"
+            )
+        theta, u = (theta.ravel() if theta.ndim else float(theta)), u.ravel()
     prod = np.ones((2 * u.size,) if pair else u.shape, dtype=complex)
     rot, floor = 1.0 + 0j, 1.0
     if sin_half is not None:
         sin_half = np.asarray(sin_half, dtype=float).reshape(u.shape)
-    for w, d, turn in _half_angle_terms(B.zeros, u, float(theta) if pair else None, sin_half):
+    for w, d, turn in _half_angle_terms(B.zeros, u, theta if pair else None, sin_half):
         prod *= w
         # |w| >= 1 - rho: rescale before the product of the |w| can underflow
         floor *= d

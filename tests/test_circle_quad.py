@@ -42,7 +42,8 @@ def lambda_at_rotation(f, eta):
     phi = cmath.phase(eta)
     ladders = circle_quad._seed_ladders(f)
     tol = circle_quad.DEFAULT_LAMBDA_SPEC.tolerance
-    return circle_quad._lambda_integral(f, phi, tol, ladders, circle_quad._kink_solver(f))[0]
+    (first,), _ = circle_quad._first_sweeps(f, [phi], ladders, circle_quad._kink_solver(f))
+    return circle_quad._lambda_integral(f, phi, tol, first)[0]
 
 
 def random_zeros(rng, degree, rmax=0.9):
@@ -336,8 +337,8 @@ class TestSeedLadders:
             alone = circle_quad._seed_ladders(BlaschkeProduct(zeros=(zeros[-1],)))
             gamma = cmath.phase(zeros[-1])
             for phi in (0.0, gamma, gamma + 1e-9, gamma - 0.3, 2.0, -2.5):
-                edges = circle_quad._seed_edges_for_rotation(ray, phi)
-                assert np.array_equal(edges, circle_quad._seed_edges_for_rotation(alone, phi))
+                edges = circle_quad._seed_edges_for_rotation(ray, [phi])
+                assert np.array_equal(edges, circle_quad._seed_edges_for_rotation(alone, [phi]))
 
     def test_zeros_at_distinct_angles_keep_their_own_ladders(self):
         # five zeros 1e-9 from the circle and 1e-9 apart: each angle is a
@@ -992,9 +993,10 @@ class TestRotationRecords:
         real_seeds = circle_quad._seed_edges_for_rotation
         real_solver = circle_quad._kink_solver
 
-        def seeds(features, phi, *args):
-            seeded.append(phi)
-            return real_seeds(features, phi, *args)
+        def seeds(features, phis):
+            # the candidates come as one block, the later rotations one each
+            seeded.extend(phis)
+            return real_seeds(features, phis)
 
         def solver(f):
             solve = real_solver(f)
@@ -1012,6 +1014,7 @@ class TestRotationRecords:
             solved.clear()
             lambda_functional(BlaschkeProduct(zeros=zeros))
             assert solved and len(set(solved)) == len(solved) == len(seeded) == len(set(seeded))
+            assert set(solved) == set(seeded)
 
     def test_work_budget(self):
         # the seeded set of TestLambdaRegression.test_work_budget, where the
@@ -1035,9 +1038,9 @@ class TestRotationRecords:
         seeded = []
         real = circle_quad._seed_edges_for_rotation
 
-        def seeds(ladders, phi):
-            seeded.append(phi)
-            return real(ladders, phi)
+        def seeds(ladders, phis):
+            seeded.extend(phis)
+            return real(ladders, phis)
 
         monkeypatch.setattr(circle_quad, "_seed_edges_for_rotation", seeds)
         plans = ((1, (0.3, 0.2, 0.1, 0.05)), (2, (0.01, 0.005, 0.002)), (3, (0.005, 0.002, 0.001)))
@@ -1047,17 +1050,24 @@ class TestRotationRecords:
         assert len(seeded) <= 151
         assert evaluations <= 96_070
 
+    @staticmethod
+    def uniform_first_sweep(g, panels):
+        """The first sweep that _adaptive_theta makes on `panels` uniform
+        panels of (0, pi), as a first sweep to resume from."""
+        edges = np.linspace(0.0, math.pi, panels + 1)
+        los, his = edges[:-1], edges[1:]
+        return (los, his, *circle_quad._panel_estimates(g, los, his))
+
     def test_resumed_first_sweep_matches_a_fresh_integral(self):
         def g(theta):
             return 1.0 / (1e-8 + (theta - 1.0) ** 2)
 
-        first = []
-        panels = circle_quad.LAMBDA_PANELS
-        circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-2, panels, seed_edges=[1.0], first=first)
-        swept = circle_quad._NODE_OFFSETS.size * first[0][0].size
+        panels = circle_quad.LAMBDA_EDGES.size - 1
+        first = self.uniform_first_sweep(g, panels)
+        swept = circle_quad._NODE_OFFSETS.size * panels
         for tol in (1e-2, 1e-5, 1e-8):
-            val, err, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels, seed_edges=[1.0])
-            resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels, first=first)
+            val, err, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels)
+            resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, first=first)
             assert resumed == (val, err, evals - swept)
 
     def test_a_failed_integral_leaves_its_first_sweep_reusable(self, monkeypatch):
@@ -1065,14 +1075,17 @@ class TestRotationRecords:
             return 1.0 / (1e-8 + (theta - 1.0) ** 2)
 
         monkeypatch.setattr(circle_quad, "MAX_DEPTH", 2)
-        first = []
+        panels = circle_quad.LAMBDA_EDGES.size - 1
         with pytest.raises(ToleranceNotMet) as fresh:
-            circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, circle_quad.LAMBDA_PANELS, first=first)
-        assert len(first) == 1
-        with pytest.raises(ToleranceNotMet) as resumed:
-            circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, circle_quad.LAMBDA_PANELS, first=first)
-        assert resumed.value.value == fresh.value.value
-        assert resumed.value.evaluations == fresh.value.evaluations - circle_quad._NODE_OFFSETS.size * first[0][0].size
+            circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, panels)
+        first = self.uniform_first_sweep(g, panels)
+        kept = [a.copy() for a in first]
+        for _ in range(2):
+            with pytest.raises(ToleranceNotMet) as resumed:
+                circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, first=first)
+            assert resumed.value.value == fresh.value.value
+            assert resumed.value.evaluations == fresh.value.evaluations - circle_quad._NODE_OFFSETS.size * panels
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
 
 
 def kronrod15():
@@ -1180,14 +1193,18 @@ class TestPanelEstimates:
         def peak(theta):
             return np.exp(1j * theta) / (1e-8 + (theta - 1.0) ** 2)
 
+        edges = np.linspace(0.0, math.pi, panels + 1)
+        if seeds is not None:
+            edges = np.unique(np.concatenate([edges, seeds[(seeds > 0.0) & (seeds < math.pi)]]))
+        los, his = edges[:-1], edges[1:]
         for g in (oscillation, peak):
             results = []
             for estimates in (circle_quad._panel_estimates, reference_panel_estimates):
                 monkeypatch.setattr(circle_quad, "_panel_estimates", estimates)
-                first = []
-                for tol, record in ((1e-3, first), (1e-7, None), (1e-9, first)):
-                    results.append(circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels, seeds, record))
-                results.append(first[0])
+                first = (los, his, *estimates(g, los, his))
+                for tol, resume in ((1e-3, first), (1e-7, None), (1e-9, first)):
+                    results.append(circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels, resume))
+                results.append(first)
             new, ref = results[:4], results[4:]
             # panels whose error is at rounding level may be accepted in
             # another sweep, so the integrals agree within their errors
@@ -1343,7 +1360,7 @@ class TestSweepSizes:
         # each panel carries its Gauss-Kronrod error, so the fewer seeded
         # panels cost resolution only where the adaptive loop pays for it
         results = self.results()
-        monkeypatch.setattr(circle_quad, "LAMBDA_PANELS", 64)
+        monkeypatch.setattr(circle_quad, "LAMBDA_EDGES", np.linspace(0.0, math.pi, 65))
         monkeypatch.setattr(circle_quad, "_seed_ladders", ratio_two_ladders)
         for r, ref in zip(results, self.results()):
             assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
@@ -1382,6 +1399,76 @@ class TestSweepSizes:
             assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
             assert r.evaluations <= ref.evaluations
         assert sum(r.evaluations for r in results) <= 0.5 * sum(ref.evaluations for ref in refs)
+
+
+def unbatched_first_sweep(f, phi, ladders, kink_fn):
+    """The first sweep at one rotation as it was made before the sweeps were
+    batched: the base grid, the seed edges inside (0, pi) and the folds
+    through np.unique, and one boundary_values call at the scalar rotation."""
+    seeds = circle_quad._seed_edges_for_rotation(ladders, [phi])[0]
+    if kink_fn is not None:
+        seeds = np.concatenate([seeds, kink_fn(phi)])
+    edges = np.unique(np.concatenate([np.linspace(0.0, math.pi, 9), seeds[(seeds > 0.0) & (seeds < math.pi)]]))
+    los, his = edges[:-1], edges[1:]
+
+    def g(theta):
+        sh = np.sin(0.5 * theta)
+        both = boundary_values(f, phi, offset=theta, sin_half=sh)
+        return np.abs(both[: theta.size] - both[theta.size :]) / (2.0 * sh)
+
+    return (los, his, *circle_quad._panel_estimates(g, los, his))
+
+
+class TestFirstSweeps:
+    PRODUCTS = {
+        "ray-n3-q0.001": ray_zeros(3, 0.001),
+        "random-degree-4": random_zeros(np.random.default_rng(7), 4),
+        "two-at-1e-12": TestHardInputs.CASES["two-at-1e-12"],
+    }
+
+    @staticmethod
+    def traffic(monkeypatch):
+        """(offsets, rotations) of every pair-form boundary_values call."""
+        calls = []
+        real = circle_quad.boundary_values
+
+        def counted(B, theta, offset=None, sin_half=None):
+            if offset is not None:
+                calls.append((np.size(offset), np.unique(theta).size))
+            return real(B, theta, offset, sin_half)
+
+        monkeypatch.setattr(circle_quad, "boundary_values", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_blocks_have_the_bits_of_one_rotation_at_a_time(self, monkeypatch, name):
+        # every candidate of the screen, in blocks under the default cap,
+        # in blocks of two or more under a cap of twice the largest
+        # rotation's nodes, and one a block under a cap of 15 nodes, below
+        # any rotation's
+        f = BlaschkeProduct(zeros=self.PRODUCTS[name])
+        ladders, kink_fn = circle_quad._seed_ladders(f), circle_quad._kink_solver(f)
+        phis = [phi for phi, _h in circle_quad._candidate_rotations(f, ladders)[0]]
+        alone = [unbatched_first_sweep(f, phi, ladders, kink_fn) for phi in phis]
+        nodes = [15 * first[0].size for first in alone]
+        calls = self.traffic(monkeypatch)
+        for cap in (circle_quad._SWEEP_BLOCK_NODES, 2 * max(nodes), 15):
+            monkeypatch.setattr(circle_quad, "_SWEEP_BLOCK_NODES", cap)
+            calls.clear()
+            sweeps, evaluations = circle_quad._first_sweeps(f, phis, ladders, kink_fn)
+            assert evaluations == sum(nodes)
+            for first, ref in zip(sweeps, alone, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(first, ref, strict=True))
+            assert sum(n for n, _rotations in calls) == sum(nodes)
+            assert sum(rotations for _n, rotations in calls) == len(phis)
+            assert all(n <= cap or rotations == 1 for n, rotations in calls)
+            assert len(calls) == len(phis) if cap == 15 else any(rotations > 1 for _n, rotations in calls)
+
+    def test_no_call_passes_the_cap_but_a_lone_rotation(self, monkeypatch):
+        calls = self.traffic(monkeypatch)
+        lambda_functional(BlaschkeProduct(zeros=TestHardInputs.CASES["degree-20"]))
+        assert any(rotations > 1 for _n, rotations in calls)
+        assert all(n <= circle_quad._SWEEP_BLOCK_NODES or rotations == 1 for n, rotations in calls)
 
 
 class TestPairEvaluator:
@@ -1426,14 +1513,17 @@ class TestBoundaryTraffic:
 
 class TestSwallowedToleranceFailures:
     def test_evaluations_of_a_swallowed_failure_are_counted(self, monkeypatch):
-        B = BlaschkeProduct(zeros=(0.5, 0.3j))
+        # the screens resume from first sweeps counted beforehand, so the
+        # failure is forced on the first integral that refines its first
+        # sweep, a screen of this ray, whose loose tolerance swallows it
+        B = BlaschkeProduct(zeros=ray_zeros(2, 0.001))
         expected = lambda_functional(B).evaluations
         real = circle_quad._adaptive_theta
         raised = []
 
         def fail_once(*args, **kwargs):
             val, err, evals = real(*args, **kwargs)
-            if not raised:
+            if not raised and evals > 0:
                 raised.append(evals)
                 raise ToleranceNotMet("forced", value=val, error_estimate=err, evaluations=evals)
             return val, err, evals

@@ -378,10 +378,32 @@ class TestBoundaryValues:
         assert np.array_equal(boundary_values(B, np.linspace(-3.0, 3.0, 7)), np.ones(7))
         assert np.array_equal(boundary_values(B, 0.3, offset=np.array([0.0, 1e-9])), np.ones(4))
 
-    def test_offset_needs_a_scalar_theta(self):
+    def test_one_rotation_per_offset_has_the_bits_of_the_scalar_calls(self):
+        # runs of rotations, one rotation per offset: a ray's zeros, whose
+        # angles differ by rounding (4.4e-16 on the ray at 4 rad), a zero
+        # 1e-12 from the circle, and rotations at a zero's angle, 1e-15 past
+        # it and at random, one of them in two runs apart
+        rng = np.random.default_rng(101)
+        ray = tuple((1.0 - 0.01 ** np.arange(1, 4)) * cmath.exp(4.0j))
+        assert len({float(np.angle(a)) for a in ray}) == 2
+        for zeros in (ray, ((1.0 - 1e-12) * cmath.exp(-2.1j), 0.3 - 0.5j), moderate_zeros(rng, 5)):
+            B = BlaschkeProduct(zeros=zeros)
+            gamma = float(np.angle(zeros[-1]))
+            rotations = [gamma, gamma + 1e-15, *rng.uniform(-np.pi, np.pi, 3), gamma]
+            offsets = [10.0 ** rng.uniform(-14.0, math.log10(math.pi), k) for k in rng.integers(1, 60, 6)]
+            theta = np.concatenate([np.full(o.size, phi) for phi, o in zip(rotations, offsets)])
+            both = boundary_values(B, theta, offset=np.concatenate(offsets))
+            alone = [boundary_values(B, phi, offset=o) for phi, o in zip(rotations, offsets)]
+            assert np.array_equal(both[: theta.size], np.concatenate([v[: v.size // 2] for v in alone]))
+            assert np.array_equal(both[theta.size :], np.concatenate([v[v.size // 2 :] for v in alone]))
+            # one run is the scalar call
+            assert np.array_equal(boundary_values(B, np.full(offsets[0].size, gamma), offsets[0]), alone[0])
+
+    def test_offset_needs_a_scalar_theta_or_one_of_its_shape(self):
         B = BlaschkeProduct(zeros=(0.5,))
-        with pytest.raises(InvalidConfiguration):
-            boundary_values(B, np.array([0.1, 0.2]), offset=np.array([1e-9, -1e-9]))
+        for theta, offset in (([0.1, 0.2], [1e-9, -1e-9, 1e-3]), ([[0.1, 0.2]], [1e-9, -1e-9]), ([0.1], 1e-9)):
+            with pytest.raises(InvalidConfiguration):
+                boundary_values(B, np.array(theta), offset=np.array(offset))
 
 
 class TestBoundaryFactors:

@@ -1,12 +1,19 @@
-"""The benchmark's tracer finds every library name it patches.
+"""The benchmark's tracer finds every library name it patches, and works
+with the calls the library makes.
 
 perfbench/tracing.py wraps library attributes by name, and a traced run
 (`perfbench/run.py --trace 1`) fails with a KeyError once one of them is
-renamed or removed. This reads the tracer's table and changes nothing.
+renamed or removed, and in its info hooks once a call takes a shape they
+cannot read. These read perfbench and change none of it.
 """
 
+import cmath
 import importlib.util
 import pathlib
+
+import numpy as np
+
+from toeplitz_bounds import BlaschkeProduct, circle_quad
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -27,3 +34,22 @@ def test_every_patch_point_names_an_existing_attribute():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_a_traced_lambda_call_returns_the_untraced_result():
+    tracing = load_tracing()
+    ray = BlaschkeProduct(zeros=tuple((1.0 - 0.002 ** np.arange(1, 3)) * cmath.exp(0.7j)))
+    rng = np.random.default_rng(5)
+    product = BlaschkeProduct(zeros=tuple(0.9 * rng.uniform(0.05, 1.0, 4) * np.exp(2j * np.pi * rng.uniform(size=4))))
+    untraced = [circle_quad.lambda_functional(B) for B in (ray, product)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = [circle_quad.lambda_functional(B) for B in (ray, product)]
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    metrics = tracer.layer_metrics()
+    assert metrics["circle_quad.lambda_functional.calls"] == 2
+    assert metrics["circle_quad.lambda_functional.evals_reported"] == sum(r.evaluations for r in untraced)
+    assert metrics["disk_core.boundary_values.points"] > 0
