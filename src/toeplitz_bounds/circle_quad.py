@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .disk_core import BlaschkeProduct, CirclePoint, boundary_values
+from .disk_core import BlaschkeProduct, CirclePoint, boundary_values, zero_polar
 from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
 
 TWO_PI = 2.0 * math.pi
@@ -354,9 +354,9 @@ def _seed_ladders(f: BlaschkeProduct):
         raise InvalidConfiguration(f"Lambda needs a BlaschkeProduct symbol, got {type(f).__name__}")
     directions = []  # [index of its first zero in f.zeros, gamma, width]
     # nearest the circle first, so a direction takes its smallest width
-    for i, a in sorted(enumerate(f.zeros), key=lambda item: abs(item[1]), reverse=True):
-        width = 1.0 - abs(a)
-        gamma = float(np.angle(a)) if abs(a) > 0 else 0.0
+    polar = [zero_polar(a) for a in f.zeros]
+    for i, (gamma, rho) in sorted(enumerate(polar), key=lambda item: item[1][1], reverse=True):
+        width = 1.0 - rho
         for direction in directions:
             if abs(math.remainder(gamma - direction[1], TWO_PI)) <= SHARED_DIRECTION * width:
                 direction[0] = min(direction[0], i)
@@ -480,11 +480,11 @@ def _kink_solver(f: BlaschkeProduct):
     """
     if f.degree < 2:
         return None
-    zeros = np.asarray(f.zeros, dtype=complex)
-    rho = np.abs(zeros)
-    gam = np.where(rho > 0, np.angle(np.where(rho > 0, zeros, 1.0)), 0.0)
-    d, e = 1.0 - rho, 1.0 + rho
-    factors = list(zip(gam.tolist(), (d * e).tolist(), (d * d).tolist(), (e * e).tolist(), (4.0 * rho).tolist()))
+    factors = []
+    for a in f.zeros:
+        gamma, rho = zero_polar(a)  # the integrand's, so the folds are its own
+        d, e = 1.0 - rho, 1.0 + rho
+        factors.append((gamma, d * e, d * d, e * e, 4.0 * rho))
     targets = [TWO_PI * k for k in range(1, f.degree)]
 
     def solver(phi):

@@ -116,6 +116,16 @@ def eval_blaschke(B: BlaschkeProduct, z):
     return out
 
 
+def zero_polar(a) -> tuple:
+    """(gamma, rho), the angle and the modulus of the zero a as every kernel
+    on the circle takes them: Python's abs, numpy's angle, and angle 0 at
+    the origin. The integrand, the seed ladders and the fold solver take
+    them here, so they see the same deficit 1 - rho: np.abs can differ by
+    an ulp, which is 1e-7 of the deficit of a zero 1e-9 from the circle."""
+    rho = abs(a)
+    return (float(np.angle(a)) if rho > 0 else 0.0), rho
+
+
 def _derivative_at_zero(zeros, k):
     """B'(a_k) in clongdouble for simple zeros: b_k'(a_k) = 1/(1 - |a_k|^2)
     times the other factors at a_k.
@@ -168,8 +178,7 @@ def _half_angle_terms(zeros, u, base=None, sin_half=None):
             (float(base[i]), cu[i:j], su[i:j], x[i:j], y[i:j]) for i, j in zip(starts, starts[1:] + [n])
         ]
     for a in zeros:
-        rho = abs(a)
-        gamma = float(np.angle(a)) if rho > 0 else 0.0
+        gamma, rho = zero_polar(a)
         d, e = 1.0 - rho, 1.0 + rho
         for b, cu_r, su_r, x_r, y_r in runs:
             half = 0.5 * (math.remainder(b - gamma, 2 * math.pi) if pair else -gamma)

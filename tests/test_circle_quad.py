@@ -371,12 +371,18 @@ class TestSeedLadders:
                 assert gammas[0] == cmath.phase(inner if ladders == 1 else outer)
 
 
+def integrand_polar(B):
+    """(gamma, rho) arrays of B's zeros as the integrand takes them: Python's
+    abs, which can differ from np.abs by an ulp, and numpy's angle."""
+    rho = np.array([abs(a) for a in B.zeros])
+    gam = np.array([float(np.angle(a)) if abs(a) > 0 else 0.0 for a in B.zeros])
+    return gam, rho
+
+
 def reference_swept(B, phi):
     """The swept phase theta -> sum of per-factor boundary phase differences,
     evaluated with numpy over the factors."""
-    zeros = np.asarray(B.zeros, dtype=complex)
-    rho = np.abs(zeros)
-    gam = np.where(rho > 0, np.angle(np.where(rho > 0, zeros, 1.0)), 0.0)
+    gam, rho = integrand_polar(B)
     kappa = (1.0 + rho) / (1.0 - rho)
 
     def psi(u):
@@ -392,8 +398,7 @@ def fold_rounding(B, phi, t):
     ulps of its value; divided by S', the sum bounds how far from a root
     each of the two phases may cross its target."""
     eps = 2.0**-53
-    zeros = np.asarray(B.zeros)
-    rho, gam = np.abs(zeros), np.angle(zeros)
+    gam, rho = integrand_polar(B)
     slope = error = 0.0
     for u in (phi + t - gam, phi - t - gam):
         s2 = np.sin(0.5 * u) ** 2
@@ -609,6 +614,19 @@ class TestKinkSolver:
             one = 0.5 * swept(theta)[0]
             assert abs(one - 2.0 * float(reference)) <= math.ulp(2.0 * float(reference))
 
+    def test_the_folds_take_the_integrands_modulus(self, monkeypatch):
+        # for (1 - 1e-9) e^{0.7i}, Python's abs, which the integrand takes,
+        # is the double 1 - 1e-9 and np.abs is an ulp below it, 1.1e-7 of the
+        # deficit. With np.abs the fold solver's kernel at phi = gamma
+        # missed 2 psi(theta) by 1.5e8 ulps; with the integrand's modulus it
+        # is within an ulp, as it is for the real zero
+        a = (1.0 - 1e-9) * cmath.exp(0.7j)
+        assert abs(a) == 1.0 - 1e-9 != np.abs(a)
+        swept = kernel_at(monkeypatch, BlaschkeProduct(zeros=(a, a)), float(np.angle(a)))
+        for theta, reference in self.PSI_REFERENCES:
+            one = 0.5 * swept(theta)[0]
+            assert abs(one - 2.0 * float(reference)) <= math.ulp(2.0 * float(reference))
+
     def test_returns_increasing_interior_folds(self):
         rng, products, near = self.seeded_products()
         for B in products + [near]:
@@ -805,7 +823,10 @@ class TestLambdaBitPins:
     # ("0x1.6c53f819ec74cp+2", "0x1.6666666666666p-1", "0x1.27166d11211a1p-33")
     # as their own pins before. The half-angle fold phase moved the folds
     # within their stopping width and so the last bits of six entries; the
-    # comment above each holds its pins with the tangent-form phase.
+    # comment above each holds its pins with the tangent-form phase. The
+    # fold solver taking the integrand's moduli (Python's abs, not np.abs)
+    # moved three error estimates in their last bits; the comment with "np.abs"
+    # holds their pins before.
     PANEL_SPEC = TestLambdaRegression.PANEL_SPEC
     # the search's localmin stops at 1e-5 of its bracket, at most a grid step
     LOCALMIN_WIDTH = 1e-5 * 2.0 * math.pi / 256
@@ -840,7 +861,8 @@ class TestLambdaBitPins:
             ((0.1 + 0.585j), (0.075 + 0.084j), (-0.377 + 0.693j), (0.364 + 0.251j), (-0.204 + 0.229j)),
             PANEL_SPEC,
             # ("0x1.2a7d419bbfa8dp+1", "0x1.07a1231718e33p+1", "0x1.95da060377046p-46") with the tangent-form fold phase
-            ("0x1.2a7d419bbfa8dp+1", "0x1.07a1231718e33p+1", "0x1.95d53fb41d491p-46"),
+            # ("0x1.2a7d419bbfa8dp+1", "0x1.07a1231718e33p+1", "0x1.95d53fb41d491p-46") with np.abs moduli in the fold solver
+            ("0x1.2a7d419bbfa8dp+1", "0x1.07a1231718e33p+1", "0x1.95d59130df003p-46"),
             ("0x1.2a7d419bbfa8fp+1", "0x1.07a123171a217p+1", "0x1.579b341f8753bp-51"),
         ),
         (
@@ -848,14 +870,16 @@ class TestLambdaBitPins:
             + ((-0.68 + 0.221j), (-0.076 + 0.46j), (-0.095 + 0.031j)),
             PANEL_SPEC,
             # ("0x1.2e8a2706f4c82p+1", "-0x1.96f679ee3b351p+0", "0x1.cae9e540fcf8fp-48") with the tangent-form fold phase
-            ("0x1.2e8a2706f4c81p+1", "-0x1.96f679ee3d8c9p+0", "0x1.c5d63c7b60d3ap-48"),
+            # ("0x1.2e8a2706f4c81p+1", "-0x1.96f679ee3d8c9p+0", "0x1.c5d63c7b60d3ap-48") with np.abs moduli in the fold solver
+            ("0x1.2e8a2706f4c81p+1", "-0x1.96f679ee3d8c9p+0", "0x1.c5cc0ce329eecp-48"),
             ("0x1.2e8a2706f4c82p+1", "-0x1.96f679ee38dc5p+0", "0x1.8b3bc1a00c7acp-51"),
         ),
         (
             tuple((1.0 - 0.001**k) * cmath.exp(0.7j) for k in (1, 2, 3)),
             circle_quad.DEFAULT_LAMBDA_SPEC,
             # ("0x1.6c53f819ec74bp+2", "0x1.6666666666666p-1", "0x1.d9333e873cde7p-28") with the tangent-form fold phase
-            ("0x1.6c53f819ec74cp+2", "0x1.6666666666666p-1", "0x1.d9333a6a0ec5cp-28"),
+            # ("0x1.6c53f819ec74cp+2", "0x1.6666666666666p-1", "0x1.d9333a6a0ec5cp-28") with np.abs moduli in the fold solver
+            ("0x1.6c53f819ec74cp+2", "0x1.6666666666666p-1", "0x1.d93336f3b4d7ep-28"),
             ("0x1.6c53f819ec74bp+2", "0x1.6666666666666p-1", "0x1.740cb3bb98d85p-28"),
         ),
         (
@@ -906,7 +930,8 @@ class TestFinalRecheck:
             (0.8446868283546499 + 0.535260832647459j, -0.9969742406056947 + 0.0777325340527502j),
             circle_quad.DEFAULT_LAMBDA_SPEC,
             # ("0x1.000000dd90033p+1", "0x1.212fa12da044ep-1", "0x1.ab255b53bb70bp-36") with the tangent-form fold phase
-            ("0x1.000000dd90033p+1", "0x1.212fa12da044ep-1", "0x1.ab255a7c5f08bp-36"),
+            # ("0x1.000000dd90033p+1", "0x1.212fa12da044ep-1", "0x1.ab255a7c5f08bp-36") with np.abs moduli in the fold solver
+            ("0x1.000000dd90033p+1", "0x1.212fa12da044ep-1", "0x1.ab255dd0f2f7cp-36"),
             35_869,  # 35,899 with the crude stage, 89_941 with 4,096 nodes and 64 panels, 178_452 - 7_056 with the midpoint rule
             ("0x1.000000dd90032p+1", "0x1.212fa12da044ep-1", "0x1.1a2b5c8858263p-41"),
         ),
@@ -1235,8 +1260,12 @@ class TestHardInputs:
     # 76,999 and 124,999, and with one ladder per zero as well 218,284 and
     # 349,024. The half-angle fold phase moved their folds within the fold
     # solver's stopping width, and the moved panel edges cost two and four
-    # refinement panels more: 27,139 and 30,469 with the tangent-form phase
-    RAY_EVALUATIONS = {"ray-n6-q0.01": 27_169, "ray-n8-q0.03": 30_529}
+    # refinement panels more: 27,139 and 30,469 with the tangent-form phase.
+    # With the integrand's moduli the folds sit on the integrand's own (at
+    # the stencil rotations of four rays, within 0.02 of the stopping width
+    # of 60-digit roots, against 3.5 with np.abs moduli), and the moved
+    # edges cost two panels more: 27,169 and 30,529 with np.abs moduli
+    RAY_EVALUATIONS = {"ray-n6-q0.01": 27_199, "ray-n8-q0.03": 30_559}
     CASES = {
         "degree-20": random_zeros(np.random.default_rng(97), 20, rmax=0.95),
         "two-at-1e-12": ((1.0 - 1e-12) * cmath.exp(0.4j), (1.0 - 1e-12) * cmath.exp(-2.1j)),
