@@ -373,8 +373,9 @@ def _seed_ladders(f: BlaschkeProduct):
 
 
 def _seed_edges_for_rotation(ladders, phis):
-    """Panel boundaries bracketing every feature of the theta integrand, one
-    row for each rotation in phis, from the ladders of _seed_ladders.
+    """The first sweep's panel boundaries but the folds, one row for each
+    rotation in phis: the base grid LAMBDA_EDGES and edges bracketing every
+    feature of the theta integrand, from the ladders of _seed_ladders.
 
     Gauss-Kronrod error estimates are blind to structure narrower than the
     node spacing, so a peak of width 1e-9 inside a width-0.4 panel would be
@@ -385,14 +386,16 @@ def _seed_edges_for_rotation(ladders, phis):
     [0, pi]) and the pairing also creates structure at theta -> 0. The
     rungs themselves are the ladders around theta = 0 (whose mirror images
     and centre lie outside (0, pi)); only the rungs centred at |gamma - phi|
-    are built here. Order is free, and edges may fall outside (0, pi):
-    _first_sweeps sorts each row and drops those.
+    are built here; the others are the same at every rotation. Order is
+    free, and edges may fall outside (0, pi): _first_sweeps sorts each row
+    and drops those.
     """
     gammas, counts, rungs = ladders
     centers = np.array([[abs(math.remainder(gamma - phi, TWO_PI)) for gamma in gammas] for phi in phis])
     centers = centers.reshape(len(phis), len(gammas))
     around = np.repeat(centers, counts, axis=1)
-    return np.concatenate([np.broadcast_to(rungs, around.shape), centers, around + rungs, around - rungs], axis=1)
+    fixed = np.tile(np.concatenate([LAMBDA_EDGES, rungs]), (len(phis), 1))
+    return np.concatenate([fixed, centers, around + rungs, around - rungs], axis=1)
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -589,27 +592,26 @@ def _first_sweeps(f: BlaschkeProduct, phis, ladders, kink_fn):
     evaluations they made: a list of (los, his, est, err), one a rotation in
     order, for _adaptive_theta to resume from.
 
-    A rotation's panels have the edges of the base grid LAMBDA_EDGES, its
-    seed edges (_seed_edges_for_rotation, from the ladders of _seed_ladders)
-    and its folds (kink_fn, from _kink_solver, None below degree 2), one row
-    a rotation, sorted row by row; an edge that repeats the one before it,
-    or lies outside (0, pi), makes no panel. Consecutive rotations are swept
-    together, in blocks of at most _SWEEP_BLOCK_NODES nodes: each block is
-    one call of _panel_estimates, so one of boundary_values with one
-    rotation per node. Every estimate has the bits of its rotation's sweep
+    A rotation's panels have the edges of _seed_edges_for_rotation (the
+    base grid and the seed edges from the ladders of _seed_ladders) and its
+    folds (kink_fn, from _kink_solver, None below degree 2), one row a
+    rotation, sorted row by row; an edge that repeats the one before it, or
+    lies outside [0, pi], the base grid's span, makes no panel. Consecutive
+    rotations are swept together, in blocks of at most _SWEEP_BLOCK_NODES
+    nodes: each block is one call of _panel_estimates, so one of
+    boundary_values with one rotation per node, or at its rotation when the
+    block has one. Every estimate has the bits of its rotation's sweep
     alone, and counts 15 evaluations a panel, once.
     """
-    seeds = _seed_edges_for_rotation(ladders, phis)
+    edges = _seed_edges_for_rotation(ladders, phis)
     if kink_fn is not None:
-        seeds = np.concatenate([seeds, [kink_fn(phi) for phi in phis]], axis=1)
-    # seeds outside (0, pi) land on its ends, which repeat the base grid's
-    np.clip(seeds, 0.0, math.pi, out=seeds)
-    base = np.broadcast_to(LAMBDA_EDGES, (len(phis), LAMBDA_EDGES.size))
-    edges = np.sort(np.concatenate([base, seeds], axis=1), axis=1)
-    panel = edges[:, 1:] > edges[:, :-1]
-    los, his = edges[:, :-1][panel], edges[:, 1:][panel]
+        edges = np.concatenate([edges, [kink_fn(phi) for phi in phis]], axis=1)
+    edges.sort(axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    panel = (hi > lo) & (lo >= 0.0) & (hi <= math.pi)
+    los, his = lo[panel], hi[panel]
     counts = panel.sum(axis=1)
-    starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    starts = [0] + np.cumsum(counts).tolist()
 
     nodes = _NODE_OFFSETS.size
     blocks, start = [], 0
@@ -622,7 +624,7 @@ def _first_sweeps(f: BlaschkeProduct, phis, ladders, kink_fn):
     sweeps = []
     for i, j in blocks:
         a, b = starts[i], starts[j]
-        rotation = np.repeat(np.asarray(phis[i:j], dtype=float), nodes * counts[i:j])
+        rotation = phis[i] if j == i + 1 else np.repeat(np.asarray(phis[i:j], dtype=float), nodes * counts[i:j])
         est, err = _panel_estimates(lambda theta: _integrand(f, rotation, theta), los[a:b], his[a:b])
         for r in range(i, j):
             k, m = starts[r], starts[r + 1]
