@@ -385,10 +385,10 @@ def _seed_edges_for_rotation(ladders, phis):
     angle gamma shows up at theta = |gamma - phi| (mod 2 pi, folded to
     [0, pi]) and the pairing also creates structure at theta -> 0. The
     rungs themselves are the ladders around theta = 0 (whose mirror images
-    and centre lie outside (0, pi)); only the rungs centred at |gamma - phi|
-    are built here; the others are the same at every rotation. Order is
-    free, and edges may fall outside (0, pi): _first_sweeps sorts each row
-    and drops those.
+    and centre lie outside (0, pi)), the same at every rotation, like the
+    base grid; the rungs centred at |gamma - phi| are built per rotation.
+    Order is free, and edges may fall outside [0, pi]: _first_sweeps sorts
+    each row and drops those.
     """
     gammas, counts, rungs = ladders
     centers = np.array([[abs(math.remainder(gamma - phi, TWO_PI)) for gamma in gammas] for phi in phis])
