@@ -11,18 +11,20 @@ rho e^{i gamma} at angle theta is e^{i gamma} w^2/|w|^2, with
 w = (1 - rho) cos(beta/2) + i (1 + rho) sin(beta/2), beta = theta - gamma.
 Needing only 1 - rho, it stays accurate for zeros within 1e-12 of the
 circle, where (z - a)/(1 - z*conj(a)) cancels. One private generator,
-_half_angle_terms, takes the half-angle trig of the array argument once and
-yields each factor's term w from it. boundary_values multiplies the terms
-into B; with an offset, the result is the symmetric pair
-B(e^{i(theta + offset)}) followed by B(e^{i(theta - offset)}), which share
-that trig by parity. There theta is a scalar, or one rotation per offset,
-constant along runs, so the sweeps of many rotations share one call: each
-run's theta - gamma is reduced once, as a scalar theta's is, and each node
-keeps the bits of the call at its own rotation. A caller that needs
-sin(offset/2) itself can take it first and pass it as sin_half, so the sine
-is taken once.
+_half_angle_terms, takes the half-angle trig of the array argument once, by
+_half_angle_pair, and yields each factor's term w from it.
+boundary_values multiplies the terms into B; with an offset, the result is
+the symmetric pair B(e^{i(theta + offset)}) followed by
+B(e^{i(theta - offset)}), which share that trig by parity. There theta is a
+scalar, or one rotation per offset, constant along runs, so the sweeps of
+many rotations share one call: each run's theta - gamma is reduced once, as
+a scalar theta's is, and each node keeps the bits of the call at its own
+rotation. A caller that needs sin(offset/2) itself can take it first and
+pass it as sin_half, so the sine is taken once.
 boundary_factors keeps the factors apart, one row each, for callers that
-compose them with more than multiplication.
+compose them with more than multiplication. A caller that sweeps the same
+angles on every call (RationalFunction.sup_norm) keeps their pair and
+passes it to boundary_factors as half, so that sweep takes no trig at all.
 
 Both normalise by multiplying with the reciprocal modulus. numpy divides a
 complex by a real (cast to complex) as (re + im*0) * (1/r), so this has the
@@ -144,26 +146,36 @@ def _derivative_at_zero(zeros, k):
     return (1.0 - rho) * (1.0 + rho) / (1 - al * np.conj(zeros[k])) ** 2 * rest
 
 
-def _half_angle_terms(zeros, u, base=None, sin_half=None):
+def _half_angle_pair(u, sin_half=None):
+    """cos(u/2) and sin(u/2) on the array u, real values held as complex:
+    the trig that _half_angle_terms builds every term from. sin_half, if
+    given, is sin(u/2) already taken."""
+    if sin_half is None:
+        sin_half = np.sin(0.5 * u)
+    return np.cos(0.5 * u).astype(complex), sin_half.astype(complex)
+
+
+def _half_angle_terms(zeros, u, base=None, sin_half=None, half=None):
     """Yield, zero by zero, the half-angle term w at every angle, with
     d = 1 - rho and e^{i gamma}; w is one buffer, overwritten by the next yield.
 
-    sin and cos of u/2 are taken once, and each zero shifts them to its
-    beta/2 by angle addition with two scalars. A 2 pi shift of beta only
+    sin and cos of u/2 are taken once, by _half_angle_pair, and each zero
+    shifts them to its beta/2 by angle addition with two scalars. A 2 pi shift of beta only
     flips the sign of w, so no reduction is needed. Without a base, beta is
     u - gamma on the array u. With a base, beta is base - gamma + u and
     base - gamma - u, and w holds the + terms followed by the - terms. The
     base is a scalar, or an array of u's shape that is constant along runs:
     base - gamma is then reduced once per run, and each node gets the two
     scalars of its run, the ones a scalar base would give it. sin_half, if
-    given, is sin(u/2) already taken. No zeros, no sweep.
+    given, is sin(u/2) already taken; half, if given, is the whole pair
+    _half_angle_pair(u) already taken (a constant table of the caller's),
+    and no trig is taken here. Both are read, never written. No zeros, no
+    sweep.
     """
     if not len(zeros):
         return
     pair = base is not None
-    if sin_half is None:
-        sin_half = np.sin(0.5 * u)
-    cu, su = np.cos(0.5 * u).astype(complex), sin_half.astype(complex)
+    cu, su = _half_angle_pair(u, sin_half) if half is None else half
     n = u.size
     w = np.empty((2 * n,) if pair else u.shape, dtype=complex)
     y = np.empty_like(cu)
@@ -247,18 +259,21 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, sin_half=None):
     return prod
 
 
-def boundary_factors(zeros, theta):
+def boundary_factors(zeros, theta, half=None):
     """Row k is the Moebius factor of zeros[k] at e^{i*theta}: e^{i gamma_k} (w_k/|w_k|)^2.
 
     All rows share one half-angle sweep of theta, and row k has the bits of
     boundary_values(BlaschkeProduct((zeros[k],)), theta), since that
     multiplies w_k and e^{i gamma_k} into a product that starts at 1 + 0i.
-    The result has shape (len(zeros),) + shape(theta).
+    The result has shape (len(zeros),) + shape(theta). half, for an array
+    theta, is _half_angle_pair(theta) already taken: a caller that sweeps
+    the same angles on every call keeps the pair and passes it down, so no
+    trig is taken here, and the rows keep their bits.
     """
     theta = np.asarray(theta, dtype=float)
     out = np.empty((len(zeros),) + theta.shape, dtype=complex)
     scale = np.empty(theta.shape)
-    for k, (w, _, turn) in enumerate(_half_angle_terms(zeros, theta)):
+    for k, (w, _, turn) in enumerate(_half_angle_terms(zeros, theta, half=half)):
         row = out[k, ...]  # a view, also when theta is a scalar
         np.abs(w, out=scale)
         np.divide(1.0, scale, out=scale)

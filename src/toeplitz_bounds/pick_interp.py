@@ -20,7 +20,8 @@ cancellation bites. The one exception is the boundary sweep behind the
 reported sup-norm: on the circle the Moebius factors come from
 disk_core.boundary_factors, whose half-angle form keeps full relative
 accuracy there, so that sweep runs in complex128. All levels share one
-half-angle sweep per evaluation.
+half-angle sweep per evaluation, and sup_norm's fixed grid takes that trig
+from a table built once.
 """
 
 from __future__ import annotations
@@ -217,19 +218,21 @@ def _chain_evaluator(x, gammas, mu):
 
 
 def _boundary_evaluator(x, gammas, mu):
-    """Evaluate theta -> mu * f_0(e^{i theta}) through the same chain, in complex128.
+    """Evaluate (theta, half) -> mu * f_0(e^{i theta}) through the same chain, in complex128.
 
     The Moebius factors of all levels on the circle come from one
     boundary_factors call per evaluation, which takes the half-angle trig of
     theta once and needs only 1 - |x_j|, so nodes within 1e-11 of the circle
     need no extended precision. Row j has the bits of that level's own
     boundary_values, so the chain's values do not depend on the sharing.
+    half is None, or that trig already taken (sup_norm's sweep table),
+    handed to boundary_factors; the values keep their bits.
     """
     zeros = [complex(a) for a in x[:-1]]
     g = gammas.astype(complex)
 
-    def evaluate(theta):
-        factors = boundary_factors(zeros, theta)
+    def evaluate(theta, half):
+        factors = boundary_factors(zeros, theta, half)
         f = np.full(np.shape(theta), g[-1])
         for j in range(len(zeros) - 1, -1, -1):
             bf = factors[j] * f

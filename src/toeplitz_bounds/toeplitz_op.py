@@ -32,6 +32,7 @@ from .disk_core import (
     SEPARATION,
     BlaschkeProduct,
     _derivative_at_zero,
+    _half_angle_pair,
     as_complex,
     boundary_values,
     eval_blaschke,
@@ -49,6 +50,16 @@ SUP_PEAKS = 8
 REFINE_STEPS = 6
 REFINE_SHRINK = 8.0
 REFINE_RTOL = 8 * 2.0**-52
+# The sweep's angles are the same on every call, so they and their
+# half-angle pair, in the form disk_core's kernel takes, are built once
+# (160 KB); read-only, since every sweep shares them.
+_SUP_THETA = np.linspace(-math.pi, math.pi, SUP_SAMPLES, endpoint=False)
+_SUP_HALF = _half_angle_pair(_SUP_THETA)
+for _table in (_SUP_THETA, *_SUP_HALF):
+    _table.flags.writeable = False
+# Local maxima the peak scan can read: a chosen peak excludes the four
+# samples around it, so the last peak is at most this far down the ranking.
+_SUP_SCAN = SUP_PEAKS + 4 * (SUP_PEAKS - 1)
 
 
 def _polyval(coeffs, z):
@@ -69,7 +80,9 @@ class RationalFunction:
     interpolants have poles legitimately closer to the circle than the margin
     while remaining outside it. They may also carry a boundary evaluator,
     theta -> h(e^{i theta}) on an array of angles, which sup_norm samples in
-    place of the general one.
+    place of the general one. It is called as boundary(theta, half), with
+    half None or the half-angle pair of theta already taken (see
+    disk_core.boundary_factors).
     """
 
     def __init__(self, numerator, denominator=(1.0,), *, evaluator=None, boundary=None):
@@ -108,71 +121,97 @@ class RationalFunction:
         """Boundary sup-norm by dense sampling plus batched parabolic refinement of the top peaks.
 
         The sweep evaluates |h(e^{i theta})| at SUP_SAMPLES uniform angles,
-        through the boundary evaluator when the function carries one. The
-        SUP_PEAKS highest local maxima of the samples, at least three grid steps
-        apart, are then refined together, in at most REFINE_STEPS batched
-        evaluations of one 3-point stencil per peak. Each step fits a parabola
-        to (top sample / |h|)^2 on the stencil and moves the stencil to its
-        vertex, by at most one stencil width; a stencil whose middle point was
-        the highest also shrinks by REFINE_SHRINK. Near a peak that one pole
-        close to the circle dominates, that transform is itself locally a
-        parabola, so such a peak is found even when it is narrower than the
-        grid step; a narrow peak shaped by several poles, or one on the flank
-        of a higher sampled peak, may be under-resolved. Refinement stops
-        early once every stencil is settled: its middle value matches the
-        vertex value predicted one step earlier, or its three values agree,
-        to REFINE_RTOL. The result is the largest modulus evaluated, a lower
-        estimate of the true supremum.
+        through the boundary evaluator when the function carries one, which
+        gets the sweep's half-angle pair from a table built at import, so
+        the sweep takes no trig; without one, through e^{i theta}. The
+        SUP_PEAKS highest local maxima of the samples, at least three grid
+        steps apart, are then refined together, in at most REFINE_STEPS
+        batched evaluations of one 3-point stencil per peak. Each step fits
+        a parabola to (top sample / |h|)^2 on the stencil and moves the
+        stencil to its vertex, by at most one stencil width; a stencil whose
+        middle point was the highest also shrinks by REFINE_SHRINK. Near a
+        peak that one pole close to the circle dominates, that transform is
+        itself locally a parabola, so such a peak is found even when it is
+        narrower than the grid step; a narrow peak shaped by several poles,
+        or one on the flank of a higher sampled peak, may be under-resolved.
+        Refinement stops early once every stencil is settled: its middle
+        value matches the vertex value predicted one step earlier, or its
+        three values agree, to REFINE_RTOL. The result is the largest
+        modulus evaluated, a lower estimate of the true supremum.
+
+        A nearly inner interpolant has thousands of local maxima made by
+        rounding plateaus. They are ranked by one full argsort, whose order
+        among equal samples decides which is chosen, but only the first
+        _SUP_SCAN can be chosen, so only those leave numpy. With at most
+        SUP_PEAKS stencils, the per-stencil arithmetic runs in Python floats,
+        the same IEEE operations in the same order as array code; each step
+        is still one batched evaluation of all stencils.
         """
-        theta = np.linspace(-math.pi, math.pi, SUP_SAMPLES, endpoint=False)
-        mags = np.abs(self._on_circle(theta))
-        tops = np.flatnonzero((mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)))
+        mags = np.abs(self._on_circle(_SUP_THETA, _SUP_HALF))
+        # k is a local maximum when it is at least both neighbours, cyclically
+        top = np.empty(SUP_SAMPLES, dtype=bool)
+        np.greater_equal(mags[1:], mags[:-1], out=top[1:])
+        top[0] = mags[0] >= mags[-1]
+        top[:-1] &= mags[:-1] >= mags[1:]
+        top[-1] &= mags[-1] >= mags[0]
+        tops = np.flatnonzero(top)
         chosen = []
         near_chosen = set()
-        for k in tops[np.argsort(mags[tops])[::-1]].tolist():
+        for k in tops[np.argsort(mags[tops])[::-1]][:_SUP_SCAN].tolist():
             if k not in near_chosen:
                 chosen.append(k)
                 if len(chosen) == SUP_PEAKS:
                     break
                 near_chosen.update((k + d) % SUP_SAMPLES for d in range(-2, 3))
-        idx = np.array(chosen)
-        scale = float(mags[idx[0]])
+        scale = float(mags[chosen[0]])
         if scale == 0.0:
             return scale
+        floor = 1e-100 * scale
 
         def inverse_square(m):
-            return (scale / np.maximum(m, 1e-100 * scale)) ** 2
+            r = scale / max(m, floor)
+            return r * r
 
+        n = len(chosen)
         best = scale
-        center = theta[idx]
-        width = np.full(idx.size, 2.0 * math.pi / SUP_SAMPLES)
-        u = inverse_square(np.stack([mags[idx - 1], mags[idx], mags[(idx + 1) % SUP_SAMPLES]]))
-        predicted = np.full(idx.size, np.inf)
+        center = _SUP_THETA[chosen].tolist()
+        width = [2.0 * math.pi / SUP_SAMPLES] * n
+        around = [inverse_square(m) for m in mags.take([k + d for d in (-1, 0, 1) for k in chosen], mode="wrap").tolist()]
+        u = [around[i::n] for i in range(n)]  # (lo, mid, hi) of each stencil
+        predicted = [math.inf] * n
         for _ in range(REFINE_STEPS):
-            u_lo, u_mid, u_hi = u
-            held = np.abs(u_mid - predicted) <= REFINE_RTOL * u_mid
-            flat = np.maximum(np.abs(u_lo - u_mid), np.abs(u_hi - u_mid)) <= REFINE_RTOL * u_mid
-            if np.all(held | flat):
+            if all(
+                abs(mid - p) <= REFINE_RTOL * mid
+                or (abs(lo - mid) <= REFINE_RTOL * mid and abs(hi - mid) <= REFINE_RTOL * mid)
+                for (lo, mid, hi), p in zip(u, predicted)
+            ):
                 break
-            curvature = u_lo - 2.0 * u_mid + u_hi
-            convex = curvature > 0
-            vertex = 0.5 * width * (u_lo - u_hi) / np.where(convex, curvature, 1.0)
-            bracketed = convex & (u_mid <= u_lo) & (u_mid <= u_hi)
-            predicted = np.where(bracketed, u_mid - 0.25 * vertex * (u_lo - u_hi) / width, np.inf)
-            center = center + np.where(
-                convex, np.clip(vertex, -width, width), np.where(u_hi < u_lo, width, -width)
-            )
-            width = np.where(bracketed, width / REFINE_SHRINK, width)
-            stencils = np.concatenate([center - width, center, center + width])
-            values = np.abs(self._on_circle(stencils))
+            for i, (lo, mid, hi) in enumerate(u):
+                w = width[i]
+                curvature = lo - 2.0 * mid + hi
+                if curvature > 0:
+                    vertex = 0.5 * w * (lo - hi) / curvature
+                    bracketed = mid <= lo and mid <= hi
+                    predicted[i] = mid - 0.25 * vertex * (lo - hi) / w if bracketed else math.inf
+                    center[i] += min(max(vertex, -w), w)
+                    if bracketed:
+                        width[i] = w / REFINE_SHRINK
+                else:
+                    predicted[i] = math.inf
+                    center[i] += w if hi < lo else -w
+            stencils = [c - w for c, w in zip(center, width)] + center + [c + w for c, w in zip(center, width)]
+            values = np.abs(self._on_circle(np.array(stencils)))
             best = max(best, float(np.max(values)))
-            u = inverse_square(values.reshape(3, -1))
+            around = [inverse_square(m) for m in values.tolist()]
+            u = [around[i::n] for i in range(n)]
         return best
 
-    def _on_circle(self, theta):
-        """Values h(e^{i theta}) on an array of angles."""
+    def _on_circle(self, theta, half=None):
+        """Values h(e^{i theta}) on an array of angles. half, if not None,
+        is disk_core._half_angle_pair(theta), which a boundary evaluator
+        uses in place of its own trig."""
         if self._boundary is not None:
-            return self._boundary(theta)
+            return self._boundary(theta, half)
         return self(np.exp(1j * theta))
 
     def to_dict(self) -> dict:
