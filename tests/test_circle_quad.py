@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -1283,6 +1284,33 @@ class TestHardInputs:
         if name in self.RAYS:
             assert abs(r.eta.value - cmath.exp(0.7j)) <= 1e-12
             assert r.evaluations <= self.RAY_EVALUATIONS[name]
+
+    # the n = 8 ray's folds at its winning rotation, 0.7 exactly: 60-digit
+    # roots (mpmath, not a test dependency) of the swept phase built from
+    # the zeros' angles and moduli as the integrand takes them
+    # (disk_core.zero_polar), each root taken as exact
+    RAY_FOLD_ROOTS = (
+        "3.728864130411286325616302e-12",
+        "1.262076682016860668138201e-10",
+        "4.20882442895725997241772e-9",
+        "1.402962278151841818967912e-7",
+        "4.676696627027677510469863e-6",
+        "1.560269736026557717856601e-4",
+        "5.319418922391246668525664e-3",
+    )
+
+    def test_ray_folds_sit_well_inside_the_fold_solvers_stopping_width(self):
+        # a fold edge 0.5e-15 off the integrand's fold moved this ray's
+        # Lambda by 7.8e-9, and its error estimate did not show it; the
+        # folds sit within 0.02 stopping widths of their roots, and must
+        # stay within 0.1
+        B = BlaschkeProduct(zeros=self.CASES["ray-n8-q0.03"])
+        assert cmath.phase(lambda_functional(B).eta.value) == 0.7
+        folds = circle_quad._kink_solver(B)(0.7)
+        assert len(folds) == len(self.RAY_FOLD_ROOTS)
+        for fold, root in zip(folds, self.RAY_FOLD_ROOTS):
+            width = 1e-15 + 8.9e-16 * fold
+            assert abs(Decimal(fold) - Decimal(root)) <= Decimal(0.1 * width)
 
     def test_degree_twenty_moved_only_up_its_peak(self):
         # float.hex of (Lambda, angle of eta, error) with the crude stage

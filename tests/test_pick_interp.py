@@ -63,6 +63,12 @@ def near_circle_problem(rng, n):
     return InterpolationProblem(nodes=tuple(nodes), targets=tuple(targets))
 
 
+def near_circle_level(n):
+    """A near_circle_problem of n nodes and a level 1e-3 above its minimal one."""
+    p = near_circle_problem(np.random.default_rng(103 + n), n)
+    return p, minimal_level(p) * (1 + 1e-3)
+
+
 def per_level_chain(x, gammas, mu):
     """The boundary chain as it was with one boundary_values call, and so one
     half-angle sweep, per Schur level, inline."""
@@ -333,6 +339,57 @@ class TestSupNorm:
         self.check(acceptance_certificates())
 
 
+def panel_problems_by_size(seed=41):
+    """Two panel_problem draws of each node count 2-7, the first two of
+    each count that a generator seeded with seed draws."""
+    rng = np.random.default_rng(seed)
+    by_size = {n: [] for n in range(2, 8)}
+    while any(len(problems) < 2 for problems in by_size.values()):
+        p = panel_problem(rng)
+        if len(by_size[len(p.nodes)]) < 2:
+            by_size[len(p.nodes)].append(p)
+    return by_size
+
+
+class TestSupNormBits:
+    """float.hex of cert.sup_norm as recorded before the sweep took its trig
+    from an import-time table and the refinement ran in Python floats; the
+    sampled norm is not to move by a bit without a reason."""
+
+    PANEL = {
+        2: ("0x1.4f975a0ede5a1p+1", "0x1.5afc8dff7d0b1p+2"),
+        3: ("0x1.d8a22f627b9b6p+1", "0x1.a8639625cf148p+1"),
+        4: ("0x1.d987276f02c23p+4", "0x1.535fd98356af0p+1"),
+        5: ("0x1.c99f5fb350b9bp+3", "0x1.54818b2c41366p+3"),
+        6: ("0x1.0f14cb5f7b44dp+4", "0x1.40c30263cce60p+2"),
+        7: ("0x1.f2184b30c5312p+3", "0x1.83daaf3069484p+12"),
+    }
+    ILL_CONDITIONED = {(803, 214, 58): "0x1.b59f7edd3aaaap+28", (820, 44, 57): "0x1.abcccae229c66p+30"}
+    ACCEPTANCE = (
+        "0x1.a623d6fe66c09p+0", "0x1.2c532b083d1e3p+0", "0x1.03d68e8963ce5p+0", "0x1.0007fe8773a8dp+0",
+        "0x1.6b79d939ebf9ap+0", "0x1.13cdba2ff27f6p+0", "0x1.00c72b8d03e68p+0", "0x1.000062450472cp+0",
+        "0x1.346f8381aaeb5p+0", "0x1.0503d7f2fb68fp+0", "0x1.000cd76bda794p+0", "0x1.19e99491ffb85p+0",
+        "0x1.0144060891e7cp+0", "0x1.0000dfda127c5p+0", "0x1.4d7a7eb3ce633p+0", "0x1.32e9cf1b7bfb4p+0",
+        "0x1.35bce6b0d83cap+0", "0x1.2417580d340ebp+0", "0x1.21663c52eba95p+0", "0x1.16dde06264268p+0",
+        "0x1.3dc84c79b7c6dp+0", "0x1.26548babb2d3ep+0", "0x1.1ad6a37dddadfp+0",
+    )
+
+    @staticmethod
+    def sup_norm_bits(p):
+        return construct_interpolant(p, minimal_level(p) * (1 + 1e-6)).sup_norm.hex()
+
+    def test_panel_problems(self):
+        for n, problems in panel_problems_by_size().items():
+            assert tuple(self.sup_norm_bits(p) for p in problems) == self.PANEL[n]
+
+    def test_ill_conditioned_benchmark_problems(self):
+        for args, bits in self.ILL_CONDITIONED.items():
+            assert self.sup_norm_bits(benchmark_problem(*args)) == bits
+
+    def test_acceptance_certificates(self):
+        assert tuple(cert.sup_norm.hex() for cert in acceptance_certificates()) == self.ACCEPTANCE
+
+
 class TestBoundaryChain:
     """All Schur levels share one half-angle sweep per boundary evaluation."""
 
@@ -374,13 +431,40 @@ class TestBoundaryChain:
 
             return counted
 
-        p = near_circle_problem(np.random.default_rng(103 + n), n)
-        mu = minimal_level(p) * (1 + 1e-3)
+        p, mu = near_circle_level(n)
         monkeypatch.setattr(np, "cos", counting_cos)
         monkeypatch.setattr(pick_interp, "_boundary_evaluator", counting_evaluator)
         construct_interpolant(p, mu)
         assert len(evaluations) >= 1
         assert len(sweeps) <= len(evaluations)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_the_sup_norm_sweep_takes_no_trig(self, monkeypatch, n):
+        # the sweep's half-angle pair is a table built at import; only the
+        # refinement stencils take theirs, one sin and one cos each
+        h = construct_interpolant(*near_circle_level(n)).interpolant
+        trig, sizes = [], []
+        for name in ("sin", "cos"):
+            real = getattr(np, name)
+
+            def counting(x, *args, _name=name, _real=real, **kwargs):
+                trig.append((_name, np.size(x)))
+                return _real(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        factors = pick_interp.boundary_factors
+
+        def counting_factors(zeros, theta, *half):
+            sizes.append(np.size(theta))
+            return factors(zeros, theta, *half)
+
+        monkeypatch.setattr(pick_interp, "boundary_factors", counting_factors)
+        h.sup_norm()
+        stencils = [size for size in sizes if size != toeplitz_op.SUP_SAMPLES]
+        assert len(stencils) == len(sizes) - 1
+        assert all(size != toeplitz_op.SUP_SAMPLES for _, size in trig)
+        for name in ("sin", "cos"):
+            assert sum(called == name for called, _ in trig) <= len(stencils)
 
 
 class TestConstruction:

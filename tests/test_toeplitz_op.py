@@ -1,5 +1,7 @@
 """Operator application by residues and by contour, and the rational helpers."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,18 @@ class TestRationalFunction:
         a = 0.4 - 0.3j
         f = RationalFunction([-a, 1.0], [1.0, -np.conj(a)])
         assert f.sup_norm() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
+    def test_sup_norm_refines_a_pole_next_to_the_circle(self, delta):
+        # h(z) = 1 / (1 - z e^{-i alpha} / r), r = 1 + delta, peaks at
+        # theta = alpha with |h| = r / delta; below delta = 1e-4 the peak is
+        # narrower than the grid step, so only the refinement reaches it.
+        # Evaluating 1 - z e^{-i alpha} / r loses about 1e-16 / delta
+        r = 1.0 + delta
+        exact = r / (r - 1.0)
+        for alpha in (0.1234567, -2.0005, 3.1):
+            h = RationalFunction([1.0], [1.0, -cmath.exp(-1j * alpha) / r])
+            assert abs(h.sup_norm() - exact) <= 1e-14 / delta * exact
 
     def test_trailing_zero_coefficients_are_trimmed(self):
         f = RationalFunction([1.0, 2.0, 0.0, 0.0])
