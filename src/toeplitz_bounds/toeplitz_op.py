@@ -143,9 +143,11 @@ class RationalFunction:
         rounding plateaus. They are ranked by one full argsort, whose order
         among equal samples decides which is chosen, but only the first
         _SUP_SCAN can be chosen, so only those leave numpy. With at most
-        SUP_PEAKS stencils, the per-stencil arithmetic runs in Python floats,
-        the same IEEE operations in the same order as array code; each step
-        is still one batched evaluation of all stencils.
+        SUP_PEAKS stencils, numpy's per-call overhead would exceed the
+        arithmetic, so the settled test, the vertex, the clip, the shift and
+        the shrink run in Python floats, with the same IEEE operations in
+        the same order as array code. Each step's evaluation, and its
+        (top sample / |h|)^2, stay one batched numpy pass over all stencils.
         """
         mags = np.abs(self._on_circle(_SUP_THETA, _SUP_HALF))
         # k is a local maximum when it is at least both neighbours, cyclically
@@ -166,18 +168,18 @@ class RationalFunction:
         scale = float(mags[chosen[0]])
         if scale == 0.0:
             return scale
-        floor = 1e-100 * scale
-
-        def inverse_square(m):
-            r = scale / max(m, floor)
-            return r * r
-
         n = len(chosen)
+
+        def stencil_rows(m):
+            """(lo, mid, hi) of (scale / |h|)^2 for each stencil, from the
+            moduli of all low points, then all middle, then all high ones."""
+            u = ((scale / np.maximum(m, 1e-100 * scale)) ** 2).tolist()
+            return [u[i::n] for i in range(n)]
+
         best = scale
         center = _SUP_THETA[chosen].tolist()
         width = [2.0 * math.pi / SUP_SAMPLES] * n
-        around = [inverse_square(m) for m in mags.take([k + d for d in (-1, 0, 1) for k in chosen], mode="wrap").tolist()]
-        u = [around[i::n] for i in range(n)]  # (lo, mid, hi) of each stencil
+        u = stencil_rows(mags.take([k + d for d in (-1, 0, 1) for k in chosen], mode="wrap"))
         predicted = [math.inf] * n
         for _ in range(REFINE_STEPS):
             if all(
@@ -199,11 +201,11 @@ class RationalFunction:
                 else:
                     predicted[i] = math.inf
                     center[i] += w if hi < lo else -w
-            stencils = [c - w for c, w in zip(center, width)] + center + [c + w for c, w in zip(center, width)]
-            values = np.abs(self._on_circle(np.array(stencils)))
+            lows = [c - w for c, w in zip(center, width)]
+            highs = [c + w for c, w in zip(center, width)]
+            values = np.abs(self._on_circle(np.array(lows + center + highs)))
             best = max(best, float(np.max(values)))
-            around = [inverse_square(m) for m in values.tolist()]
-            u = [around[i::n] for i in range(n)]
+            u = stencil_rows(values)
         return best
 
     def _on_circle(self, theta, half=None):
