@@ -160,17 +160,17 @@ def _half_angle_terms(zeros, u, base=None, sin_half=None, half=None):
     d = 1 - rho and e^{i gamma}; w is one buffer, overwritten by the next yield.
 
     sin and cos of u/2 are taken once, by _half_angle_pair, and each zero
-    shifts them to its beta/2 by angle addition with two scalars. A 2 pi shift of beta only
-    flips the sign of w, so no reduction is needed. Without a base, beta is
-    u - gamma on the array u. With a base, beta is base - gamma + u and
-    base - gamma - u, and w holds the + terms followed by the - terms. The
-    base is a scalar, or an array of u's shape that is constant along runs:
-    base - gamma is then reduced once per run, and each node gets the two
-    scalars of its run, the ones a scalar base would give it. sin_half, if
-    given, is sin(u/2) already taken; half, if given, is the whole pair
-    _half_angle_pair(u) already taken (a constant table of the caller's),
-    and no trig is taken here. Both are read, never written. No zeros, no
-    sweep.
+    shifts them to its beta/2 by angle addition with two scalars. A 2 pi
+    shift of beta only flips the sign of w, so no reduction is needed.
+    Without a base, beta is u - gamma on the array u. With a base, beta is
+    base - gamma + u and base - gamma - u, and w holds the + terms followed
+    by the - terms. The base is a scalar, or an array of u's shape that is
+    constant along runs: base - gamma is then reduced once per run, and each
+    node gets the two scalars of its run, the ones a scalar base would give
+    it. sin_half, if given, is sin(u/2) already taken; half, if given, is
+    the whole pair _half_angle_pair(u) already taken (a constant table of
+    the caller's), and no trig is taken here. Both are read, never written.
+    No zeros, no sweep.
     """
     if not len(zeros):
         return
