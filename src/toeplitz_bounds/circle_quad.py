@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .disk_core import BlaschkeProduct, CirclePoint, boundary_values, zero_polar
+from .disk_core import BlaschkeProduct, CirclePoint, boundary_values
 from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
 
 TWO_PI = 2.0 * math.pi
@@ -202,14 +202,14 @@ def _panel_estimates(g, los, his):
     """Gauss-Kronrod estimate and error of g's integral over each panel [lo, hi].
 
     Each panel's 15 nodes (_NODE_OFFSETS) form one row, and g gets the rows
-    panel-major in one flat array. The estimate is the 15-point Kronrod
+    panel-major in one flat array and returns an array of their values. The estimate is the 15-point Kronrod
     value K, the error |K - G| against the embedded 7-point Gauss value G
     plus a rounding floor. The row sums are einsums, not BLAS gemvs, which
     would start a second thread.
     """
     w = his - los
     nodes = los[:, None] + w[:, None] * _NODE_OFFSETS
-    vals = np.asarray(g(nodes.ravel())).reshape(nodes.shape)
+    vals = g(nodes.ravel()).reshape(nodes.shape)
     kronrod = w * np.einsum("ij,j->i", vals, _KRONROD_WEIGHTS)
     gauss = w * np.einsum("ij,j->i", vals, _GAUSS_WEIGHTS)
     return kronrod, np.abs(kronrod - gauss) + 5e-17 * np.abs(kronrod)
@@ -230,7 +230,10 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, panels: int = 0, firs
     The first sweep is `panels` uniform panels, unless first gives one
     already made on [a, b], (los, his, est, err) as _first_sweeps builds
     them; the integral then resumes from it at 0 evaluations, and leaves it
-    as it was, so any tolerance can resume from it again.
+    as it was, so any tolerance can resume from it again. A resumed first
+    sweep whose every panel is below its share ends the loop in its first
+    pass, so it returns at once, with that pass's sums: est and err in
+    full, as the accepted panels are then all of them.
 
     Every sweep is one call of g on all its panels' nodes, 15 a panel, laid
     out panel-major (see _panel_estimates), and counts 15 evaluations a
@@ -245,6 +248,8 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, panels: int = 0, firs
 
     if first is not None:
         los, his, est, err = first
+        if (err <= 0.5 * tol_abs * ((his - los) / total_width)).all():
+            return value + est.sum(), float(err.sum()), 0
     else:
         edges = np.linspace(a, b, panels + 1)
         los, his = edges[:-1], edges[1:]
@@ -323,10 +328,11 @@ def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
 
 def _seed_ladders(f: BlaschkeProduct):
     """The rotation-free part of the seed edges, built once per Lambda call:
-    (gammas, counts, rungs). lambda_functional calls it before any other
-    use of f, so it is where a symbol that is not a BlaschkeProduct is
-    rejected. The same grouping places the aligned candidates
-    (_candidate_rotations).
+    (gammas, counts, rungs, row), row the edges that every rotation's first
+    sweep shares, LAMBDA_EDGES followed by the rungs. lambda_functional
+    calls it before any other use of f, so it is where a symbol that is not
+    a BlaschkeProduct is rejected. The same grouping places the aligned
+    candidates (_candidate_rotations).
 
     A zero at a = (1-d) e^{i gamma} concentrates the symbol's phase swing in
     an angular window of width ~d. Its ladder d/2, 2d, 8d, ..., d 4^k / 2, is
@@ -354,8 +360,7 @@ def _seed_ladders(f: BlaschkeProduct):
         raise InvalidConfiguration(f"Lambda needs a BlaschkeProduct symbol, got {type(f).__name__}")
     directions = []  # [index of its first zero in f.zeros, gamma, width]
     # nearest the circle first, so a direction takes its smallest width
-    polar = [zero_polar(a) for a in f.zeros]
-    for i, (gamma, rho) in sorted(enumerate(polar), key=lambda item: item[1][1], reverse=True):
+    for i, (gamma, rho) in sorted(enumerate(f.polar), key=lambda item: item[1][1], reverse=True):
         width = 1.0 - rho
         for direction in directions:
             if abs(math.remainder(gamma - direction[1], TWO_PI)) <= SHARED_DIRECTION * width:
@@ -369,7 +374,8 @@ def _seed_ladders(f: BlaschkeProduct):
         gammas.append(gamma)
         counts.append(ks)
         rungs.append(0.5 * width * 4.0 ** np.arange(ks))
-    return gammas, counts, np.concatenate(rungs) if rungs else np.empty(0)
+    rungs = np.concatenate(rungs) if rungs else np.empty(0)
+    return gammas, counts, rungs, np.concatenate([LAMBDA_EDGES, rungs])
 
 
 def _seed_edges_for_rotation(ladders, phis):
@@ -386,16 +392,15 @@ def _seed_edges_for_rotation(ladders, phis):
     [0, pi]) and the pairing also creates structure at theta -> 0. The
     rungs themselves are the ladders around theta = 0 (whose mirror images
     and centre lie outside (0, pi)), the same at every rotation, like the
-    base grid; the rungs centred at |gamma - phi| are built per rotation.
-    Order is free, and edges may fall outside [0, pi]: _first_sweeps sorts
-    each row and drops those.
+    base grid: each row starts with the ladders' shared row. The rungs
+    centred at |gamma - phi| are built per rotation. Order is free, and
+    edges may fall outside [0, pi]: _first_sweeps sorts each row and drops
+    those. phis is not empty.
     """
-    gammas, counts, rungs = ladders
+    gammas, counts, rungs, row = ladders
     centers = np.array([[abs(math.remainder(gamma - phi, TWO_PI)) for gamma in gammas] for phi in phis])
-    centers = centers.reshape(len(phis), len(gammas))
-    around = np.repeat(centers, counts, axis=1)
-    fixed = np.tile(np.concatenate([LAMBDA_EDGES, rungs]), (len(phis), 1))
-    return np.concatenate([fixed, centers, around + rungs, around - rungs], axis=1)
+    around = centers.repeat(counts, axis=1)
+    return np.concatenate([row[None].repeat(len(phis), axis=0), centers, around + rungs, around - rungs], axis=1)
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -484,8 +489,7 @@ def _kink_solver(f: BlaschkeProduct):
     if f.degree < 2:
         return None
     factors = []
-    for a in f.zeros:
-        gamma, rho = zero_polar(a)  # the integrand's, so the folds are its own
+    for gamma, rho in f.polar:  # the integrand's, so the folds are its own
         d, e = 1.0 - rho, 1.0 + rho
         factors.append((gamma, d * e, d * d, e * e, 4.0 * rho))
     targets = [TWO_PI * k for k in range(1, f.degree)]
@@ -596,12 +600,14 @@ def _first_sweeps(f: BlaschkeProduct, phis, ladders, kink_fn):
     base grid and the seed edges from the ladders of _seed_ladders) and its
     folds (kink_fn, from _kink_solver, None below degree 2), one row a
     rotation, sorted row by row; an edge that repeats the one before it, or
-    lies outside [0, pi], the base grid's span, makes no panel. Consecutive
-    rotations are swept together, in blocks of at most _SWEEP_BLOCK_NODES
-    nodes: each block is one call of _panel_estimates, so one of
-    boundary_values with one rotation per node, or at its rotation when the
-    block has one. Every estimate has the bits of its rotation's sweep
-    alone, and counts 15 evaluations a panel, once.
+    lies outside [0, pi], the base grid's span, makes no panel. A lone
+    rotation, as localmin and the final stage pass it, is one call of
+    _panel_estimates at its angle, with no block bookkeeping. More
+    rotations are swept together, consecutive ones in blocks of at most
+    _SWEEP_BLOCK_NODES nodes: each block is one call of _panel_estimates,
+    so one of boundary_values with one rotation per node, or at its
+    rotation when the block has one. Every estimate has the bits of its
+    rotation's sweep alone, and counts 15 evaluations a panel, once.
     """
     edges = _seed_edges_for_rotation(ladders, phis)
     if kink_fn is not None:
@@ -610,10 +616,13 @@ def _first_sweeps(f: BlaschkeProduct, phis, ladders, kink_fn):
     lo, hi = edges[:, :-1], edges[:, 1:]
     panel = (hi > lo) & (lo >= 0.0) & (hi <= math.pi)
     los, his = lo[panel], hi[panel]
+    nodes = _NODE_OFFSETS.size
+    if len(phis) == 1:
+        phi = phis[0]
+        return [(los, his, *_panel_estimates(lambda theta: _integrand(f, phi, theta), los, his))], nodes * los.size
+
     counts = panel.sum(axis=1)
     starts = [0] + np.cumsum(counts).tolist()
-
-    nodes = _NODE_OFFSETS.size
     blocks, start = [], 0
     for r in range(1, len(phis)):
         if nodes * (starts[r + 1] - starts[start]) > _SWEEP_BLOCK_NODES:
@@ -705,7 +714,7 @@ def _candidate_rotations(f: BlaschkeProduct, ladders):
     order = np.argsort(vals)[::-1]
     cands = [(float(phis[r]), step) for r in order[:3]]
     cands.append((0.0, step))
-    gammas, counts, rungs = ladders
+    gammas, counts, rungs, _row = ladders
     start = 0
     for gamma, count in zip(gammas, counts):
         d = 2.0 * float(rungs[start])

@@ -10,9 +10,11 @@ On the circle, boundary_values uses a half-angle form: the factor of a zero
 rho e^{i gamma} at angle theta is e^{i gamma} w^2/|w|^2, with
 w = (1 - rho) cos(beta/2) + i (1 + rho) sin(beta/2), beta = theta - gamma.
 Needing only 1 - rho, it stays accurate for zeros within 1e-12 of the
-circle, where (z - a)/(1 - z*conj(a)) cancels. One private generator,
+circle, where (z - a)/(1 - z*conj(a)) cancels. Each zero's (gamma, rho)
+comes from zero_polar once per BlaschkeProduct, its polar attribute, taken
+on first use and read by every later sweep. One private generator,
 _half_angle_terms, takes the half-angle trig of the array argument once, by
-_half_angle_pair, and yields each factor's term w from it.
+_half_angle_pair, and yields each factor's term w from it and those pairs.
 boundary_values multiplies the terms into B; with an offset, the result is
 the symmetric pair B(e^{i(theta + offset)}) followed by
 B(e^{i(theta - offset)}), which share that trig by parity. There theta is a
@@ -21,8 +23,8 @@ many rotations share one call: each run's theta - gamma is reduced once, as
 a scalar theta's is, and each node keeps the bits of the call at its own
 rotation. A caller that needs sin(offset/2) itself can take it first and
 pass it as sin_half, so the sine is taken once.
-boundary_factors keeps the factors apart, one row each, for callers that
-compose them with more than multiplication. A caller that sweeps the same
+boundary_factors keeps the factors of a product apart, one row each, for
+callers that compose them with more than multiplication. A caller that sweeps the same
 angles on every call (RationalFunction.sup_norm) keeps their pair and
 passes it to boundary_factors as half, so that sweep takes no trig at all.
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +95,11 @@ class BlaschkeProduct:
 
     Degree 0 (empty zero list) is the constant function 1; it appears as the
     degenerate symbol in norm brackets.
+
+    polar is each zero's (gamma, rho) from zero_polar, in the order of zeros:
+    taken once, on first use, and kept, so that the kernels on the circle
+    (boundary_values, boundary_factors, the Lambda seed ladders and fold
+    solver) read it on every sweep instead of taking np.angle again.
     """
 
     zeros: tuple = field(default=())
@@ -107,6 +115,10 @@ class BlaschkeProduct:
     def degree(self) -> int:
         return len(self.zeros)
 
+    @cached_property
+    def polar(self) -> tuple:
+        return tuple(zero_polar(a) for a in self.zeros)
+
 
 def eval_blaschke(B: BlaschkeProduct, z):
     """Evaluate the product of Moebius factors at z (scalar or array)."""
@@ -121,9 +133,10 @@ def eval_blaschke(B: BlaschkeProduct, z):
 def zero_polar(a) -> tuple:
     """(gamma, rho), the angle and the modulus of the zero a as every kernel
     on the circle takes them: Python's abs, numpy's angle, and angle 0 at
-    the origin. The integrand, the seed ladders and the fold solver take
-    them here, so they see the same deficit 1 - rho: np.abs can differ by
-    an ulp, which is 1e-7 of the deficit of a zero 1e-9 from the circle."""
+    the origin. BlaschkeProduct.polar takes them here, once per product, and
+    the integrand, the seed ladders and the fold solver all read that, so
+    they see the same deficit 1 - rho: np.abs can differ by an ulp, which is
+    1e-7 of the deficit of a zero 1e-9 from the circle."""
     rho = abs(a)
     return (float(np.angle(a)) if rho > 0 else 0.0), rho
 
@@ -155,9 +168,11 @@ def _half_angle_pair(u, sin_half=None):
     return np.cos(0.5 * u).astype(complex), sin_half.astype(complex)
 
 
-def _half_angle_terms(zeros, u, base=None, sin_half=None, half=None):
+def _half_angle_terms(polar, u, base=None, sin_half=None, half=None):
     """Yield, zero by zero, the half-angle term w at every angle, with
     d = 1 - rho and e^{i gamma}; w is one buffer, overwritten by the next yield.
+    polar is the zeros' (gamma, rho) pairs, a BlaschkeProduct's polar, so no
+    zero's angle is taken here.
 
     sin and cos of u/2 are taken once, by _half_angle_pair, and each zero
     shifts them to its beta/2 by angle addition with two scalars. A 2 pi
@@ -172,7 +187,7 @@ def _half_angle_terms(zeros, u, base=None, sin_half=None, half=None):
     the caller's), and no trig is taken here. Both are read, never written.
     No zeros, no sweep.
     """
-    if not len(zeros):
+    if not polar:
         return
     pair = base is not None
     cu, su = _half_angle_pair(u, sin_half) if half is None else half
@@ -182,15 +197,14 @@ def _half_angle_terms(zeros, u, base=None, sin_half=None, half=None):
     x = np.empty_like(cu) if pair else w  # the grid form adds y to x in place
     # one (base, cu, su, x, y) a run of equal bases, views of the sweep's arrays
     runs = [(base, cu, su, x, y)]
-    if pair and np.ndim(base):
+    if isinstance(base, np.ndarray):
         first = np.ones(n, dtype=bool)  # the first node of each run
         first[1:] = base[1:] != base[:-1]
         starts = np.flatnonzero(first).tolist()
         runs = [
             (float(base[i]), cu[i:j], su[i:j], x[i:j], y[i:j]) for i, j in zip(starts, starts[1:] + [n])
         ]
-    for a in zeros:
-        gamma, rho = zero_polar(a)
+    for gamma, rho in polar:
         d, e = 1.0 - rho, 1.0 + rho
         for b, cu_r, su_r, x_r, y_r in runs:
             half = 0.5 * (math.remainder(b - gamma, 2 * math.pi) if pair else -gamma)
@@ -245,7 +259,7 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, sin_half=None):
     rot, floor = 1.0 + 0j, 1.0
     if sin_half is not None:
         sin_half = np.asarray(sin_half, dtype=float).reshape(u.shape)
-    for w, d, turn in _half_angle_terms(B.zeros, u, theta if pair else None, sin_half):
+    for w, d, turn in _half_angle_terms(B.polar, u, theta if pair else None, sin_half):
         prod *= w
         # |w| >= 1 - rho: rescale before the product of the |w| can underflow
         floor *= d
@@ -259,21 +273,21 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, sin_half=None):
     return prod
 
 
-def boundary_factors(zeros, theta, half=None):
-    """Row k is the Moebius factor of zeros[k] at e^{i*theta}: e^{i gamma_k} (w_k/|w_k|)^2.
+def boundary_factors(B: BlaschkeProduct, theta, half=None):
+    """Row k is the Moebius factor of B.zeros[k] at e^{i*theta}: e^{i gamma_k} (w_k/|w_k|)^2.
 
     All rows share one half-angle sweep of theta, and row k has the bits of
-    boundary_values(BlaschkeProduct((zeros[k],)), theta), since that
+    boundary_values(BlaschkeProduct((B.zeros[k],)), theta), since that
     multiplies w_k and e^{i gamma_k} into a product that starts at 1 + 0i.
-    The result has shape (len(zeros),) + shape(theta). half, for an array
+    The result has shape (B.degree,) + shape(theta). half, for an array
     theta, is _half_angle_pair(theta) already taken: a caller that sweeps
     the same angles on every call keeps the pair and passes it down, so no
     trig is taken here, and the rows keep their bits.
     """
     theta = np.asarray(theta, dtype=float)
-    out = np.empty((len(zeros),) + theta.shape, dtype=complex)
+    out = np.empty((B.degree,) + theta.shape, dtype=complex)
     scale = np.empty(theta.shape)
-    for k, (w, _, turn) in enumerate(_half_angle_terms(zeros, theta, half=half)):
+    for k, (w, _, turn) in enumerate(_half_angle_terms(B.polar, theta, half=half)):
         row = out[k, ...]  # a view, also when theta is a scalar
         np.abs(w, out=scale)
         np.divide(1.0, scale, out=scale)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .disk_core import (
     SEPARATION,
+    BlaschkeProduct,
     as_complex,
     boundary_factors,
     complex_pairs,
@@ -223,18 +224,20 @@ def _boundary_evaluator(x, gammas, mu):
     The Moebius factors of all levels on the circle come from one
     boundary_factors call per evaluation, which takes the half-angle trig of
     theta once and needs only 1 - |x_j|, so nodes within 1e-11 of the circle
-    need no extended precision. Row j has the bits of that level's own
-    boundary_values, so the chain's values do not depend on the sharing.
-    half is None, or that trig already taken (sup_norm's sweep table),
-    handed to boundary_factors; the values keep their bits.
+    need no extended precision. The levels' nodes are the zeros of one
+    BlaschkeProduct, built once per interpolant, so each level's (gamma, rho)
+    is taken once, not once per evaluation. Row j has the bits of that
+    level's own boundary_values, so the chain's values do not depend on the
+    sharing. half is None, or that trig already taken (sup_norm's sweep
+    table), handed to boundary_factors; the values keep their bits.
     """
-    zeros = [complex(a) for a in x[:-1]]
+    levels = BlaschkeProduct(zeros=tuple(complex(a) for a in x[:-1]))
     g = gammas.astype(complex)
 
     def evaluate(theta, half):
-        factors = boundary_factors(zeros, theta, half)
+        factors = boundary_factors(levels, theta, half)
         f = np.full(np.shape(theta), g[-1])
-        for j in range(len(zeros) - 1, -1, -1):
+        for j in range(levels.degree - 1, -1, -1):
             bf = factors[j] * f
             f = (bf + g[j]) / (1.0 + np.conj(g[j]) * bf)
         return mu * f

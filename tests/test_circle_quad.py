@@ -345,11 +345,13 @@ class TestSeedLadders:
         # five zeros 1e-9 from the circle and 1e-9 apart: each angle is a
         # width away from the next, far past the shared-direction tolerance
         zeros = TestHardInputs.CASES["five-1e-9-apart"]
-        gammas, counts, rungs = circle_quad._seed_ladders(BlaschkeProduct(zeros=zeros))
+        gammas, counts, rungs, row = circle_quad._seed_ladders(BlaschkeProduct(zeros=zeros))
         assert len(gammas) == len(counts) == 5
         assert rungs.size == sum(counts)
+        # every rotation's row starts with the base grid and the rungs
+        assert np.array_equal(row, np.concatenate([circle_quad.LAMBDA_EDGES, rungs]))
         # a double zero has one direction
-        gammas, _, _ = circle_quad._seed_ladders(BlaschkeProduct(zeros=(0.5j, 0.5j)))
+        gammas, _, _, _ = circle_quad._seed_ladders(BlaschkeProduct(zeros=(0.5j, 0.5j)))
         assert gammas == [cmath.phase(0.5j)]
 
     @pytest.mark.parametrize("gamma", [1.0, math.pi], ids=["one", "across-the-branch-cut"])
@@ -363,7 +365,7 @@ class TestSeedLadders:
         for turn, ladders in ((1.0 - 1e-6, 1), (1.0 + 1e-6, 2)):
             for side in (-1.0, 1.0):
                 outer = (1.0 - width) * cmath.exp(1j * (gamma + side * turn * edge))
-                gammas, counts, rungs = circle_quad._seed_ladders(BlaschkeProduct(zeros=(outer, inner)))
+                gammas, counts, rungs, _ = circle_quad._seed_ladders(BlaschkeProduct(zeros=(outer, inner)))
                 assert len(gammas) == ladders
                 # the ladders come in the order of the zeros, and the one
                 # the inner zero builds, shared or its own, is from its width
@@ -1336,7 +1338,7 @@ def ratio_two_ladders(f):
         gammas.append(float(np.angle(a)) if abs(a) > 0 else 0.0)
         counts.append(ks + 1)
         rungs.append(width * 2.0 ** np.arange(-1, ks))
-    return gammas, counts, np.concatenate(rungs) if rungs else np.empty(0)
+    return with_row(gammas, counts, rungs)
 
 
 def per_zero_ladders(f):
@@ -1349,7 +1351,14 @@ def per_zero_ladders(f):
         gammas.append(float(np.angle(a)) if abs(a) > 0 else 0.0)
         counts.append(ks)
         rungs.append(0.5 * width * 4.0 ** np.arange(ks))
-    return gammas, counts, np.concatenate(rungs) if rungs else np.empty(0)
+    return with_row(gammas, counts, rungs)
+
+
+def with_row(gammas, counts, rungs):
+    """The ladders as _seed_ladders returns them, with the row that every
+    rotation shares: the base grid, as patched, then the rungs."""
+    rungs = np.concatenate(rungs) if rungs else np.empty(0)
+    return gammas, counts, rungs, np.concatenate([circle_quad.LAMBDA_EDGES, rungs])
 
 
 def per_zero_candidates(f, ladders):

@@ -426,7 +426,7 @@ class TestBoundaryFactors:
         rng = np.random.default_rng(89)
         deficits = 10.0 ** rng.uniform(-12.0, 0.0, 10)
         zeros = self.ZEROS + tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 10)))
-        F = boundary_factors(zeros, theta)
+        F = boundary_factors(BlaschkeProduct(zeros), theta)
         assert F.shape == (len(zeros),) + np.shape(theta)
         for row, a in zip(F, zeros):
             assert np.array_equal(row, boundary_values(BlaschkeProduct((a,)), theta))
@@ -435,13 +435,13 @@ class TestBoundaryFactors:
         rng = np.random.default_rng(97)
         zeros = moderate_zeros(rng, 5)
         theta = np.linspace(-np.pi, np.pi, 257)
-        F = boundary_factors(zeros, theta)
+        F = boundary_factors(BlaschkeProduct(zeros), theta)
         assert np.max(np.abs(np.prod(F, axis=0) - boundary_values(BlaschkeProduct(zeros), theta))) < 1e-14
 
     def test_empty_zero_list(self):
         theta = np.linspace(-np.pi, np.pi, 24)
-        assert boundary_factors((), theta).shape == (0, 24)
-        assert boundary_factors([], 0.3).shape == (0,)
+        assert boundary_factors(BlaschkeProduct(()), theta).shape == (0, 24)
+        assert boundary_factors(BlaschkeProduct(()), 0.3).shape == (0,)
 
 
 class TestPseudohyperbolicDistance:
