@@ -20,11 +20,15 @@ feature, ratio-4 ladders around the angles of the zeros, one ladder for the
 zeros that share a direction, and the folds. Each panel reports an honest
 error, so the adaptive loop pays for resolution where it is needed, not a
 fine starting grid everywhere. The first sweeps of many rotations are made
-together (_first_sweeps): one row of edges a rotation, sorted row by row,
-and one boundary_values call per block of rotations, with one rotation per
-node, each block capped at _SWEEP_BLOCK_NODES nodes. Each rotation's
-integral then resumes from its own first sweep, and every later sweep is
-at that rotation alone.
+together (_first_sweeps): one row of edges a rotation, each starting with
+the row that all rotations share (the base grid and the ladders' rungs,
+built once a call), sorted row by row, and one boundary_values call per
+block of rotations, with one rotation per node, each block capped at
+_SWEEP_BLOCK_NODES nodes. A lone rotation skips the blocks: its row is
+swept in one boundary_values call at its angle. Each rotation's integral
+then resumes from its own first sweep, and every later sweep is at that
+rotation alone; an integral whose first sweep already meets its tolerance
+panel by panel returns at once, with the sums the adaptive loop would give.
 
 The supremum over rotations is searched in four stages. The grid: a fixed
 uniform grid of 256 rotations (shared function values, so the grid costs one
@@ -44,7 +48,9 @@ of the supremum (the rotation search is not certified) with a quadrature
 error bar; no global optimality is claimed. The search keeps its state in
 locals of lambda_functional: each rotation's first sweep and loose-tolerance
 value, keyed by the exact angle. Localmin and the final stage sweep their
-new rotations with the same _first_sweeps, one rotation a call.
+new rotations with the same _first_sweeps, one rotation a call. Each zero's
+angle and modulus come from the symbol's BlaschkeProduct.polar, taken once
+per product, for the grid, every sweep, the seed ladders and the folds.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose

@@ -24,9 +24,11 @@ a scalar theta's is, and each node keeps the bits of the call at its own
 rotation. A caller that needs sin(offset/2) itself can take it first and
 pass it as sin_half, so the sine is taken once.
 boundary_factors keeps the factors of a product apart, one row each, for
-callers that compose them with more than multiplication. A caller that sweeps the same
-angles on every call (RationalFunction.sup_norm) keeps their pair and
-passes it to boundary_factors as half, so that sweep takes no trig at all.
+callers that compose them with more than multiplication: the Pick side
+holds its Schur levels' nodes as one product, built once per interpolant.
+A caller that sweeps the same angles on every call
+(RationalFunction.sup_norm) keeps their pair and passes it to
+boundary_factors as half, so that sweep takes no trig at all.
 
 Both normalise by multiplying with the reciprocal modulus. numpy divides a
 complex by a real (cast to complex) as (re + im*0) * (1/r), so this has the

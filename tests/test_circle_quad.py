@@ -22,7 +22,7 @@ from toeplitz_bounds import (
     integrate_circle,
     lambda_functional,
 )
-from toeplitz_bounds import circle_quad
+from toeplitz_bounds import circle_quad, disk_core
 from toeplitz_bounds.disk_core import boundary_values
 from toeplitz_bounds.omega_bounds import _ray_zeros
 
@@ -1044,6 +1044,22 @@ class TestRotationRecords:
             assert solved and len(set(solved)) == len(solved) == len(seeded) == len(set(seeded))
             assert set(solved) == set(seeded)
 
+    def test_each_zero_is_put_in_polar_form_once(self, monkeypatch):
+        # every kernel on the circle reads the product's (gamma, rho) pairs:
+        # the grid, every sweep, the seed ladders and the fold solver, so a
+        # Lambda call takes each zero's angle once, and a second call on the
+        # same product none
+        calls = []
+        real = disk_core.zero_polar
+        monkeypatch.setattr(disk_core, "zero_polar", lambda a: calls.append(a) or real(a))
+        for zeros in ((0.5, 0.3j, -0.7 + 0.1j), ray_zeros(3, 0.001), TestHardInputs.CASES["two-at-1e-12"]):
+            B = BlaschkeProduct(zeros=zeros)
+            calls.clear()
+            first = lambda_functional(B)
+            assert calls == list(B.zeros)
+            assert lambda_functional(B) == first
+            assert calls == list(B.zeros)
+
     def test_work_budget(self):
         # the seeded set of TestLambdaRegression.test_work_budget, where the
         # search spent 552,368 evaluations before a rotation's integrals
@@ -1097,6 +1113,31 @@ class TestRotationRecords:
             val, err, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels)
             resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, first=first)
             assert resumed == (val, err, evals - swept)
+
+    def test_a_first_sweep_within_its_shares_returns_the_loops_sums(self):
+        # a resumed first sweep whose every panel is below its share returns
+        # before the loop, with the tuple that the loop's single pass gives
+        # the fresh integral over the same sweep, bit for bit; one that
+        # passes only the global test, with a panel above its share, and one
+        # that refines go through the loop to the same ends
+        def g(theta):
+            return 1.0 / (0.05 + (theta - 1.0) ** 2)
+
+        panels = circle_quad.LAMBDA_EDGES.size - 1
+        first = self.uniform_first_sweep(g, panels)
+        los, his, _est, err = first
+        # the tolerance at which each panel meets its share
+        meets = err / (0.5 * (his - los) / math.pi)
+        assert 1.01 * np.sum(err) < np.max(meets)
+        swept = circle_quad._NODE_OFFSETS.size * panels
+        for tol, refines in ((1.01 * np.max(meets), False), (1.01 * np.sum(err), False), (0.99 * np.sum(err), True)):
+            val, error, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels)
+            resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, first=first)
+            assert type(resumed[0]) is type(val) is complex
+            bits = [x.hex() for x in (val.real, val.imag, error)]
+            assert [x.hex() for x in (resumed[0].real, resumed[0].imag, resumed[1])] == bits
+            assert resumed[2] == evals - swept
+            assert (resumed[2] > 0) == refines
 
     def test_a_failed_integral_leaves_its_first_sweep_reusable(self, monkeypatch):
         def g(theta):
@@ -1529,6 +1570,23 @@ class TestFirstSweeps:
             assert sum(rotations for _n, rotations in calls) == len(phis)
             assert all(n <= cap or rotations == 1 for n, rotations in calls)
             assert len(calls) == len(phis) if cap == 15 else any(rotations > 1 for _n, rotations in calls)
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_a_lone_rotation_has_the_bits_of_the_unbatched_sweep(self, monkeypatch, name):
+        # localmin and the final stage sweep one rotation a call: at a
+        # zero's angle and at three seeded rotations, one boundary_values
+        # call at the scalar angle, with the unbatched sweep's bits
+        f = BlaschkeProduct(zeros=self.PRODUCTS[name])
+        ladders, kink_fn = circle_quad._seed_ladders(f), circle_quad._kink_solver(f)
+        rotations = np.random.default_rng(61).uniform(-math.pi, math.pi, 3)
+        calls = self.traffic(monkeypatch)
+        for phi in [cmath.phase(f.zeros[0])] + [float(phi) for phi in rotations]:
+            ref = unbatched_first_sweep(f, phi, ladders, kink_fn)
+            calls.clear()
+            (first,), evaluations = circle_quad._first_sweeps(f, [phi], ladders, kink_fn)
+            assert all(np.array_equal(a, b) for a, b in zip(first, ref, strict=True))
+            assert evaluations == 15 * ref[0].size
+            assert calls == [(evaluations, 1)]
 
     def test_no_call_passes_the_cap_but_a_lone_rotation(self, monkeypatch):
         calls = self.traffic(monkeypatch)

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module or a script imports is used in that file."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import toeplitz_bounds
 PACKAGE = Path(toeplitz_bounds.__file__).parent
 # __init__ imports names only to re-export them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -30,6 +31,11 @@ def unused_imports(source: str) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_no_unused_imports_in_scripts(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

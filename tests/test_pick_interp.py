@@ -19,7 +19,7 @@ from toeplitz_bounds import (
     pick_matrix,
     boundary_values,
 )
-from toeplitz_bounds import pick_interp, toeplitz_op
+from toeplitz_bounds import disk_core, pick_interp, toeplitz_op
 from toeplitz_bounds.omega_bounds import SLACK_LADDER
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -437,6 +437,21 @@ class TestBoundaryChain:
         construct_interpolant(p, mu)
         assert len(evaluations) >= 1
         assert len(sweeps) <= len(evaluations)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_each_level_is_put_in_polar_form_once(self, monkeypatch, n):
+        # the levels' (gamma, rho) pairs are taken once per interpolant, not
+        # once per boundary evaluation: construction's sup_norm evaluates
+        # the chain on its sweep and on every refinement stencil, and a
+        # second sup_norm takes none
+        calls = []
+        real = disk_core.zero_polar
+        monkeypatch.setattr(disk_core, "zero_polar", lambda a: calls.append(a) or real(a))
+        p, mu = near_circle_level(n)
+        h = construct_interpolant(p, mu).interpolant
+        assert calls == list(p.nodes[:-1])
+        h.sup_norm()
+        assert calls == list(p.nodes[:-1])
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_the_sup_norm_sweep_takes_no_trig(self, monkeypatch, n):
