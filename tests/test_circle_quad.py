@@ -1114,30 +1114,31 @@ class TestRotationRecords:
             resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, first=first)
             assert resumed == (val, err, evals - swept)
 
-    def test_a_first_sweep_within_its_shares_returns_the_loops_sums(self):
+    @pytest.mark.parametrize("panels", [8, 64])
+    def test_a_first_sweep_within_its_shares_returns_the_loops_sums(self, panels):
         # a resumed first sweep whose every panel is below its share returns
         # before the loop, with the tuple that the loop's single pass gives
         # the fresh integral over the same sweep, bit for bit; one that
         # passes only the global test, with a panel above its share, and one
         # that refines go through the loop to the same ends
         def g(theta):
-            return 1.0 / (0.05 + (theta - 1.0) ** 2)
+            return 1.0 / (1e-3 + (theta - 1.0) ** 2)
 
-        panels = circle_quad.LAMBDA_EDGES.size - 1
         first = self.uniform_first_sweep(g, panels)
         los, his, _est, err = first
         # the tolerance at which each panel meets its share
         meets = err / (0.5 * (his - los) / math.pi)
-        assert 1.01 * np.sum(err) < np.max(meets)
         swept = circle_quad._NODE_OFFSETS.size * panels
-        for tol, refines in ((1.01 * np.max(meets), False), (1.01 * np.sum(err), False), (0.99 * np.sum(err), True)):
+        ends = set()
+        for tol in np.geomspace(0.5 * np.sum(err), 2.0 * np.max(meets), 41):
             val, error, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels)
             resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, first=first)
             assert type(resumed[0]) is type(val) is complex
             bits = [x.hex() for x in (val.real, val.imag, error)]
             assert [x.hex() for x in (resumed[0].real, resumed[0].imag, resumed[1])] == bits
             assert resumed[2] == evals - swept
-            assert (resumed[2] > 0) == refines
+            ends.add("refined" if evals > swept else "within" if tol >= np.max(meets) else "global")
+        assert ends == {"refined", "global", "within"}
 
     def test_a_failed_integral_leaves_its_first_sweep_reusable(self, monkeypatch):
         def g(theta):
