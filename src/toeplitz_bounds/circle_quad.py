@@ -208,10 +208,10 @@ def _panel_estimates(g, los, his):
     """Gauss-Kronrod estimate and error of g's integral over each panel [lo, hi].
 
     Each panel's 15 nodes (_NODE_OFFSETS) form one row, and g gets the rows
-    panel-major in one flat array and returns an array of their values. The estimate is the 15-point Kronrod
-    value K, the error |K - G| against the embedded 7-point Gauss value G
-    plus a rounding floor. The row sums are einsums, not BLAS gemvs, which
-    would start a second thread.
+    panel-major in one flat array and returns an array of their values. The
+    estimate is the 15-point Kronrod value K, the error |K - G| against the
+    embedded 7-point Gauss value G plus a rounding floor. The row sums are
+    einsums, not BLAS gemvs, which would start a second thread.
     """
     w = his - los
     nodes = los[:, None] + w[:, None] * _NODE_OFFSETS
