@@ -29,13 +29,8 @@ def unused_imports(source: str) -> list:
     return [(line, name) for line, name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
-
-
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
-def test_no_unused_imports_in_scripts(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
