@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .disk_core import BlaschkeProduct, CirclePoint, boundary_values
+from .disk_core import BlaschkeProduct, CirclePoint, _half_angle_pair, boundary_values
 from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
 
 TWO_PI = 2.0 * math.pi
@@ -310,16 +310,14 @@ def _adaptive_theta(g, a: float, b: float, tol_abs: float, panels: int = 0, firs
     return value, error + failed_error, evaluations
 
 
-def integrate_circle(f, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Mean of f over the unit circle: (1/2pi) * integral of f(e^{i theta}).
+def integrate_circle(g, spec: QuadratureSpec = DEFAULT_SPEC):
+    """Mean of g over the unit circle: (1/2pi) * integral of g(theta) over
+    (-pi, pi], g a function of the angle theta.
 
-    f receives a complex array of boundary points and must return an array
-    of the same shape. Returns (value, error_estimate).
+    g receives an array of angles and must return an array of the same
+    shape. spec.tolerance is the absolute tolerance on the mean. Returns
+    (value, error_estimate).
     """
-
-    def g(theta):
-        return np.asarray(f(np.exp(1j * theta)))
-
     try:
         val, err, _ = _adaptive_theta(g, -math.pi, math.pi, spec.tolerance * TWO_PI, CIRCLE_PANELS)
     except ToleranceNotMet as exc:
@@ -589,12 +587,12 @@ def _integrand(f: BlaschkeProduct, phi, theta):
 
     One call of boundary_values in its pair form: theta is passed as the
     offset, so factors near the rotation angle keep full relative accuracy
-    at increments far below ulp(phi), and the kernel gets the integrand's
-    sin(theta/2) for its half-angle terms.
+    at increments far below ulp(phi), and the kernel gets the half-angle
+    pair of theta, whose sine the integrand's denominator reads too.
     """
-    sh = np.sin(0.5 * theta)
-    both = boundary_values(f, phi, offset=theta, sin_half=sh)
-    return np.abs(both[: theta.size] - both[theta.size :]) / (2.0 * sh)
+    half = _half_angle_pair(theta)
+    both = boundary_values(f, phi, offset=theta, half=half)
+    return np.abs(both[: theta.size] - both[theta.size :]) / (2.0 * half[1].real)
 
 
 def _first_sweeps(f: BlaschkeProduct, phis, ladders, kink_fn):

@@ -21,8 +21,9 @@ B(e^{i(theta - offset)}), which share that trig by parity. There theta is a
 scalar, or one rotation per offset, constant along runs, so the sweeps of
 many rotations share one call: each run's theta - gamma is reduced once, as
 a scalar theta's is, and each node keeps the bits of the call at its own
-rotation. A caller that needs sin(offset/2) itself can take it first and
-pass it as sin_half, so the sine is taken once.
+rotation. A caller that needs the half-angle trig of the offsets itself
+takes their pair first, by _half_angle_pair, and passes it as half, so the
+trig is taken once.
 boundary_factors keeps the factors of a product apart, one row each, for
 callers that compose them with more than multiplication: the Pick side
 holds its Schur levels' nodes as one product, built once per interpolant.
@@ -161,16 +162,13 @@ def _derivative_at_zero(zeros, k):
     return (1.0 - rho) * (1.0 + rho) / (1 - al * np.conj(zeros[k])) ** 2 * rest
 
 
-def _half_angle_pair(u, sin_half=None):
+def _half_angle_pair(u):
     """cos(u/2) and sin(u/2) on the array u, real values held as complex:
-    the trig that _half_angle_terms builds every term from. sin_half, if
-    given, is sin(u/2) already taken."""
-    if sin_half is None:
-        sin_half = np.sin(0.5 * u)
-    return np.cos(0.5 * u).astype(complex), sin_half.astype(complex)
+    the trig that _half_angle_terms builds every term from."""
+    return np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
 
 
-def _half_angle_terms(polar, u, base=None, sin_half=None, half=None):
+def _half_angle_terms(polar, u, base=None, half=None):
     """Yield, zero by zero, the half-angle term w at every angle, with
     d = 1 - rho and e^{i gamma}; w is one buffer, overwritten by the next yield.
     polar is the zeros' (gamma, rho) pairs, a BlaschkeProduct's polar, so no
@@ -184,15 +182,14 @@ def _half_angle_terms(polar, u, base=None, sin_half=None, half=None):
     by the - terms. The base is a scalar, or an array of u's shape that is
     constant along runs: base - gamma is then reduced once per run, and each
     node gets the two scalars of its run, the ones a scalar base would give
-    it. sin_half, if given, is sin(u/2) already taken; half, if given, is
-    the whole pair _half_angle_pair(u) already taken (a constant table of
-    the caller's), and no trig is taken here. Both are read, never written.
-    No zeros, no sweep.
+    it. half, if given, is the pair _half_angle_pair(u) already taken by the
+    caller, and no trig is taken here; it is read, never written. No zeros,
+    no sweep.
     """
     if not polar:
         return
     pair = base is not None
-    cu, su = _half_angle_pair(u, sin_half) if half is None else half
+    cu, su = _half_angle_pair(u) if half is None else half
     n = u.size
     w = np.empty((2 * n,) if pair else u.shape, dtype=complex)
     y = np.empty_like(cu)
@@ -224,7 +221,7 @@ def _half_angle_terms(polar, u, base=None, sin_half=None, half=None):
         yield w, d, cmath.exp(1j * gamma)
 
 
-def boundary_values(B: BlaschkeProduct, theta, offset=None, sin_half=None):
+def boundary_values(B: BlaschkeProduct, theta, offset=None, half=None):
     """Evaluate B(e^{i*theta}), or with an offset the symmetric pair
     B(e^{i*(theta + offset)}) followed by B(e^{i*(theta - offset)}),
     without cancellation near the zeros.
@@ -245,8 +242,8 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, sin_half=None):
     numpy's cos is even and its sin odd, bit for bit, so both signs share
     one trig sweep and one pair of products per factor: w = x + y for
     +offset and x - y for -offset, with the bits of evaluating -offset
-    directly. sin_half, np.sin(0.5 * u) already taken by the caller, stands
-    in for the kernel's own sine of u; the values keep their bits.
+    directly. half, _half_angle_pair(u) already taken by the caller, stands
+    in for the kernel's own trig of u; the values keep their bits.
     """
     theta = np.asarray(theta, dtype=float)
     pair = offset is not None
@@ -259,9 +256,9 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, sin_half=None):
         theta, u = (theta.ravel() if theta.ndim else float(theta)), u.ravel()
     prod = np.ones((2 * u.size,) if pair else u.shape, dtype=complex)
     rot, floor = 1.0 + 0j, 1.0
-    if sin_half is not None:
-        sin_half = np.asarray(sin_half, dtype=float).reshape(u.shape)
-    for w, d, turn in _half_angle_terms(B.polar, u, theta if pair else None, sin_half):
+    if half is not None:
+        half = tuple(p.reshape(u.shape) for p in half)
+    for w, d, turn in _half_angle_terms(B.polar, u, theta if pair else None, half):
         prod *= w
         # |w| >= 1 - rho: rescale before the product of the |w| can underflow
         floor *= d

@@ -23,7 +23,7 @@ from toeplitz_bounds import (
     lambda_functional,
 )
 from toeplitz_bounds import circle_quad, disk_core
-from toeplitz_bounds.disk_core import boundary_values
+from toeplitz_bounds.disk_core import _half_angle_pair, boundary_values
 from toeplitz_bounds.omega_bounds import _ray_zeros
 
 from test_disk_core import previous_sweep
@@ -60,23 +60,23 @@ class TestQuadratureSpec:
 
 class TestIntegrateCircle:
     def test_constant(self):
-        v, err = integrate_circle(lambda w: np.ones_like(w))
+        v, err = integrate_circle(lambda theta: np.ones_like(theta))
         assert v == pytest.approx(1.0, abs=1e-12)
         assert err < 1e-9
 
     def test_monomials_average_to_zero(self):
         for k in (1, 2, 5):
-            v, _ = integrate_circle(lambda w, k=k: w**k)
+            v, _ = integrate_circle(lambda theta, k=k: np.exp(1j * k * theta))
             assert abs(v) < 1e-12
 
     def test_analytic_function_averages_to_center_value(self):
-        v, _ = integrate_circle(lambda w: 1.0 / (1.0 - 0.5 * w))
+        v, _ = integrate_circle(lambda theta: 1.0 / (1.0 - 0.5 * np.exp(1j * theta)))
         assert v == pytest.approx(1.0, abs=1e-11)
 
     def test_tolerance_not_met_carries_best_value(self, monkeypatch):
         monkeypatch.setattr(circle_quad, "MAX_DEPTH", 1)
         spec = QuadratureSpec(tolerance=1e-12)
-        sharp = lambda w: 1.0 / np.abs(w - (1.0 + 1e-6))
+        sharp = lambda theta: 1.0 / np.abs(np.exp(1j * theta) - (1.0 + 1e-6))
         with pytest.raises(ToleranceNotMet) as exc:
             integrate_circle(sharp, spec)
         assert exc.value.value is not None
@@ -1520,9 +1520,9 @@ def unbatched_first_sweep(f, phi, ladders, kink_fn):
     los, his = edges[:-1], edges[1:]
 
     def g(theta):
-        sh = np.sin(0.5 * theta)
-        both = boundary_values(f, phi, offset=theta, sin_half=sh)
-        return np.abs(both[: theta.size] - both[theta.size :]) / (2.0 * sh)
+        half = _half_angle_pair(theta)
+        both = boundary_values(f, phi, offset=theta, half=half)
+        return np.abs(both[: theta.size] - both[theta.size :]) / (2.0 * half[1].real)
 
     return (los, his, *circle_quad._panel_estimates(g, los, his))
 
@@ -1540,10 +1540,10 @@ class TestFirstSweeps:
         calls = []
         real = circle_quad.boundary_values
 
-        def counted(B, theta, offset=None, sin_half=None):
+        def counted(B, theta, offset=None, half=None):
             if offset is not None:
                 calls.append((np.size(offset), np.unique(theta).size))
-            return real(B, theta, offset, sin_half)
+            return real(B, theta, offset, half)
 
         monkeypatch.setattr(circle_quad, "boundary_values", counted)
         return calls

@@ -133,6 +133,21 @@ class TestLambdaCommand:
         run_main(capsys, ["lambda", "--zeros", "0.5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stdout_and_csv_are_pinned(self, capsys, tmp_path):
+        # the README example on stdout, and the CSV that --out writes, which
+        # leaves stdout empty
+        code, out, err = run_main(capsys, ["lambda", "--zeros", "0.5", "-0.25,0.1"])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "15ca654126b4c3e55226a346ef6a9249ff6bd53119e86b5fd7b35b9d2fd1e5de"
+        )
+        target = tmp_path / "lambda.csv"
+        code, out, err = run_main(capsys, ["lambda", "--zeros", "0.5", "--out", str(target)])
+        assert (code, out) == (0, ""), err
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "c3f1a860b48d4031881dae178c9e26f0dc3e1c537c909cc925a320504df105d9"
+        )
+
     def test_readme_example_with_a_negative_real_part(self, capsys):
         code, out, err = run_main(capsys, ["lambda", "--zeros", "0.5", "-0.25,0.1"])
         assert code == 0, err
@@ -183,28 +198,49 @@ class TestApplyCommand:
                 # a1a664df...b471e6d6 with the 28-node midpoint panels
                 "7fa171a9a005f92b032c0b6cf23589afd1ba7bc85e7fd8e840dfdc91da8afc9c",
             ),
+            (
+                ["--zeros", "0.5", "--h", "0;0;1", "--z", "0.1,0.2", "--method", "contour"],
+                # 67ebc935...75f1791c with trapezoid doubling, 0.46499999999999997,0.13
+                "5d9af94d6d6c54acd8e373174974841b046372a4710e8b44f9a3016d8679b03b",
+            ),
+            (
+                ["--zeros", "0.5", "--h", "1", "--z", "0", "--method", "contour"],
+                # 4a233290...ed1f5655 with trapezoid doubling, -0.5
+                "dfe34e9956c271d88bb1da4ae518224e8e8c12e72fb742e4787caaad98a08f1f",
+            ),
+            (
+                [
+                    "--zeros", "0.5", "-0.25,0.1", "0.3,-0.6", "--h", "1;0.5;0.25,0.1", "--z", "0.1,0.2",
+                    "--method", "contour",
+                ],
+                # b88b22b7...127b385b with trapezoid doubling
+                "14f83d49a252be324505aa2ddddefa5b5d769d41fa7a28ddec0e78fe64e26d9b",
+            ),
         ],
-        ids=["residue", "contour-fallback"],
+        ids=["residue", "contour-fallback", "contour-readme", "contour-constant", "contour-degree-3"],
     )
     def test_stdout_is_pinned(self, capsys, monkeypatch, argv, digest):
-        # the residue route on a degree-3 symbol, and the contour route next
-        # to a zero 1e-6 from the circle, where trapezoid doubling stalls and
-        # the adaptive integrate_circle takes over; digests recorded when B'
-        # at the zeros came from the full product rule, the contour one again
-        # with the Gauss-Kronrod panels, which moved its value from 1.4e-8 to
-        # 1.3e-13 off the residue route's
-        fallbacks = []
+        # the residue route on a degree-3 symbol, and the contour route, one
+        # integrate_circle call, on the README example, on a constant, on
+        # that degree-3 case and next to a zero 1e-6 from the circle. That
+        # last digest is older than the single integrator: trapezoid
+        # doubling stalled there and handed over to integrate_circle, so
+        # dropping the doubling kept its bits. Digests recorded when B' at
+        # the zeros came from the full product rule, the near-circle one
+        # again with the Gauss-Kronrod panels, which moved its value from
+        # 1.4e-8 to 1.3e-13 off the residue route's.
+        integrals = []
         real = toeplitz_op.integrate_circle
 
-        def counted(f, spec):
-            fallbacks.append(spec)
-            return real(f, spec)
+        def counted(g, spec):
+            integrals.append(spec)
+            return real(g, spec)
 
         monkeypatch.setattr(toeplitz_op, "integrate_circle", counted)
         code, out, err = run_main(capsys, ["apply"] + argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert len(fallbacks) == ("contour" in argv)
+        assert len(integrals) == ("contour" in argv)
 
 
 class TestPickCommand:

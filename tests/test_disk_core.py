@@ -17,7 +17,7 @@ from toeplitz_bounds import (
     eval_blaschke,
     pseudohyperbolic_distance,
 )
-from toeplitz_bounds.disk_core import _derivative_at_zero, boundary_factors
+from toeplitz_bounds.disk_core import _derivative_at_zero, _half_angle_pair, boundary_factors
 
 disk_points = st.complex_numbers(max_magnitude=0.93, allow_nan=False, allow_infinity=False)
 
@@ -336,8 +336,9 @@ class TestBoundaryValues:
         assert rescaled >= 3
 
     def test_a_given_half_angle_sine_keeps_the_bits(self):
-        # the pair form with sin(offset/2) taken by the caller, as the Lambda
-        # integrand takes it, against the kernel taking its own
+        # the pair form with the half-angle pair of the offset taken by the
+        # caller, as the Lambda integrand takes it, against the kernel taking
+        # its own
         rng = np.random.default_rng(89)
         for n in (0, 1, 6, 20):
             deficits = 10.0 ** rng.uniform(-12.0, 0.0, n)
@@ -345,7 +346,7 @@ class TestBoundaryValues:
             B = BlaschkeProduct(zeros=zeros)
             offset = 10.0 ** rng.uniform(-14.0, math.log10(math.pi), 301)
             for base in (float(np.angle(zeros[0])) if n else 0.0, rng.uniform(-np.pi, np.pi)):
-                shared = boundary_values(B, base, offset, sin_half=np.sin(0.5 * offset))
+                shared = boundary_values(B, base, offset, half=_half_angle_pair(offset))
                 assert np.array_equal(shared, boundary_values(B, base, offset))
 
     def test_periodic_without_reduction(self):

@@ -7,7 +7,8 @@ definitions by name (a call of C(...) passes the parameters of C.__init__),
 so a name shared by two definitions counts its calls for both. A parameter
 is passed by keyword, or by position when the call has enough positional
 arguments; a call that forwards *args or **kwargs passes every parameter.
-Fields of dataclasses have no def and are not covered.
+A field of a dataclass with a default is a defaulted parameter of its
+class's constructor, at its place among the class's fields.
 """
 
 import ast
@@ -20,17 +21,29 @@ EXEMPT = {
 }
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated with @dataclass or @dataclass(...)."""
+    names = (getattr(d.func if isinstance(d, ast.Call) else d, "id", None) for d in node.decorator_list)
+    return "dataclass" in names
+
+
 def defaulted_parameters(source: str, module: str) -> dict:
     """{module.qualname.parameter: (callable name, positional index or None)}
     for every parameter with a default of every def in the source, nested
-    ones included. The callable name of __init__ is its class's name; the
-    index counts positional parameters after self or cls, and is None for a
-    keyword-only parameter."""
+    ones included, and every field with a default of every dataclass. The
+    callable name of __init__ and of a field is its class's name; the index
+    counts positional parameters after self or cls, or a field's place among
+    its class's fields, and is None for a keyword-only parameter."""
     found = {}
 
     def visit(node, scope, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if is_dataclass(child):
+                    fields = [f for f in child.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+                    for index, f in enumerate(fields):
+                        if f.value is not None:
+                            found[".".join([module] + scope + [child.name, f.target.id])] = (child.name, index)
                 visit(child, scope + [child.name], True)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 decorators = {d.id for d in child.decorator_list if isinstance(d, ast.Name)}
@@ -121,3 +134,15 @@ def test_the_check_matches_keywords_positions_forwarding_and_constructors():
     }
     calls = "f(0, 5)\nK()\nobj.m(z=4)\ng(*args)\ns(**kw)\n"
     assert unpassed(defined, passed_parameters(calls)) == {"mod.f.c", "mod.K.__init__.x", "mod.K.m.y"}
+
+
+def test_the_check_covers_dataclass_fields_with_defaults():
+    source = (
+        "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 1\n    c: tuple = field(default=())\n\n"
+        "@dataclass\nclass E:\n    x: float = 0.0\n\n"
+        "class P:\n    y: int = 2\n"
+    )
+    defined = defaulted_parameters(source, "mod")
+    assert defined == {"mod.D.b": ("D", 1), "mod.D.c": ("D", 2), "mod.E.x": ("E", 0)}
+    calls = "D(0, 5)\nE()\n"
+    assert unpassed(defined, passed_parameters(calls)) == {"mod.D.c", "mod.E.x"}

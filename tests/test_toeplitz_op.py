@@ -18,6 +18,7 @@ from toeplitz_bounds import (
     eval_blaschke,
     lambda_functional,
     lemma1_upper_bound,
+    toeplitz_op,
 )
 
 
@@ -84,6 +85,27 @@ class TestRouteAgreement:
             vr = apply_toeplitz_residue(B, h, z)
             vc, _ = apply_toeplitz_contour(B, h, z)
             assert abs(vr - vc) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("d", [1e-4, 1e-6, 1e-9])
+    def test_contour_resolves_a_zero_near_the_circle_in_few_points(self, monkeypatch, d, alpha):
+        # one adaptive integral places its nodes at the zero's peak: a few
+        # thousand boundary points, where uniform node doubling took 131,072
+        # to 2,099,312 and still stopped 1.45e-9 off at d = 1e-9, alpha = 0.7
+        points = []
+        real = toeplitz_op.boundary_values
+
+        def counted(B, theta, *args, **kwargs):
+            points.append(np.size(theta))
+            return real(B, theta, *args, **kwargs)
+
+        monkeypatch.setattr(toeplitz_op, "boundary_values", counted)
+        B = BlaschkeProduct(zeros=((1.0 - d) * cmath.exp(1j * alpha), 0.3j))
+        h = RationalFunction((1.0, 0.5, 0.2j))
+        value, _ = apply_toeplitz_contour(B, h, 0.2)
+        reference = apply_toeplitz_residue(B, h, 0.2)
+        assert sum(points) <= 20_000
+        assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
 
     def test_contour_reports_its_quadrature_error(self):
         B = BlaschkeProduct(zeros=(0.5, -0.5))
