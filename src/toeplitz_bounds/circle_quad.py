@@ -138,8 +138,8 @@ class QuadratureSpec:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not (self.tolerance >= 1e-12):
-            raise InvalidConfiguration("tolerance must be at least 1e-12")
+        if not (1e-12 <= self.tolerance < math.inf):
+            raise InvalidConfiguration(f"tolerance must be finite and at least 1e-12, got {self.tolerance!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()

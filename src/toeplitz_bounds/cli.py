@@ -4,7 +4,8 @@ Subcommands
     lambda       oscillation functional of a Blaschke product
     apply        one Toeplitz application T_B h at a point
     pick         minimal interpolation level, optionally a constructed witness
-    bracket      certified [lower, upper] for the operator norm of one symbol
+    bracket      [lower, upper] for the operator norm of one symbol: certified
+                 lower, estimated upper
     omega-study  (q, m) sweep reproducing the extremal growth 1 + 2n
 
 Complex values on the command line are written "re,im" (a bare real is also
@@ -17,11 +18,14 @@ same inputs are byte-identical. Exit status: 0 success, 1 numeric failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
 import re
 import sys
+
+import numpy as np
 
 from .circle_quad import QuadratureSpec, lambda_functional
 from .disk_core import BlaschkeProduct, CirclePoint, complex_pairs
@@ -42,7 +46,7 @@ from .omega_bounds import (
     study_to_json,
 )
 from .pick_interp import InterpolationProblem, construct_interpolant, minimal_level
-from .toeplitz_op import RationalFunction, apply_toeplitz_contour, apply_toeplitz_residue
+from .toeplitz_op import apply_toeplitz_contour, apply_toeplitz_residue
 
 
 def parse_complex(token: str) -> complex:
@@ -94,13 +98,23 @@ def zeros_digest(zeros) -> str:
 
 def _parse_h(text: str):
     """Argument function: '1' (or any single real) is a constant, otherwise
-    space-free comma tokens separated by ';' give polynomial coefficients."""
+    space-free comma tokens separated by ';' give polynomial coefficients,
+    lowest degree first, evaluated by Horner's rule."""
     text = text.strip()
     tokens = text.split(";") if ";" in text else text.split()
     coeffs = [parse_complex(t) for t in tokens]
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise InvalidConfiguration(f"coefficients of --h must be finite, got {text!r}")
     if len(coeffs) == 1:
         return coeffs[0]
-    return RationalFunction(numerator=tuple(coeffs))
+
+    def polynomial(z):
+        out = np.zeros_like(np.asarray(z) * (1 + 0j))
+        for c in reversed(coeffs):
+            out = out * z + c
+        return out
+
+    return polynomial
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -224,13 +238,17 @@ def _cmd_omega_study(args) -> int:
 
 
 _UNSIGNED = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
-# "-0.25" or "-0.25,0.1": a value, not an option (no option starts with a digit)
-_NEGATIVE_VALUE = re.compile(rf"^-{_UNSIGNED}(,[-+]?{_UNSIGNED})?$")
+_SIGNED = rf"[-+]?{_UNSIGNED}"
+# "-0.25", "-0.25,0.1" or "-0.5;1;0,2": a value, not an option (no option
+# starts with a digit)
+_NEGATIVE_VALUE = re.compile(rf"^-{_UNSIGNED}(,{_SIGNED})?(;{_SIGNED}(,{_SIGNED})?)*$")
 
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reads a complex token with a negative real part,
-    such as "-0.25,0.1", as a value the way argparse already reads "-0.25"."""
+    such as "-0.25,0.1", or a ';'-separated list of them that starts with
+    one, such as --h's "-0.5;1", as a value the way argparse already reads
+    "-0.25"."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

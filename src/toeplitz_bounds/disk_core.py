@@ -25,8 +25,9 @@ rotation. A caller that needs the half-angle trig of the offsets itself
 takes their pair first, by _half_angle_pair, and passes it as half, so the
 trig is taken once.
 boundary_factors keeps the factors of a product apart, one row each, for
-callers that compose them with more than multiplication: the Pick side
-holds its Schur levels' nodes as one product, built once per interpolant.
+callers that compose them with more than multiplication: the Schur chain
+(toeplitz_op.RationalFunction) holds its levels' nodes as one product,
+built once per interpolant.
 A caller that sweeps the same angles on every call
 (RationalFunction.sup_norm) keeps their pair and passes it to
 boundary_factors as half, so that sweep takes no trig at all.

@@ -234,7 +234,8 @@ def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
 
 @dataclass(frozen=True)
 class NormBracket:
-    """Certified [lower, upper] for the operator norm with provenance."""
+    """[lower, upper] for the operator norm with provenance: the lower is
+    certified, the upper is an estimate (see lemma1_upper_bound)."""
 
     lower: float
     upper: float

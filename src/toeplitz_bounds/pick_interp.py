@@ -12,16 +12,16 @@ disk. Those parameters certify analyticity of the interpolant on the closed
 disk structurally: the returned function is mu times a composition of disk
 self-maps, so its sup-norm never exceeds the level used.
 
+The interpolant is toeplitz_op.RationalFunction, which holds the chain
+itself (nodes, parameters and level) and evaluates, samples and expands it.
+
 Ray configurations push nodes within 1e-11 of the circle, where the products
 1 - x_j conj(x_k) live at the rounding floor of double precision. The kernel
 matrix, its Cholesky factor and the whole recursion are therefore computed in
 clongdouble; on x86 that buys about ten extra digits exactly where the
-cancellation bites. The one exception is the boundary sweep behind the
-reported sup-norm: on the circle the Moebius factors come from
-disk_core.boundary_factors, whose half-angle form keeps full relative
-accuracy there, so that sweep runs in complex128. All levels share one
-half-angle sweep per evaluation, and sup_norm's fixed grid takes that trig
-from a table built once.
+cancellation bites, and the chain is evaluated inside the disk in the same
+precision. The one exception is the chain's boundary sweep behind the
+reported sup-norm, which runs in complex128 (see RationalFunction).
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ import numpy as np
 
 from .disk_core import (
     SEPARATION,
-    BlaschkeProduct,
     as_complex,
-    boundary_factors,
     complex_pairs,
     pseudohyperbolic_distance,
 )
@@ -202,65 +200,6 @@ def _schur_parameters(nodes, targets, mu):
     return x, gammas
 
 
-def _chain_evaluator(x, gammas, mu):
-    """Evaluate mu * f_0 through the backward fraction chain, in clongdouble."""
-    mu_l = np.clongdouble(mu)
-
-    def evaluate(z):
-        zl = np.asarray(z, dtype=np.clongdouble) * np.clongdouble(1)
-        f = np.full_like(zl, gammas[-1])
-        for j in range(x.size - 2, -1, -1):
-            b = (zl - x[j]) / (1.0 - np.conj(x[j]) * zl)
-            f = (b * f + gammas[j]) / (1.0 + np.conj(gammas[j]) * b * f)
-        out = (mu_l * f).astype(complex)
-        return out[()] if out.ndim == 0 else out
-
-    return evaluate
-
-
-def _boundary_evaluator(x, gammas, mu):
-    """Evaluate (theta, half) -> mu * f_0(e^{i theta}) through the same chain, in complex128.
-
-    The Moebius factors of all levels on the circle come from one
-    boundary_factors call per evaluation, which takes the half-angle trig of
-    theta once and needs only 1 - |x_j|, so nodes within 1e-11 of the circle
-    need no extended precision. The levels' nodes are the zeros of one
-    BlaschkeProduct, built once per interpolant, so each level's (gamma, rho)
-    is taken once, not once per evaluation. Row j has the bits of that
-    level's own boundary_values, so the chain's values do not depend on the
-    sharing. half is None, or that trig already taken (sup_norm's sweep
-    table), handed to boundary_factors; the values keep their bits.
-    """
-    levels = BlaschkeProduct(zeros=tuple(complex(a) for a in x[:-1]))
-    g = gammas.astype(complex)
-
-    def evaluate(theta, half):
-        factors = boundary_factors(levels, theta, half)
-        f = np.full(np.shape(theta), g[-1])
-        for j in range(levels.degree - 1, -1, -1):
-            bf = factors[j] * f
-            f = (bf + g[j]) / (1.0 + np.conj(g[j]) * bf)
-        return mu * f
-
-    return evaluate
-
-
-def _chain_polynomials(x, gammas, mu):
-    """Expand the chain to monomial numerator/denominator (degree <= N-1)."""
-    P = np.array([gammas[-1]], dtype=np.clongdouble)
-    Q = np.array([1.0], dtype=np.clongdouble)
-    for j in range(x.size - 2, -1, -1):
-        bnum = np.array([-x[j], 1.0], dtype=np.clongdouble)
-        bden = np.array([1.0, -np.conj(x[j])], dtype=np.clongdouble)
-        top = np.convolve(bnum, P)
-        bot = np.convolve(bden, Q)
-        P = top + gammas[j] * bot
-        Q = bot + np.conj(gammas[j]) * top
-    num = (np.clongdouble(mu) * P / Q[0]).astype(complex)
-    den = (Q / Q[0]).astype(complex)
-    return num, den
-
-
 def construct_interpolant(problem: InterpolationProblem, mu: float) -> InterpolantCertificate:
     """Build the interpolant at a strictly feasible level.
 
@@ -269,22 +208,19 @@ def construct_interpolant(problem: InterpolationProblem, mu: float) -> Interpola
     is the feasibility test: a parameter of modulus >= 1 raises
     NotStrictlyFeasible, and a residual above 1e-8 (1 + max |y|) raises
     NumericalBreakdown. The result carries achieved residuals and a sampled
-    boundary sup-norm, RationalFunction.sup_norm over the complex128 boundary
-    evaluator: a lower estimate reported for inspection, never divided by.
+    boundary sup-norm, RationalFunction.sup_norm over the chain's complex128
+    boundary values: a lower estimate reported for inspection, never divided by.
     Analyticity, and sup |h| <= mu, are certified by the recursion
     parameters, all strictly inside the disk. A level that is not positive
     and finite raises InvalidConfiguration.
     """
     if not (0.0 < mu < np.inf):
         raise InvalidConfiguration(f"level mu must be positive and finite, got {mu!r}")
-    x, gammas = _schur_parameters(problem.nodes, problem.targets, mu)
-    evaluate = _chain_evaluator(x, gammas, mu)
-    num, den = _chain_polynomials(x, gammas, mu)
-    h = RationalFunction(num, den, evaluator=evaluate, boundary=_boundary_evaluator(x, gammas, mu))
+    h = RationalFunction(*_schur_parameters(problem.nodes, problem.targets, mu), mu)
 
     nodes_arr = np.array(problem.nodes, dtype=complex)
     targets_arr = np.array(problem.targets, dtype=complex)
-    residuals = tuple(float(r) for r in np.abs(evaluate(nodes_arr) - targets_arr))
+    residuals = tuple(float(r) for r in np.abs(h(nodes_arr) - targets_arr))
     ymax = float(np.max(np.abs(targets_arr)))
     if max(residuals) > 1e-8 * (1.0 + ymax):
         raise NumericalBreakdown(

@@ -13,7 +13,14 @@ adaptive Gauss-Kronrod integrator of circle_quad.integrate_circle.
 
 Residue evaluations run internally in extended precision (clongdouble) so the
 formula stays accurate when zeros approach the circle and 1 - conj(a_j)*a_k
-shrinks toward the rounding floor of double precision.
+shrinks toward the rounding floor of double precision. The argument h of
+either route is a constant or any callable; the CLI passes its polynomials as
+plain Horner closures.
+
+RationalFunction is the one interpolant type: the Schur chain (nodes,
+parameters, level) that pick_interp.construct_interpolant builds. It
+evaluates the chain inside the disk and on the circle, samples its boundary
+sup-norm, and expands it to monomials only in to_dict.
 """
 
 from __future__ import annotations
@@ -36,12 +43,12 @@ from .disk_core import (
     _derivative_at_zero,
     _half_angle_pair,
     as_complex,
+    boundary_factors,
     boundary_values,
     eval_blaschke,
 )
 from .errors import InvalidConfiguration, PointCollision, RepeatedZero
 
-POLE_MARGIN = 1e-9
 # sup_norm sweep: SUP_SAMPLES uniform angles, of whose local maxima the
 # SUP_PEAKS highest are refined.
 SUP_SAMPLES = 4096
@@ -64,82 +71,66 @@ for _table in (_SUP_THETA, *_SUP_HALF):
 _SUP_SCAN = SUP_PEAKS + 4 * (SUP_PEAKS - 1)
 
 
-def _polyval(coeffs, z):
-    out = np.zeros_like(np.asarray(z) * (1 + 0j))
-    for c in reversed(tuple(coeffs)):
-        out = out * z + c
-    return out
-
-
 class RationalFunction:
-    """Quotient of polynomials, analytic on the closed unit disk.
+    """The Schur chain of a Pick interpolant: h = level * f_0, analytic on the closed disk.
 
-    Coefficients are stored in ascending order and must be finite.
-    Without an evaluator, construction checks that all denominator roots stay
-    outside |w| = 1 + 1e-9. Solver-built interpolants carry a trusted evaluator
-    closure whose analyticity is certified structurally (Schur parameters
-    inside the disk); for those the root check is skipped, since near-minimal
-    interpolants have poles legitimately closer to the circle than the margin
-    while remaining outside it. They may also carry a boundary evaluator,
-    theta -> h(e^{i theta}) on an array of angles, which sup_norm samples in
-    place of the general one. It is called as boundary(theta, half), with
-    half None or the half-angle pair of theta already taken (see
-    disk_core.boundary_factors).
+    With nodes x_0..x_{N-1}, parameters gamma_0..gamma_{N-1} (all strictly
+    inside the disk) and b_j(z) = (z - x_j) / (1 - conj(x_j) z), the chain is
+    f_{N-1} = gamma_{N-1} and f_j = (b_j f_{j+1} + gamma_j) / (1 + conj(gamma_j) b_j f_{j+1}),
+    so each f_j is a disk self-map and sup |h| <= level. The last node
+    enters no factor. pick_interp.construct_interpolant builds it.
+
+    Calling it evaluates the chain in clongdouble at points of the disk. On
+    the circle (_on_circle) the Moebius factors of all levels come from one
+    disk_core.boundary_factors call per evaluation, whose half-angle form
+    needs only 1 - |x_j|, so nodes within 1e-11 of the circle need no
+    extended precision there. The levels' nodes are the zeros of one
+    BlaschkeProduct, built here, so each level's (gamma, rho) is taken once
+    per interpolant.
     """
 
-    def __init__(self, numerator, denominator=(1.0,), *, evaluator=None, boundary=None):
-        num = np.atleast_1d(np.asarray(numerator, dtype=complex))
-        den = np.atleast_1d(np.asarray(denominator, dtype=complex))
-        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
-            raise InvalidConfiguration("coefficients must be finite")
-        if not np.any(den != 0):
-            raise InvalidConfiguration("denominator is identically zero")
-        while den.size > 1 and den[-1] == 0:
-            den = den[:-1]
-        while num.size > 1 and num[-1] == 0:
-            num = num[:-1]
-        if evaluator is None and den.size > 1:
-            roots = np.roots(den[::-1])
-            bad = np.abs(roots) <= 1.0 + POLE_MARGIN
-            if np.any(bad):
-                raise InvalidConfiguration(
-                    f"denominator root at modulus {np.min(np.abs(roots[bad]))!r} "
-                    f"is not outside 1 + {POLE_MARGIN}"
-                )
-        self.numerator = num
-        self.denominator = den
-        self._evaluator = evaluator
-        self._boundary = boundary
+    def __init__(self, nodes, gammas, level):
+        self.nodes = np.asarray(nodes, dtype=np.clongdouble)
+        self.gammas = np.asarray(gammas, dtype=np.clongdouble)
+        self.level = level
+        self._levels = BlaschkeProduct(zeros=tuple(complex(a) for a in self.nodes[:-1]))
 
     def __call__(self, z):
-        if self._evaluator is not None:
-            return self._evaluator(z)
-        return _polyval(self.numerator, z) / _polyval(self.denominator, z)
+        x, gammas = self.nodes, self.gammas
+        zl = np.asarray(z, dtype=np.clongdouble) * np.clongdouble(1)
+        f = np.full_like(zl, gammas[-1])
+        for j in range(x.size - 2, -1, -1):
+            b = (zl - x[j]) / (1.0 - np.conj(x[j]) * zl)
+            f = (b * f + gammas[j]) / (1.0 + np.conj(gammas[j]) * b * f)
+        out = (np.clongdouble(self.level) * f).astype(complex)
+        return out[()] if out.ndim == 0 else out
 
     def __repr__(self):
-        return f"RationalFunction(num deg {self.numerator.size - 1}, den deg {self.denominator.size - 1})"
+        return f"RationalFunction({self.nodes.size} nodes, level {self.level!r})"
 
     def sup_norm(self) -> float:
-        """Boundary sup-norm by dense sampling plus batched parabolic refinement of the top peaks.
+        """Boundary sup-norm of the chain by dense sampling plus batched parabolic refinement of the top peaks.
 
-        The sweep evaluates |h(e^{i theta})| at SUP_SAMPLES uniform angles,
-        through the boundary evaluator when the function carries one, which
-        gets the sweep's half-angle pair from a table built at import, so
-        the sweep takes no trig; without one, through e^{i theta}. The
-        SUP_PEAKS highest local maxima of the samples, at least three grid
-        steps apart, are then refined together, in at most REFINE_STEPS
-        batched evaluations of one 3-point stencil per peak. Each step fits
-        a parabola to (top sample / |h|)^2 on the stencil and moves the
+        The sweep evaluates |h(e^{i theta})| at SUP_SAMPLES uniform angles
+        through _on_circle, which gets the sweep's half-angle pair from a
+        table built at import, so the sweep takes no trig. The SUP_PEAKS
+        highest local maxima of the samples, at least three grid steps
+        apart, are then refined together, in at most REFINE_STEPS batched
+        evaluations of one 3-point stencil per peak. Each step fits a
+        parabola to (top sample / |h|)^2 on the stencil and moves the
         stencil to its vertex, by at most one stencil width; a stencil whose
-        middle point was the highest also shrinks by REFINE_SHRINK. Near a
-        peak that one pole close to the circle dominates, that transform is
-        itself locally a parabola, so such a peak is found even when it is
-        narrower than the grid step; a narrow peak shaped by several poles,
-        or one on the flank of a higher sampled peak, may be under-resolved.
+        middle point was the highest also shrinks by REFINE_SHRINK.
         Refinement stops early once every stencil is settled: its middle
         value matches the vertex value predicted one step earlier, or its
         three values agree, to REFINE_RTOL. The result is the largest
         modulus evaluated, a lower estimate of the true supremum.
+
+        Its measured reach, on two-level chains whose first node lies delta
+        from the circle (three node angles by three parameter pairs, where
+        the exact supremum is known): within 1.2e-15 relative at delta =
+        1e-2 and 3e-3, where the sweep alone reads up to 2.6e-3 low; at
+        delta = 1e-3, 3 of 9 cases short by up to 9.7e-7; up to 12 % low at
+        delta = 1e-4, and up to 76 % low at 1e-7.
 
         A nearly inner interpolant has thousands of local maxima made by
         rounding plateaus. They are ranked by one full argsort, whose order
@@ -211,17 +202,42 @@ class RationalFunction:
         return best
 
     def _on_circle(self, theta, half=None):
-        """Values h(e^{i theta}) on an array of angles. half, if not None,
-        is disk_core._half_angle_pair(theta), which a boundary evaluator
-        uses in place of its own trig."""
-        if self._boundary is not None:
-            return self._boundary(theta, half)
-        return self(np.exp(1j * theta))
+        """Values h(e^{i theta}) on an array of angles, in complex128. half,
+        if not None, is disk_core._half_angle_pair(theta) already taken (the
+        sweep table), handed to boundary_factors; the values keep their bits.
+        Row j of the factors has the bits of that level's own
+        boundary_values, so the values do not depend on the sharing."""
+        factors = boundary_factors(self._levels, theta, half)
+        g = self.gammas.astype(complex)
+        f = np.full(np.shape(theta), g[-1])
+        for j in range(self._levels.degree - 1, -1, -1):
+            bf = factors[j] * f
+            f = (bf + g[j]) / (1.0 + np.conj(g[j]) * bf)
+        return self.level * f
 
     def to_dict(self) -> dict:
+        """The chain expanded to monomial numerator and denominator (degree
+        <= N - 1, ascending, denominator normalized to 1 at 0), trailing
+        zero coefficients trimmed."""
+        x, gammas = self.nodes, self.gammas
+        P = np.array([gammas[-1]], dtype=np.clongdouble)
+        Q = np.array([1.0], dtype=np.clongdouble)
+        for j in range(x.size - 2, -1, -1):
+            bnum = np.array([-x[j], 1.0], dtype=np.clongdouble)
+            bden = np.array([1.0, -np.conj(x[j])], dtype=np.clongdouble)
+            top = np.convolve(bnum, P)
+            bot = np.convolve(bden, Q)
+            P = top + gammas[j] * bot
+            Q = bot + np.conj(gammas[j]) * top
+
+        def trimmed(c):
+            while c.size > 1 and c[-1] == 0:
+                c = c[:-1]
+            return [[float(v.real), float(v.imag)] for v in c]
+
         return {
-            "numerator": [[float(c.real), float(c.imag)] for c in self.numerator],
-            "denominator": [[float(c.real), float(c.imag)] for c in self.denominator],
+            "numerator": trimmed((np.clongdouble(self.level) * P / Q[0]).astype(complex)),
+            "denominator": trimmed((Q / Q[0]).astype(complex)),
         }
 
 
@@ -297,12 +313,13 @@ def apply_toeplitz_contour(B: BlaschkeProduct, h, z, spec: QuadratureSpec = DEFA
 
 
 def lemma1_upper_bound(f: BlaschkeProduct, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> float:
-    """Certified upper bound 1 + Lambda(f) + error for an inner symbol f.
+    """Estimated upper bound 1 + Lambda(f) + error for an inner symbol f.
 
     The boundary sup-norm of a finite Blaschke product is exactly 1, so the
-    operator norm is at most 1 plus the oscillation functional. The rotation
-    search reports a lower estimate of the supremum (see circle_quad), which
-    is the standing caveat on this bound.
+    operator norm is at most 1 plus the oscillation functional. The value is
+    a search estimate, not certified: the rotation search reports a lower
+    estimate of the supremum, and its error_estimate does not cover the
+    search (see circle_quad).
     """
     res = lambda_functional(f, spec)
     return 1.0 + res.value + res.error_estimate

@@ -181,6 +181,13 @@ class TestApplyCommand:
 
         assert abs(parse_value(res) - parse_value(con)) < 1e-8
 
+    @pytest.mark.parametrize("h", ["-0.5;1", "-0.5,0.25;1;0,-2"])
+    def test_a_negative_constant_term_is_a_value(self, capsys, h):
+        # "--h -0.5;1" reads the same as "--h=-0.5;1"
+        code, out, err = run_main(capsys, ["apply", "--zeros", "0.5", "--h", h, "--z", "0.1"])
+        assert code == 0, err
+        assert out == run_main(capsys, ["apply", "--zeros", "0.5", f"--h={h}", "--z", "0.1"])[1]
+
     def test_point_on_a_zero_exits_two(self, capsys):
         code, _, err = run_main(capsys, ["apply", "--zeros", "0.5", "--z", "0.5"])
         assert code == 2
@@ -508,6 +515,8 @@ class TestNaNInputs:
             ["apply", "--zeros", "0.5", "--h", "1;nan", "--z", "0"],
             ["apply", "--zeros", "0.5", "--h", "1;nan", "--z", "0", "--method", "contour"],
             ["apply", "--zeros", "0.5", "--h", "0,inf;1", "--z", "0.1"],
+            ["lambda", "--zeros", "0.5", "--tolerance", "inf"],
+            ["apply", "--zeros", "0.999999", "--h", "1;0.5", "--z", "0.2", "--method", "contour", "--tolerance", "inf"],
         ],
     )
     def test_nan_input_exits_two(self, capsys, argv):

@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from toeplitz_bounds import BlaschkeProduct, circle_quad
+from toeplitz_bounds import BlaschkeProduct, circle_quad, pick_interp
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -53,3 +53,27 @@ def test_a_traced_lambda_call_returns_the_untraced_result():
     assert metrics["circle_quad.lambda_functional.calls"] == 2
     assert metrics["circle_quad.lambda_functional.evals_reported"] == sum(r.evaluations for r in untraced)
     assert metrics["disk_core.boundary_values.points"] > 0
+
+
+def test_a_traced_construction_returns_the_untraced_certificate():
+    # sup_norm is patched on the interpolant's class by name: one
+    # construction records one sup_norm span, inside its own span
+    tracing = load_tracing()
+    rng = np.random.default_rng(3)
+    nodes = rng.uniform(0.0, 0.95, 5) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 5))
+    targets = rng.normal(size=5) + 1j * rng.normal(size=5)
+    problem = pick_interp.InterpolationProblem(nodes=tuple(nodes), targets=tuple(targets))
+    level = pick_interp.minimal_level(problem) * (1 + 1e-6)
+    untraced = pick_interp.construct_interpolant(problem, level)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = pick_interp.construct_interpolant(problem, level)
+    finally:
+        tracer.uninstall()
+    assert (traced.level, traced.residuals, traced.sup_norm) == (untraced.level, untraced.residuals, untraced.sup_norm)
+    metrics = tracer.layer_metrics()
+    assert metrics["toeplitz_op.sup_norm.calls"] == 1
+    assert metrics["pick_interp.construct_interpolant.calls"] == 1
+    (parent,) = [span[3] for span in tracer.spans if tracer.names[span[0]] == tracing.SUP_NORM]
+    assert tracer.names[tracer.spans[parent][0]] == tracing.CONSTRUCT

@@ -403,7 +403,8 @@ class TestBoundaryChain:
                 p = near_circle_problem(rng, n)
                 mu = 1.5 * minimal_level(p)
                 x, gammas = pick_interp._schur_parameters(p.nodes, p.targets, mu)
-                shared, reference = pick_interp._boundary_evaluator(x, gammas, mu), per_level_chain(x, gammas, mu)
+                shared = toeplitz_op.RationalFunction(x, gammas, mu)._on_circle
+                reference = per_level_chain(x, gammas, mu)
                 centres = np.concatenate([np.angle(p.nodes[:4]), rng.uniform(-math.pi, math.pi, 8)])[:8]
                 width = 2.0 * math.pi / 4096 / 8.0 ** rng.integers(0, 7)
                 stencil = np.concatenate([centres - width, centres, centres + width])
@@ -416,24 +417,19 @@ class TestBoundaryChain:
         # a deterministic work budget whatever the node count; one sweep per
         # Schur level would take n - 1 per evaluation
         sweeps, evaluations = [], []
-        cos, make = np.cos, pick_interp._boundary_evaluator
+        cos, on_circle = np.cos, toeplitz_op.RationalFunction._on_circle
 
         def counting_cos(*args, **kwargs):
             sweeps.append(1)
             return cos(*args, **kwargs)
 
-        def counting_evaluator(*args):
-            evaluate = make(*args)
-
-            def counted(theta, *half):
-                evaluations.append(1)
-                return evaluate(theta, *half)
-
-            return counted
+        def counted(self, theta, *half):
+            evaluations.append(1)
+            return on_circle(self, theta, *half)
 
         p, mu = near_circle_level(n)
         monkeypatch.setattr(np, "cos", counting_cos)
-        monkeypatch.setattr(pick_interp, "_boundary_evaluator", counting_evaluator)
+        monkeypatch.setattr(toeplitz_op.RationalFunction, "_on_circle", counted)
         construct_interpolant(p, mu)
         assert len(evaluations) >= 1
         assert len(sweeps) <= len(evaluations)
@@ -467,13 +463,13 @@ class TestBoundaryChain:
                 return _real(x, *args, **kwargs)
 
             monkeypatch.setattr(np, name, counting)
-        factors = pick_interp.boundary_factors
+        factors = toeplitz_op.boundary_factors
 
         def counting_factors(zeros, theta, *half):
             sizes.append(np.size(theta))
             return factors(zeros, theta, *half)
 
-        monkeypatch.setattr(pick_interp, "boundary_factors", counting_factors)
+        monkeypatch.setattr(toeplitz_op, "boundary_factors", counting_factors)
         h.sup_norm()
         stencils = [size for size in sizes if size != toeplitz_op.SUP_SAMPLES]
         assert len(stencils) == len(sizes) - 1

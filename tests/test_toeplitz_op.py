@@ -1,9 +1,10 @@
-"""Operator application by residues and by contour, and the rational helpers."""
+"""Operator application by residues and by contour, and the Schur chain's sampled sup-norm."""
 
 import cmath
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +38,7 @@ class TestResidueOracles:
     def test_quadratic_argument_single_zero(self):
         # h(0) = 0 kills the first term; a^2 (1 - a^2)/a at a = 1/2
         B = BlaschkeProduct(zeros=(0.5,))
-        h = RationalFunction([0.0, 0.0, 1.0])
+        h = Polynomial([0.0, 0.0, 1.0])
         v = apply_toeplitz_residue(B, h, 0.0)
         assert v == pytest.approx(0.375, abs=1e-14)
 
@@ -55,7 +56,7 @@ class TestResidueOracles:
 
     def test_degree_zero_symbol_acts_as_identity(self):
         B = BlaschkeProduct(zeros=())
-        h = RationalFunction([0.3, -0.2j, 1.0])
+        h = Polynomial([0.3, -0.2j, 1.0])
         for z in (0.0, 0.2 + 0.1j, -0.4j):
             assert apply_toeplitz_residue(B, h, z) == pytest.approx(complex(h(z)), abs=1e-14)
 
@@ -66,10 +67,10 @@ class TestResidueOracles:
     @settings(max_examples=25, deadline=None)
     def test_linearity_in_the_argument(self, alpha, beta):
         B = BlaschkeProduct(zeros=(0.5, -0.3j))
-        h1 = RationalFunction([1.0, 0.5j])
-        h2 = RationalFunction([0.0, 0.0, 1.0])
+        h1 = Polynomial([1.0, 0.5j])
+        h2 = Polynomial([0.0, 0.0, 1.0])
         z = 0.25 - 0.15j
-        combo = RationalFunction(alpha * np.pad(h1.numerator, (0, 1)) + beta * h2.numerator)
+        combo = alpha * h1 + beta * h2
         lhs = apply_toeplitz_residue(B, combo, z)
         rhs = alpha * apply_toeplitz_residue(B, h1, z) + beta * apply_toeplitz_residue(B, h2, z)
         assert lhs == pytest.approx(rhs, abs=1e-11 * (1.0 + abs(rhs)))
@@ -80,7 +81,7 @@ class TestRouteAgreement:
         rng = np.random.default_rng(1234)
         for _ in range(20):
             B = BlaschkeProduct(zeros=random_zeros(rng, int(rng.integers(1, 4))))
-            h = RationalFunction(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            h = Polynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4))
             z = 0.5 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
             vr = apply_toeplitz_residue(B, h, z)
             vc, _ = apply_toeplitz_contour(B, h, z)
@@ -101,7 +102,7 @@ class TestRouteAgreement:
 
         monkeypatch.setattr(toeplitz_op, "boundary_values", counted)
         B = BlaschkeProduct(zeros=((1.0 - d) * cmath.exp(1j * alpha), 0.3j))
-        h = RationalFunction((1.0, 0.5, 0.2j))
+        h = Polynomial((1.0, 0.5, 0.2j))
         value, _ = apply_toeplitz_contour(B, h, 0.2)
         reference = apply_toeplitz_residue(B, h, 0.2)
         assert sum(points) <= 20_000
@@ -149,51 +150,40 @@ class TestGuards:
             apply_toeplitz_contour(B, 1.0, 0.9995)
 
 
-class TestRationalFunction:
-    def test_rejects_pole_inside_the_disk(self):
-        with pytest.raises(InvalidConfiguration):
-            RationalFunction([1.0], [1.0, -2.0])
+# Two-level Schur chains with the first node delta from the circle. Their
+# exact supremum is MU (|g0| + |g1|) / (1 + |g0| |g1|), since g1 b_0 sweeps
+# the circle of radius |g1|; the peak narrows with delta.
+CHAIN_DELTAS = (1e-2, 3e-3)
+CHAIN_ALPHAS = (0.1234567, -2.0005, 3.1)
+CHAIN_GAMMAS = ((0.6, 0.7), (0.3 + 0.5j, -0.8j), (0.95, 0.9))
+MU = 1.7
 
-    @pytest.mark.parametrize(
-        "num, den",
-        [([1.0, float("nan")], [1.0]), ([float("inf")], [1.0]), ([1.0], [1.0, complex(0.0, float("nan"))])],
-    )
-    def test_rejects_non_finite_coefficients(self, num, den):
-        with pytest.raises(InvalidConfiguration):
-            RationalFunction(num, den)
 
-    def test_rejects_zero_denominator(self):
-        with pytest.raises(InvalidConfiguration):
-            RationalFunction([1.0], [0.0])
+def two_level_chain(delta, alpha, gammas):
+    g0, g1 = gammas
+    h = RationalFunction([(1.0 - delta) * cmath.exp(1j * alpha), 0.0], gammas, MU)
+    return h, MU * (abs(g0) + abs(g1)) / (1.0 + abs(g0) * abs(g1))
 
-    def test_evaluator_closure_takes_precedence(self):
-        f = RationalFunction([0.0], evaluator=lambda z: np.asarray(z) * 0 + 7.0)
-        assert complex(f(0.3j)) == pytest.approx(7.0)
 
-    def test_sup_norm_of_the_coordinate_is_one(self):
-        f = RationalFunction([0.0, 1.0])
-        assert f.sup_norm() == pytest.approx(1.0, abs=1e-12)
+class TestSupNormReach:
+    @pytest.mark.parametrize("gammas", CHAIN_GAMMAS)
+    @pytest.mark.parametrize("alpha", CHAIN_ALPHAS)
+    @pytest.mark.parametrize("delta", CHAIN_DELTAS)
+    def test_refinement_reaches_the_exact_supremum(self, delta, alpha, gammas):
+        h, exact = two_level_chain(delta, alpha, gammas)
+        assert abs(h.sup_norm() - exact) <= 2e-15 * exact
 
-    def test_sup_norm_of_a_disk_automorphism_is_one(self):
-        a = 0.4 - 0.3j
-        f = RationalFunction([-a, 1.0], [1.0, -np.conj(a)])
-        assert f.sup_norm() == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
-    def test_sup_norm_refines_a_pole_next_to_the_circle(self, delta):
-        # h(z) = 1 / (1 - z e^{-i alpha} / r), r = 1 + delta, peaks at
-        # theta = alpha with |h| = r / delta; below delta = 1e-4 the peak is
-        # narrower than the grid step, so only the refinement reaches it.
-        # Evaluating 1 - z e^{-i alpha} / r loses about 1e-16 / delta
-        r = 1.0 + delta
-        exact = r / (r - 1.0)
-        for alpha in (0.1234567, -2.0005, 3.1):
-            h = RationalFunction([1.0], [1.0, -cmath.exp(-1j * alpha) / r])
-            assert abs(h.sup_norm() - exact) <= 1e-14 / delta * exact
-
-    def test_trailing_zero_coefficients_are_trimmed(self):
-        f = RationalFunction([1.0, 2.0, 0.0, 0.0])
-        assert f.numerator.size == 2
+    def test_the_sweep_alone_falls_short(self):
+        # what the refinement buys: the 4,096-angle sweep by itself reads up
+        # to 2.6e-3 low on these chains
+        shortfall = []
+        for delta in CHAIN_DELTAS:
+            for alpha in CHAIN_ALPHAS:
+                for gammas in CHAIN_GAMMAS:
+                    h, exact = two_level_chain(delta, alpha, gammas)
+                    sweep = np.abs(h._on_circle(toeplitz_op._SUP_THETA, toeplitz_op._SUP_HALF))
+                    shortfall.append((exact - float(np.max(sweep))) / exact)
+        assert max(shortfall) > 1e-3
 
 
 class TestUpperBound:
