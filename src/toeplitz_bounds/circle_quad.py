@@ -34,23 +34,30 @@ The supremum over rotations is searched in four stages. The grid: a fixed
 uniform grid of 256 rotations (shared function values, so the grid costs one
 boundary sweep of 1,024 points, and a rotation and its half-turn share one
 row of moduli, so half the row work is done) ranks the rotations, and its
-leaders join one stencil of aligned candidate rotations for each direction
-of zeros too close to the circle for the grid to see, the directions that
-share a seed ladder. The screen: every candidate is
+two leaders join one stencil of aligned candidate rotations for each
+direction of zeros too close to the circle for the grid to see, the
+directions that share a seed ladder: five rotations within one width of
+the direction's angle, and four more at two and four widths where another
+direction's stencil comes within reach. The screen: every candidate is
 integrated once, at a loose tolerance, all their first sweeps made together
 before any is integrated. Localmin: Brent's localmin (ch. 5 of
 the book below), whose parabolic steps need far fewer integrals than golden
 section on the smooth peak, refines the best candidate inside the window
-that the screens around it bound. The final stage: integrals at the
-requested tolerance at the refined rotation and at the leading candidates
-that could still beat it. The reported value is therefore a lower estimate
-of the supremum (the rotation search is not certified) with a quadrature
-error bar; no global optimality is claimed. The search keeps its state in
-locals of lambda_functional: each rotation's first sweep and loose-tolerance
-value, keyed by the exact angle. Localmin and the final stage sweep their
-new rotations with the same _first_sweeps, one rotation a call. Each zero's
-angle and modulus come from the symbol's BlaschkeProduct.polar, taken once
-per product, for the grid, every sweep, the seed ladders and the folds.
+that the screens around it bound. A candidate therefore counts only by
+winning the screen or by lying inside the winner's window: the window of a
+lone direction's centre, which wins its peak, already spans the stencil
+and leaves the points at two and four widths on or past its edges, so
+only nested directions screen them (_candidate_rotations). The final
+stage: integrals at the requested tolerance at the refined rotation and at
+the leading candidates that could still beat it. The reported value is
+therefore a lower estimate of the supremum (the rotation search is not
+certified) with a quadrature error bar; no global optimality is claimed.
+The search keeps its state in locals of lambda_functional: each rotation's
+first sweep and loose-tolerance value, keyed by the exact angle. Localmin
+and the final stage sweep their new rotations with the same _first_sweeps,
+one rotation a call. Each zero's angle and modulus come from the symbol's
+BlaschkeProduct.polar, taken once per product, for the grid, every sweep,
+the seed ladders and the folds.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
@@ -70,7 +77,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .disk_core import BlaschkeProduct, CirclePoint, _half_angle_pair, boundary_values
 from .errors import InvalidConfiguration, NumericalBreakdown, ToleranceNotMet
@@ -82,6 +88,11 @@ ROTATIONS = 256
 _GRID_NODES = 4 * ROTATIONS
 _GRID_THETA = -math.pi + (np.arange(_GRID_NODES) + 0.5) * (TWO_PI / _GRID_NODES)
 _GRID_KERNEL = 1.0 / (2.0 * np.abs(np.sin(0.5 * _GRID_THETA[: _GRID_NODES // 2])))
+# The grid's half-angle pair, in the form disk_core's kernel takes, built
+# once; read-only, since every scan shares it.
+_GRID_HALF = _half_angle_pair(_GRID_THETA)
+for _table in (_GRID_THETA, *_GRID_HALF):
+    _table.flags.writeable = False
 # Temporaries of one row block of the rotation grid scan, sized to stay in L2.
 _GRID_BLOCK_BYTES = 1 << 20
 # QUADPACK's qk15 (Piessens et al., QUADPACK, 1983): the 15-point Kronrod
@@ -128,6 +139,11 @@ MAX_DEPTH = 42
 # the nearest is at least 4.4e-12 from the circle. Two random zeros 1/2 from
 # it share one about once in 6e4 pairs.
 SHARED_DIRECTION = 1e-4
+# The aligned candidates of a direction of width d (_candidate_rotations):
+# gamma + t d for t in _STENCIL, and in _NESTED_STENCIL where another
+# direction's stencil comes within reach.
+_STENCIL = (0.0, -0.5, 0.5, -1.0, 1.0)
+_NESTED_STENCIL = _STENCIL + (-2.0, 2.0, -4.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -668,10 +684,8 @@ def _grid_scan(f: BlaschkeProduct):
     integrals; a grid of four times the nodes ranked them alike on every
     product tested, at four times the subtract, modulus and sum work.
     Terms j and M-1-j of the rotation sum are equal (the kernel is even and the
-    pair is swapped), so only j < M/2 is summed and the result doubled. The
-    plus and minus operands are strided windows over F repeated twice and over
-    its reverse, one row per rotation, stepping by +s and -s. M is even, so
-    the grid never sits on theta = 0, where the kernel is infinite.
+    pair is swapped), so only j < M/2 is summed and the result doubled. M is
+    even, so the grid never sits on theta = 0, where the kernel is infinite.
 
     Rotations r and r + R/2 sum the same unordered pairs {F[a], F[c - a]} on
     the anti-diagonal c = M - 1 + 2rs (mod M), with the columns reversed:
@@ -681,13 +695,22 @@ def _grid_scan(f: BlaschkeProduct):
     r's. Summing row r against a reversed kernel, or through a
     negative-stride view, would add the terms in another order and move the
     last bits.
+
+    The plus and minus operands, one row per rotation r < R/2, are strided
+    views of one buffer of 3M/2 values, F followed by its first half, which
+    no index j + r s or M - 1 - j + r s reaches past: plus starts at 0 and
+    steps +1 along a row, minus starts at M - 1 and steps -1, and both step
+    +s from row to row. The grid's half-angle pair is _GRID_HALF, taken at
+    import.
     """
     M, s, mirror = _GRID_NODES, _GRID_NODES // ROTATIONS, ROTATIONS // 2
     half = M // 2
-    F = boundary_values(f, _GRID_THETA)
+    F = boundary_values(f, _GRID_THETA, half=_GRID_HALF)
     # row r < R/2: plus[r, j] = F[(j + r s) % M], minus[r, j] = F[(M - 1 - j + r s) % M]
-    plus = sliding_window_view(np.concatenate([F, F]), half)[0:half:s]
-    minus = sliding_window_view(np.concatenate([F[::-1], F[::-1]]), half)[M:half:-s]
+    wrapped = np.concatenate([F, F[:half]])
+    size = wrapped.itemsize
+    plus = np.ndarray((mirror, half), complex, wrapped, 0, (s * size, size))
+    minus = np.ndarray((mirror, half), complex, wrapped, (M - 1) * size, (s * size, -size))
     # a block holds the complex difference, its modulus and the modulus
     # reversed: 16 + 8 + 8 bytes a term
     rows = _GRID_BLOCK_BYTES // (32 * half)
@@ -708,24 +731,46 @@ def _grid_scan(f: BlaschkeProduct):
 
 
 def _candidate_rotations(f: BlaschkeProduct, ladders):
-    """Grid winners plus aligned rotations for the directions the grid cannot
-    resolve: one stencil per ladder of _seed_ladders whose width d is below
-    four grid steps, at gamma + t d for t in {0, +-1/2, +-1, +-2, +-4} with
-    half-width h = 2 d. A ray's zeros share one ladder, so its stencil is
-    that of its zero nearest the circle, which brackets the peak at gamma."""
+    """The two grid winners, then aligned rotations for the directions the
+    grid cannot resolve: one stencil per ladder of _seed_ladders whose width d
+    is below four grid steps, at gamma + t d with half-width h = 2 d, for t in
+    _STENCIL, or in _NESTED_STENCIL where directions nest. A ray's zeros
+    share one ladder, so its stencil is that of its zero nearest the circle,
+    which brackets the peak at gamma.
+
+    Localmin searches [best - h, best + h], narrowed only by screened
+    rotations strictly inside it, so a candidate counts by winning the
+    screen or by narrowing the winner's window. A grid winner's window
+    already spans its two grid neighbours. A lone direction's peak sits at
+    its angle, so its centre wins, and that window spans the +-d/2 and +-d
+    points, has the +-2d points on its edges and the +-4d points outside it.
+    Those four are screened only where directions nest: where another
+    stencil's reach, its +-4d points plus their half-width, 6 d in all,
+    meets this one's, the candidates of each lie inside the windows of the
+    other, and without them nested clusters read Lambda lower by up to 4.5
+    times the summed error estimates. The third grid winner and the fixed
+    rotation 0 (grid rotation 0, unrelated to the symbol unless it already
+    leads the grid) are not candidates: without them Lambda kept its bits
+    on 4,785 of 4,786 symbols tested, and on the last the third winner had
+    only narrowed the window, so Lambda moved within localmin's stopping
+    width.
+    """
     phis, vals, grid_evals = _grid_scan(f)
     step = TWO_PI / ROTATIONS
-    order = np.argsort(vals)[::-1]
-    cands = [(float(phis[r]), step) for r in order[:3]]
-    cands.append((0.0, step))
+    cands = [(float(phis[r]), step) for r in np.argsort(vals)[::-1][:2]]
     gammas, counts, rungs, _row = ladders
-    start = 0
-    for gamma, count in zip(gammas, counts):
-        d = 2.0 * float(rungs[start])
-        start += count
-        if d < 4.0 * step:
-            for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0):
-                cands.append((gamma + t * d, 2.0 * d))
+    firsts = np.cumsum([0] + counts[:-1])
+    # each ladder's first rung is half its width
+    aligned = [(gamma, 2.0 * float(rungs[k])) for gamma, k in zip(gammas, firsts)]
+    aligned = [(gamma, d) for gamma, d in aligned if d < 4.0 * step]
+    for i, (gamma, d) in enumerate(aligned):
+        nested = any(
+            abs(math.remainder(gamma - other, TWO_PI)) < 6.0 * (d + width)
+            for j, (other, width) in enumerate(aligned)
+            if j != i
+        )
+        for t in _NESTED_STENCIL if nested else _STENCIL:
+            cands.append((gamma + t * d, 2.0 * d))
     seen = set()
     out = []
     for phi, h in cands:
@@ -742,7 +787,13 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
 
     Search, in four stages:
     - grid: the shared-grid scan over the ROTATIONS grid rotations picks the
-      candidates (_candidate_rotations);
+      candidates (_candidate_rotations): its two leaders, and for each
+      direction of zeros within four grid steps of the circle, of width d,
+      the rotations gamma + t d for t in {0, +-1/2, +-1}, with +-2 and +-4
+      added where another such direction is within 6 (d + d') of it. A
+      candidate counts by winning the screen or by narrowing the winner's
+      window below; a lone direction's centre wins, and its window spans
+      +-2d, so the points at +-2d and +-4d would sit on or past its edges;
     - screen: the first sweeps of all candidates are made together, in
       blocks (_first_sweeps), and each candidate is integrated once from its
       own, at the loose tolerance;

@@ -273,37 +273,57 @@ class TestGridScan:
 
 
 class TestCandidateRotations:
-    def test_grid_winners_lead_then_the_zero_rotation(self):
+    def test_the_two_grid_winners_are_the_grid_candidates(self):
+        # no zero is within four grid steps of the circle, so the candidates
+        # are the grid's two leaders alone: neither its third nor the fixed
+        # rotation 0, which the 13-point screen added
         B = BlaschkeProduct(zeros=random_zeros(np.random.default_rng(59), 3))
         phis, vals, M = circle_quad._grid_scan(B)
         cands, evals = circle_quad._candidate_rotations(B, circle_quad._seed_ladders(B))
         step = 2.0 * math.pi / 256
-        winners = [(float(phis[r]), step) for r in np.argsort(vals)[::-1][:3]]
+        order = np.argsort(vals)[::-1]
         assert evals == M
-        assert cands[:3] == winners
-        assert (0.0, step) in cands and len(cands) <= 4
+        assert cands == [(float(phis[r]), step) for r in order[:2]]
+        assert 0 not in order[:3]
 
     def test_a_zero_near_the_circle_adds_its_aligned_family_once(self):
+        # a double zero is one direction: one five-point stencil
         d = 1e-9
         a = (1.0 - d) * cmath.exp(1.234j)
         B = BlaschkeProduct(zeros=(a, a))
         cands, _ = circle_quad._candidate_rotations(B, circle_quad._seed_ladders(B))
         gamma, d = float(np.angle(a)), 1.0 - abs(a)
-        family = [(gamma + t * d, 2.0 * d) for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0)]
-        # the double zero offers its family twice; each angle is kept once, in order
-        assert cands[-9:] == family
+        family = [(gamma + t * d, 2.0 * d) for t in (0.0, -0.5, 0.5, -1.0, 1.0)]
+        assert len(cands) == 7 and cands[-5:] == family
         keys = [round(phi / 1e-15) for phi, _ in cands]
         assert len(set(keys)) == len(keys)
 
     def test_a_ray_offers_one_stencil_from_its_zero_nearest_the_circle(self):
         # the n = 3, q = 0.001 study symbol on the ray e^{0.7i}: the grid's
-        # four and one stencil, where one stencil per near-circle zero gave 29
+        # two and one five-point stencil, where the 13-point screen offered
+        # 13 and one stencil per near-circle zero 29
         B = BlaschkeProduct(zeros=ray_zeros(3, 0.001))
         cands, _ = circle_quad._candidate_rotations(B, circle_quad._seed_ladders(B))
         inner = B.zeros[-1]
         gamma, d = float(np.angle(inner)), 1.0 - abs(inner)
-        assert len(cands) <= 13
-        assert cands[-9:] == [(gamma + t * d, 2.0 * d) for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0)]
+        assert len(cands) == 7
+        assert cands[-5:] == [(gamma + t * d, 2.0 * d) for t in (0.0, -0.5, 0.5, -1.0, 1.0)]
+
+    @pytest.mark.parametrize("gap, nested", [(5.9, True), (6.1, False)])
+    def test_directions_within_reach_keep_the_nine_point_stencil(self, gap, nested):
+        # two zeros on their own directions, gap (d1 + d2) apart: the reach of
+        # a nine-point stencil is 6 d, its +-4d points plus their half-width
+        d1, d2 = 1e-9, 1e-7
+        a1 = (1.0 - d1) * cmath.exp(0.9j)
+        a2 = (1.0 - d2) * cmath.exp(1j * (0.9 + gap * (d1 + d2)))
+        B = BlaschkeProduct(zeros=(a1, a2))
+        ladders = circle_quad._seed_ladders(B)
+        assert len(ladders[0]) == 2
+        cands, _ = circle_quad._candidate_rotations(B, ladders)
+        ts = circle_quad._NESTED_STENCIL if nested else circle_quad._STENCIL
+        assert cands[2:] == [
+            (gamma + t * (1.0 - rho), 2.0 * (1.0 - rho)) for gamma, rho in B.polar for t in ts
+        ]
 
     @pytest.mark.parametrize("group", ["lambda-panel", "bit-pins", "hard-inputs"])
     def test_zeros_that_share_no_direction_keep_the_per_zero_candidates(self, group):
@@ -802,14 +822,14 @@ class TestLambdaRegression:
         # sum of evaluations over seeded products drawn like the Lambda panel;
         # the golden-section rotation search spent 1,282,776 here, the
         # 28-node midpoint rule 415,280, and the 4,096-node grid with a
-        # 64-panel first sweep 258,072
+        # 64-panel first sweep 258,072, and the 13-point screen 75,468
         rng = np.random.default_rng(2027)
         total = 0
         for degree in (1, 2, 3, 4, 5, 6) * 2:
             strata = (rng.permutation(degree) + rng.uniform(0.0, 1.0, degree)) / degree
             zeros = (0.05 + 0.8 * strata) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, degree))
             total += lambda_functional(BlaschkeProduct(zeros=tuple(zeros)), self.PANEL_SPEC).evaluations
-        assert total <= 75_468
+        assert total <= 63_603
 
 
 class TestLambdaBitPins:
@@ -920,13 +940,14 @@ class TestFinalRecheck:
     # test_a_refined_rival_is_not_integrated_again forces the skip. With the
     # crude stage before the screen, "one-zero" took 5,374 evaluations: its
     # fourth candidate now meets the loose tolerance, one refinement sweep
-    # more.
+    # more. The screen without the third grid winner, the rotation 0 and
+    # the +-2d and +-4d points of lone stencils kept every pin.
     CASES = [
         (
             (0.036882996120765336 + 0.908051741045587j,),
             QuadratureSpec(tolerance=1e-10),
             ("0x1.f0fd0129b9720p+0", "0x1.87bb3f4cb449ap+0", "0x1.6095f2f0d2be6p-39"),
-            5_599,  # 5,374 with the crude stage, 24_046 with 4,096 nodes and 64 panels, 48_616 - 3_640 with the midpoint rule
+            4_039,  # 5,599 with the 13-point screen, 5,374 with the crude stage, 24_046 with 4,096 nodes and 64 panels, 48_616 - 3_640 with the midpoint rule
             ("0x1.f0fd0129b9720p+0", "0x1.87bb3f4cb449ap+0", "0x1.08608d117d776p-44"),
         ),
         (
@@ -935,7 +956,7 @@ class TestFinalRecheck:
             # ("0x1.000000dd90033p+1", "0x1.212fa12da044ep-1", "0x1.ab255b53bb70bp-36") with the tangent-form fold phase
             # ("0x1.000000dd90033p+1", "0x1.212fa12da044ep-1", "0x1.ab255a7c5f08bp-36") with np.abs moduli in the fold solver
             ("0x1.000000dd90033p+1", "0x1.212fa12da044ep-1", "0x1.ab255dd0f2f7cp-36"),
-            35_869,  # 35,899 with the crude stage, 89_941 with 4,096 nodes and 64 panels, 178_452 - 7_056 with the midpoint rule
+            22_294,  # 35,869 with the 13-point screen, 35,899 with the crude stage, 89_941 with 4,096 nodes and 64 panels, 178_452 - 7_056 with the midpoint rule
             ("0x1.000000dd90032p+1", "0x1.212fa12da044ep-1", "0x1.1a2b5c8858263p-41"),
         ),
     ]
@@ -1064,21 +1085,23 @@ class TestRotationRecords:
         # the seeded set of TestLambdaRegression.test_work_budget, where the
         # search spent 552,368 evaluations before a rotation's integrals
         # shared their first sweep, 415,280 with the 28-node midpoint rule,
-        # and 258,072 with the 4,096-node grid and a 64-panel first sweep
+        # 258,072 with the 4,096-node grid and a 64-panel first sweep, and
+        # 75,468 with the 13-point screen
         rng = np.random.default_rng(2027)
         total = 0
         for degree in (1, 2, 3, 4, 5, 6) * 2:
             strata = (rng.permutation(degree) + rng.uniform(0.0, 1.0, degree)) / degree
             zeros = (0.05 + 0.8 * strata) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, degree))
             total += lambda_functional(BlaschkeProduct(zeros=tuple(zeros)), TestLambdaRegression.PANEL_SPEC).evaluations
-        assert total <= 75_468
+        assert total <= 63_603
 
     def test_study_symbols_work_budget(self, monkeypatch):
         # the ten symbols of the acceptance studies on the ray e^{0.7i}: fresh
         # rotations (each seeded once) and evaluations. With a crude stage
         # before the screen, the localmin window unnarrowed and one seed
         # ladder per zero they took 269 and 252,970; with one aligned
-        # stencil per near-circle zero, 213 and 132,655
+        # stencil per near-circle zero, 213 and 132,655; with the 13-point
+        # screen, 151 and 96,070
         seeded = []
         real = circle_quad._seed_edges_for_rotation
 
@@ -1091,8 +1114,8 @@ class TestRotationRecords:
         evaluations = sum(
             lambda_functional(BlaschkeProduct(zeros=ray_zeros(n, q))).evaluations for n, qs in plans for q in qs
         )
-        assert len(seeded) <= 151
-        assert evaluations <= 96_070
+        assert len(seeded) <= 103
+        assert evaluations <= 67_960
 
     @staticmethod
     def uniform_first_sweep(g, panels):
@@ -1309,8 +1332,10 @@ class TestHardInputs:
     # With the integrand's moduli the folds sit on the integrand's own (at
     # the stencil rotations of four rays, within 0.02 of the stopping width
     # of 60-digit roots, against 3.5 with np.abs moduli), and the moved
-    # edges cost two panels more: 27,169 and 30,529 with np.abs moduli
-    RAY_EVALUATIONS = {"ray-n6-q0.01": 27_199, "ray-n8-q0.03": 30_559}
+    # edges cost two panels more: 27,169 and 30,529 with np.abs moduli. The
+    # five-point stencil and the two grid winners in place of the 13-point
+    # screen took them from 27,199 and 30,559
+    RAY_EVALUATIONS = {"ray-n6-q0.01": 18_199, "ray-n8-q0.03": 20_929}
     CASES = {
         "degree-20": random_zeros(np.random.default_rng(97), 20, rmax=0.95),
         "two-at-1e-12": ((1.0 - 1e-12) * cmath.exp(0.4j), (1.0 - 1e-12) * cmath.exp(-2.1j)),
@@ -1318,16 +1343,32 @@ class TestHardInputs:
         **{name: ray_zeros(n, q) for name, (n, q) in RAYS.items()},
     }
 
-    @pytest.mark.parametrize("name", CASES)
-    def test_finite_value_and_error_within_the_degree_cap(self, name):
-        zeros = self.CASES[name]
+    # 20 zeros at 1 - 1e-6, 0.3 rad apart: twenty lone directions, so twenty
+    # five-point stencils. The 13-point screen took 1,449,964 evaluations
+    # for the same value
+    OUTLIER = tuple((1.0 - 1e-6) * cmath.exp(0.3j * k) for k in range(20))
+
+    @staticmethod
+    def gated(zeros):
+        """Lambda of the product of zeros, checked: a finite value and error,
+        and 0 < Lambda <= 2n."""
         r = lambda_functional(BlaschkeProduct(zeros=zeros))
         assert math.isfinite(r.value) and math.isfinite(r.error_estimate)
         assert 0.0 <= r.error_estimate
         assert 0.0 < r.value <= 2.0 * len(zeros)
+        return r
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_finite_value_and_error_within_the_degree_cap(self, name):
+        r = self.gated(self.CASES[name])
         if name in self.RAYS:
             assert abs(r.eta.value - cmath.exp(0.7j)) <= 1e-12
             assert r.evaluations <= self.RAY_EVALUATIONS[name]
+
+    def test_the_degree_twenty_outlier_keeps_its_value(self):
+        r = self.gated(self.OUTLIER)
+        assert r.value.hex() == "0x1.000965e1809fdp+1"  # 2.0002868033491255
+        assert r.evaluations <= 818_674
 
     # the n = 8 ray's folds at its winning rotation, 0.7 exactly: 60-digit
     # roots (mpmath, not a test dependency) of the swept phase built from
@@ -1407,18 +1448,46 @@ def per_zero_candidates(f, ladders):
     """_candidate_rotations before the aligned candidates read the seed
     ladders: a stencil for every zero within four grid steps of the circle,
     around its own angle and scaled by its own width, in the order of the
-    zeros. ladders is not read."""
+    zeros, nine points where another such zero is within reach and five
+    otherwise. ladders is not read."""
+    phis, vals, grid_evals = circle_quad._grid_scan(f)
+    step = 2.0 * math.pi / circle_quad.ROTATIONS
+    order = np.argsort(vals)[::-1]
+    cands = [(float(phis[r]), step) for r in order[:2]]
+    aligned = [
+        (float(np.angle(a)) if abs(a) > 0 else 0.0, 1.0 - abs(a)) for a in f.zeros if 1.0 - abs(a) < 4.0 * step
+    ]
+    for i, (gamma, d) in enumerate(aligned):
+        reach = [abs(math.remainder(gamma - g, 2.0 * math.pi)) < 6.0 * (d + e) for g, e in aligned]
+        nested = sum(reach) > 1  # itself and another
+        for t in (0.0, -0.5, 0.5, -1.0, 1.0) + ((-2.0, 2.0, -4.0, 4.0) if nested else ()):
+            cands.append((gamma + t * d, 2.0 * d))
+    return first_of_each_angle(cands), grid_evals
+
+
+def thirteen_point_candidates(f, ladders):
+    """_candidate_rotations before the screen was trimmed: the grid's three
+    winners, the fixed rotation 0, and a nine-point stencil for every ladder
+    whose width is below four grid steps, 13 candidates for one such ladder."""
     phis, vals, grid_evals = circle_quad._grid_scan(f)
     step = 2.0 * math.pi / circle_quad.ROTATIONS
     order = np.argsort(vals)[::-1]
     cands = [(float(phis[r]), step) for r in order[:3]]
     cands.append((0.0, step))
-    for a in f.zeros:
-        d = 1.0 - abs(a)
+    gammas, counts, rungs, _row = ladders
+    start = 0
+    for gamma, count in zip(gammas, counts):
+        d = 2.0 * float(rungs[start])
+        start += count
         if d < 4.0 * step:
-            gamma = float(np.angle(a)) if abs(a) > 0 else 0.0
             for t in (0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0):
                 cands.append((gamma + t * d, 2.0 * d))
+    return first_of_each_angle(cands), grid_evals
+
+
+def first_of_each_angle(cands):
+    """The candidates (phi, h) in order, each angle kept once, as
+    _candidate_rotations keeps them."""
     seen = set()
     out = []
     for phi, h in cands:
@@ -1426,7 +1495,7 @@ def per_zero_candidates(f, ladders):
         if key not in seen:
             seen.add(key)
             out.append((phi, h))
-    return out, grid_evals
+    return out
 
 
 def lambda_panel_symbols(seed, rounds):
@@ -1485,6 +1554,54 @@ class TestSweepSizes:
         for r, ref, fewer in zip(results, self.results(), shared):
             assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
             assert r.evaluations < ref.evaluations if fewer else r.evaluations == ref.evaluations
+
+    def test_the_parent_screen_moves_no_bit(self, monkeypatch):
+        # the 13-point screen, with the grid's third winner, the rotation 0
+        # and the +-2d and +-4d points of lone stencils, found the same
+        # rotations on the bit-pinned products, the hard inputs and the ten
+        # symbols of the acceptance studies, on the positive axis: what the
+        # dropped candidates bought is nothing but evaluations
+        plans = ((1, (0.3, 0.2, 0.1, 0.05)), (2, (0.01, 0.005, 0.002)), (3, (0.005, 0.002, 0.001)))
+        products = self.PRODUCTS + [
+            (tuple(_ray_zeros(1.0, q, n)), circle_quad.DEFAULT_LAMBDA_SPEC) for n, qs in plans for q in qs
+        ]
+        results = [lambda_functional(BlaschkeProduct(zeros=zeros), spec) for zeros, spec in products]
+        monkeypatch.setattr(circle_quad, "_candidate_rotations", thirteen_point_candidates)
+        refs = [lambda_functional(BlaschkeProduct(zeros=zeros), spec) for zeros, spec in products]
+        for r, ref in zip(results, refs):
+            assert (r.value.hex(), r.eta.value, r.error_estimate.hex()) == (
+                ref.value.hex(),
+                ref.eta.value,
+                ref.error_estimate.hex(),
+            )
+            assert r.evaluations < ref.evaluations
+
+    # a cluster of three zeros 2.3e-9, 2.5e-10 and 7.3e-6 from the circle,
+    # 9.1e-9 and 1.3e-4 rad apart, each its own direction, and five zeros
+    # inside the disk. Lambda keeps the bits it had with the 13-point screen
+    NESTED = (
+        (0.6317605716345047 - 0.7751635799025618j),
+        (0.6317605658836289 - 0.7751635871814149j),
+        (0.6318592350365636 - 0.7750737373221911j),
+        (0.8068204571797495 + 0.29919721458955406j),
+        (0.16214740568567987 + 0.1330186782201254j),
+        (0.04908628718736892 - 0.018357982261606887j),
+        (0.10307913389797402 - 0.41009793147186496j),
+        (0.4142659874444193 - 0.632953636461383j),
+    )
+
+    def test_nested_directions_need_their_nine_point_stencils(self, monkeypatch):
+        # the +-2d and +-4d points of one direction lie inside the windows
+        # of the other's candidates and narrow localmin's window; screened
+        # without them, the cluster's Lambda reads lower by more than the
+        # summed error estimates
+        B = BlaschkeProduct(zeros=self.NESTED)
+        r = lambda_functional(B)
+        assert r.value.hex() == "0x1.429320e7b26aep+2"
+        monkeypatch.setattr(circle_quad, "_NESTED_STENCIL", circle_quad._STENCIL)
+        five = lambda_functional(B)
+        assert r.value - five.value > r.error_estimate + five.error_estimate
+        assert five.evaluations < r.evaluations
 
     def test_one_stencil_per_direction_agrees_on_collinear_products(self, monkeypatch):
         # 100 seeded products of 2-6 zeros on one ray, deficits log-uniform
