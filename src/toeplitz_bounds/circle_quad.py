@@ -48,16 +48,15 @@ winning the screen or by lying inside the winner's window: the window of a
 lone direction's centre, which wins its peak, already spans the stencil
 and leaves the points at two and four widths on or past its edges, so
 only nested directions screen them (_candidate_rotations). The final
-stage: integrals at the requested tolerance at the refined rotation and at
-the leading candidates that could still beat it. The reported value is
-therefore a lower estimate of the supremum (the rotation search is not
-certified) with a quadrature error bar; no global optimality is claimed.
-The search keeps its state in locals of lambda_functional: each rotation's
-first sweep and loose-tolerance value, keyed by the exact angle. Localmin
-and the final stage sweep their new rotations with the same _first_sweeps,
-one rotation a call. Each zero's angle and modulus come from the symbol's
-BlaschkeProduct.polar, taken once per product, for the grid, every sweep,
-the seed ladders and the folds.
+stage: one integral at the refined rotation, at the requested tolerance.
+The reported value is therefore a lower estimate of the supremum (the
+rotation search is not certified) with a quadrature error bar; no global
+optimality is claimed. The search keeps its state in locals of
+lambda_functional: each rotation's first sweep and loose-tolerance value,
+keyed by the exact angle. Localmin sweeps its new rotations with the same
+_first_sweeps, one rotation a call. Each zero's angle and modulus come
+from the symbol's BlaschkeProduct.polar, taken once per product, for the
+grid, every sweep, the seed ladders and the folds.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
@@ -93,8 +92,6 @@ _GRID_KERNEL = 1.0 / (2.0 * np.abs(np.sin(0.5 * _GRID_THETA[: _GRID_NODES // 2])
 _GRID_HALF = _half_angle_pair(_GRID_THETA)
 for _table in (_GRID_THETA, *_GRID_HALF):
     _table.flags.writeable = False
-# Temporaries of one row block of the rotation grid scan, sized to stay in L2.
-_GRID_BLOCK_BYTES = 1 << 20
 # QUADPACK's qk15 (Piessens et al., QUADPACK, 1983): the 15-point Kronrod
 # rule on [-1, 1], exact to degree 22, and its embedded 7-point Gauss rule,
 # exact to degree 13, on every other node. Abscissae from 1 down to 0.
@@ -621,13 +618,13 @@ def _first_sweeps(f: BlaschkeProduct, phis, ladders, kink_fn):
     folds (kink_fn, from _kink_solver, None below degree 2), one row a
     rotation, sorted row by row; an edge that repeats the one before it, or
     lies outside [0, pi], the base grid's span, makes no panel. A lone
-    rotation, as localmin and the final stage pass it, is one call of
-    _panel_estimates at its angle, with no block bookkeeping. More
-    rotations are swept together, consecutive ones in blocks of at most
-    _SWEEP_BLOCK_NODES nodes: each block is one call of _panel_estimates,
-    so one of boundary_values with one rotation per node, or at its
-    rotation when the block has one. Every estimate has the bits of its
-    rotation's sweep alone, and counts 15 evaluations a panel, once.
+    rotation, as localmin passes it, is one call of _panel_estimates at its
+    angle, with no block bookkeeping. More rotations are swept together,
+    consecutive ones in blocks of at most _SWEEP_BLOCK_NODES nodes: each
+    block is one call of _panel_estimates, so one of boundary_values with
+    one rotation per node, or at its rotation when the block has one. Every
+    estimate has the bits of its rotation's sweep alone, and counts 15
+    evaluations a panel, once.
     """
     edges = _seed_edges_for_rotation(ladders, phis)
     if kink_fn is not None:
@@ -711,21 +708,12 @@ def _grid_scan(f: BlaschkeProduct):
     size = wrapped.itemsize
     plus = np.ndarray((mirror, half), complex, wrapped, 0, (s * size, size))
     minus = np.ndarray((mirror, half), complex, wrapped, (M - 1) * size, (s * size, -size))
-    # a block holds the complex difference, its modulus and the modulus
-    # reversed: 16 + 8 + 8 bytes a term
-    rows = _GRID_BLOCK_BYTES // (32 * half)
-    diff = np.empty((rows, half), dtype=complex)
-    mod = np.empty((rows, half))
-    rev = np.empty((rows, half))
-    vals = np.empty(ROTATIONS)
-    for i in range(0, mirror, rows):
-        k = min(rows, mirror - i)
-        np.subtract(plus[i : i + k], minus[i : i + k], out=diff[:k])
-        np.abs(diff[:k], out=mod[:k])
-        # einsum, not a BLAS gemv, which would start a second thread even for one row
-        vals[i : i + k] = np.einsum("ij,j->i", mod[:k], _GRID_KERNEL)
-        np.copyto(rev[:k], mod[:k, ::-1])
-        vals[mirror + i : mirror + i + k] = np.einsum("ij,j->i", rev[:k], _GRID_KERNEL)
+    mod = np.abs(plus - minus)
+    # einsums, not BLAS gemvs, which would start a second thread
+    vals = np.concatenate([
+        np.einsum("ij,j->i", mod, _GRID_KERNEL),
+        np.einsum("ij,j->i", np.ascontiguousarray(mod[:, ::-1]), _GRID_KERNEL),
+    ])
     vals *= 2.0 / M
     return np.arange(ROTATIONS) * (TWO_PI / ROTATIONS), vals, M
 
@@ -802,9 +790,10 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
       to the nearest screened rotations on each side that score below the
       best. localmin assumes one peak per window, so the maximum it seeks
       lies between them;
-    - final: one integral at the requested tolerance at the refined rotation,
-      and one at each of the three leading candidates whose screening value
-      beats that integral plus its error.
+    - final: one integral at the refined rotation, at the requested
+      tolerance. localmin never returns below the best screen, so a
+      candidate could beat it only where the loose and tight integrals
+      disagree by more than its screen's gap to the best.
 
     The seed ladders are built once for the call; they also place the
     aligned candidates. The search state is two dicts keyed by the exact
@@ -812,8 +801,7 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
     first sweep are computed once whatever the tolerance, and its value at
     the loose tolerance. A first sweep's evaluations are counted when it is
     made, once; integrals resume from it at 0 evaluations. A rotation new to
-    localmin or the final stage gets its first sweep from the same
-    _first_sweeps, alone.
+    localmin gets its first sweep from the same _first_sweeps, alone.
     """
     ladders = _seed_ladders(f)
     kink_fn = _kink_solver(f)
@@ -858,16 +846,6 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
 
     value, err, k = integral(phi_star, spec.tolerance)
     evals += k
-    # A candidate may beat the refined point if the search surface is bumpy;
-    # keep whichever certified value is larger. The refined point is not one
-    # of the rivals: its tight integral is already done.
-    rivals = [(v0, phi) for v0, phi, _h in scored[:3] if phi != phi_star]
-    for v0, phi in rivals:
-        if v0 > value + err:
-            v, e, k = integral(phi, spec.tolerance)
-            evals += k
-            if v > value:
-                value, err, phi_star = v, e, phi
     # Search uncertainty at the returned rotation: disagreement between the
     # loose screening value there and the final tight integral. The search
     # bracket width would overstate it badly when the surface has cliffs at

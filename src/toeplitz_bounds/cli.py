@@ -132,11 +132,11 @@ def _format_value(v: complex) -> str:
 
 
 def _resolve_zeros(args) -> tuple:
-    # a malformed --zeros token exits 2 even when --zeros-file is given
-    zeros = parse_zeros(args.zeros)
-    if args.zeros_file is not None:
-        return _load_zeros_file(args.zeros_file)
-    return zeros
+    if args.zeros_file is None:
+        return parse_zeros(args.zeros)
+    if args.zeros:
+        raise InvalidConfiguration("--zeros and --zeros-file cannot be combined")
+    return _load_zeros_file(args.zeros_file)
 
 
 def _cmd_lambda(args) -> int:
@@ -178,6 +178,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_pick(args) -> int:
+    if args.level is not None and not args.construct:
+        raise InvalidConfiguration("--level needs --construct")
     with open(args.problem_file, encoding="utf-8") as fh:
         problem = InterpolationProblem.from_dict(json.load(fh))
     mu = minimal_level(problem)

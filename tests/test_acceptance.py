@@ -27,14 +27,14 @@ from toeplitz_bounds import (
 )
 from toeplitz_bounds.omega_bounds import default_eps
 
-# (n, q schedule, m offsets, required best lower, upper cap).  The n = 1
+from test_scripts import acceptance_plans
+
+# degree n -> (required best lower, upper cap) of its study.  The n = 1
 # schedule is the documented default; the n = 2 and n = 3 schedules push q
 # small enough to clear the thresholds while staying above the probe floor.
-STUDY_PLANS = (
-    (1, (0.3, 0.2, 0.1, 0.05), (2, 4, 8, 16), 2.7, 3.0),
-    (2, (0.01, 0.005, 0.002), (1, 2), 4.4, 5.0),
-    (3, (0.005, 0.002, 0.001), (1,), 6.0, 7.0),
-)
+THRESHOLDS = {1: (2.7, 3.0), 2: (4.4, 5.0), 3: (6.0, 7.0)}
+# (n, q schedule, m offsets, required best lower, upper cap)
+STUDY_PLANS = tuple((n, qs, offs, *THRESHOLDS[n]) for n, qs, offs in acceptance_plans())
 STUDY_TIME_CAP = 120.0
 
 

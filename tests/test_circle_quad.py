@@ -27,6 +27,7 @@ from toeplitz_bounds.disk_core import _half_angle_pair, boundary_values
 from toeplitz_bounds.omega_bounds import _ray_zeros
 
 from test_disk_core import previous_sweep
+from test_scripts import acceptance_plans
 
 
 def aligned_single_zero_integral(a: float) -> float:
@@ -248,18 +249,6 @@ class TestGridScan:
         kernel = circle_quad._GRID_KERNEL
         assert kernel.shape == (512,) and np.all(np.isfinite(kernel)) and np.all(kernel > 0)
         np.testing.assert_array_equal(kernel, 1.0 / (2.0 * np.abs(np.sin(0.5 * theta[:512]))))
-
-    def test_row_blocks_match_one_block(self, monkeypatch):
-        B = BlaschkeProduct(zeros=random_zeros(np.random.default_rng(67), 4))
-        _, blocked, M = circle_quad._grid_scan(B)
-        monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 32 * (M // 2) * 256)
-        _, whole, _ = circle_quad._grid_scan(B)
-        # 37 rows a block: four blocks for the direct half and four for its
-        # mirror, the last one of each partial
-        monkeypatch.setattr(circle_quad, "_GRID_BLOCK_BYTES", 32 * (M // 2) * 37)
-        _, partial, _ = circle_quad._grid_scan(B)
-        np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(partial, whole, rtol=1e-15, atol=0.0)
 
     def test_default_grid_scan_stays_cache_sized(self):
         B = BlaschkeProduct(zeros=(0.5, 0.3j, -0.7))
@@ -928,20 +917,16 @@ class TestLambdaBitPins:
 
 
 class TestFinalRecheck:
-    # Zeros whose refined rotation was also a leading candidate with a
-    # screening value above the final value plus its error, so the final
-    # re-check of the candidates used to repeat the refined rotation's tight
-    # integral: 3,640 and 7,056 evaluations that could never win. Each case
-    # holds the pins and evaluations with the 1,024-node grid, the 8-panel
-    # first sweep and the one-stage screen, then the pins with the 4,096-node
-    # grid and 64 panels; the 28-node midpoint rule, before that integral was
-    # skipped, had the same rotations. The screening values no longer exceed
-    # the final value plus its error, so
-    # test_a_refined_rival_is_not_integrated_again forces the skip. With the
-    # crude stage before the screen, "one-zero" took 5,374 evaluations: its
-    # fourth candidate now meets the loose tolerance, one refinement sweep
-    # more. The screen without the third grid winner, the rotation 0 and
-    # the +-2d and +-4d points of lone stencils kept every pin.
+    # The final stage is one integral at the refined rotation. On these
+    # zeros the refined rotation is also a leading candidate, whose tight
+    # integral the search once repeated: 3,640 and 7,056 evaluations that
+    # could never win. Each case holds the pins and evaluations with the
+    # 1,024-node grid, the 8-panel first sweep and the one-stage screen,
+    # then the pins with the 4,096-node grid and 64 panels. With the crude
+    # stage before the screen, "one-zero" took 5,374 evaluations: its fourth
+    # candidate now meets the loose tolerance, one refinement sweep more.
+    # The screen without the third grid winner, the rotation 0 and the +-2d
+    # and +-4d points of lone stencils kept every pin.
     CASES = [
         (
             (0.036882996120765336 + 0.908051741045587j,),
@@ -962,18 +947,15 @@ class TestFinalRecheck:
     ]
 
     @staticmethod
-    def tight_rotations(monkeypatch, spec, loose_offset=0.0):
-        """Record the rotation of every tight integral; loose_offset raises
-        every screening value, which keeps their order."""
+    def tight_rotations(monkeypatch, spec):
+        """Record the rotation of every tight integral."""
         tight = []
-        loose = max(1e-6, spec.tolerance * 1e2)
         real = circle_quad._lambda_integral
 
         def recorded(f, phi, tol, *args):
             if tol == spec.tolerance:
                 tight.append(phi)
-            v, e, k = real(f, phi, tol, *args)
-            return (v + loose_offset if tol == loose else v), e, k
+            return real(f, phi, tol, *args)
 
         monkeypatch.setattr(circle_quad, "_lambda_integral", recorded)
         return tight
@@ -990,16 +972,38 @@ class TestFinalRecheck:
         assert abs(r.value - value0) <= error0
         assert cmath.phase(r.eta.value) == eta0
 
-    def test_a_refined_rival_is_not_integrated_again(self, monkeypatch):
-        # screening values raised by 1 beat every final value, so each
-        # leading candidate is re-checked, except the refined one, which is
-        # among them
-        zeros, spec = self.CASES[0][:2]
-        tight = self.tight_rotations(monkeypatch, spec, loose_offset=1.0)
-        r = lambda_functional(BlaschkeProduct(zeros=zeros), spec)
-        assert len(tight) == 3
-        assert len(set(tight)) == len(tight)
-        assert np.exp(1j * tight[0]) == r.eta.value
+    # Lambda of the products with zeros r e^{2 pi i k / n}, at tolerance
+    # 1e-12, while the final stage also integrated up to three leading
+    # candidates that screened above the refined value plus its error: it
+    # did so on all of these but (4, 0.99), and a candidate won on five, by
+    # at most 8.9e-16, against error estimates of 4.2e-13 to 6.1e-13
+    SYMMETRIC = [
+        ((2, 0.99), "0x1.01fa5cd55f69ap+1"),
+        ((2, 0.995), "0x1.01443d53c5c91p+1"),
+        ((2, 0.999), "0x1.00622f6c7e08cp+1"),
+        ((3, 0.99), "0x1.0536fab393694p+1"),
+        ((3, 0.995), "0x1.033f4f90fd0bdp+1"),
+        ((3, 0.999), "0x1.00f335edd31e6p+1"),
+        ((4, 0.99), "0x1.089ef11686965p+1"),
+        ((4, 0.995), "0x1.055e9b648aa63p+1"),
+        ((4, 0.999), "0x1.01926bfd84e02p+1"),
+        ((5, 0.99), "0x1.0c15aed022796p+1"),
+        ((5, 0.995), "0x1.079017825be73p+1"),
+        ((5, 0.999), "0x1.023a7b4f3370bp+1"),
+        ((6, 0.99), "0x1.0f8d3c002c412p+1"),
+        ((6, 0.995), "0x1.09ca7bdffc460p+1"),
+        ((6, 0.999), "0x1.02e87b47b2f73p+1"),
+    ]
+
+    @pytest.mark.parametrize("nr, before", SYMMETRIC, ids=[f"n{n}-r{r}" for (n, r), _ in SYMMETRIC])
+    def test_symmetric_products_make_one_tight_integral(self, monkeypatch, nr, before):
+        n, r = nr
+        spec = QuadratureSpec(tolerance=1e-12)
+        tight = self.tight_rotations(monkeypatch, spec)
+        zeros = tuple(r * cmath.exp(2j * math.pi * k / n) for k in range(n))
+        res = lambda_functional(BlaschkeProduct(zeros=zeros), spec)
+        assert len(tight) == 1
+        assert abs(res.value - float.fromhex(before)) <= res.error_estimate
 
 
 class TestLocalminWindow:
@@ -1110,9 +1114,10 @@ class TestRotationRecords:
             return real(ladders, phis)
 
         monkeypatch.setattr(circle_quad, "_seed_edges_for_rotation", seeds)
-        plans = ((1, (0.3, 0.2, 0.1, 0.05)), (2, (0.01, 0.005, 0.002)), (3, (0.005, 0.002, 0.001)))
         evaluations = sum(
-            lambda_functional(BlaschkeProduct(zeros=ray_zeros(n, q))).evaluations for n, qs in plans for q in qs
+            lambda_functional(BlaschkeProduct(zeros=ray_zeros(n, q))).evaluations
+            for n, qs, _ in acceptance_plans()
+            for q in qs
         )
         assert len(seeded) <= 103
         assert evaluations <= 67_960
@@ -1561,9 +1566,10 @@ class TestSweepSizes:
         # rotations on the bit-pinned products, the hard inputs and the ten
         # symbols of the acceptance studies, on the positive axis: what the
         # dropped candidates bought is nothing but evaluations
-        plans = ((1, (0.3, 0.2, 0.1, 0.05)), (2, (0.01, 0.005, 0.002)), (3, (0.005, 0.002, 0.001)))
         products = self.PRODUCTS + [
-            (tuple(_ray_zeros(1.0, q, n)), circle_quad.DEFAULT_LAMBDA_SPEC) for n, qs in plans for q in qs
+            (tuple(_ray_zeros(1.0, q, n)), circle_quad.DEFAULT_LAMBDA_SPEC)
+            for n, qs, _ in acceptance_plans()
+            for q in qs
         ]
         results = [lambda_functional(BlaschkeProduct(zeros=zeros), spec) for zeros, spec in products]
         monkeypatch.setattr(circle_quad, "_candidate_rotations", thirteen_point_candidates)

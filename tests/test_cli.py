@@ -380,22 +380,31 @@ class TestBracketCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--zeros", "0.9", "--q", "0.1", "--n", "1", "--m", "8"],
-            ["--zeros-file", "ZEROS", "--q", "0.1", "--n", "1", "--m", "8"],
-            ["--zeros", "0.5", "--n", "3", "--m", "9"],
-            ["--zeros", "0.5", "--n", "1"],
-            ["--zeros", "0.5", "--m", "3"],
-            ["--zeros", "0.5", "--eps", "0.2"],
-            ["--zeros", "0.5", "--xi", "1"],
-            ["--zeros", "0.5", "--m-offsets", "2,4"],
-            ["--zeros-file", "ZEROS", "--n", "1"],
+            ["bracket", "--zeros", "0.9", "--q", "0.1", "--n", "1", "--m", "8"],
+            ["bracket", "--zeros-file", "ZEROS", "--q", "0.1", "--n", "1", "--m", "8"],
+            ["bracket", "--zeros", "0.5", "--n", "3", "--m", "9"],
+            ["bracket", "--zeros", "0.5", "--n", "1"],
+            ["bracket", "--zeros", "0.5", "--m", "3"],
+            ["bracket", "--zeros", "0.5", "--eps", "0.2"],
+            ["bracket", "--zeros", "0.5", "--xi", "1"],
+            ["bracket", "--zeros", "0.5", "--m-offsets", "2,4"],
+            ["bracket", "--zeros-file", "ZEROS", "--n", "1"],
+            ["bracket", "--zeros", "0.5", "--zeros-file", "ZEROS"],
+            ["lambda", "--zeros", "0.5", "--zeros-file", "ZEROS"],
+            ["lambda", "--zeros", "abc", "--zeros-file", "ZEROS"],
+            ["apply", "--zeros", "0.5", "--zeros-file", "ZEROS"],
+            ["pick", "--problem-file", "PROBLEM", "--level", "1"],
         ],
     )
     def test_conflicting_inputs_exit_two(self, capsys, tmp_path, argv):
+        # on every subcommand: inputs one of which would be dropped without
+        # a word
         zf = tmp_path / "zeros.json"
-        zf.write_text(json.dumps([[0.9, 0.0]]))
-        argv = [str(zf) if a == "ZEROS" else a for a in argv]
-        code, out, err = run_main(capsys, ["bracket"] + argv)
+        zf.write_text(json.dumps([[0.3, 0.0]]))
+        pf = tmp_path / "problem.json"
+        pf.write_text(json.dumps(SCHWARZ_PROBLEM))
+        argv = [{"ZEROS": str(zf), "PROBLEM": str(pf)}.get(a, a) for a in argv]
+        code, out, err = run_main(capsys, argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")

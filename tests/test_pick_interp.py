@@ -22,6 +22,8 @@ from toeplitz_bounds import (
 from toeplitz_bounds import disk_core, pick_interp, toeplitz_op
 from toeplitz_bounds.omega_bounds import SLACK_LADDER
 
+from test_scripts import acceptance_plans
+
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -124,13 +126,8 @@ def reference_sup_norm(h, samples=4096, peaks=8):
 
 def acceptance_certificates():
     """Interpolants of every cell of the three acceptance plans, on one ray."""
-    plans = (
-        (1, (0.3, 0.2, 0.1, 0.05), (2, 4, 8, 16)),
-        (2, (0.01, 0.005, 0.002), (1, 2)),
-        (3, (0.005, 0.002, 0.001), (1,)),
-    )
     certs = []
-    for n, qs, offsets in plans:
+    for n, qs, offsets in acceptance_plans():
         for q in qs:
             for off in offsets:
                 if q ** (n + off) < 1e-12:

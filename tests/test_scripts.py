@@ -13,6 +13,13 @@ def load_script(name):
     return module
 
 
+def acceptance_plans():
+    """The three acceptance studies as (n, q schedule, m offsets), from the
+    PLANS of scripts/run_omega_study.py, their one owner."""
+    plans = load_script("run_omega_study").PLANS
+    return tuple((n, qs, offsets) for n, (qs, offsets) in sorted(plans.items()))
+
+
 def test_omega_study_script_writes_one_csv_per_degree(capsys, tmp_path):
     assert load_script("run_omega_study").main(["--degrees", "1", "--out-dir", str(tmp_path)]) == 0
     header = (tmp_path / "omega_study_n1.csv").read_text().splitlines()[0]
