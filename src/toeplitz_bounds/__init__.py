@@ -53,8 +53,6 @@ from .pick_interp import (
     InterpolationProblem,
     construct_interpolant,
     minimal_level,
-    pick_feasible,
-    pick_matrix,
 )
 from .toeplitz_op import (
     RationalFunction,
@@ -99,8 +97,6 @@ __all__ = [
     "lemma1_upper_bound",
     "minimal_level",
     "omega_convergence_study",
-    "pick_feasible",
-    "pick_matrix",
     "pseudohyperbolic_distance",
     "study_to_csv",
     "study_to_json",

@@ -165,13 +165,15 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    if args.tolerance is not None and args.method != "contour":
+        raise InvalidConfiguration("--tolerance needs --method contour")
     B = BlaschkeProduct(zeros=_resolve_zeros(args))
     h = _parse_h(args.h)
     z = parse_complex(args.z)
     if args.method == "residue":
         value = apply_toeplitz_residue(B, h, z)
     else:
-        spec = QuadratureSpec(tolerance=args.tolerance)
+        spec = QuadratureSpec(tolerance=1e-8 if args.tolerance is None else args.tolerance)
         value, _ = apply_toeplitz_contour(B, h, z, spec=spec)
     _emit(_format_value(value) + "\n", args.out)
     return 0
@@ -186,6 +188,8 @@ def _cmd_pick(args) -> int:
     if not args.construct:
         _emit(_fmt(mu) + "\n", args.out)
         return 0
+    if args.level is None and not any(problem.targets):
+        raise InvalidConfiguration("every target is 0, so the minimal level is 0; --level builds the zero witness")
     level = args.level if args.level is not None else mu * (1.0 + 1e-6)
     cert = construct_interpolant(problem, level)
     payload = cert.to_dict()
@@ -282,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=str, default="1", help="constant or polynomial coefficients")
     p.add_argument("--z", type=str, default="0", help="evaluation point as re,im")
     p.add_argument("--method", choices=("residue", "contour"), default="residue")
-    add_common(p)
+    p.add_argument("--tolerance", type=float, default=None, help="contour route only; 1e-8 if not given")
+    add_common(p, tolerance=False)
 
     p = sub.add_parser("pick", help="minimal interpolation level, optional witness")
     p.set_defaults(func=_cmd_pick)

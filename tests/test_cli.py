@@ -307,6 +307,18 @@ class TestPickCommand:
         assert out == ""
         assert err.startswith("error: level mu must be positive and finite")
 
+    def test_construct_with_every_target_zero_needs_a_level(self, capsys, tmp_path):
+        # the minimal level is 0, and no relative slack lifts it
+        pf = tmp_path / "problem.json"
+        pf.write_text(json.dumps({"nodes": [[0.1, 0.0], [0.5, 0.2]], "targets": [[0.0, 0.0], [0.0, 0.0]]}))
+        code, out, err = run_main(capsys, ["pick", "--problem-file", str(pf), "--construct"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: every target is 0, so the minimal level is 0")
+        code, out, err = run_main(capsys, ["pick", "--problem-file", str(pf), "--construct", "--level", "1"])
+        assert code == 0, err
+        assert json.loads(out)["sup_norm"] == 0.0
+
     def test_missing_problem_file_exits_two(self, capsys):
         code, _, _ = run_main(capsys, ["pick", "--problem-file", "/nonexistent/problem.json"])
         assert code == 2
@@ -393,6 +405,7 @@ class TestBracketCommand:
             ["lambda", "--zeros", "0.5", "--zeros-file", "ZEROS"],
             ["lambda", "--zeros", "abc", "--zeros-file", "ZEROS"],
             ["apply", "--zeros", "0.5", "--zeros-file", "ZEROS"],
+            ["apply", "--zeros", "0.5", "--h", "1;2", "--z", "0.3", "--tolerance", "1e-3"],
             ["pick", "--problem-file", "PROBLEM", "--level", "1"],
         ],
     )

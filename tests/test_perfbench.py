@@ -15,6 +15,8 @@ import numpy as np
 
 from toeplitz_bounds import BlaschkeProduct, circle_quad, pick_interp
 
+from test_public_api import PACKAGE, ROOT, read_names
+
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -77,3 +79,17 @@ def test_a_traced_construction_returns_the_untraced_certificate():
     assert metrics["pick_interp.construct_interpolant.calls"] == 1
     (parent,) = [span[3] for span in tracer.spans if tracer.names[span[0]] == tracing.SUP_NORM]
     assert tracer.names[tracer.spans[parent][0]] == tracing.CONSTRUCT
+
+
+def test_only_the_listed_patch_points_serve_the_benchmark_alone():
+    # every other traced name has a reader in the library (its re-exports in
+    # __init__ aside), the CLI or the scripts; these two stay only because
+    # the tracer patches them, so a new benchmark-only name shows here
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + list((ROOT / "scripts").glob("*.py"))
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in readers))
+    unread = {
+        f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}"
+        for owner, attr, _name, _info in load_tracing().PATCH_POINTS
+        if attr not in read
+    }
+    assert unread == {"circle_quad.brentq", "pick_interp.pick_feasible"}

@@ -15,11 +15,10 @@ from toeplitz_bounds import (
     RayConfiguration,
     construct_interpolant,
     minimal_level,
-    pick_feasible,
-    pick_matrix,
     boundary_values,
 )
 from toeplitz_bounds import disk_core, pick_interp, toeplitz_op
+from toeplitz_bounds.pick_interp import pick_feasible
 from toeplitz_bounds.omega_bounds import SLACK_LADDER
 
 from test_scripts import acceptance_plans
@@ -146,7 +145,7 @@ def acceptance_certificates():
 def construct_with_slack(problem, mu):
     # ill-conditioned random instances need more headroom above the minimal
     # level; walk the same ladder the bound certification uses
-    for slack in (1e-6, 1e-5, 1e-4, 1e-3):
+    for slack in SLACK_LADDER:
         try:
             return construct_interpolant(problem, mu * (1 + slack))
         except NotStrictlyFeasible:
@@ -191,19 +190,6 @@ class TestProblemValidation:
         d = {"nodes": [[0.2, 0.0], [0.5, 0.0]], "targets": [[0.3, 0.0], [0.1, 0.2]], key: entries}
         with pytest.raises(InvalidConfiguration):
             InterpolationProblem.from_dict(d)
-
-
-class TestPickMatrix:
-    def test_two_node_entries_match_the_formula(self):
-        p = InterpolationProblem(nodes=(0.0, 0.5), targets=(0.0, 0.25))
-        M = pick_matrix(p, 1.0)
-        manual = np.array([[1.0, 1.0], [1.0, (1.0 - 0.0625) / (1.0 - 0.25)]])
-        assert np.max(np.abs(M - manual)) < 1e-15
-
-    def test_matrix_is_hermitian(self):
-        p = InterpolationProblem(nodes=(0.2j, -0.3), targets=(0.1, 0.4j))
-        M = pick_matrix(p, 0.7)
-        assert np.max(np.abs(M - M.conj().T)) == 0.0
 
 
 class TestMinimalLevel:
@@ -291,6 +277,16 @@ class TestLevelIsTheBoundary:
             with pytest.raises(NotStrictlyFeasible):
                 construct_interpolant(p, minimal_level(p) * (1 - 1e-6))
 
+    def test_pick_feasible_switches_at_the_level(self):
+        # feasibility and construction ask the same recursion, so they
+        # switch at the same level
+        rng = np.random.default_rng(self.SEED)
+        for _ in range(self.PROBLEMS):
+            p = panel_problem(rng)
+            mu = minimal_level(p)
+            assert not pick_feasible(p, mu * (1 - 1e-6))
+            assert pick_feasible(p, mu * (1 + 1e-6))
+
 
 class TestLevelIsTheBoundarySeed1(TestLevelIsTheBoundary):
     """Seed 1 draws kernel matrices of condition 7e12 and 4e13 (problems 29
@@ -311,6 +307,12 @@ class TestIllConditionedKernel:
         cert = construct_interpolant(p, mu * (1 + 1e-6))
         ymax = max(abs(y) for y in p.targets)
         assert max(cert.residuals) <= 1e-8 * (1.0 + ymax)
+
+    @pytest.mark.parametrize("seed, round_index, k", [(803, 214, 58), (820, 44, 57)])
+    def test_infeasible_well_below_the_level(self, seed, round_index, k):
+        # the true levels lie within 2.3 % of mu, so 0.9 mu is infeasible
+        p = benchmark_problem(seed, round_index, k)
+        assert not pick_feasible(p, 0.9 * minimal_level(p))
 
 
 class TestSupNorm:
