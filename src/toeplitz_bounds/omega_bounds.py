@@ -194,8 +194,9 @@ def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
 
     The divisor is the construction level, which the Schur recursion
     guarantees is at least sup |h0|; a sampled sup-norm would only bound
-    sup |h0| from below and could certify too much. The level is reported as
-    the interpolant norm.
+    sup |h0| from below and could certify too much. So construction takes no
+    boundary sample here (sample=False). The level is reported as the
+    interpolant norm.
     """
     problem = config.problem()
     mu_min = minimal_level(problem)
@@ -204,7 +205,7 @@ def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
     last: Exception | None = None
     for slack in SLACK_LADDER:
         try:
-            cert = construct_interpolant(problem, mu_min * (1.0 + slack))
+            cert = construct_interpolant(problem, mu_min * (1.0 + slack), sample=False)
             break
         except (NotStrictlyFeasible, NumericalBreakdown) as exc:
             warnings.append(f"construction at slack {slack:g} failed: {exc}")
@@ -313,11 +314,11 @@ def omega_convergence_study(
 
     Rows whose probe deficit cannot be represented are emitted with NaN bounds
     and a warning marker instead of being dropped; a schedule with no
-    representable cell raises InvalidConfiguration before any upper bound is
-    computed. The upper bound depends
-    only on q, so it is computed once per schedule entry. Rows are independent
-    and may run on a thread pool; output order follows the schedule, not
-    completion.
+    representable cell, or with a q or an offset given twice, raises
+    InvalidConfiguration before any upper bound is computed. The upper bound
+    depends only on q, so it is computed once per schedule entry. Rows are
+    independent and may run on a thread pool; output order follows the
+    schedule, not completion.
     """
     if not q_schedule or not m_offsets:
         raise InvalidConfiguration("schedules must be nonempty")
@@ -325,6 +326,10 @@ def omega_convergence_study(
         raise InvalidConfiguration(f"every q must be in (0, 1), got {q_schedule!r}")
     n = as_int(n, "degree n")
     m_offsets = [as_int(off, "m offset") for off in m_offsets]
+    for name, entries in (("q", [float(q) for q in q_schedule]), ("m offset", m_offsets)):
+        repeated = [e for k, e in enumerate(entries) if e in entries[:k]]
+        if repeated:
+            raise InvalidConfiguration(f"{name} {repeated[0]!r} appears more than once in its schedule")
     xi_p = xi if isinstance(xi, CirclePoint) else CirclePoint(as_complex(xi))
 
     # every cell is checked, and a schedule with no representable cell

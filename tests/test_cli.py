@@ -13,6 +13,8 @@ from toeplitz_bounds import BlaschkeProduct, lambda_functional, toeplitz_op
 from toeplitz_bounds.cli import build_parser, main, parse_complex, zeros_digest
 from toeplitz_bounds.errors import InvalidConfiguration
 
+from test_scripts import acceptance_plans
+
 SCHWARZ_PROBLEM = {"nodes": [[0.0, 0.0], [0.5, 0.0]], "targets": [[0.0, 0.0], [0.25, 0.0]]}
 # Close nodes and a level near 215: a bisected level sat below the true one here.
 CLOSE_NODE_PROBLEM = {
@@ -482,22 +484,42 @@ class TestOmegaStudyCommand:
         payload = json.loads(out)
         assert {r["m"] for r in payload["rows"]} == {3, 5}
 
-    def test_degree_two_json_stdout_is_pinned(self, capsys):
-        # digest recorded while each cell's configuration was built inside its
-        # row, then again with the Gauss-Kronrod panels: the uppers moved by at
-        # most 8.9e-9 (02524a01...be207b3e with the 28-node midpoint panels);
-        # then with the 1,024-node grid and the 8-panel first sweep, which
-        # moved them by at most 1.1e-9 (6f75e529...ba1a7e47 before); then
-        # with the one-stage screen and one seed ladder per ray, which raised
-        # them by at most 3.0e-9 (87c61db4...5591c08a88e before)
-        argv = ["omega-study", "--n", "2", "--q-schedule", "0.01,0.005,0.002", "--m-offsets", "1,2", "--json"]
-        code, out, err = run_main(capsys, argv)
-        assert code == 0, err
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d506c98a35a6468b5622c1abf25c357dc43fb2a12d835a3a16a137376c7d81cf"
-        )
-        assert_brackets_near(
-            out,
+    # (digest, then the (lower, upper) of every row and of the best) of each
+    # acceptance plan's `omega-study --json` stdout at the default --xi. The
+    # n = 2 digest was recorded while each cell's configuration was built
+    # inside its row, then again with the Gauss-Kronrod panels: the uppers
+    # moved by at most 8.9e-9 (02524a01...be207b3e with the 28-node midpoint
+    # panels); then with the 1,024-node grid and the 8-panel first sweep,
+    # which moved them by at most 1.1e-9 (6f75e529...ba1a7e47 before); then
+    # with the one-stage screen and one seed ladder per ray, which raised
+    # them by at most 3.0e-9 (87c61db4...5591c08a88e before). The n = 1 and
+    # n = 3 digests were recorded while every certificate still sampled the
+    # interpolant's boundary sup-norm.
+    PINNED_STUDIES = {
+        1: (
+            "c49a5814dd61ce159c529aa642aed841aab4dc034d5238bc50ca840fc7536bea",
+            [
+                (1.7393321308795866, 2.8024150662400347),
+                (2.3133411664739576, 2.8024150662400347),
+                (2.6602277425178857, 2.8024150662400347),
+                (2.6996706943501745, 2.8024150662400347),
+                (2.0248930106815712, 2.869814126144191),
+                (2.601628121046399, 2.869814126144191),
+                (2.7915209111576904, 2.869814126144191),
+                (2.799983599705744, 2.869814126144191),
+                (2.422914595354966, 2.935639217312558),
+                (2.8444671963842425, 2.935639217312558),
+                (2.8994318881388463, 2.935639217312558),
+                (None, 2.935639217312558),
+                (2.683284104688322, 2.9679963022401785),
+                (2.9354984746115775, 2.9679963022401785),
+                (2.949960639500069, 2.9679963022401785),
+                (None, 2.9679963022401785),
+                (2.949960639500069, 2.9679963022401785),
+            ],
+        ),
+        2: (
+            "d506c98a35a6468b5622c1abf25c357dc43fb2a12d835a3a16a137376c7d81cf",
             [
                 (3.8462354341979537, 4.557430887069555),
                 (4.162302655152227, 4.557430887069555),
@@ -507,7 +529,34 @@ class TestOmegaStudyCommand:
                 (4.588174221489721, 4.786330172159058),
                 (4.588174221489721, 4.786330172159058),
             ],
-        )
+        ),
+        3: (
+            "89650a626782ffdf834cef8683f3649825c04760a7e487d64b16869fa44c911e",
+            [
+                (5.643167130522234, 6.3498389083679),
+                (6.090148239903235, 6.573442173249596),
+                (6.336675189945882, 6.692625076805629),
+                (6.336675189945882, 6.692625076805629),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "n, q_schedule, m_offsets", [pytest.param(*plan, id=f"n{plan[0]}") for plan in acceptance_plans()]
+    )
+    def test_acceptance_plan_json_stdout_is_pinned(self, capsys, n, q_schedule, m_offsets):
+        argv = [
+            "omega-study",
+            "--n", str(n),
+            "--q-schedule", ",".join(map(str, q_schedule)),
+            "--m-offsets", ",".join(map(str, m_offsets)),
+            "--json",
+        ]
+        code, out, err = run_main(capsys, argv)
+        assert code == 0, err
+        digest, brackets = self.PINNED_STUDIES[n]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_brackets_near(out, brackets)
 
     @pytest.mark.parametrize(
         "flag, value, token",
@@ -519,6 +568,18 @@ class TestOmegaStudyCommand:
         assert code == 2
         assert out == ""
         assert f"{token!r}" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, token",
+        [("--q-schedule", "0.3,0.3", "q 0.3"), ("--m-offsets", "2,2", "m offset 2")],
+    )
+    def test_repeated_schedule_entry_exits_two(self, capsys, flag, value, token):
+        # each cell of a repeated entry would run twice and print its row twice
+        argv = ["omega-study", "--n", "1", "--q-schedule", "0.3", "--m-offsets", "2"] + [flag, value]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert token in err
 
 
 class TestNaNInputs:

@@ -1,5 +1,6 @@
 """Ray configurations, lower-bound certificates, and convergence studies."""
 
+import cmath
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from toeplitz_bounds import (
     study_to_csv,
     study_to_json,
 )
-from toeplitz_bounds import omega_bounds
+from toeplitz_bounds import omega_bounds, toeplitz_op
 from toeplitz_bounds.omega_bounds import PROBE_DEFICIT_FLOOR, default_eps
+
+from test_scripts import acceptance_plans
 
 
 def mild_config(xi=1.0, q=0.1, n=1, m=8):
@@ -135,6 +138,18 @@ class TestCertificates:
         ci = certify_lower_bound(mild_config(xi=1j))
         assert abs(c1.certified - ci.certified) < 1e-8
 
+    @pytest.mark.parametrize(
+        "n, q_schedule, m_offsets", [pytest.param(*plan, id=f"n{plan[0]}") for plan in acceptance_plans()]
+    )
+    def test_certificates_take_no_boundary_sample(self, monkeypatch, n, q_schedule, m_offsets):
+        # each certificate divides by the level, so none needs the sampled norm
+        def no_sample(self):
+            raise AssertionError("a certificate sampled the interpolant's boundary")
+
+        monkeypatch.setattr(toeplitz_op.RationalFunction, "sup_norm", no_sample)
+        study = omega_convergence_study(n, cmath.exp(0.7j), q_schedule=q_schedule, m_offsets=m_offsets)
+        assert any(row.certificate is not None for row in study.rows)
+
     def test_certificate_dict_shape(self):
         d = certify_lower_bound(mild_config()).to_dict()
         assert set(d) == {
@@ -240,10 +255,12 @@ class TestStudy:
             dict(n=1, q_schedule=(0.001,), m_offsets=(2, 20.5)),
             dict(n=1.5, q_schedule=(0.3,)),
             dict(n=1, q_schedule=(0.01, 0.02), m_offsets=(10, 12)),
+            dict(n=1, q_schedule=(0.3, 0.3), m_offsets=(2,)),
+            dict(n=1, q_schedule=(0.3,), m_offsets=(2, 2)),
         ],
         ids=["1.5", "0.0", "-0.2", "nan", "m-equal-to-n", "n-zero", "eps-above-1-q",
              "fractional-offset", "fractional-offset-below-the-floor", "fractional-n",
-             "no-cell-above-the-floor"],
+             "no-cell-above-the-floor", "repeated-q", "repeated-offset"],
     )
     def test_each_q_is_checked_before_any_upper_bound(self, monkeypatch, kwargs):
         # each q, and the configuration of each cell above the deficit floor

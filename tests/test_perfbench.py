@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from toeplitz_bounds import BlaschkeProduct, circle_quad, pick_interp
+from toeplitz_bounds import BlaschkeProduct, circle_quad, omega_bounds, pick_interp
 
 from test_public_api import PACKAGE, ROOT, read_names
 
@@ -79,6 +79,26 @@ def test_a_traced_construction_returns_the_untraced_certificate():
     assert metrics["pick_interp.construct_interpolant.calls"] == 1
     (parent,) = [span[3] for span in tracer.spans if tracer.names[span[0]] == tracing.SUP_NORM]
     assert tracer.names[tracer.spans[parent][0]] == tracing.CONSTRUCT
+
+
+def test_a_traced_study_takes_no_boundary_sample():
+    # certificates divide by the level, so they build no sampled sup-norm,
+    # and a ray this far from the circle needs no slack retry
+    tracing = load_tracing()
+    args = (1, cmath.exp(0.7j), (0.3,), (2, 4))
+    untraced = omega_bounds.omega_convergence_study(*args)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = omega_bounds.omega_convergence_study(*args)
+    finally:
+        tracer.uninstall()
+    assert traced.rows == untraced.rows
+    metrics = tracer.layer_metrics()
+    assert metrics["toeplitz_op.sup_norm.calls"] == 0
+    assert metrics["pick_interp.construct_interpolant.calls"] == 2
+    assert metrics["omega_bounds.certify_lower_bound.calls"] == 2
+    assert metrics["omega_bounds.slack_retries"] == 0
 
 
 def test_only_the_listed_patch_points_serve_the_benchmark_alone():

@@ -511,6 +511,22 @@ class TestConstruction:
             cert = construct_with_slack(p, mu)
             assert cert.sup_norm <= cert.level * (1 + 1e-12)
 
+    def test_without_a_sample_the_certificate_is_otherwise_the_same(self):
+        for problems in panel_problems_by_size().values():
+            for p in problems:
+                mu = minimal_level(p) * (1 + 1e-6)
+                sampled = construct_interpolant(p, mu)
+                bare = construct_interpolant(p, mu, sample=False)
+                assert bare.sup_norm is None
+                assert sampled.sup_norm is not None
+                # clongdouble values, compared as values: their padding bytes are not data
+                for field in ("nodes", "gammas"):
+                    a, b = getattr(sampled.interpolant, field), getattr(bare.interpolant, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert (bare.level, bare.residuals, bare.warnings) == (
+                    sampled.level, sampled.residuals, sampled.warnings
+                )
+
     def test_exactly_minimal_level_is_rejected(self):
         p = InterpolationProblem(nodes=(0.0, 0.5), targets=(0.0, 0.25))
         with pytest.raises(NotStrictlyFeasible):
