@@ -24,17 +24,14 @@ a scalar theta's is, and each node keeps the bits of the call at its own
 rotation. A caller that needs the half-angle trig of the offsets itself
 takes their pair first, by _half_angle_pair, and passes it as half, so the
 trig is taken once.
-boundary_factors keeps the factors of a product apart, one row each, for
-callers that compose them with more than multiplication: the Schur chain
-(toeplitz_op.RationalFunction) holds its levels' nodes as one product,
-built once per interpolant.
-A caller that sweeps the same angles on every call
-(RationalFunction.sup_norm) keeps their pair and passes it to
-boundary_factors as half, so that sweep takes no trig at all.
+The two scalars that shift that trig to one zero's beta/2 have one
+definition, _half_angle_scalars. The Schur chain (toeplitz_op.RationalFunction)
+takes them once per interpolant and its sweep's pair from a table built at
+import, so that sweep takes no trig at all.
 
-Both normalise by multiplying with the reciprocal modulus. numpy divides a
-complex by a real (cast to complex) as (re + im*0) * (1/r), so this has the
-bits of the division for about half its cost.
+boundary_values and the chain normalise by multiplying with the reciprocal
+modulus: numpy divides a complex by a real (cast to complex) as
+(re + im*0) * (1/r), so this has the division's bits at about half its cost.
 """
 
 from __future__ import annotations
@@ -102,8 +99,8 @@ class BlaschkeProduct:
 
     polar is each zero's (gamma, rho) from zero_polar, in the order of zeros:
     taken once, on first use, and kept, so that the kernels on the circle
-    (boundary_values, boundary_factors, the Lambda seed ladders and fold
-    solver) read it on every sweep instead of taking np.angle again.
+    (boundary_values, the Lambda seed ladders and fold solver, the Schur
+    chain) read it instead of taking np.angle again.
     """
 
     zeros: tuple = field(default=())
@@ -169,6 +166,18 @@ def _half_angle_pair(u):
     return np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
 
 
+def _half_angle_scalars(gamma, rho, base=None):
+    """(p, q): the term w of the zero rho e^{i gamma} at beta (as in
+    _half_angle_terms) is cu p + su q, cu and su the pair of _half_angle_pair
+    held as complex, so each term is one complex-by-scalar multiply, not a
+    cast. By angle addition p = d c0 + i e s0 and q = -d s0 + i e c0, with
+    d = 1 - rho, e = 1 + rho and (c0, s0) the cos and sin of (beta - u)/2."""
+    half = 0.5 * (-gamma if base is None else math.remainder(base - gamma, 2 * math.pi))
+    d, e = 1.0 - rho, 1.0 + rho
+    s0, c0 = math.sin(half), math.cos(half)
+    return complex(d * c0, e * s0), complex(-d * s0, e * c0)
+
+
 def _half_angle_terms(polar, u, base=None, half=None):
     """Yield, zero by zero, the half-angle term w at every angle, with
     d = 1 - rho and e^{i gamma}; w is one buffer, overwritten by the next yield.
@@ -176,8 +185,8 @@ def _half_angle_terms(polar, u, base=None, half=None):
     zero's angle is taken here.
 
     sin and cos of u/2 are taken once, by _half_angle_pair, and each zero
-    shifts them to its beta/2 by angle addition with two scalars. A 2 pi
-    shift of beta only flips the sign of w, so no reduction is needed.
+    shifts them to its beta/2 with the two scalars of _half_angle_scalars.
+    A 2 pi shift of beta only flips the sign of w, so no reduction is needed.
     Without a base, beta is u - gamma on the array u. With a base, beta is
     base - gamma + u and base - gamma - u, and w holds the + terms followed
     by the - terms. The base is a scalar, or an array of u's shape that is
@@ -205,21 +214,16 @@ def _half_angle_terms(polar, u, base=None, half=None):
             (float(base[i]), cu[i:j], su[i:j], x[i:j], y[i:j]) for i, j in zip(starts, starts[1:] + [n])
         ]
     for gamma, rho in polar:
-        d, e = 1.0 - rho, 1.0 + rho
         for b, cu_r, su_r, x_r, y_r in runs:
-            half = 0.5 * (math.remainder(b - gamma, 2 * math.pi) if pair else -gamma)
-            s0, c0 = math.sin(half), math.cos(half)
-            # w = x + y, x = cu (d c0 + i e s0), y = su (-d s0 + i e c0); cu and
-            # su hold real values as complex, so each term is one
-            # complex-by-scalar multiply, not a cast
-            np.multiply(cu_r, complex(d * c0, e * s0), out=x_r)
-            np.multiply(su_r, complex(-d * s0, e * c0), out=y_r)
+            p, q = _half_angle_scalars(gamma, rho, b)
+            np.multiply(cu_r, p, out=x_r)
+            np.multiply(su_r, q, out=y_r)
         if pair:
             np.add(x, y, out=w[:n])
             np.subtract(x, y, out=w[n:])
         else:
             w += y
-        yield w, d, cmath.exp(1j * gamma)
+        yield w, 1.0 - rho, cmath.exp(1j * gamma)
 
 
 def boundary_values(B: BlaschkeProduct, theta, offset=None, half=None):
@@ -271,30 +275,6 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, half=None):
     prod *= prod
     prod *= rot
     return prod
-
-
-def boundary_factors(B: BlaschkeProduct, theta, half=None):
-    """Row k is the Moebius factor of B.zeros[k] at e^{i*theta}: e^{i gamma_k} (w_k/|w_k|)^2.
-
-    All rows share one half-angle sweep of theta, and row k has the bits of
-    boundary_values(BlaschkeProduct((B.zeros[k],)), theta), since that
-    multiplies w_k and e^{i gamma_k} into a product that starts at 1 + 0i.
-    The result has shape (B.degree,) + shape(theta). half, for an array
-    theta, is _half_angle_pair(theta) already taken: a caller that sweeps
-    the same angles on every call keeps the pair and passes it down, so no
-    trig is taken here, and the rows keep their bits.
-    """
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty((B.degree,) + theta.shape, dtype=complex)
-    scale = np.empty(theta.shape)
-    for k, (w, _, turn) in enumerate(_half_angle_terms(B.polar, theta, half=half)):
-        row = out[k, ...]  # a view, also when theta is a scalar
-        np.abs(w, out=scale)
-        np.divide(1.0, scale, out=scale)
-        np.multiply(w, scale, out=row)
-        row *= row
-        row *= turn
-    return out
 
 
 def pseudohyperbolic_distance(z, w) -> float:

@@ -98,9 +98,9 @@ def minimal_level(problem: InterpolationProblem) -> float:
     and forward solve run in clongdouble, row by row (N is at most about 20):
     a double-precision factor misplaces the level once the kernel condition
     passes about 1e12 and fails outright at a few times 1e18. Only the final
-    2-norm runs in double. With one node the formula gives |y|. A kernel
-    matrix that is not positive definite even in clongdouble raises
-    NumericalBreakdown.
+    2-norm, the largest singular value, runs in double. With one node the
+    formula gives |y|. A kernel matrix that is not positive definite even in
+    clongdouble raises NumericalBreakdown.
     """
     x = np.array(problem.nodes, dtype=np.clongdouble)
     d = np.sqrt(1.0 - np.abs(x) ** 2)
@@ -117,7 +117,7 @@ def minimal_level(problem: InterpolationProblem) -> float:
     X = np.array(problem.targets, dtype=np.clongdouble)[:, None] * L
     for i in range(x.size):
         X[i] = (X[i] - L[i, :i] @ X[:i]) / L[i, i]
-    return float(np.linalg.norm(X.astype(complex), 2))
+    return float(np.linalg.svd(X.astype(complex), compute_uv=False)[0])
 
 
 @dataclass(frozen=True)

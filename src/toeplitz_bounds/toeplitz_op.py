@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from .disk_core import (
     BlaschkeProduct,
     _derivative_at_zero,
     _half_angle_pair,
+    _half_angle_scalars,
     as_complex,
-    boundary_factors,
     boundary_values,
     eval_blaschke,
 )
@@ -81,19 +82,25 @@ class RationalFunction:
     enters no factor. pick_interp.construct_interpolant builds it.
 
     Calling it evaluates the chain in clongdouble at points of the disk. On
-    the circle (_on_circle) the Moebius factors of all levels come from one
-    disk_core.boundary_factors call per evaluation, whose half-angle form
-    needs only 1 - |x_j|, so nodes within 1e-11 of the circle need no
-    extended precision there. The levels' nodes are the zeros of one
-    BlaschkeProduct, built here, so each level's (gamma, rho) is taken once
-    per interpolant.
+    the circle (_on_circle) each level's Moebius factor takes the half-angle
+    form of disk_core, which needs only 1 - |x_j|, so nodes within 1e-11 of
+    the circle need no extended precision there. Its scalars are taken on
+    the first evaluation on the circle, once per interpolant (_levels).
     """
 
     def __init__(self, nodes, gammas, level):
         self.nodes = np.asarray(nodes, dtype=np.clongdouble)
         self.gammas = np.asarray(gammas, dtype=np.clongdouble)
         self.level = level
-        self._levels = BlaschkeProduct(zeros=tuple(complex(a) for a in self.nodes[:-1]))
+
+    @cached_property
+    def _levels(self) -> list:
+        """(p, q, e^{i arg x_j}, gamma_j, conj(gamma_j)) per Schur level, last
+        first, in complex128; p and q from disk_core._half_angle_scalars."""
+        g = self.gammas.astype(complex)
+        polar = BlaschkeProduct(zeros=tuple(complex(a) for a in self.nodes[:-1])).polar
+        levels = [(*_half_angle_scalars(a, r), cmath.exp(1j * a), gj, np.conj(gj)) for (a, r), gj in zip(polar, g)]
+        return levels[::-1]
 
     def __call__(self, z):
         x, gammas = self.nodes, self.gammas
@@ -112,8 +119,10 @@ class RationalFunction:
         """Boundary sup-norm of the chain by dense sampling plus batched parabolic refinement of the top peaks.
 
         The sweep evaluates |h(e^{i theta})| at SUP_SAMPLES uniform angles
-        through _on_circle, which gets the sweep's half-angle pair from a
-        table built at import, so the sweep takes no trig. The SUP_PEAKS
+        through _on_circle, which takes the sweep's half-angle pair from a
+        table built at import and each level's scalars from _levels, so the
+        sweep takes no trig; its factors pass through one buffer, in a fixed
+        operand order, since the multiply can be fused. The SUP_PEAKS
         highest local maxima of the samples, at least three grid steps
         apart, are then refined together, in at most REFINE_STEPS batched
         evaluations of one 3-point stencil per peak. Each step fits a
@@ -204,15 +213,26 @@ class RationalFunction:
     def _on_circle(self, theta, half=None):
         """Values h(e^{i theta}) on an array of angles, in complex128. half,
         if not None, is disk_core._half_angle_pair(theta) already taken (the
-        sweep table), handed to boundary_factors; the values keep their bits.
-        Row j of the factors has the bits of that level's own
-        boundary_values, so the values do not depend on the sharing."""
-        factors = boundary_factors(self._levels, theta, half)
-        g = self.gammas.astype(complex)
-        f = np.full(np.shape(theta), g[-1])
-        for j in range(self._levels.degree - 1, -1, -1):
-            bf = factors[j] * f
-            f = (bf + g[j]) / (1.0 + np.conj(g[j]) * bf)
+        sweep table). The levels, last first, share three buffers of theta's
+        size: each factor b = e^{i arg x_j} (w/|w|)^2 is built as
+        boundary_values builds it for one zero and fed into f <- (b f +
+        gamma_j) / (1 + conj(gamma_j) b f). numpy's complex multiply can be
+        fused (FMA), so a b and b a can differ in the last bit; with every
+        operand order kept, the values have the bits of per-level
+        boundary_values."""
+        cu, su = _half_angle_pair(theta) if half is None else half
+        f = np.full(np.shape(theta), self.gammas[-1], dtype=complex)
+        b, scratch, modulus = np.empty_like(f), np.empty_like(f), np.empty(f.shape)
+        for p, q, turn, g, g_conj in self._levels:
+            np.multiply(cu, p, out=b)
+            b += np.multiply(su, q, out=scratch)
+            b *= np.divide(1.0, np.abs(b, out=modulus), out=modulus)
+            b *= b
+            b *= turn
+            b *= f
+            np.add(1.0, np.multiply(g_conj, b, out=scratch), out=scratch)
+            b += g
+            np.divide(b, scratch, out=f)
         return self.level * f
 
     def to_dict(self) -> dict:

@@ -17,7 +17,7 @@ from toeplitz_bounds import (
     eval_blaschke,
     pseudohyperbolic_distance,
 )
-from toeplitz_bounds.disk_core import _derivative_at_zero, _half_angle_pair, boundary_factors
+from toeplitz_bounds.disk_core import _derivative_at_zero, _half_angle_pair
 
 disk_points = st.complex_numbers(max_magnitude=0.93, allow_nan=False, allow_infinity=False)
 
@@ -405,44 +405,6 @@ class TestBoundaryValues:
         for theta, offset in (([0.1, 0.2], [1e-9, -1e-9, 1e-3]), ([[0.1, 0.2]], [1e-9, -1e-9]), ([0.1], 1e-9)):
             with pytest.raises(InvalidConfiguration):
                 boundary_values(B, np.array(theta), offset=np.array(offset))
-
-
-class TestBoundaryFactors:
-    """Row k of boundary_factors is the single-factor boundary_values of zero k,
-    bit for bit, while all rows share one half-angle sweep."""
-
-    ZEROS = (0.0, 1.0 - 1e-12, -(1.0 - 1e-12) * 1j, 0.5, -0.3 + 0.4j, (1.0 - 1e-7) * np.exp(2.5j))
-
-    @pytest.mark.parametrize(
-        "theta",
-        [
-            np.linspace(-np.pi, np.pi, 4096, endpoint=False),
-            (np.array([[-0.02], [0.0], [0.02]]) + np.linspace(-3.0, 3.0, 8)).ravel(),
-            np.array([-9.5, -2.0 * np.pi, -np.pi, 0.0, 1e-13, np.pi, 4.0, 12.25]),
-            0.3,
-        ],
-        ids=["sweep", "stencil", "beyond-pi", "scalar"],
-    )
-    def test_rows_are_single_factor_boundary_values(self, theta):
-        rng = np.random.default_rng(89)
-        deficits = 10.0 ** rng.uniform(-12.0, 0.0, 10)
-        zeros = self.ZEROS + tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 10)))
-        F = boundary_factors(BlaschkeProduct(zeros), theta)
-        assert F.shape == (len(zeros),) + np.shape(theta)
-        for row, a in zip(F, zeros):
-            assert np.array_equal(row, boundary_values(BlaschkeProduct((a,)), theta))
-
-    def test_product_of_rows_is_the_blaschke_product(self):
-        rng = np.random.default_rng(97)
-        zeros = moderate_zeros(rng, 5)
-        theta = np.linspace(-np.pi, np.pi, 257)
-        F = boundary_factors(BlaschkeProduct(zeros), theta)
-        assert np.max(np.abs(np.prod(F, axis=0) - boundary_values(BlaschkeProduct(zeros), theta))) < 1e-14
-
-    def test_empty_zero_list(self):
-        theta = np.linspace(-np.pi, np.pi, 24)
-        assert boundary_factors(BlaschkeProduct(()), theta).shape == (0, 24)
-        assert boundary_factors(BlaschkeProduct(()), 0.3).shape == (0,)
 
 
 class TestPseudohyperbolicDistance:

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,64 +353,94 @@ def panel_problems_by_size(seed=41):
 
 class TestSupNormBits:
     """float.hex of cert.sup_norm as recorded before the sweep took its trig
-    from an import-time table and the refinement ran in Python floats; the
-    sampled norm is not to move by a bit without a reason."""
+    from an import-time table and the refinement ran in Python floats, each
+    beside float.hex of cert.level as recorded before minimal_level took the
+    2-norm from its own singular value call; the sampled norm and the level
+    are not to move by a bit without a reason."""
 
     PANEL = {
-        2: ("0x1.4f975a0ede5a1p+1", "0x1.5afc8dff7d0b1p+2"),
-        3: ("0x1.d8a22f627b9b6p+1", "0x1.a8639625cf148p+1"),
-        4: ("0x1.d987276f02c23p+4", "0x1.535fd98356af0p+1"),
-        5: ("0x1.c99f5fb350b9bp+3", "0x1.54818b2c41366p+3"),
-        6: ("0x1.0f14cb5f7b44dp+4", "0x1.40c30263cce60p+2"),
-        7: ("0x1.f2184b30c5312p+3", "0x1.83daaf3069484p+12"),
+        2: (("0x1.4f975a0ede5a1p+1", "0x1.4f976f641c960p+1"), ("0x1.5afc8dff7d0b1p+2", "0x1.5afca2a26f5a3p+2")),
+        3: (("0x1.d8a22f627b9b6p+1", "0x1.d8a237d71ace9p+1"), ("0x1.a8639625cf148p+1", "0x1.a86396d32e0bfp+1")),
+        4: (("0x1.d987276f02c23p+4", "0x1.d9872eaa61054p+4"), ("0x1.535fd98356af0p+1", "0x1.535fdb7921712p+1")),
+        5: (("0x1.c99f5fb350b9bp+3", "0x1.c99f6ea975a89p+3"), ("0x1.54818b2c41366p+3", "0x1.5481912dd7c66p+3")),
+        6: (("0x1.0f14cb5f7b44dp+4", "0x1.0f14ce6f0acc7p+4"), ("0x1.40c30263cce60p+2", "0x1.40c302f082f56p+2")),
+        7: (("0x1.f2184b30c5312p+3", "0x1.f2184ceb9b695p+3"), ("0x1.83daaf3069484p+12", "0x1.83dab23d72a51p+12")),
     }
-    ILL_CONDITIONED = {(803, 214, 58): "0x1.b59f7edd3aaaap+28", (820, 44, 57): "0x1.abcccae229c66p+30"}
+    ILL_CONDITIONED = {
+        (803, 214, 58): ("0x1.b59f7edd3aaaap+28", "0x1.b6f7cb61b2460p+28"),
+        (820, 44, 57): ("0x1.abcccae229c66p+30", "0x1.b58a031378e11p+30"),
+    }
     ACCEPTANCE = (
-        "0x1.a623d6fe66c09p+0", "0x1.2c532b083d1e3p+0", "0x1.03d68e8963ce5p+0", "0x1.0007fe8773a8dp+0",
-        "0x1.6b79d939ebf9ap+0", "0x1.13cdba2ff27f6p+0", "0x1.00c72b8d03e68p+0", "0x1.000062450472cp+0",
-        "0x1.346f8381aaeb5p+0", "0x1.0503d7f2fb68fp+0", "0x1.000cd76bda794p+0", "0x1.19e99491ffb85p+0",
-        "0x1.0144060891e7cp+0", "0x1.0000dfda127c5p+0", "0x1.4d7a7eb3ce633p+0", "0x1.32e9cf1b7bfb4p+0",
-        "0x1.35bce6b0d83cap+0", "0x1.2417580d340ebp+0", "0x1.21663c52eba95p+0", "0x1.16dde06264268p+0",
-        "0x1.3dc84c79b7c6dp+0", "0x1.26548babb2d3ep+0", "0x1.1ad6a37dddadfp+0",
+        ("0x1.a623d6fe66c09p+0", "0x1.a623da8697c56p+0"), ("0x1.2c532b083d1e3p+0", "0x1.2c532b4a801d2p+0"),
+        ("0x1.03d68e8963ce5p+0", "0x1.03d68e89dfd30p+0"), ("0x1.0007fe8773a8dp+0", "0x1.0007fe8773aadp+0"),
+        ("0x1.6b79d939ebf9ap+0", "0x1.6b79dabfcce59p+0"), ("0x1.13cdba2ff27f6p+0", "0x1.13cdba3d02689p+0"),
+        ("0x1.00c72b8d03e68p+0", "0x1.00c72b8d08fb1p+0"), ("0x1.000062450472cp+0", "0x1.000062450472ap+0"),
+        ("0x1.346f8381aaeb5p+0", "0x1.346f83dea09bap+0"), ("0x1.0503d7f2fb68fp+0", "0x1.0503d7f3cf5fap+0"),
+        ("0x1.000cd76bda794p+0", "0x1.000cd76bda7e8p+0"), ("0x1.19e99491ffb85p+0", "0x1.19e994a873010p+0"),
+        ("0x1.0144060891e7cp+0", "0x1.014406089f5bdp+0"), ("0x1.0000dfda127c5p+0", "0x1.0000dfda127c4p+0"),
+        ("0x1.4d7a7eb3ce633p+0", "0x1.4d7a7eb5fe2ecp+0"), ("0x1.32e9cf1b7bfb4p+0", "0x1.32e9cf1b7e9c5p+0"),
+        ("0x1.35bce6b0d83cap+0", "0x1.35bce6b15bbffp+0"), ("0x1.2417580d340ebp+0", "0x1.2417580d345eep+0"),
+        ("0x1.21663c52eba95p+0", "0x1.21663c52ff756p+0"), ("0x1.16dde06264268p+0", "0x1.16dde062642b5p+0"),
+        ("0x1.3dc84c79b7c6dp+0", "0x1.3dc84c79b902bp+0"), ("0x1.26548babb2d3ep+0", "0x1.26548babb2e68p+0"),
+        ("0x1.1ad6a37dddadfp+0", "0x1.1ad6a37dddb01p+0"),
     )
 
     @staticmethod
-    def sup_norm_bits(p):
-        return construct_interpolant(p, minimal_level(p) * (1 + 1e-6)).sup_norm.hex()
+    def bits(cert):
+        return cert.sup_norm.hex(), cert.level.hex()
+
+    def certificate_bits(self, p):
+        return self.bits(construct_interpolant(p, minimal_level(p) * (1 + 1e-6)))
 
     def test_panel_problems(self):
         for n, problems in panel_problems_by_size().items():
-            assert tuple(self.sup_norm_bits(p) for p in problems) == self.PANEL[n]
+            assert tuple(self.certificate_bits(p) for p in problems) == self.PANEL[n]
 
     def test_ill_conditioned_benchmark_problems(self):
         for args, bits in self.ILL_CONDITIONED.items():
-            assert self.sup_norm_bits(benchmark_problem(*args)) == bits
+            assert self.certificate_bits(benchmark_problem(*args)) == bits
 
     def test_acceptance_certificates(self):
-        assert tuple(cert.sup_norm.hex() for cert in acceptance_certificates()) == self.ACCEPTANCE
+        assert tuple(self.bits(cert) for cert in acceptance_certificates()) == self.ACCEPTANCE
 
 
 class TestBoundaryChain:
     """All Schur levels share one half-angle sweep per boundary evaluation."""
 
+    # nodes at the origin, 1e-12 and 1e-7 from the circle, and inside
+    EDGE_NODES = (0.0, 1.0 - 1e-12, -(1.0 - 1e-12) * 1j, 0.5, -0.3 + 0.4j, (1.0 - 1e-7) * np.exp(2.5j))
+    BEYOND_PI = np.array([-9.5, -2.0 * np.pi, -np.pi, 0.0, 1e-13, np.pi, 4.0, 12.25])
+    STENCIL = (np.array([[-0.02], [0.0], [0.02]]) + np.linspace(-3.0, 3.0, 8)).ravel()
+
     def test_matches_the_per_level_chain_bit_for_bit(self):
-        # the sweep of sup_norm, and a 24-point stencil of 8 centres, half of
-        # them at node angles, where the factors turn fastest
+        # the sweep of sup_norm, with and without its import-time trig table,
+        # angles beyond +-pi, a fixed 24-point stencil, and a 24-point stencil
+        # of 8 centres, half of them at node angles, where the factors turn
+        # fastest; a 1-node chain has no factor
         rng = np.random.default_rng(101)
         sweep = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+        angles = ((sweep, None), (sweep, toeplitz_op._SUP_HALF), (self.BEYOND_PI, None), (self.STENCIL, None))
+
+        def check(x, gammas, mu, *more):
+            shared = toeplitz_op.RationalFunction(x, gammas, mu)._on_circle
+            reference = per_level_chain(x, gammas, mu)
+            for theta, half in angles + more:
+                assert np.array_equal(shared(theta, half), reference(theta))
+
         for n in range(1, 8):
             for _ in range(3):
                 p = near_circle_problem(rng, n)
                 mu = 1.5 * minimal_level(p)
                 x, gammas = pick_interp._schur_parameters(p.nodes, p.targets, mu)
-                shared = toeplitz_op.RationalFunction(x, gammas, mu)._on_circle
-                reference = per_level_chain(x, gammas, mu)
                 centres = np.concatenate([np.angle(p.nodes[:4]), rng.uniform(-math.pi, math.pi, 8)])[:8]
                 width = 2.0 * math.pi / 4096 / 8.0 ** rng.integers(0, 7)
-                stencil = np.concatenate([centres - width, centres, centres + width])
-                # sup_norm's sweep takes its trig from the import-time table
-                for theta, half in ((sweep, None), (sweep, toeplitz_op._SUP_HALF), (stencil, None)):
-                    assert np.array_equal(shared(theta, half), reference(theta))
+                check(x, gammas, mu, (np.concatenate([centres - width, centres, centres + width]), None))
+        # the edge nodes and ten with deficits log-uniform down to 1e-12, with
+        # parameters anywhere in the disk
+        deficits = 10.0 ** rng.uniform(-12.0, 0.0, 10)
+        x = self.EDGE_NODES + tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 10))) + (0.1,)
+        gammas = rng.uniform(0.0, 0.999, len(x)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(x)))
+        check(np.array(x, dtype=np.clongdouble), np.array(gammas, dtype=np.clongdouble), 2.5)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_one_trig_sweep_per_boundary_evaluation(self, monkeypatch, n):
@@ -462,19 +493,34 @@ class TestBoundaryChain:
                 return _real(x, *args, **kwargs)
 
             monkeypatch.setattr(np, name, counting)
-        factors = toeplitz_op.boundary_factors
+        on_circle = toeplitz_op.RationalFunction._on_circle
 
-        def counting_factors(zeros, theta, *half):
+        def counted(self, theta, *half):
             sizes.append(np.size(theta))
-            return factors(zeros, theta, *half)
+            return on_circle(self, theta, *half)
 
-        monkeypatch.setattr(toeplitz_op, "boundary_factors", counting_factors)
+        monkeypatch.setattr(toeplitz_op.RationalFunction, "_on_circle", counted)
         h.sup_norm()
         stencils = [size for size in sizes if size != toeplitz_op.SUP_SAMPLES]
         assert len(stencils) == len(sizes) - 1
         assert all(size != toeplitz_op.SUP_SAMPLES for _, size in trig)
         for name in ("sin", "cos"):
             assert sum(called == name for called, _ in trig) <= len(stencils)
+
+    def test_the_sweep_memory_does_not_grow_with_the_levels(self):
+        # a work budget: the levels share their buffers, so a 7-node chain
+        # peaks less than one more sweep-sized complex buffer above a
+        # 3-node one; one table row per level would take four more
+        def peak(n):
+            h = construct_interpolant(*near_circle_level(n)).interpolant
+            tracemalloc.start()
+            try:
+                h._on_circle(toeplitz_op._SUP_THETA, toeplitz_op._SUP_HALF)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(7) - peak(3) < toeplitz_op.SUP_SAMPLES * np.dtype(complex).itemsize
 
 
 class TestConstruction:
