@@ -217,9 +217,9 @@ class RationalFunction:
         size: each factor b = e^{i arg x_j} (w/|w|)^2 is built as
         boundary_values builds it for one zero and fed into f <- (b f +
         gamma_j) / (1 + conj(gamma_j) b f). numpy's complex multiply can be
-        fused (FMA), so a b and b a can differ in the last bit; with every
-        operand order kept, the values have the bits of per-level
-        boundary_values."""
+        fused (FMA), so a b and b a can differ in the last bit, and on one
+        element an in-place product takes another loop; with operand order
+        kept and b f in its own buffer, values keep per-level bits."""
         cu, su = _half_angle_pair(theta) if half is None else half
         f = np.full(np.shape(theta), self.gammas[-1], dtype=complex)
         b, scratch, modulus = np.empty_like(f), np.empty_like(f), np.empty(f.shape)
@@ -229,10 +229,10 @@ class RationalFunction:
             b *= np.divide(1.0, np.abs(b, out=modulus), out=modulus)
             b *= b
             b *= turn
-            b *= f
-            np.add(1.0, np.multiply(g_conj, b, out=scratch), out=scratch)
-            b += g
-            np.divide(b, scratch, out=f)
+            np.multiply(b, f, out=scratch)
+            np.add(1.0, np.multiply(g_conj, scratch, out=b), out=b)
+            scratch += g
+            np.divide(scratch, b, out=f)
         return self.level * f
 
     def to_dict(self) -> dict:

@@ -412,35 +412,78 @@ class TestBoundaryChain:
     BEYOND_PI = np.array([-9.5, -2.0 * np.pi, -np.pi, 0.0, 1e-13, np.pi, 4.0, 12.25])
     STENCIL = (np.array([[-0.02], [0.0], [0.02]]) + np.linspace(-3.0, 3.0, 8)).ravel()
 
+    SWEEP = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+    ANGLES = {
+        "sweep": (SWEEP, None),
+        "sweep-table": (SWEEP, toeplitz_op._SUP_HALF),
+        "stencil": (STENCIL, None),
+        "beyond-pi": (BEYOND_PI, None),
+        "one-point": (np.array([0.3]), None),
+    }
+    EDGE_ANGLES = {**ANGLES, "scalar": (0.3, None)}
+
+    @staticmethod
+    def edge_chain():
+        """A 17-node chain: the edge nodes and ten with deficits log-uniform
+        down to 1e-12, with parameters anywhere in the disk."""
+        rng = np.random.default_rng(89)
+        deficits = 10.0 ** rng.uniform(-12.0, 0.0, 10)
+        x = TestBoundaryChain.EDGE_NODES + tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 10)))
+        x += (0.1,)
+        gammas = rng.uniform(0.0, 0.999, len(x)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(x)))
+        return np.array(x, dtype=np.clongdouble), np.array(gammas, dtype=np.clongdouble)
+
     def test_matches_the_per_level_chain_bit_for_bit(self):
         # the sweep of sup_norm, with and without its import-time trig table,
         # angles beyond +-pi, a fixed 24-point stencil, and a 24-point stencil
         # of 8 centres, half of them at node angles, where the factors turn
         # fastest; a 1-node chain has no factor
         rng = np.random.default_rng(101)
-        sweep = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
-        angles = ((sweep, None), (sweep, toeplitz_op._SUP_HALF), (self.BEYOND_PI, None), (self.STENCIL, None))
-
-        def check(x, gammas, mu, *more):
-            shared = toeplitz_op.RationalFunction(x, gammas, mu)._on_circle
-            reference = per_level_chain(x, gammas, mu)
-            for theta, half in angles + more:
-                assert np.array_equal(shared(theta, half), reference(theta))
-
+        angles = tuple(self.ANGLES.values())
         for n in range(1, 8):
             for _ in range(3):
                 p = near_circle_problem(rng, n)
                 mu = 1.5 * minimal_level(p)
                 x, gammas = pick_interp._schur_parameters(p.nodes, p.targets, mu)
+                shared = toeplitz_op.RationalFunction(x, gammas, mu)._on_circle
+                reference = per_level_chain(x, gammas, mu)
                 centres = np.concatenate([np.angle(p.nodes[:4]), rng.uniform(-math.pi, math.pi, 8)])[:8]
                 width = 2.0 * math.pi / 4096 / 8.0 ** rng.integers(0, 7)
-                check(x, gammas, mu, (np.concatenate([centres - width, centres, centres + width]), None))
-        # the edge nodes and ten with deficits log-uniform down to 1e-12, with
-        # parameters anywhere in the disk
-        deficits = 10.0 ** rng.uniform(-12.0, 0.0, 10)
-        x = self.EDGE_NODES + tuple((1.0 - deficits) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 10))) + (0.1,)
-        gammas = rng.uniform(0.0, 0.999, len(x)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(x)))
-        check(np.array(x, dtype=np.clongdouble), np.array(gammas, dtype=np.clongdouble), 2.5)
+                stencil = np.concatenate([centres - width, centres, centres + width])
+                for theta, half in angles + ((stencil, None),):
+                    assert np.array_equal(shared(theta, half), reference(theta))
+
+    @pytest.mark.parametrize("angles", list(EDGE_ANGLES))
+    def test_edge_nodes_match_the_per_level_chain_bit_for_bit(self, angles):
+        # nodes at the origin and within 1e-12 of the circle, at every kind
+        # of angle the sweep and the refinement pass; a scalar angle has the
+        # bits of a one-point sweep (numpy's scalar arithmetic is not the
+        # arrays' fused loop, so the reference takes the raveled angles)
+        theta, half = self.EDGE_ANGLES[angles]
+        x, gammas = self.edge_chain()
+        values = toeplitz_op.RationalFunction(x, gammas, 2.5)._on_circle(theta, half)
+        assert np.shape(values) == np.shape(theta)
+        assert np.array_equal(np.ravel(values), per_level_chain(x, gammas, 2.5)(np.ravel(theta)))
+
+    def test_with_zero_parameters_the_chain_is_the_blaschke_product(self):
+        # f_j = b_j f_{j+1} when gamma_j = 0, so the factors multiply to the
+        # Blaschke product of the nodes but the last
+        rng = np.random.default_rng(97)
+        r = 0.9 * rng.uniform(0.05, 1.0, 5)
+        x = np.append(r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 5)), 0.1).astype(np.clongdouble)
+        gammas = np.zeros(6, dtype=np.clongdouble)
+        gammas[-1] = 1.0
+        theta = np.linspace(-np.pi, np.pi, 257)
+        values = toeplitz_op.RationalFunction(x, gammas, 1.0)._on_circle(theta)
+        B = BlaschkeProduct(tuple(complex(a) for a in x[:-1]))
+        assert np.max(np.abs(values - boundary_values(B, theta))) < 1e-14
+
+    def test_a_one_node_chain_is_its_constant_on_the_circle(self):
+        h = toeplitz_op.RationalFunction((0.3,), (0.2j,), 2.5)
+        values = h._on_circle(np.linspace(-np.pi, np.pi, 24))
+        assert values.shape == (24,)
+        assert np.all(values == 2.5 * 0.2j)
+        assert np.shape(h._on_circle(0.3)) == ()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_one_trig_sweep_per_boundary_evaluation(self, monkeypatch, n):
