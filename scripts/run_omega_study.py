@@ -10,11 +10,12 @@ import sys
 import time
 
 from toeplitz_bounds import QuadratureSpec, omega_convergence_study, study_to_csv
+from toeplitz_bounds.omega_bounds import DEFAULT_M_OFFSETS, DEFAULT_Q_SCHEDULE
 
 # Calibrated schedules: q small enough to approach 1 + 2n, m far enough out
-# to exhaust the probe before the deficit floor.
+# to exhaust the probe before the deficit floor; n = 1 runs the default one.
 PLANS = {
-    1: ((0.3, 0.2, 0.1, 0.05), (2, 4, 8, 16)),
+    1: (DEFAULT_Q_SCHEDULE, DEFAULT_M_OFFSETS),
     2: ((0.01, 0.005, 0.002), (1, 2)),
     3: ((0.005, 0.002, 0.001), (1,)),
 }

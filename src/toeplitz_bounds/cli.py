@@ -38,6 +38,8 @@ from .errors import (
     ToleranceNotMet,
 )
 from .omega_bounds import (
+    DEFAULT_M_OFFSETS,
+    DEFAULT_Q_SCHEDULE,
     RayConfiguration,
     _fmt,
     bracket_norm,
@@ -65,8 +67,10 @@ def parse_zeros(tokens) -> tuple:
     return tuple(parse_complex(t) for t in tokens)
 
 
-def _parse_list(text: str, kind) -> tuple:
-    """Comma-separated values of type kind (float or int); empty items are skipped."""
+def _parse_list(text: str | None, kind, default: tuple) -> tuple:
+    """Comma-separated values of kind float or int, empty items skipped; the default if text is None."""
+    if text is None:
+        return default
     values = []
     for token in text.split(","):
         if not token:
@@ -103,6 +107,8 @@ def _parse_h(text: str):
     text = text.strip()
     tokens = text.split(";") if ";" in text else text.split()
     coeffs = [parse_complex(t) for t in tokens]
+    if not coeffs:
+        raise InvalidConfiguration("--h needs at least one coefficient")
     if not all(cmath.isfinite(c) for c in coeffs):
         raise InvalidConfiguration(f"coefficients of --h must be finite, got {text!r}")
     if len(coeffs) == 1:
@@ -206,12 +212,11 @@ def _cmd_bracket(args) -> int:
         if args.n is None or args.m is None:
             raise InvalidConfiguration("a ray configuration needs --q, --n and --m")
         xi = parse_complex("1" if args.xi is None else args.xi)
-        m_offsets = _parse_list("2,4,8,16" if args.m_offsets is None else args.m_offsets, int)
-        ray = RayConfiguration(xi=xi, q=args.q, n=args.n, m=args.m, eps=args.eps)
-        bracket = bracket_norm(ray, m_offsets, spec)
+        ray = RayConfiguration(xi=xi, q=args.q, n=args.n, m=args.m)
+        bracket = bracket_norm(ray, _parse_list(args.m_offsets, int, DEFAULT_M_OFFSETS), spec)
     else:
-        if any(v is not None for v in (args.n, args.m, args.eps, args.xi, args.m_offsets)):
-            raise InvalidConfiguration("--n, --m, --eps, --xi and --m-offsets describe a ray and need --q")
+        if any(v is not None for v in (args.n, args.m, args.xi, args.m_offsets)):
+            raise InvalidConfiguration("--n, --m, --xi and --m-offsets describe a ray and need --q")
         symbol = BlaschkeProduct(zeros=_resolve_zeros(args))
         bracket = bracket_norm(symbol, lambda_spec=spec)
     if args.json:
@@ -233,9 +238,8 @@ def _cmd_omega_study(args) -> int:
     result = omega_convergence_study(
         n=args.n,
         xi=CirclePoint(parse_complex(args.xi)),
-        q_schedule=_parse_list(args.q_schedule, float),
-        m_offsets=_parse_list(args.m_offsets, int),
-        eps=args.eps,
+        q_schedule=_parse_list(args.q_schedule, float, DEFAULT_Q_SCHEDULE),
+        m_offsets=_parse_list(args.m_offsets, int, DEFAULT_M_OFFSETS),
         lambda_spec=spec,
     )
     text = study_to_json(result) if args.json else study_to_csv(result)
@@ -267,6 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified bounds for Toeplitz operators with Blaschke symbols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def if_not_given(default):
+        return '"' + ",".join(map(str, default)) + '" if not given'
 
     def add_common(p, tolerance=True):
         if tolerance:
@@ -304,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--m-offsets", type=str, default=None, help='"2,4,8,16" if not given')
+    p.add_argument("--m-offsets", type=str, default=None, help=if_not_given(DEFAULT_M_OFFSETS))
     p.add_argument("--json", action="store_true")
     add_common(p)
 
@@ -313,9 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_omega_study)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--xi", type=str, default="1")
-    p.add_argument("--q-schedule", type=str, default="0.3,0.2,0.1,0.05")
-    p.add_argument("--m-offsets", type=str, default="2,4,8,16")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--q-schedule", type=str, default=None, help=if_not_given(DEFAULT_Q_SCHEDULE))
+    p.add_argument("--m-offsets", type=str, default=None, help=if_not_given(DEFAULT_M_OFFSETS))
     p.add_argument("--json", action="store_true")
     add_common(p)
 

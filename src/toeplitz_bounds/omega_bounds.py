@@ -20,13 +20,14 @@ differences of the node coordinates themselves: identities such as
 1 - (1-d_j)(1-d_k) = d_j + d_k - d_j*d_k keep full relative accuracy where
 the direct form has already rounded to zero.
 
-RayConfiguration is the one place a ray is built. It fills in the inner
-radius floor eps = default_eps(q) when none is given, raises
+RayConfiguration is the one place a ray is built. It raises
 InvalidConfiguration when the probe deficit q^m lies below
 PROBE_DEFICIT_FLOOR, and builds the symbol (symbol()) and the interpolation
-problem (problem()). A convergence study sweeps configurations over a (q, m)
-schedule and emits a NaN row for each cell below the floor; the bracket of
-one configuration is the study of its single q.
+problem (problem()). The zeros lie in the paper's set E_xi for every inner
+radius floor up to 1 - q, so no computation takes a floor. A convergence
+study sweeps configurations over a (q, m) schedule, DEFAULT_Q_SCHEDULE by
+DEFAULT_M_OFFSETS unless given, and emits a NaN row for each cell below the
+floor; the bracket of one configuration is the study of its single q.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ PROBE_DEFICIT_FLOOR = 1e-12
 # Level slack ladder: construction retries with a larger margin above the
 # minimal level when the recursion degenerates at the conditioning floor.
 SLACK_LADDER = (1e-6, 1e-5, 1e-4, 1e-3)
+# The default (q, m) schedule of a study: these q, and probes m = n + offset.
+DEFAULT_Q_SCHEDULE = (0.3, 0.2, 0.1, 0.05)
+DEFAULT_M_OFFSETS = (2, 4, 8, 16)
 
 
 def _ray_zeros(xi: complex, q: float, n: int) -> np.ndarray:
@@ -57,19 +61,13 @@ def _ray_zeros(xi: complex, q: float, n: int) -> np.ndarray:
     return (1.0 - float(q) ** np.arange(1, n + 1, dtype=float)) * xi
 
 
-def default_eps(q: float) -> float:
-    """Inner radius floor used when none is given; comfortably below 1 - q."""
-    return 0.5 * (1.0 - q)
-
-
 @dataclass(frozen=True)
 class RayConfiguration:
     """Zeros and probe on a common ray, with the generating parameters.
 
-    The one owner of a ray: it resolves eps to default_eps(q) when none is
-    given, normalises q and eps to float and the integral n and m to int
-    (raising for a fractional one), and rejects a probe whose deficit q^m
-    lies below PROBE_DEFICIT_FLOOR. symbol() and problem()
+    The one owner of a ray: it normalises q to float and the integral n and
+    m to int (raising for a fractional one), and rejects a probe whose
+    deficit q^m lies below PROBE_DEFICIT_FLOOR. symbol() and problem()
     build the Blaschke product and the interpolation problem it determines.
     """
 
@@ -77,26 +75,19 @@ class RayConfiguration:
     q: float
     n: int
     m: int
-    eps: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.xi, CirclePoint):
             object.__setattr__(self, "xi", CirclePoint(as_complex(self.xi)))
-        eps = default_eps(self.q) if self.eps is None else self.eps
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "n", as_int(self.n, "degree n"))
         object.__setattr__(self, "m", as_int(self.m, "probe index m"))
-        object.__setattr__(self, "eps", float(eps))
         if not (0.0 < self.q < 1.0):
             raise InvalidConfiguration(f"q must be in (0, 1), got {self.q!r}")
         if self.n < 1:
             raise InvalidConfiguration(f"degree n must be positive, got {self.n!r}")
         if self.m <= self.n:
             raise InvalidConfiguration(f"probe index m must exceed n, got m={self.m!r}, n={self.n!r}")
-        if not (0.0 < self.eps < 1.0 - self.q):
-            raise InvalidConfiguration(
-                f"inner radius floor eps={self.eps!r} must lie in (0, 1 - q) = (0, {1.0 - self.q!r})"
-            )
         if self.probe_deficit < PROBE_DEFICIT_FLOOR:
             raise InvalidConfiguration(
                 f"probe deficit q^m = {self.probe_deficit!r} is below the representable floor"
@@ -150,7 +141,8 @@ class RayConfiguration:
             "q": self.q,
             "n": self.n,
             "m": self.m,
-            "eps": self.eps,
+            # a radius floor whose set E_xi holds every zero; nothing reads it
+            "eps": 0.5 * (1.0 - self.q),
         }
 
 
@@ -246,7 +238,7 @@ class NormBracket:
 
 def bracket_norm(
     symbol: BlaschkeProduct | RayConfiguration,
-    m_offsets: tuple = (2, 4, 8, 16),
+    m_offsets: tuple = DEFAULT_M_OFFSETS,
     lambda_spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC,
 ) -> NormBracket:
     """Upper bound from the oscillation functional, lower from the best certificate.
@@ -262,7 +254,7 @@ def bracket_norm(
     upper_prov = "1 + oscillation functional + quadrature error"
     if isinstance(symbol, RayConfiguration):
         offsets = sorted({symbol.m - symbol.n, *m_offsets})
-        study = omega_convergence_study(symbol.n, symbol.xi, (symbol.q,), offsets, symbol.eps, lambda_spec)
+        study = omega_convergence_study(symbol.n, symbol.xi, (symbol.q,), offsets, lambda_spec)
         return replace(study.best, upper_provenance=upper_prov)
     if symbol.degree == 0:
         return NormBracket(
@@ -304,9 +296,8 @@ class StudyResult:
 def omega_convergence_study(
     n: int,
     xi,
-    q_schedule: tuple = (0.3, 0.2, 0.1, 0.05),
-    m_offsets: tuple = (2, 4, 8, 16),
-    eps: float | None = None,
+    q_schedule: tuple = DEFAULT_Q_SCHEDULE,
+    m_offsets: tuple = DEFAULT_M_OFFSETS,
     lambda_spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC,
     threads: int = 1,
 ) -> StudyResult:
@@ -336,7 +327,7 @@ def omega_convergence_study(
     # rejected, before the first upper bound is computed
     cells = [(q, n + off) for q in q_schedule for off in m_offsets]
     configs = {
-        (q, m): RayConfiguration(xi=xi_p, q=q, n=n, m=m, eps=eps)
+        (q, m): RayConfiguration(xi=xi_p, q=q, n=n, m=m)
         for q, m in cells
         if float(q) ** m >= PROBE_DEFICIT_FLOOR
     }

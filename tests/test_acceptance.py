@@ -25,7 +25,6 @@ from toeplitz_bounds import (
     minimal_level,
     omega_convergence_study,
 )
-from toeplitz_bounds.omega_bounds import default_eps
 
 from test_scripts import acceptance_plans
 
@@ -152,7 +151,7 @@ def test_interpolation_solver_hits_known_levels():
 
 def test_certificates_are_rotation_invariant():
     def certified(xi):
-        cfg = RayConfiguration(xi=xi, q=0.1, n=1, m=8, eps=default_eps(0.1))
+        cfg = RayConfiguration(xi=xi, q=0.1, n=1, m=8)
         return certify_lower_bound(cfg).certified
 
     gap = abs(certified(1.0) - certified(1j))

@@ -4,16 +4,21 @@ import argparse
 import hashlib
 import json
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from toeplitz_bounds import BlaschkeProduct, lambda_functional, toeplitz_op
+from toeplitz_bounds import BlaschkeProduct, cli, lambda_functional, omega_bounds, toeplitz_op
 from toeplitz_bounds.cli import build_parser, main, parse_complex, zeros_digest
 from toeplitz_bounds.errors import InvalidConfiguration
 
 from test_scripts import acceptance_plans
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 SCHWARZ_PROBLEM = {"nodes": [[0.0, 0.0], [0.5, 0.0]], "targets": [[0.0, 0.0], [0.25, 0.0]]}
 # Close nodes and a level near 215: a bisected level sat below the true one here.
@@ -75,10 +80,9 @@ OPTIONS = {
     "apply": {"--zeros", "--zeros-file", "--h", "--z", "--method", "--tolerance", "--out"},
     "pick": {"--problem-file", "--construct", "--level", "--out"},
     "bracket": {
-        "--zeros", "--zeros-file", "--xi", "--q", "--n", "--m", "--eps", "--m-offsets", "--json",
-        "--tolerance", "--out",
+        "--zeros", "--zeros-file", "--xi", "--q", "--n", "--m", "--m-offsets", "--json", "--tolerance", "--out",
     },
-    "omega-study": {"--n", "--xi", "--q-schedule", "--m-offsets", "--eps", "--json", "--tolerance", "--out"},
+    "omega-study": {"--n", "--xi", "--q-schedule", "--m-offsets", "--json", "--tolerance", "--out"},
 }
 # Arguments each subcommand parses with; the error names only what follows them.
 MINIMAL_ARGS = {
@@ -109,6 +113,70 @@ class TestOptionCensus:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --rotation-grid 256" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [["bracket", "--q", "0.3", "--n", "1", "--m", "3"], ["omega-study", "--n", "1"]]
+    )
+    def test_eps_is_not_an_option(self, capsys, argv):
+        # the ray zeros lie in E_xi for every eps <= 1 - q, so a ray takes no eps
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--eps", "0.2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --eps 0.2" in captured.err
+
+
+class TestDefaultSchedule:
+    """Without schedule flags the CLI passes the omega_bounds defaults, the
+    one owner of the default (q, m) schedule. The call is captured; no study
+    runs."""
+
+    class Captured(Exception):
+        pass
+
+    def capture(self, monkeypatch, name, argv):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise self.Captured
+
+        monkeypatch.setattr(cli, name, record)
+        with pytest.raises(self.Captured):
+            main(argv)
+        (call,) = calls
+        return call
+
+    def test_omega_study_passes_the_default_schedule(self, monkeypatch):
+        _, kwargs = self.capture(monkeypatch, "omega_convergence_study", ["omega-study", "--n", "1"])
+        assert kwargs["q_schedule"] == omega_bounds.DEFAULT_Q_SCHEDULE
+        assert kwargs["m_offsets"] == omega_bounds.DEFAULT_M_OFFSETS
+
+    def test_ray_bracket_passes_the_default_offsets(self, monkeypatch):
+        (ray, m_offsets, _), _ = self.capture(
+            monkeypatch, "bracket_norm", ["bracket", "--q", "0.3", "--n", "1", "--m", "3"]
+        )
+        assert (ray.q, ray.n, ray.m) == (0.3, 1, 3)
+        assert m_offsets == omega_bounds.DEFAULT_M_OFFSETS
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_line_parses(self):
+        # each `toeplitz-bounds ...` line of the README's sh blocks, split as
+        # a shell would, parses; nothing runs
+        parser = build_parser()
+        text = README.read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("toeplitz-bounds ")]
+        commands = set()
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            try:
+                commands.add(parser.parse_args(argv).command)
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")
+        assert commands == set(OPTIONS)
 
 
 class TestLambdaCommand:
@@ -189,6 +257,14 @@ class TestApplyCommand:
         code, out, err = run_main(capsys, ["apply", "--zeros", "0.5", "--h", h, "--z", "0.1"])
         assert code == 0, err
         assert out == run_main(capsys, ["apply", "--zeros", "0.5", f"--h={h}", "--z", "0.1"])[1]
+
+    @pytest.mark.parametrize("h", ["", " "], ids=["empty", "blank"])
+    def test_h_without_a_coefficient_exits_two(self, capsys, h):
+        # an empty coefficient list names no function; it is not h = 0
+        code, out, err = run_main(capsys, ["apply", "--zeros", "0.5", "--h", h])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --h needs at least one coefficient\n"
 
     def test_point_on_a_zero_exits_two(self, capsys):
         code, _, err = run_main(capsys, ["apply", "--zeros", "0.5", "--z", "0.5"])
@@ -372,14 +448,17 @@ class TestBracketCommand:
                 (2.6602277425178857, 2.8024150662393397),
             ),
             (
-                ["--q", "0.3", "--n", "1", "--m", "3", "--eps", "0.2", "--xi", "0,1", "--json"],
+                ["--q", "0.3", "--n", "1", "--m", "3", "--xi", "0,1", "--json"],
                 # a0ac60b3...739e799a with the 28-node midpoint panels,
-                # 8ed4f1f5...d77b1284 with the 4,096-node grid and 64 panels
-                "34d41e554dbfb2ead02f5e83ba9c2d77a1de67bdb85fdc2da1439793faf4a3c8",
+                # 8ed4f1f5...d77b1284 with the 4,096-node grid and 64 panels,
+                # 34d41e55...faf4a3c8 with "--eps 0.2", which changed only the
+                # printed "eps"; this digest is of the same argv without it,
+                # recorded before the option was removed
+                "c055581716d6ad4888df1c991241dd45715e40d50b95d576c2f7c968d84ee892",
                 (2.6996706943501745, 2.8024150662393397),
             ),
         ],
-        ids=["unsorted-offsets", "eps-and-xi"],
+        ids=["unsorted-offsets", "xi"],
     )
     def test_ray_options_stdout_is_pinned(self, capsys, argv, digest, before):
         # digests recorded while the ray bracket kept a loop over m of its own,
@@ -399,7 +478,6 @@ class TestBracketCommand:
             ["bracket", "--zeros", "0.5", "--n", "3", "--m", "9"],
             ["bracket", "--zeros", "0.5", "--n", "1"],
             ["bracket", "--zeros", "0.5", "--m", "3"],
-            ["bracket", "--zeros", "0.5", "--eps", "0.2"],
             ["bracket", "--zeros", "0.5", "--xi", "1"],
             ["bracket", "--zeros", "0.5", "--m-offsets", "2,4"],
             ["bracket", "--zeros-file", "ZEROS", "--n", "1"],

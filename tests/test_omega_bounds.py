@@ -20,13 +20,13 @@ from toeplitz_bounds import (
     study_to_json,
 )
 from toeplitz_bounds import omega_bounds, toeplitz_op
-from toeplitz_bounds.omega_bounds import PROBE_DEFICIT_FLOOR, default_eps
+from toeplitz_bounds.omega_bounds import PROBE_DEFICIT_FLOOR
 
 from test_scripts import acceptance_plans
 
 
 def mild_config(xi=1.0, q=0.1, n=1, m=8):
-    return RayConfiguration(xi=xi, q=q, n=n, m=m, eps=default_eps(q))
+    return RayConfiguration(xi=xi, q=q, n=n, m=m)
 
 
 @pytest.fixture(scope="module")
@@ -37,16 +37,20 @@ def small_study():
 class TestConfiguration:
     def test_parameter_validation(self):
         with pytest.raises(InvalidConfiguration):
-            RayConfiguration(xi=1.0, q=1.5, n=1, m=3, eps=0.1)
+            RayConfiguration(xi=1.0, q=1.5, n=1, m=3)
         with pytest.raises(InvalidConfiguration):
-            RayConfiguration(xi=1.0, q=0.5, n=0, m=3, eps=0.1)
+            RayConfiguration(xi=1.0, q=0.5, n=0, m=3)
         with pytest.raises(InvalidConfiguration):
-            RayConfiguration(xi=1.0, q=0.5, n=2, m=2, eps=0.1)
-        with pytest.raises(InvalidConfiguration):
-            RayConfiguration(xi=1.0, q=0.5, n=1, m=3, eps=0.9)
+            RayConfiguration(xi=1.0, q=0.5, n=2, m=2)
+
+    def test_eps_is_not_a_field(self):
+        # the zeros lie in E_xi for every eps <= 1 - q, so a ray takes no eps
+        with pytest.raises(TypeError):
+            RayConfiguration(xi=1.0, q=0.5, n=1, m=3, eps=0.2)
+        assert RayConfiguration(xi=1.0, q=0.3, n=1, m=3).to_dict()["eps"] == 0.5 * (1.0 - 0.3)
 
     def test_zeros_and_probe_lie_on_the_ray(self):
-        cfg = RayConfiguration(xi=1j, q=0.5, n=2, m=4, eps=0.1)
+        cfg = RayConfiguration(xi=1j, q=0.5, n=2, m=4)
         assert np.allclose(cfg.zeros(), (0.5j, 0.75j))
         assert cfg.probe() == pytest.approx(0.9375j)
 
@@ -55,10 +59,9 @@ class TestConfiguration:
             RayConfiguration(xi=1.0, q=0.1, n=1, m=20)
         assert 0.1**12 >= PROBE_DEFICIT_FLOOR
 
-    def test_eps_defaults_and_parameters_are_normalised(self):
+    def test_parameters_are_normalised(self):
         cfg = RayConfiguration(xi=1.0, q=np.float64(0.5), n=np.int64(1), m=3)
-        assert cfg.eps == default_eps(0.5)
-        assert [type(v) for v in (cfg.q, cfg.n, cfg.m, cfg.eps)] == [float, int, int, float]
+        assert [type(v) for v in (cfg.q, cfg.n, cfg.m)] == [float, int, int]
 
     def test_integral_floats_are_normalised_and_fractions_rejected(self):
         cfg = RayConfiguration(xi=1.0, q=0.5, n=2.0, m=np.float64(5.0))
@@ -94,12 +97,12 @@ class TestTargets:
 
 class TestFunctionalValue:
     def test_closed_form_is_exact_for_dyadic_deficits(self):
-        cfg = RayConfiguration(xi=1.0, q=0.5, n=1, m=3, eps=0.25)
+        cfg = RayConfiguration(xi=1.0, q=0.5, n=1, m=3)
         assert closed_form_functional(cfg) == 3.0
 
     def test_value_decreases_toward_the_ideal_limit(self):
         values = [
-            closed_form_functional(RayConfiguration(xi=1.0, q=0.5, n=1, m=m, eps=0.25))
+            closed_form_functional(RayConfiguration(xi=1.0, q=0.5, n=1, m=m))
             for m in range(2, 9)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -128,9 +131,7 @@ class TestCertificates:
 
     def test_certified_never_exceeds_the_ideal_limit(self):
         for q, n in ((0.3, 1), (0.1, 1), (0.3, 2), (0.1, 2)):
-            cert = certify_lower_bound(
-                RayConfiguration(xi=1.0, q=q, n=n, m=n + 4, eps=default_eps(q))
-            )
+            cert = certify_lower_bound(RayConfiguration(xi=1.0, q=q, n=n, m=n + 4))
             assert cert.certified <= ideal_limit(n, q) + 1e-6
 
     def test_rotating_the_ray_does_not_change_the_bound(self):
@@ -177,7 +178,7 @@ class TestBracket:
         cfg = RayConfiguration(xi=1.0, q=0.5, n=1, m=3)
         br = bracket_norm(cfg, m_offsets=(2, 4))
         per_m = [
-            certify_lower_bound(RayConfiguration(xi=1.0, q=0.5, n=1, m=m, eps=cfg.eps)).certified
+            certify_lower_bound(RayConfiguration(xi=1.0, q=0.5, n=1, m=m)).certified
             for m in (3, 5)
         ]
         assert br.lower == pytest.approx(max(per_m), rel=1e-12)
@@ -250,7 +251,6 @@ class TestStudy:
             dict(n=1, q_schedule=(0.3, math.nan)),
             dict(n=3, q_schedule=(0.005, 0.002, 0.001), m_offsets=(0,)),
             dict(n=0),
-            dict(n=1, eps=0.9999),
             dict(n=1, q_schedule=(0.3,), m_offsets=(2.5,)),
             dict(n=1, q_schedule=(0.001,), m_offsets=(2, 20.5)),
             dict(n=1.5, q_schedule=(0.3,)),
@@ -258,9 +258,9 @@ class TestStudy:
             dict(n=1, q_schedule=(0.3, 0.3), m_offsets=(2,)),
             dict(n=1, q_schedule=(0.3,), m_offsets=(2, 2)),
         ],
-        ids=["1.5", "0.0", "-0.2", "nan", "m-equal-to-n", "n-zero", "eps-above-1-q",
-             "fractional-offset", "fractional-offset-below-the-floor", "fractional-n",
-             "no-cell-above-the-floor", "repeated-q", "repeated-offset"],
+        ids=["1.5", "0.0", "-0.2", "nan", "m-equal-to-n", "n-zero", "fractional-offset",
+             "fractional-offset-below-the-floor", "fractional-n", "no-cell-above-the-floor", "repeated-q",
+             "repeated-offset"],
     )
     def test_each_q_is_checked_before_any_upper_bound(self, monkeypatch, kwargs):
         # each q, and the configuration of each cell above the deficit floor
