@@ -65,9 +65,7 @@ for disk_core's half-angle terms w, with no unwrapping, and whose derivative
 is a sum of Poisson kernels: each fold's bracket starts at the fold before
 it and is narrowed by every phase value already computed at the rotation.
 The steps are safeguarded as in Brent's root finder (R. P. Brent,
-Algorithms for Minimization without Derivatives, 1973, ch. 4). `brentq`, a
-line-for-line port of scipy's brentq.c, has no caller in the pipeline; it
-stays only as the name the benchmark's tracer patches.
+Algorithms for Minimization without Derivatives, 1973, ch. 4).
 """
 
 from __future__ import annotations
@@ -420,56 +418,8 @@ def _seed_edges_for_rotation(ladders, phis):
     return np.concatenate([row[None].repeat(len(phis), axis=0), centers, around + rungs, around - rungs], axis=1)
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign: secant or
-    inverse quadratic steps where they are short enough, bisection otherwise,
-    until half the bracket is below (xtol + rtol |x|) / 2. Raises
-    NumericalBreakdown after 100 iterations.
-
-    No pipeline code calls it: the folds are solved by `_fold`. It stays only
-    because the benchmark's tracer (perfbench/tracing.py) patches
-    `circle_quad.brentq` by name; once the tracer counts folds through the
-    `_kink_solver` callable, it and its tests can go."""
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise InvalidConfiguration(f"f({a!r}) and f({b!r}) must differ in sign")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise NumericalBreakdown(f"Brent's method did not converge in 100 iterations on [{a!r}, {b!r}]")
+# perfbench/tracing.py patches this name; nothing calls it (ROADMAP item 1a)
+brentq = None
 
 
 def _kink_solver(f: BlaschkeProduct):
@@ -664,9 +614,17 @@ def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, first):
     are those made after it.
 
     Uses the evenness of the integrand in theta: the mean over the circle is
-    (1/pi) * integral over (0, pi).
+    (1/pi) * integral over (0, pi). A ToleranceNotMet carries the mean too.
     """
-    val, err, evals = _adaptive_theta(lambda theta: _integrand(f, phi, theta), 0.0, math.pi, tol * math.pi, first=first)
+    try:
+        val, err, evals = _adaptive_theta(lambda theta: _integrand(f, phi, theta), 0.0, math.pi, tol * math.pi, first=first)
+    except ToleranceNotMet as exc:
+        raise ToleranceNotMet(
+            str(exc),
+            value=float(exc.value.real) / math.pi,
+            error_estimate=exc.error_estimate / math.pi,
+            evaluations=exc.evaluations,
+        ) from None
     return float(val.real) / math.pi, err / math.pi, evals
 
 
@@ -801,7 +759,9 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
     first sweep are computed once whatever the tolerance, and its value at
     the loose tolerance. A first sweep's evaluations are counted when it is
     made, once; integrals resume from it at 0 evaluations. A rotation new to
-    localmin gets its first sweep from the same _first_sweeps, alone.
+    localmin gets its first sweep from the same _first_sweeps, alone. A final
+    integral that misses its tolerance raises ToleranceNotMet with its value
+    and error estimate and the call's evaluations, all made so far.
     """
     ladders = _seed_ladders(f)
     kink_fn = _kink_solver(f)
@@ -826,8 +786,7 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
         try:
             v, _, k = integral(phi, loose)
         except ToleranceNotMet as exc:
-            v = float(np.real(exc.value)) / math.pi
-            k = exc.evaluations
+            v, k = exc.value, exc.evaluations
         evals += k
         loose_values[phi] = v
         return v
@@ -844,7 +803,11 @@ def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaRe
                 hi = phi
     phi_star, _ = localmax(screened, lo, hi, best_phi, best_val, width, 60)
 
-    value, err, k = integral(phi_star, spec.tolerance)
+    try:
+        value, err, k = integral(phi_star, spec.tolerance)
+    except ToleranceNotMet as exc:
+        exc.evaluations += evals
+        raise
     evals += k
     # Search uncertainty at the returned rotation: disagreement between the
     # loose screening value there and the final tight integral. The search

@@ -40,6 +40,7 @@ from .errors import (
 from .omega_bounds import (
     DEFAULT_M_OFFSETS,
     DEFAULT_Q_SCHEDULE,
+    SLACK_LADDER,
     RayConfiguration,
     _fmt,
     bracket_norm,
@@ -196,7 +197,7 @@ def _cmd_pick(args) -> int:
         return 0
     if args.level is None and not any(problem.targets):
         raise InvalidConfiguration("every target is 0, so the minimal level is 0; --level builds the zero witness")
-    level = args.level if args.level is not None else mu * (1.0 + 1e-6)
+    level = args.level if args.level is not None else mu * (1.0 + SLACK_LADDER[0])
     cert = construct_interpolant(problem, level)
     payload = cert.to_dict()
     payload["minimal_level"] = mu

@@ -116,21 +116,18 @@ class RayConfiguration:
         at the probe, both reduced to products over radius deficits. The
         Schwarz-Pick inequality keeps every |y_k| at most 1.
         """
-        xi_c = self.xi.value
+        xi_n = self.xi.value**self.n
         d = self.deficits.astype(np.longdouble)
         dm = np.longdouble(self.q) ** self.m
 
-        targets = []
-        for k in range(self.n):
+        def deficit_product(t, others):
             prod = np.clongdouble(1.0)
-            for j in range(self.n):
-                if j != k:
-                    prod *= (d[j] - d[k]) / (d[j] + d[k] - d[j] * d[k])
-            targets.append(complex(-(xi_c**self.n) * complex(prod)))
-        prod = np.clongdouble(1.0)
-        for j in range(self.n):
-            prod *= (d[j] - dm) / (d[j] + dm - d[j] * dm)
-        targets.append(complex((xi_c**self.n) * complex(prod)))
+            for dj in others:
+                prod *= (dj - t) / (dj + t - dj * t)
+            return complex(prod)
+
+        targets = [complex(-xi_n * deficit_product(d[k], np.delete(d, k))) for k in range(self.n)]
+        targets.append(complex(xi_n * deficit_product(dm, d)))
 
         nodes = tuple(self.zeros()) + (self.probe(),)
         return InterpolationProblem(nodes=nodes, targets=tuple(targets))

@@ -6,12 +6,11 @@ matrix 1/(1 - x_j conj(x_k)) as L L*, that is mu^2 I >= A A* with
 A = L^-1 diag(y) L, so the minimal level is the spectral norm of A in closed
 form. An explicit interpolant at any strictly feasible level comes from the
 Schur recursion with the free parameter pinned to zero at the last step. The
-recursion is also the one feasibility test, of construct_interpolant and
-pick_feasible alike: the level is strictly feasible exactly when every
-parameter gamma_j lies strictly inside the unit disk. Those parameters
-certify analyticity of the interpolant on the closed disk structurally: the
-returned function is mu times a composition of disk self-maps, so its
-sup-norm never exceeds the level used.
+recursion is also the one feasibility test: the level is strictly feasible
+exactly when every parameter gamma_j lies strictly inside the unit disk.
+Those parameters certify analyticity of the interpolant on the closed disk
+structurally: the returned function is mu times a composition of disk
+self-maps, so its sup-norm never exceeds the level used.
 
 The interpolant is toeplitz_op.RationalFunction, which holds the chain
 itself (nodes, parameters and level) and evaluates, samples and expands it.
@@ -45,9 +44,6 @@ from .errors import (
 )
 from .toeplitz_op import RationalFunction
 
-# Relative slack on the level that pick_feasible tests, so that the exact
-# minimal level counts as feasible.
-FEASIBILITY_TOL = 1e-10
 # Pairs closer than this in the pseudohyperbolic metric trigger a conditioning
 # warning. The scaled Pick matrix has a minimum eigenvalue on the order of the
 # squared pseudohyperbolic separation, so below 1e-6 the Schur recursion runs
@@ -162,21 +158,8 @@ def _schur_parameters(nodes, targets, mu):
     return x, gammas
 
 
-def pick_feasible(problem: InterpolationProblem, mu: float) -> bool:
-    """True iff the interpolation problem is solvable with sup-norm at most mu:
-    the Schur recursion is strictly feasible at mu (1 + FEASIBILITY_TOL). A
-    level that is not positive and finite raises InvalidConfiguration.
-
-    No pipeline path calls it; it stays because perfbench/tracing.py patches
-    this name.
-    """
-    if not (0.0 < mu < np.inf):
-        raise InvalidConfiguration(f"level mu must be positive and finite, got {mu!r}")
-    try:
-        _schur_parameters(problem.nodes, problem.targets, mu * (1.0 + FEASIBILITY_TOL))
-    except NotStrictlyFeasible:
-        return False
-    return True
+# perfbench/tracing.py patches this name; nothing calls it (ROADMAP item 1a)
+pick_feasible = None
 
 
 def construct_interpolant(
@@ -184,8 +167,9 @@ def construct_interpolant(
 ) -> InterpolantCertificate:
     """Build the interpolant at a strictly feasible level.
 
-    Callers normally pass mu = minimal_level(problem) * (1 + 1e-6): the
-    recursion degenerates exactly at the minimal level. The Schur recursion
+    Callers normally pass mu = minimal_level(problem) * (1 + 1e-6), the
+    first step of omega_bounds.SLACK_LADDER: the recursion degenerates
+    exactly at the minimal level. The Schur recursion
     is the feasibility test: a parameter of modulus >= 1 raises
     NotStrictlyFeasible, and a residual above 1e-8 (1 + max |y|) raises
     NumericalBreakdown. The result carries achieved residuals and a sampled

@@ -448,30 +448,71 @@ def kernel_at(monkeypatch, B, phi):
     return kernels[0]
 
 
-class TestBrentq:
+class TestFold:
+    """The fold solver on increasing phases whose crossings are known."""
+
+    @staticmethod
+    def recording(phase):
+        seen = []
+
+        def swept(theta):
+            s, slope = phase(theta)
+            seen.append((theta, s))
+            return s, slope
+
+        return swept, seen
+
+    CUBE = (lambda t: (t**3, 3.0 * t * t), 2.0, 2.0 ** (1.0 / 3.0))
+
     @pytest.mark.parametrize(
-        "f, a, b, root",
+        "phase, c, root",
         [
-            (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
-            (lambda x: x**3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
-            (lambda x: 2.0 - x**3, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+            (lambda t: (t - math.cos(t), 1.0 + math.sin(t)), 0.0, 0.7390851332151607),
+            CUBE,
+            (lambda t: (math.exp(t), math.exp(t)), 2.0, math.log(2.0)),
         ],
     )
-    def test_finds_known_roots_within_tolerance(self, f, a, b, root):
-        for xtol, rtol in ((1e-15, 8.9e-16), (1e-6, 1e-10)):
-            x = circle_quad.brentq(f, a, b, xtol=xtol, rtol=rtol)
-            assert abs(x - root) <= xtol + rtol * abs(x)
+    def test_finds_known_crossings_within_tolerance(self, phase, c, root):
+        swept, seen = self.recording(phase)
+        x = circle_quad._fold(swept, seen, c, 0.0)
+        assert abs(x - root) <= 1e-15 + 8.9e-16 * abs(x)
 
-    def test_root_at_an_endpoint_is_returned_exactly(self):
-        assert circle_quad.brentq(lambda x: x - 0.25, 0.25, 2.0, xtol=1e-15, rtol=8.9e-16) == 0.25
-        assert circle_quad.brentq(lambda x: x - 2.0, 0.25, 2.0, xtol=1e-15, rtol=8.9e-16) == 2.0
+    def test_a_seen_point_on_the_target_is_returned_without_evaluating(self):
+        # theta^3 crosses 1 at 1 exactly; the first point of the bracket
+        # search would be pi / 64
+        swept, seen = self.recording(self.CUBE[0])
+        seen.append((1.0, 1.0))
+        assert circle_quad._fold(swept, seen, 1.0, 0.0) == 1.0
+        assert seen == [(1.0, 1.0)]
 
-    def test_typed_errors(self):
-        with pytest.raises(InvalidConfiguration):
-            circle_quad.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-        # a sign jump with no zero and no tolerance to stop at exhausts the cap
-        with pytest.raises(NumericalBreakdown):
-            circle_quad.brentq(lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0, xtol=0.0, rtol=0.0)
+    def test_seen_points_narrow_the_bracket(self):
+        phase, c, root = self.CUBE
+        alone, seen = self.recording(phase)
+        circle_quad._fold(alone, seen, c, 0.0)
+        narrowed, near = self.recording(phase)
+        near.extend((t, phase(t)[0]) for t in (1.25, 1.27))
+        x = circle_quad._fold(narrowed, near, c, 0.0)
+        assert abs(x - root) <= 1e-15 + 8.9e-16 * abs(x)
+        assert 0 < len(near) - 2 < len(seen)
+
+    def test_converges_across_a_phase_jump(self):
+        # the phase climbs 2 pi within ~1e-6 rad of theta = 1, where it
+        # crosses 1; Newton steps from its flat flanks leave the bracket,
+        # and without the bisection that replaces them the solver runs out
+        # of iterations
+        phase = lambda t: (2.0 * math.atan(1e6 * (t - 1.0)) + t, 2e6 / (1.0 + 1e12 * (t - 1.0) ** 2) + 1.0)
+        swept, seen = self.recording(phase)
+        x = circle_quad._fold(swept, seen, 1.0, 0.0)
+        assert abs(x - 1.0) <= 1e-15 + 8.9e-16
+        assert len(seen) < 100
+
+    @pytest.mark.parametrize(
+        "lo, hi, split",
+        [(0.0, 1.0, 1.0 / 64.0), (0.1, 1.0, math.sqrt(0.1)), (0.5, 1.0, 0.75)],
+    )
+    def test_split_rule(self, lo, hi, split):
+        # hi / 64 from 0, geometric while hi > 4 lo, the midpoint after
+        assert circle_quad._split(lo, hi) == split
 
 
 def golden_evaluations(lo, hi, width):
@@ -1780,6 +1821,31 @@ class TestSwallowedToleranceFailures:
         r = lambda_functional(B)
         assert raised and raised[0] > 0
         assert r.evaluations == expected
+
+    def test_a_final_stage_failure_carries_lambda_and_the_calls_evaluations(self, monkeypatch):
+        # the raw integral over (0, pi) is pi times the mean, and complex;
+        # the raised error carries the mean, its error, and every evaluation
+        # of the call, the grid scan's 1,024 among them
+        B, spec = BlaschkeProduct(zeros=(0.999,)), QuadratureSpec(1e-12)
+        expected = lambda_functional(B, spec).value
+        real = circle_quad._adaptive_theta
+        raw = []
+
+        def record(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except ToleranceNotMet as exc:
+                raw.append(exc)
+                raise
+
+        monkeypatch.setattr(circle_quad, "_adaptive_theta", record)
+        monkeypatch.setattr(circle_quad, "MAX_DEPTH", 2)
+        with pytest.raises(ToleranceNotMet) as exc:
+            lambda_functional(B, spec)
+        assert type(exc.value.value) is float
+        assert abs(exc.value.value - expected) < 1e-3
+        assert exc.value.error_estimate == raw[-1].error_estimate / math.pi
+        assert exc.value.evaluations >= circle_quad._GRID_NODES + raw[-1].evaluations
 
 
 FAULT_PROBE = """

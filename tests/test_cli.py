@@ -128,8 +128,9 @@ class TestOptionCensus:
 
 
 class TestDefaultSchedule:
-    """Without schedule flags the CLI passes the omega_bounds defaults, the
-    one owner of the default (q, m) schedule. The call is captured; no study
+    """Without schedule or level flags the CLI passes the omega_bounds
+    defaults, the one owner of the default (q, m) schedule and of the
+    construction slack. The call is captured; no study or construction
     runs."""
 
     class Captured(Exception):
@@ -159,6 +160,15 @@ class TestDefaultSchedule:
         )
         assert (ray.q, ray.n, ray.m) == (0.3, 1, 3)
         assert m_offsets == omega_bounds.DEFAULT_M_OFFSETS
+
+    def test_pick_construct_passes_the_first_slack_step(self, monkeypatch, tmp_path):
+        pf = tmp_path / "problem.json"
+        pf.write_text(json.dumps(CLOSE_NODE_PROBLEM))
+        (problem, level), _ = self.capture(
+            monkeypatch, "construct_interpolant", ["pick", "--problem-file", str(pf), "--construct"]
+        )
+        assert cli.SLACK_LADDER is omega_bounds.SLACK_LADDER
+        assert level == cli.minimal_level(problem) * (1.0 + omega_bounds.SLACK_LADDER[0])
 
 
 class TestReadmeCommands:

@@ -8,6 +8,7 @@ cannot read. These read perfbench and change none of it.
 """
 
 import cmath
+import importlib
 import importlib.util
 import pathlib
 
@@ -113,3 +114,21 @@ def test_only_the_listed_patch_points_serve_the_benchmark_alone():
         if attr not in read
     }
     assert unread == {"circle_quad.brentq", "pick_interp.pick_feasible"}
+
+
+def test_the_none_stubs_are_exactly_the_patch_points_bound_to_none():
+    # a module-level None in the package is a name kept only for the tracer
+    # to patch, so a stub that outlives its patch point shows here
+    stems = [p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    stubs = {
+        f"{stem}.{name}"
+        for stem in stems
+        for name, value in vars(importlib.import_module(f"toeplitz_bounds.{stem}")).items()
+        if value is None and not name.startswith("__")
+    }
+    patched = {
+        f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}"
+        for owner, attr, _name, _info in load_tracing().PATCH_POINTS
+        if owner.__dict__[attr] is None
+    }
+    assert stubs == patched == {"circle_quad.brentq", "pick_interp.pick_feasible"}

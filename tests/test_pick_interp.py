@@ -1,4 +1,4 @@
-"""Feasibility, minimal level, and constructive interpolation."""
+"""Minimal level, and constructive interpolation as the feasibility test."""
 
 import math
 import subprocess
@@ -19,7 +19,6 @@ from toeplitz_bounds import (
     boundary_values,
 )
 from toeplitz_bounds import disk_core, pick_interp, toeplitz_op
-from toeplitz_bounds.pick_interp import pick_feasible
 from toeplitz_bounds.omega_bounds import SLACK_LADDER
 
 from test_scripts import acceptance_plans
@@ -212,9 +211,9 @@ class TestMinimalLevel:
         for _ in range(30):
             p = random_problem(rng)
             mu = minimal_level(p)
-            assert pick_feasible(p, mu * 1.5)
-            if mu > 0:
-                assert not pick_feasible(p, mu * 0.5)
+            construct_interpolant(p, mu * 1.5)
+            with pytest.raises(NotStrictlyFeasible):
+                construct_interpolant(p, mu * 0.5)
 
     def test_level_scales_with_the_targets(self):
         p = InterpolationProblem(
@@ -236,22 +235,10 @@ class TestMinimalLevel:
 
     def test_infeasible_below_the_minimal_level(self):
         p = InterpolationProblem(nodes=(0.0, 0.5), targets=(0.0, 0.25))
-        assert pick_feasible(p, 0.5)
-        assert not pick_feasible(p, 0.45)
-        assert not pick_feasible(p, 0.4)
-
-    def test_level_must_be_positive(self):
-        p = InterpolationProblem(nodes=(0.3,), targets=(0.25,))
-        with pytest.raises(InvalidConfiguration):
-            pick_feasible(p, 0.0)
-
-    @pytest.mark.parametrize("mu", [math.inf, math.nan, -math.inf])
-    def test_level_must_be_finite(self, mu):
-        # an infinite level used to read as infeasible, with RuntimeWarnings
-        # from the Pick matrix, on a problem feasible at every level >= 0.5
-        p = InterpolationProblem(nodes=(0.0, 0.5), targets=(0.0, 0.25))
-        with pytest.raises(InvalidConfiguration):
-            pick_feasible(p, mu)
+        construct_interpolant(p, 0.5 * (1 + 1e-6))
+        for mu in (0.45, 0.4):
+            with pytest.raises(NotStrictlyFeasible):
+                construct_interpolant(p, mu)
 
 
 class TestLevelIsTheBoundary:
@@ -278,16 +265,6 @@ class TestLevelIsTheBoundary:
             with pytest.raises(NotStrictlyFeasible):
                 construct_interpolant(p, minimal_level(p) * (1 - 1e-6))
 
-    def test_pick_feasible_switches_at_the_level(self):
-        # feasibility and construction ask the same recursion, so they
-        # switch at the same level
-        rng = np.random.default_rng(self.SEED)
-        for _ in range(self.PROBLEMS):
-            p = panel_problem(rng)
-            mu = minimal_level(p)
-            assert not pick_feasible(p, mu * (1 - 1e-6))
-            assert pick_feasible(p, mu * (1 + 1e-6))
-
 
 class TestLevelIsTheBoundarySeed1(TestLevelIsTheBoundary):
     """Seed 1 draws kernel matrices of condition 7e12 and 4e13 (problems 29
@@ -313,7 +290,8 @@ class TestIllConditionedKernel:
     def test_infeasible_well_below_the_level(self, seed, round_index, k):
         # the true levels lie within 2.3 % of mu, so 0.9 mu is infeasible
         p = benchmark_problem(seed, round_index, k)
-        assert not pick_feasible(p, 0.9 * minimal_level(p))
+        with pytest.raises(NotStrictlyFeasible):
+            construct_interpolant(p, 0.9 * minimal_level(p))
 
 
 class TestSupNorm:
@@ -631,7 +609,7 @@ class TestConstruction:
         with pytest.raises(InvalidConfiguration):
             construct_interpolant(p, -1.0)
 
-    @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, -math.inf, 0.0])
     def test_level_must_be_positive_and_finite(self, mu):
         # an infinite level would reach the Schur recursion, whose targets
         # y / mu warn before the interpolant's coefficients are refused
