@@ -12,7 +12,12 @@ Gauss-Kronrod rule (QUADPACK's qk15), whose embedded 7-point Gauss rule gives
 the error estimate at no extra evaluation, and a panel is accepted once that
 discrepancy is below its proportional share of the tolerance budget. Every
 node is interior to its panel, so theta = 0 is never sampled and the
-removable singularity needs no special casing. At a fixed rotation the
+removable singularity needs no special casing. Every integral resumes from
+a first sweep that its caller makes (integrate_circle's uniform panels, the
+Lambda integral's seeded ones); each later sweep splits every pending
+panel, and the one failure is a sweep at MAX_DEPTH, or with more than
+MAX_PENDING panels pending, that still misses the tolerance: it raises
+ToleranceNotMet with the best value. At a fixed rotation the
 integrand is one call of boundary_values in its pair form, the symbol at the
 rotation plus and minus every node angle. The Lambda integral's first sweep
 is coarse: 8 uniform panels on (0, pi) plus seed edges at every known
@@ -126,8 +131,11 @@ LAMBDA_EDGES = np.linspace(0.0, math.pi, 9)
 # more nodes is a block of its own. Unbounded blocks held the first sweeps of
 # every candidate at once, 285 MB on a product of 20 zeros 1e-6 from the circle.
 _SWEEP_BLOCK_NODES = 1 << 14
-# Bisection depth limit; 42 resolves peaks of width ~1e-11.
+# The adaptive integral's limits (_adaptive_theta): bisection depth, where
+# 42 resolves peaks of width ~1e-11, and pending panels in one sweep, past
+# which the error estimates are noise-bound and finer panels only use memory.
 MAX_DEPTH = 42
+MAX_PENDING = 1 << 20
 # Zeros whose angles differ by at most this fraction of the farther zero's
 # width share one seed ladder (_seed_ladders). The angles of a ray's zeros
 # differ by rounding, up to 4.4e-16, so they share one while every zero but
@@ -232,93 +240,60 @@ def _panel_estimates(g, los, his):
     return kronrod, np.abs(kronrod - gauss) + 5e-17 * np.abs(kronrod)
 
 
-def _adaptive_theta(g, a: float, b: float, tol_abs: float, panels: int = 0, first=None):
-    """Integrate g over [a, b] adaptively; g maps a theta array to values.
+def _adaptive_theta(g, first, tol_abs: float):
+    """Integrate g adaptively from its first sweep; g maps a theta array to
+    values.
 
-    Returns (integral, error_estimate, evaluations). Panels are accepted
-    individually once below their proportional share of the budget, or all at
-    once when the global error estimate (accepted plus pending) is already
-    below tol_abs; the share rule alone would keep splitting forever around
-    integrable kinks, whose absolute contribution shrinks quadratically while
-    their share shrinks only linearly. Raises ToleranceNotMet (carrying the
-    best value and an honest estimate) if panels at MAX_DEPTH still miss both
-    tests.
+    first is (los, his, est, err) as _panel_estimates gives them on panels
+    tiling [los[0], his[-1]], made and counted by the caller and left as it
+    was, so any tolerance can resume from it. Returns (integral,
+    error_estimate, evaluations made after the first sweep). Panels are
+    accepted individually once below their proportional share of the
+    budget, or all at once when the global error estimate (accepted plus
+    pending) is already below tol_abs; the share rule alone would keep
+    splitting forever around integrable kinks, whose absolute contribution
+    shrinks quadratically while their share shrinks only linearly. A first
+    sweep with every panel below its share returns at once, with the sums
+    of the loop's first pass.
 
-    The first sweep is `panels` uniform panels, unless first gives one
-    already made on [a, b], (los, his, est, err) as _first_sweeps builds
-    them; the integral then resumes from it at 0 evaluations, and leaves it
-    as it was, so any tolerance can resume from it again. A resumed first
-    sweep whose every panel is below its share ends the loop in its first
-    pass, so it returns at once, with that pass's sums: est and err in
-    full, as the accepted panels are then all of them.
-
-    Every sweep is one call of g on all its panels' nodes, 15 a panel, laid
-    out panel-major (see _panel_estimates), and counts 15 evaluations a
-    panel. The integral and the accepted and failed errors are running sums
-    over the sweeps, each sweep adding its accepted panels before the
-    pending ones.
+    Each later sweep splits every pending panel, so its panels share one
+    depth, and is one call of g on their nodes, 15 a panel, panel-major
+    (see _panel_estimates). The integral and the accepted error are running
+    sums, each sweep adding its accepted panels before the pending ones. A
+    sweep at depth MAX_DEPTH, or with more than MAX_PENDING panels pending,
+    that misses both tests raises ToleranceNotMet with the value and error,
+    pending panels included, and the evaluations.
     """
-    value = 0.0 + 0.0j
-    error = failed_error = 0.0
-    failures = evaluations = 0
-    total_width = b - a
-
-    if first is not None:
-        los, his, est, err = first
-        if (err <= 0.5 * tol_abs * ((his - los) / total_width)).all():
-            return value + est.sum(), float(err.sum()), 0
-    else:
-        edges = np.linspace(a, b, panels + 1)
-        los, his = edges[:-1], edges[1:]
-        evaluations += _NODE_OFFSETS.size * los.size
-        est, err = _panel_estimates(g, los, his)
-    depths = np.zeros(los.size, dtype=int)
-
+    los, his, est, err = first
+    span = his[-1] - los[0]
+    if (err <= 0.5 * tol_abs * ((his - los) / span)).all():
+        return 0j + est.sum(), float(err.sum()), 0
+    value, error, evaluations, depth = 0j, 0.0, 0, 0
     while True:
-        share = 0.5 * tol_abs * ((his - los) / total_width)
-
-        done = err <= share
+        done = err <= 0.5 * tol_abs * ((his - los) / span)
         value += est[done].sum()
         error += float(err[done].sum())
 
         rest = ~done
         pending = float(err[rest].sum())
-        if error + failed_error + pending <= tol_abs:
-            value += est[rest].sum()
-            error += pending
-            break
-        if int(rest.sum()) > (1 << 20):
-            # runaway subdivision: the error estimates are noise-bound and
-            # finer panels cannot help, so record the best value as a failure
-            # instead of exhausting memory
-            value += est[rest].sum()
-            failed_error += pending
-            failures += int(rest.sum())
-            break
-        exhausted = rest & (depths + 1 > MAX_DEPTH)
-        if np.any(exhausted):
-            value += est[exhausted].sum()
-            failed_error += float(err[exhausted].sum())
-            failures += int(exhausted.sum())
-            rest = rest & ~exhausted
+        if error + pending <= tol_abs:
+            return value + est[rest].sum(), error + pending, evaluations
+        count = int(rest.sum())
+        if depth >= MAX_DEPTH or count > MAX_PENDING:
+            raise ToleranceNotMet(
+                f"{count} panel(s) above their error share at depth {depth}"
+                f" (limits: depth {MAX_DEPTH}, {MAX_PENDING} pending panels)",
+                value=value + est[rest].sum(),
+                error_estimate=error + pending,
+                evaluations=evaluations,
+            )
 
         mid = 0.5 * (los[rest] + his[rest])
         los = np.concatenate([los[rest], mid])
         his = np.concatenate([mid, his[rest]])
-        depths = np.concatenate([depths[rest], depths[rest]]) + 1
-        if not los.size:
-            break
+        depth += 1
         evaluations += _NODE_OFFSETS.size * los.size
         est, err = _panel_estimates(g, los, his)
-
-    if failures:
-        raise ToleranceNotMet(
-            f"{failures} panel(s) hit depth {MAX_DEPTH} above their error share",
-            value=value,
-            error_estimate=error + failed_error,
-            evaluations=evaluations,
-        )
-    return value, error + failed_error, evaluations
 
 
 def integrate_circle(g, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -327,16 +302,21 @@ def integrate_circle(g, spec: QuadratureSpec = DEFAULT_SPEC):
 
     g receives an array of angles and must return an array of the same
     shape. spec.tolerance is the absolute tolerance on the mean. Returns
-    (value, error_estimate).
+    (value, error_estimate). The first sweep is CIRCLE_PANELS uniform
+    panels, made here; _adaptive_theta resumes from it. A ToleranceNotMet
+    carries the mean, its error, and every evaluation, the first sweep's
+    15 a panel among them.
     """
+    edges = np.linspace(-math.pi, math.pi, CIRCLE_PANELS + 1)
+    los, his = edges[:-1], edges[1:]
     try:
-        val, err, _ = _adaptive_theta(g, -math.pi, math.pi, spec.tolerance * TWO_PI, CIRCLE_PANELS)
+        val, err, _ = _adaptive_theta(g, (los, his, *_panel_estimates(g, los, his)), spec.tolerance * TWO_PI)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(
             str(exc),
             value=exc.value / TWO_PI,
             error_estimate=exc.error_estimate / TWO_PI,
-            evaluations=exc.evaluations,
+            evaluations=exc.evaluations + _NODE_OFFSETS.size * CIRCLE_PANELS,
         ) from None
     return val / TWO_PI, err / TWO_PI
 
@@ -610,14 +590,15 @@ def _first_sweeps(f: BlaschkeProduct, phis, ladders, kink_fn):
 
 def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, first):
     """The inner Lambda integral at a fixed rotation angle phi, resumed from
-    its first sweep, one entry of _first_sweeps; the evaluations returned
-    are those made after it.
+    its first sweep, one entry of _first_sweeps, whose panels span (0, pi);
+    the evaluations returned are those made after it.
 
     Uses the evenness of the integrand in theta: the mean over the circle is
-    (1/pi) * integral over (0, pi). A ToleranceNotMet carries the mean too.
+    (1/pi) * integral over (0, pi). A ToleranceNotMet carries the mean too,
+    and the evaluations made after the first sweep.
     """
     try:
-        val, err, evals = _adaptive_theta(lambda theta: _integrand(f, phi, theta), 0.0, math.pi, tol * math.pi, first=first)
+        val, err, evals = _adaptive_theta(lambda theta: _integrand(f, phi, theta), first, tol * math.pi)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(
             str(exc),

@@ -40,10 +40,10 @@ from .errors import (
 from .omega_bounds import (
     DEFAULT_M_OFFSETS,
     DEFAULT_Q_SCHEDULE,
-    SLACK_LADDER,
     RayConfiguration,
     _fmt,
     bracket_norm,
+    construct_on_slack_ladder,
     omega_convergence_study,
     study_to_csv,
     study_to_json,
@@ -191,14 +191,16 @@ def _cmd_pick(args) -> int:
         raise InvalidConfiguration("--level needs --construct")
     with open(args.problem_file, encoding="utf-8") as fh:
         problem = InterpolationProblem.from_dict(json.load(fh))
-    mu = minimal_level(problem)
     if not args.construct:
-        _emit(_fmt(mu) + "\n", args.out)
+        _emit(_fmt(minimal_level(problem)) + "\n", args.out)
         return 0
-    if args.level is None and not any(problem.targets):
+    if args.level is not None:
+        mu = minimal_level(problem)
+        cert = construct_interpolant(problem, args.level)
+    elif any(problem.targets):
+        mu, cert = construct_on_slack_ladder(problem, sample=True)
+    else:
         raise InvalidConfiguration("every target is 0, so the minimal level is 0; --level builds the zero witness")
-    level = args.level if args.level is not None else mu * (1.0 + SLACK_LADDER[0])
-    cert = construct_interpolant(problem, level)
     payload = cert.to_dict()
     payload["minimal_level"] = mu
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

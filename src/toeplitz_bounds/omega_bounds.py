@@ -178,6 +178,26 @@ class LowerBoundCertificate:
         }
 
 
+def construct_on_slack_ladder(problem: InterpolationProblem, *, sample: bool):
+    """The interpolant at the first level of the slack ladder that the Schur
+    recursion accepts: (minimal level mu, certificate), built at
+    mu * (1 + slack) for slack in SLACK_LADDER, in order. Each failed step
+    adds a warning, put ahead of the certificate's own; NumericalBreakdown
+    when every step fails. sample goes to construct_interpolant.
+    """
+    mu = minimal_level(problem)
+    warnings = []
+    for slack in SLACK_LADDER:
+        try:
+            cert = construct_interpolant(problem, mu * (1.0 + slack), sample=sample)
+        except (NotStrictlyFeasible, NumericalBreakdown) as exc:
+            warnings.append(f"construction at slack {slack:g} failed: {exc}")
+            last = exc
+            continue
+        return mu, replace(cert, warnings=(*warnings, *cert.warnings))
+    raise NumericalBreakdown(f"interpolant construction failed at every slack level: {last}")
+
+
 def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
     """Solve the interpolation problem and evaluate the certified quotient.
 
@@ -187,23 +207,8 @@ def certify_lower_bound(config: RayConfiguration) -> LowerBoundCertificate:
     boundary sample here (sample=False). The level is reported as the
     interpolant norm.
     """
-    problem = config.problem()
-    mu_min = minimal_level(problem)
-    warnings: list[str] = []
-    cert = None
-    last: Exception | None = None
-    for slack in SLACK_LADDER:
-        try:
-            cert = construct_interpolant(problem, mu_min * (1.0 + slack), sample=False)
-            break
-        except (NotStrictlyFeasible, NumericalBreakdown) as exc:
-            warnings.append(f"construction at slack {slack:g} failed: {exc}")
-            last = exc
-    if cert is None:
-        raise NumericalBreakdown(
-            f"interpolant construction failed at every slack level: {last}"
-        )
-    warnings.extend(cert.warnings)
+    _, cert = construct_on_slack_ladder(config.problem(), sample=False)
+    warnings = list(cert.warnings)
 
     V = apply_toeplitz_residue(config.symbol(), cert.interpolant, config.probe())
     v_closed = closed_form_functional(config)

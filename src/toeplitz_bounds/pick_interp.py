@@ -167,9 +167,10 @@ def construct_interpolant(
 ) -> InterpolantCertificate:
     """Build the interpolant at a strictly feasible level.
 
-    Callers normally pass mu = minimal_level(problem) * (1 + 1e-6), the
-    first step of omega_bounds.SLACK_LADDER: the recursion degenerates
-    exactly at the minimal level. The Schur recursion
+    The recursion degenerates exactly at the minimal level, so
+    certify_lower_bound and `pick --construct` without --level go through
+    omega_bounds.construct_on_slack_ladder, which tries minimal_level(problem)
+    * (1 + slack) for each slack of SLACK_LADDER in turn. The Schur recursion
     is the feasibility test: a parameter of modulus >= 1 raises
     NotStrictlyFeasible, and a residual above 1e-8 (1 + max |y|) raises
     NumericalBreakdown. The result carries achieved residuals and a sampled
@@ -183,9 +184,10 @@ def construct_interpolant(
 
     sample=False builds and checks the same chain, residuals and warnings
     but takes no boundary sample, and leaves sup_norm None. Only
-    omega_bounds.certify_lower_bound passes it, since no certificate reads
-    the sample. The keyword goes with the sup_norm field (ROADMAP item 7),
-    once the sample is taken only where `pick --construct` prints it.
+    omega_bounds.certify_lower_bound asks for it, through the ladder, since
+    no certificate reads the sample. The keyword goes with the sup_norm
+    field (ROADMAP item 7), once the sample is taken only where
+    `pick --construct` prints it.
     """
     if not (0.0 < mu < np.inf):
         raise InvalidConfiguration(f"level mu must be positive and finite, got {mu!r}")

@@ -1,6 +1,7 @@
 """Adaptive circle quadrature and the oscillation functional."""
 
 import cmath
+import hashlib
 import importlib.util
 import math
 import pathlib
@@ -83,6 +84,22 @@ class TestIntegrateCircle:
         assert exc.value.value is not None
         assert exc.value.error_estimate > 0
         assert exc.value.evaluations > 0
+
+    def test_a_failure_carries_the_first_sweeps_evaluations(self, monkeypatch):
+        # at MAX_DEPTH = 1 four panels of the second sweep still miss their
+        # share: the payload is the mean and its error, bits recorded when
+        # _adaptive_theta still made integrate_circle's first sweep, and the
+        # evaluations of both sweeps, 64 and 8 panels of 15 nodes
+        monkeypatch.setattr(circle_quad, "MAX_DEPTH", 1)
+        sharp = lambda theta: 1.0 / np.abs(np.exp(1j * theta) - (1.0 + 1e-6))
+        with pytest.raises(ToleranceNotMet) as exc:
+            integrate_circle(sharp, QuadratureSpec(tolerance=1e-12))
+        failed = exc.value
+        assert type(failed.value) is complex
+        assert (failed.value.real.hex(), failed.value.imag.hex(), failed.error_estimate.hex()) == (
+            "0x1.d1ca4b8853a9ap+1", "0x0.0p+0", "0x1.2cdc3c2789e36p-1"
+        )
+        assert failed.evaluations == 15 * (64 + 8) == 1080
 
 
 class TestLambdaOracles:
@@ -1165,66 +1182,104 @@ class TestRotationRecords:
 
     @staticmethod
     def uniform_first_sweep(g, panels):
-        """The first sweep that _adaptive_theta makes on `panels` uniform
-        panels of (0, pi), as a first sweep to resume from."""
+        """`panels` uniform panels of (0, pi) as a first sweep to resume
+        from, made as integrate_circle makes its own."""
         edges = np.linspace(0.0, math.pi, panels + 1)
         los, his = edges[:-1], edges[1:]
         return (los, his, *circle_quad._panel_estimates(g, los, his))
+
+    @staticmethod
+    def bits(result):
+        """(value.real, value.imag, error) as hex, and the evaluations."""
+        val, err, evals = result
+        return val.real.hex(), val.imag.hex(), err.hex(), evals
+
+    # The integrals below keep the bits they had when _adaptive_theta still
+    # made a uniform first sweep itself: resumed from the same sweep made
+    # outside, they return the fresh integral's value and error, and its
+    # evaluations less the first sweep's.
+    RESUMED = {
+        1e-2: ("0x1.ead9d69fbab9dp+14", "0x0.0p+0", "0x1.a1496fa89a213p-14", 720),
+        1e-5: ("0x1.ead9d69fbabb0p+14", "0x0.0p+0", "0x1.c8f48826109a2p-21", 1200),
+        1e-8: ("0x1.ead9d69fbac17p+14", "0x0.0p+0", "0x1.5f51ec213448bp-30", 2970),
+    }
+    # sha256 of the repr of the list of bits() of the 41 integrals, by panels
+    WITHIN_SHARES = {
+        8: "080a4b1f15aa5e8122f5de377484ce90f9e19712002090fe212841a8f16fe81e",
+        64: "bc0b909af2d32b0fa898858bbcad6d3ccffc5781ff66a1eb501c050128afc8b8",
+    }
 
     def test_resumed_first_sweep_matches_a_fresh_integral(self):
         def g(theta):
             return 1.0 / (1e-8 + (theta - 1.0) ** 2)
 
-        panels = circle_quad.LAMBDA_EDGES.size - 1
-        first = self.uniform_first_sweep(g, panels)
-        swept = circle_quad._NODE_OFFSETS.size * panels
-        for tol in (1e-2, 1e-5, 1e-8):
-            val, err, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels)
-            resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, first=first)
-            assert resumed == (val, err, evals - swept)
+        first = self.uniform_first_sweep(g, circle_quad.LAMBDA_EDGES.size - 1)
+        for tol, pinned in self.RESUMED.items():
+            for _ in range(2):
+                assert self.bits(circle_quad._adaptive_theta(g, first, tol)) == pinned
 
     @pytest.mark.parametrize("panels", [8, 64])
     def test_a_first_sweep_within_its_shares_returns_the_loops_sums(self, panels):
-        # a resumed first sweep whose every panel is below its share returns
-        # before the loop, with the tuple that the loop's single pass gives
-        # the fresh integral over the same sweep, bit for bit; one that
-        # passes only the global test, with a panel above its share, and one
-        # that refines go through the loop to the same ends
+        # a first sweep whose every panel is below its share returns before
+        # the loop, with the tuple of the loop's first pass, written out
+        # below, bit for bit; one that passes only the global test, with a
+        # panel above its share, and one that refines go through the loop
         def g(theta):
             return 1.0 / (1e-3 + (theta - 1.0) ** 2)
 
         first = self.uniform_first_sweep(g, panels)
-        los, his, _est, err = first
+        los, his, est, err = first
         # the tolerance at which each panel meets its share
         meets = err / (0.5 * (his - los) / math.pi)
-        swept = circle_quad._NODE_OFFSETS.size * panels
-        ends = set()
+        ends, rows = set(), []
         for tol in np.geomspace(0.5 * np.sum(err), 2.0 * np.max(meets), 41):
-            val, error, evals = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels)
-            resumed = circle_quad._adaptive_theta(g, 0.0, math.pi, tol, first=first)
-            assert type(resumed[0]) is type(val) is complex
-            bits = [x.hex() for x in (val.real, val.imag, error)]
-            assert [x.hex() for x in (resumed[0].real, resumed[0].imag, resumed[1])] == bits
-            assert resumed[2] == evals - swept
-            ends.add("refined" if evals > swept else "within" if tol >= np.max(meets) else "global")
+            result = circle_quad._adaptive_theta(g, first, tol)
+            assert type(result[0]) is complex
+            rows.append(self.bits(result))
+            if tol >= np.max(meets):
+                done = err <= 0.5 * tol * ((his - los) / math.pi)
+                value, error = 0j + est[done].sum(), 0.0 + float(err[done].sum())
+                rest = ~done
+                pending = float(err[rest].sum())
+                assert not rest.any() and error + pending <= tol
+                assert rows[-1] == self.bits((value + est[rest].sum(), error + pending, 0))
+            ends.add("refined" if result[2] > 0 else "within" if tol >= np.max(meets) else "global")
         assert ends == {"refined", "global", "within"}
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.WITHIN_SHARES[panels]
 
     def test_a_failed_integral_leaves_its_first_sweep_reusable(self, monkeypatch):
         def g(theta):
             return 1.0 / (1e-8 + (theta - 1.0) ** 2)
 
         monkeypatch.setattr(circle_quad, "MAX_DEPTH", 2)
-        panels = circle_quad.LAMBDA_EDGES.size - 1
-        with pytest.raises(ToleranceNotMet) as fresh:
-            circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, panels)
-        first = self.uniform_first_sweep(g, panels)
+        first = self.uniform_first_sweep(g, circle_quad.LAMBDA_EDGES.size - 1)
         kept = [a.copy() for a in first]
         for _ in range(2):
-            with pytest.raises(ToleranceNotMet) as resumed:
-                circle_quad._adaptive_theta(g, 0.0, math.pi, 1e-8, first=first)
-            assert resumed.value.value == fresh.value.value
-            assert resumed.value.evaluations == fresh.value.evaluations - circle_quad._NODE_OFFSETS.size * panels
+            with pytest.raises(ToleranceNotMet) as exc:
+                circle_quad._adaptive_theta(g, first, 1e-8)
+            failed = exc.value
+            assert self.bits((failed.value, failed.error_estimate, failed.evaluations)) == (
+                "0x1.2d52aaa84144cp+11", "0x0.0p+0", "0x1.a56615c9babccp+10", 210
+            )
         assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+    def test_a_sweep_past_the_pending_cap_fails_naming_the_cap(self, monkeypatch):
+        # a fast oscillation keeps every panel pending for several sweeps;
+        # with the cap at 100 the sweep of 128 panels, at depth 3 of 42,
+        # raises, with the evaluations of the 32 + 64 + 128 panels swept
+        def g(theta):
+            return np.exp(1e4j * theta)
+
+        first = self.uniform_first_sweep(g, 16)
+        assert circle_quad._adaptive_theta(g, first, 1e-8)[2] > 0
+        monkeypatch.setattr(circle_quad, "MAX_PENDING", 100)
+        with pytest.raises(ToleranceNotMet) as exc:
+            circle_quad._adaptive_theta(g, first, 1e-8)
+        message = str(exc.value)
+        assert "100 pending panels" in message and "at depth 3" in message
+        assert "hit depth" not in message
+        assert exc.value.evaluations == 15 * (32 + 64 + 128)
+        assert exc.value.error_estimate > 1e-8
 
 
 def kronrod15():
@@ -1316,12 +1371,44 @@ class TestPanelEstimates:
             k, _ = circle_quad._panel_estimates(lambda t: t**degree, los, his)
             np.testing.assert_allclose(k, monomial_integrals(degree, los, his), rtol=1e-14, atol=0.0)
 
+    # The bits of the integrals below with the production panel estimates,
+    # recorded when _adaptive_theta still made the fresh integral's uniform
+    # first sweep itself: (value.real, value.imag, error) as hex and the
+    # evaluations after the first sweep, for the oscillation then the peak,
+    # each at the tolerances 1e-3 (resumed), 1e-7 (fresh) and 1e-9 (resumed).
+    PINNED = {
+        "no-seeds": (
+            ("0x1.3fec27b5af43ap+3", "0x0.0p+0", "0x1.f1e054f73eb1ap-13", 600),
+            ("0x1.3fec265b8a174p+3", "0x0.0p+0", "0x1.4e13327e22a54p-30", 1620),
+            ("0x1.3fec265b8a179p+3", "0x0.0p+0", "0x1.b24145919b1d1p-42", 2070),
+            ("0x1.09306fb6e4beep+14", "0x1.9d05aff43ddaap+14", "0x1.c1c6a7d624963p-20", 690),
+            ("0x1.09306fb6e4c3fp+14", "0x1.9d05aff43de28p+14", "0x1.d054a2c601ba4p-30", 1650),
+            ("0x1.09306fb6e4c37p+14", "0x1.9d05aff43de1cp+14", "0x1.186da45ba4996p-31", 7380),
+        ),
+        "dense-seeds": (
+            ("0x1.3fec27882d4f6p+3", "0x0.0p+0", "0x1.031e9daf486ebp-12", 480),
+            ("0x1.3fec265b8a174p+3", "0x0.0p+0", "0x1.4e13327e22a54p-30", 1620),
+            ("0x1.3fec265b8a170p+3", "0x0.0p+0", "0x1.54ff656924cc4p-39", 1830),
+            ("0x1.09306fb6e4c40p+14", "0x1.9d05aff43de2dp+14", "0x1.298a44a53c869p-17", 630),
+            ("0x1.09306fb6e4c3fp+14", "0x1.9d05aff43de28p+14", "0x1.d054a2c601ba4p-30", 1650),
+            ("0x1.09306fb6e4c33p+14", "0x1.9d05aff43de18p+14", "0x1.d761570642be7p-32", 5190),
+        ),
+        "one-panel": (
+            ("0x1.dbe6a9986a565p+1", "0x0.0p+0", "0x1.433a10db3ad66p-12", 90),
+            ("0x1.3fec265b8a174p+3", "0x0.0p+0", "0x1.42d210a891528p-29", 1950),
+            ("0x1.3fec265b8a179p+3", "0x0.0p+0", "0x1.266f79d6466c6p-36", 2460),
+            ("0x1.09306fb6e4c12p+14", "0x1.9d05aff43dde1p+14", "0x1.09aab99f70e5ep-14", 930),
+            ("0x1.09306fb6e4c3fp+14", "0x1.9d05aff43de28p+14", "0x1.7e0b2a226cd48p-27", 2070),
+            ("0x1.09306fb6e4c37p+14", "0x1.9d05aff43de1cp+14", "0x1.1f0277e739961p-31", 7890),
+        ),
+    }
+
     @pytest.mark.parametrize(
         "seeds, panels",
         [(None, 64), (np.geomspace(1e-9, 3.0, 400) + 1.0e-3, 64), (None, 1)],
         ids=["no-seeds", "dense-seeds", "one-panel"],
     )
-    def test_fresh_and_resumed_integrals_match_the_per_panel_reference(self, monkeypatch, seeds, panels):
+    def test_fresh_and_resumed_integrals_match_the_per_panel_reference(self, request, monkeypatch, seeds, panels):
         B = BlaschkeProduct(zeros=((1.0 - 1e-7) * cmath.exp(1.0j), 0.4 - 0.3j, -0.6))
 
         def oscillation(theta):
@@ -1332,19 +1419,25 @@ class TestPanelEstimates:
         def peak(theta):
             return np.exp(1j * theta) / (1e-8 + (theta - 1.0) ** 2)
 
-        edges = np.linspace(0.0, math.pi, panels + 1)
+        uniform = np.linspace(0.0, math.pi, panels + 1)
+        edges = uniform
         if seeds is not None:
             edges = np.unique(np.concatenate([edges, seeds[(seeds > 0.0) & (seeds < math.pi)]]))
         los, his = edges[:-1], edges[1:]
+        rows = []
+        # bound once: the loop below leaves the reference patched in
+        production = circle_quad._panel_estimates
         for g in (oscillation, peak):
             results = []
-            for estimates in (circle_quad._panel_estimates, reference_panel_estimates):
+            for estimates in (production, reference_panel_estimates):
                 monkeypatch.setattr(circle_quad, "_panel_estimates", estimates)
                 first = (los, his, *estimates(g, los, his))
-                for tol, resume in ((1e-3, first), (1e-7, None), (1e-9, first)):
-                    results.append(circle_quad._adaptive_theta(g, 0.0, math.pi, tol, panels, resume))
+                fresh = (uniform[:-1], uniform[1:], *estimates(g, uniform[:-1], uniform[1:]))
+                for tol, sweep in ((1e-3, first), (1e-7, fresh), (1e-9, first)):
+                    results.append(circle_quad._adaptive_theta(g, sweep, tol))
                 results.append(first)
             new, ref = results[:4], results[4:]
+            rows += [TestRotationRecords.bits(result) for result in new[:3]]
             # panels whose error is at rounding level may be accepted in
             # another sweep, so the integrals agree within their errors
             for (val, err, _), (val0, err0, _) in zip(new[:3], ref[:3]):
@@ -1356,6 +1449,7 @@ class TestPanelEstimates:
             scale = np.abs(ref[3][2]) + ref[3][3]
             assert np.all(np.abs(new[3][2] - ref[3][2]) <= 1e-12 * scale)
             assert np.all(np.abs(new[3][3] - ref[3][3]) <= 1e-12 * scale)
+        assert tuple(rows) == self.PINNED[request.node.callspec.id]
 
 
 def ray_zeros(n, q):

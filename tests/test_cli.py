@@ -16,6 +16,7 @@ from toeplitz_bounds import BlaschkeProduct, cli, lambda_functional, omega_bound
 from toeplitz_bounds.cli import build_parser, main, parse_complex, zeros_digest
 from toeplitz_bounds.errors import InvalidConfiguration
 
+from test_pick_interp import benchmark_problem
 from test_scripts import acceptance_plans
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -136,14 +137,14 @@ class TestDefaultSchedule:
     class Captured(Exception):
         pass
 
-    def capture(self, monkeypatch, name, argv):
+    def capture(self, monkeypatch, name, argv, owner=cli):
         calls = []
 
         def record(*args, **kwargs):
             calls.append((args, kwargs))
             raise self.Captured
 
-        monkeypatch.setattr(cli, name, record)
+        monkeypatch.setattr(owner, name, record)
         with pytest.raises(self.Captured):
             main(argv)
         (call,) = calls
@@ -164,11 +165,17 @@ class TestDefaultSchedule:
     def test_pick_construct_passes_the_first_slack_step(self, monkeypatch, tmp_path):
         pf = tmp_path / "problem.json"
         pf.write_text(json.dumps(CLOSE_NODE_PROBLEM))
-        (problem, level), _ = self.capture(
-            monkeypatch, "construct_interpolant", ["pick", "--problem-file", str(pf), "--construct"]
+        # the CLI constructs through omega_bounds' slack ladder, whose first
+        # step is the call captured
+        (problem, level), kwargs = self.capture(
+            monkeypatch,
+            "construct_interpolant",
+            ["pick", "--problem-file", str(pf), "--construct"],
+            owner=omega_bounds,
         )
-        assert cli.SLACK_LADDER is omega_bounds.SLACK_LADDER
+        assert not hasattr(cli, "SLACK_LADDER")
         assert level == cli.minimal_level(problem) * (1.0 + omega_bounds.SLACK_LADDER[0])
+        assert kwargs == {"sample": True}
 
 
 class TestReadmeCommands:
@@ -362,6 +369,21 @@ class TestPickCommand:
         assert code == 0, err
         payload = json.loads(out)
         assert payload["level"] == payload["minimal_level"] * (1 + 1e-6)
+
+    @pytest.mark.parametrize("draw", [(9903, 340, 52), (9904, 262, 59)])
+    def test_construct_climbs_the_slack_ladder(self, capsys, tmp_path, draw):
+        # benchmark problems whose recursion degenerates at the first slack
+        # step, mu (1 + 1e-6), and succeeds at the second, as a certificate's
+        # does; with only the first step the command exited 1
+        problem = benchmark_problem(*draw)
+        pf = tmp_path / "problem.json"
+        pf.write_text(json.dumps({key: [[z.real, z.imag] for z in getattr(problem, key)] for key in ("nodes", "targets")}))
+        code, out, err = run_main(capsys, ["pick", "--problem-file", str(pf), "--construct"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["level"] == payload["minimal_level"] * (1.0 + omega_bounds.SLACK_LADDER[1])
+        (warning,) = payload["warnings"]
+        assert warning.startswith("construction at slack 1e-06 failed: recursion parameter 6 has modulus 1.0000")
 
     def test_construct_at_the_exact_minimal_level_fails_numerically(self, capsys, tmp_path):
         pf = tmp_path / "problem.json"
