@@ -9,7 +9,7 @@ import pathlib
 import sys
 import time
 
-from toeplitz_bounds import QuadratureSpec, omega_convergence_study, study_to_csv
+from toeplitz_bounds import DEFAULT_LAMBDA_SPEC, QuadratureSpec, omega_convergence_study, study_to_csv
 from toeplitz_bounds.omega_bounds import DEFAULT_M_OFFSETS, DEFAULT_Q_SCHEDULE
 
 # Calibrated schedules: q small enough to approach 1 + 2n, m far enough out
@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--degrees", type=str, default="1,2,3", help="comma separated degrees to run")
     parser.add_argument("--xi", type=complex, default=1.0, help="boundary direction of the zero ray")
-    parser.add_argument("--tolerance", type=float, default=1e-8)
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_LAMBDA_SPEC.tolerance)
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("."))
     args = parser.parse_args(argv)
 

@@ -13,55 +13,35 @@ the error estimate at no extra evaluation, and a panel is accepted once that
 discrepancy is below its proportional share of the tolerance budget. Every
 node is interior to its panel, so theta = 0 is never sampled and the
 removable singularity needs no special casing. Every integral resumes from
-a first sweep that its caller makes (integrate_circle's uniform panels, the
-Lambda integral's seeded ones); each later sweep splits every pending
-panel, and the one failure is a sweep at MAX_DEPTH, or with more than
-MAX_PENDING panels pending, that still misses the tolerance: it raises
-ToleranceNotMet with the best value. At a fixed rotation the
-integrand is one call of boundary_values in its pair form, the symbol at the
-rotation plus and minus every node angle. The Lambda integral's first sweep
-is coarse: 8 uniform panels on (0, pi) plus seed edges at every known
-feature, ratio-4 ladders around the angles of the zeros, one ladder for the
-zeros that share a direction, and the folds. Each panel reports an honest
-error, so the adaptive loop pays for resolution where it is needed, not a
-fine starting grid everywhere. The first sweeps of many rotations are made
-together (_first_sweeps): one row of edges a rotation, each starting with
-the row that all rotations share (the base grid and the ladders' rungs,
-built once a call), sorted row by row, and one boundary_values call per
-block of rotations, with one rotation per node, each block capped at
-_SWEEP_BLOCK_NODES nodes. A lone rotation skips the blocks: its row is
-swept in one boundary_values call at its angle. Each rotation's integral
-then resumes from its own first sweep, and every later sweep is at that
-rotation alone; an integral whose first sweep already meets its tolerance
-panel by panel returns at once, with the sums the adaptive loop would give.
+a first sweep that its caller makes (integrate_circle's uniform panels on
+(-pi, pi], the Lambda integral's seeded ones on (0, pi)) and works in mean
+units: its tolerance, value and error are those of the integral divided by
+the sweep's span, so each caller's mean is _adaptive_theta's own result.
+Each later sweep splits every pending panel, and the one failure is a sweep
+at MAX_DEPTH, or with more than MAX_PENDING panels pending, that still
+misses the tolerance: it raises ToleranceNotMet with the best mean. At a
+fixed rotation the integrand is one call of boundary_values in its pair
+form, the symbol at the rotation plus and minus every node angle. The
+Lambda integral's first sweep is coarse: 8 uniform panels on (0, pi) plus
+seed edges at every known feature, ratio-4 ladders around the angles of the
+zeros, one ladder for the zeros that share a direction, and the folds. Each
+panel reports an honest error, so the adaptive loop pays for resolution
+where it is needed, not a fine starting grid everywhere. The first sweeps of
+many rotations are made together (_first_sweeps): one row of edges a
+rotation, each starting with the row that all rotations share (the base
+grid and the ladders' rungs, built once a call), sorted row by row, and one
+boundary_values call per block of rotations, with one rotation per node,
+each block capped at _SWEEP_BLOCK_NODES nodes. A lone rotation skips the
+blocks: its row is swept in one boundary_values call at its angle. Each
+rotation's integral then resumes from its own first sweep, and every later
+sweep is at that rotation alone; an integral whose first sweep already
+meets its tolerance panel by panel returns at once, with the sums the
+adaptive loop would give.
 
-The supremum over rotations is searched in four stages. The grid: a fixed
-uniform grid of 256 rotations (shared function values, so the grid costs one
-boundary sweep of 1,024 points, and a rotation and its half-turn share one
-row of moduli, so half the row work is done) ranks the rotations, and its
-two leaders join one stencil of aligned candidate rotations for each
-direction of zeros too close to the circle for the grid to see, the
-directions that share a seed ladder: five rotations within one width of
-the direction's angle, and four more at two and four widths where another
-direction's stencil comes within reach. The screen: every candidate is
-integrated once, at a loose tolerance, all their first sweeps made together
-before any is integrated. Localmin: Brent's localmin (ch. 5 of
-the book below), whose parabolic steps need far fewer integrals than golden
-section on the smooth peak, refines the best candidate inside the window
-that the screens around it bound. A candidate therefore counts only by
-winning the screen or by lying inside the winner's window: the window of a
-lone direction's centre, which wins its peak, already spans the stencil
-and leaves the points at two and four widths on or past its edges, so
-only nested directions screen them (_candidate_rotations). The final
-stage: one integral at the refined rotation, at the requested tolerance.
-The reported value is therefore a lower estimate of the supremum (the
-rotation search is not certified) with a quadrature error bar; no global
-optimality is claimed. The search keeps its state in locals of
-lambda_functional: each rotation's first sweep and loose-tolerance value,
-keyed by the exact angle. Localmin sweeps its new rotations with the same
-_first_sweeps, one rotation a call. Each zero's angle and modulus come
-from the symbol's BlaschkeProduct.polar, taken once per product, for the
-grid, every sweep, the seed ladders and the folds.
+The supremum over rotations is searched by lambda_functional, whose
+docstring gives its four stages and the reasons for each. Each zero's angle
+and modulus come from the symbol's BlaschkeProduct.polar, taken once per
+product, for the rotation grid, every sweep, the seed ladders and the folds.
 
 The integrand's interior folds, where the swept boundary phase crosses a
 multiple of 2 pi, are found by safeguarded Newton steps on that phase, whose
@@ -240,51 +220,56 @@ def _panel_estimates(g, los, his):
     return kronrod, np.abs(kronrod - gauss) + 5e-17 * np.abs(kronrod)
 
 
-def _adaptive_theta(g, first, tol_abs: float):
-    """Integrate g adaptively from its first sweep; g maps a theta array to
-    values.
+def _adaptive_theta(g, first, tol: float):
+    """Mean of g over the span of its first sweep, integrated adaptively
+    from that sweep; g maps a theta array to values.
 
     first is (los, his, est, err) as _panel_estimates gives them on panels
-    tiling [los[0], his[-1]], made and counted by the caller and left as it
-    was, so any tolerance can resume from it. Returns (integral,
-    error_estimate, evaluations made after the first sweep). Panels are
-    accepted individually once below their proportional share of the
-    budget, or all at once when the global error estimate (accepted plus
-    pending) is already below tol_abs; the share rule alone would keep
-    splitting forever around integrable kinks, whose absolute contribution
-    shrinks quadratically while their share shrinks only linearly. A first
-    sweep with every panel below its share returns at once, with the sums
-    of the loop's first pass.
+    tiling the span [los[0], his[-1]], made and counted by the caller and
+    left as it was, so any tolerance can resume from it. Returns (value,
+    error_estimate, evaluations made after the first sweep). tol, the value
+    and the error, here and in a ToleranceNotMet, are in mean units: the
+    integral over the span divided by its length. The loop sums the raw panel
+    estimates against the raw budget tol * span and divides once at the
+    end, so a span of exactly 2 pi or pi gives the bits of the raw integral
+    divided by TWO_PI or math.pi. Panels are accepted individually once
+    below their proportional share of the budget, or all at once when the
+    global error estimate (accepted plus pending) is already below it; the
+    share rule alone would keep splitting forever around integrable kinks,
+    whose absolute contribution shrinks quadratically while their share
+    shrinks only linearly. A first sweep with every panel below its share
+    returns at once, with the sums of the loop's first pass.
 
     Each later sweep splits every pending panel, so its panels share one
     depth, and is one call of g on their nodes, 15 a panel, panel-major
     (see _panel_estimates). The integral and the accepted error are running
     sums, each sweep adding its accepted panels before the pending ones. A
     sweep at depth MAX_DEPTH, or with more than MAX_PENDING panels pending,
-    that misses both tests raises ToleranceNotMet with the value and error,
-    pending panels included, and the evaluations.
+    that misses both tests raises ToleranceNotMet with the mean and its
+    error, pending panels included, and the evaluations.
     """
     los, his, est, err = first
-    span = his[-1] - los[0]
-    if (err <= 0.5 * tol_abs * ((his - los) / span)).all():
-        return 0j + est.sum(), float(err.sum()), 0
+    span = float(his[-1] - los[0])
+    budget = tol * span
+    if (err <= 0.5 * budget * ((his - los) / span)).all():
+        return (0j + est.sum()) / span, float(err.sum()) / span, 0
     value, error, evaluations, depth = 0j, 0.0, 0, 0
     while True:
-        done = err <= 0.5 * tol_abs * ((his - los) / span)
+        done = err <= 0.5 * budget * ((his - los) / span)
         value += est[done].sum()
         error += float(err[done].sum())
 
         rest = ~done
         pending = float(err[rest].sum())
-        if error + pending <= tol_abs:
-            return value + est[rest].sum(), error + pending, evaluations
+        if error + pending <= budget:
+            return (value + est[rest].sum()) / span, (error + pending) / span, evaluations
         count = int(rest.sum())
         if depth >= MAX_DEPTH or count > MAX_PENDING:
             raise ToleranceNotMet(
                 f"{count} panel(s) above their error share at depth {depth}"
                 f" (limits: depth {MAX_DEPTH}, {MAX_PENDING} pending panels)",
-                value=value + est[rest].sum(),
-                error_estimate=error + pending,
+                value=(value + est[rest].sum()) / span,
+                error_estimate=(error + pending) / span,
                 evaluations=evaluations,
             )
 
@@ -302,23 +287,19 @@ def integrate_circle(g, spec: QuadratureSpec = DEFAULT_SPEC):
 
     g receives an array of angles and must return an array of the same
     shape. spec.tolerance is the absolute tolerance on the mean. Returns
-    (value, error_estimate). The first sweep is CIRCLE_PANELS uniform
-    panels, made here; _adaptive_theta resumes from it. A ToleranceNotMet
-    carries the mean, its error, and every evaluation, the first sweep's
-    15 a panel among them.
+    (value, error_estimate), both means. The first sweep is CIRCLE_PANELS
+    uniform panels, made here, spanning exactly 2 pi; _adaptive_theta
+    resumes from it. A ToleranceNotMet carries the mean, its error, and
+    every evaluation, the first sweep's 15 a panel among them.
     """
     edges = np.linspace(-math.pi, math.pi, CIRCLE_PANELS + 1)
     los, his = edges[:-1], edges[1:]
     try:
-        val, err, _ = _adaptive_theta(g, (los, his, *_panel_estimates(g, los, his)), spec.tolerance * TWO_PI)
+        val, err, _ = _adaptive_theta(g, (los, his, *_panel_estimates(g, los, his)), spec.tolerance)
     except ToleranceNotMet as exc:
-        raise ToleranceNotMet(
-            str(exc),
-            value=exc.value / TWO_PI,
-            error_estimate=exc.error_estimate / TWO_PI,
-            evaluations=exc.evaluations + _NODE_OFFSETS.size * CIRCLE_PANELS,
-        ) from None
-    return val / TWO_PI, err / TWO_PI
+        exc.evaluations += _NODE_OFFSETS.size * CIRCLE_PANELS
+        raise
+    return val, err
 
 
 def _seed_ladders(f: BlaschkeProduct):
@@ -590,23 +571,21 @@ def _first_sweeps(f: BlaschkeProduct, phis, ladders, kink_fn):
 
 def _lambda_integral(f: BlaschkeProduct, phi: float, tol: float, first):
     """The inner Lambda integral at a fixed rotation angle phi, resumed from
-    its first sweep, one entry of _first_sweeps, whose panels span (0, pi);
-    the evaluations returned are those made after it.
+    its first sweep, one entry of _first_sweeps, whose panels span exactly
+    (0, pi); the evaluations returned are those made after it.
 
-    Uses the evenness of the integrand in theta: the mean over the circle is
-    (1/pi) * integral over (0, pi). A ToleranceNotMet carries the mean too,
-    and the evaluations made after the first sweep.
+    The integrand is even in theta, so its mean over the circle is its mean
+    over (0, pi), which _adaptive_theta returns: (value, error_estimate,
+    evaluations), value the real part of that mean, a float. A
+    ToleranceNotMet carries the real mean too, and the evaluations made
+    after the first sweep.
     """
     try:
-        val, err, evals = _adaptive_theta(lambda theta: _integrand(f, phi, theta), first, tol * math.pi)
+        val, err, evals = _adaptive_theta(lambda theta: _integrand(f, phi, theta), first, tol)
     except ToleranceNotMet as exc:
-        raise ToleranceNotMet(
-            str(exc),
-            value=float(exc.value.real) / math.pi,
-            error_estimate=exc.error_estimate / math.pi,
-            evaluations=exc.evaluations,
-        ) from None
-    return float(val.real) / math.pi, err / math.pi, evals
+        exc.value = exc.value.real
+        raise
+    return val.real, err, evals
 
 
 def _grid_scan(f: BlaschkeProduct):
@@ -658,29 +637,14 @@ def _grid_scan(f: BlaschkeProduct):
 
 
 def _candidate_rotations(f: BlaschkeProduct, ladders):
-    """The two grid winners, then aligned rotations for the directions the
-    grid cannot resolve: one stencil per ladder of _seed_ladders whose width d
-    is below four grid steps, at gamma + t d with half-width h = 2 d, for t in
-    _STENCIL, or in _NESTED_STENCIL where directions nest. A ray's zeros
-    share one ladder, so its stencil is that of its zero nearest the circle,
-    which brackets the peak at gamma.
-
-    Localmin searches [best - h, best + h], narrowed only by screened
-    rotations strictly inside it, so a candidate counts by winning the
-    screen or by narrowing the winner's window. A grid winner's window
-    already spans its two grid neighbours. A lone direction's peak sits at
-    its angle, so its centre wins, and that window spans the +-d/2 and +-d
-    points, has the +-2d points on its edges and the +-4d points outside it.
-    Those four are screened only where directions nest: where another
-    stencil's reach, its +-4d points plus their half-width, 6 d in all,
-    meets this one's, the candidates of each lie inside the windows of the
-    other, and without them nested clusters read Lambda lower by up to 4.5
-    times the summed error estimates. The third grid winner and the fixed
-    rotation 0 (grid rotation 0, unrelated to the symbol unless it already
-    leads the grid) are not candidates: without them Lambda kept its bits
-    on 4,785 of 4,786 symbols tested, and on the last the third winner had
-    only narrowed the window, so Lambda moved within localmin's stopping
-    width.
+    """The candidates of lambda_functional's grid stage, whose docstring
+    gives the reasons, and the grid scan's evaluations: a list of (phi, h),
+    h the half-width of phi's localmin window. First the two grid winners,
+    each with h one grid step; then one stencil per ladder of _seed_ladders
+    whose width d is below four grid steps, at gamma + t d with h = 2 d, for
+    t in _STENCIL, or in _NESTED_STENCIL where another such stencil's reach
+    meets this one's. Rotations within 1e-15 of one already listed are
+    dropped.
     """
     phis, vals, grid_evals = _grid_scan(f)
     step = TWO_PI / ROTATIONS
@@ -710,29 +674,50 @@ def _candidate_rotations(f: BlaschkeProduct, ladders):
 
 def lambda_functional(f, spec: QuadratureSpec = DEFAULT_LAMBDA_SPEC) -> LambdaResult:
     """Supremum of the Lambda integral over rotations: a lower estimate of the
-    supremum (the rotation search is not certified).
+    supremum (the rotation search is not certified) with a quadrature error
+    bar; no global optimality is claimed.
 
     Search, in four stages:
-    - grid: the shared-grid scan over the ROTATIONS grid rotations picks the
-      candidates (_candidate_rotations): its two leaders, and for each
-      direction of zeros within four grid steps of the circle, of width d,
-      the rotations gamma + t d for t in {0, +-1/2, +-1}, with +-2 and +-4
-      added where another such direction is within 6 (d + d') of it. A
-      candidate counts by winning the screen or by narrowing the winner's
-      window below; a lone direction's centre wins, and its window spans
-      +-2d, so the points at +-2d and +-4d would sit on or past its edges;
+    - grid: _grid_scan values the ROTATIONS = 256 grid rotations from shared
+      function values, so the grid costs one boundary sweep of 1,024 points,
+      and a rotation and its half-turn share one row of moduli, so half the
+      row work is done. _candidate_rotations takes the grid's two leaders,
+      and one stencil of aligned rotations for each direction of zeros too
+      close to the circle for the grid to see, within four grid steps, the
+      directions that share a seed ladder: for width d, the rotations
+      gamma + t d for t in {0, +-1/2, +-1}, with +-2 and +-4 added where
+      another such direction, of width d', is within 6 (d + d') of it. A
+      ray's zeros share one ladder, so its stencil is that of its zero
+      nearest the circle, which brackets the peak at gamma;
     - screen: the first sweeps of all candidates are made together, in
-      blocks (_first_sweeps), and each candidate is integrated once from its
-      own, at the loose tolerance;
-    - localmin: Brent's localmin on the loose-tolerance integral, seeded with
-      the best candidate's value, on the window [best - h, best + h] narrowed
-      to the nearest screened rotations on each side that score below the
-      best. localmin assumes one peak per window, so the maximum it seeks
-      lies between them;
+      blocks (_first_sweeps), before any is integrated, and each candidate
+      is integrated once from its own, at the loose tolerance;
+    - localmin: Brent's localmin (localmax), whose parabolic steps need far
+      fewer integrals than golden section on the smooth peak, refines the
+      best candidate on the loose-tolerance integral, seeded with its
+      value, on the window [best - h, best + h] narrowed to the nearest
+      screened rotations on each side that score below the best. localmin
+      assumes one peak per window, so the maximum it seeks lies between
+      them;
     - final: one integral at the refined rotation, at the requested
       tolerance. localmin never returns below the best screen, so a
       candidate could beat it only where the loose and tight integrals
       disagree by more than its screen's gap to the best.
+
+    A candidate therefore counts only by winning the screen or by narrowing
+    the winner's window. A grid winner's window spans its two grid
+    neighbours. A lone direction's peak sits at its angle, so its centre
+    wins, and with h = 2 d that window spans the +-d/2 and +-d points, has
+    the +-2d points on its edges and the +-4d points outside it. Those four
+    are screened only where directions nest: where another stencil's reach,
+    its +-4d points plus their half-width, 6 d in all, meets this one's, the
+    candidates of each lie inside the windows of the other, and without
+    them nested clusters read Lambda lower by up to 4.5 times the summed
+    error estimates. The third grid winner and the fixed rotation 0 (grid
+    rotation 0, unrelated to the symbol unless it already leads the grid)
+    are not candidates: without them Lambda kept its bits on 4,785 of 4,786
+    symbols tested, and on the last the third winner had only narrowed the
+    window, so Lambda moved within localmin's stopping width.
 
     The seed ladders are built once for the call; they also place the
     aligned candidates. The search state is two dicts keyed by the exact

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .circle_quad import QuadratureSpec, lambda_functional
+from .circle_quad import DEFAULT_LAMBDA_SPEC, QuadratureSpec, lambda_functional
 from .disk_core import BlaschkeProduct, CirclePoint, complex_pairs
 from .errors import (
     InvalidConfiguration,
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, tolerance=True):
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=1e-8)
+            p.add_argument("--tolerance", type=float, default=DEFAULT_LAMBDA_SPEC.tolerance)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("lambda", help="oscillation functional of a Blaschke product")

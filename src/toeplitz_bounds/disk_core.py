@@ -12,11 +12,10 @@ w = (1 - rho) cos(beta/2) + i (1 + rho) sin(beta/2), beta = theta - gamma.
 Needing only 1 - rho, it stays accurate for zeros within 1e-12 of the
 circle, where (z - a)/(1 - z*conj(a)) cancels. Each zero's (gamma, rho)
 comes from zero_polar once per BlaschkeProduct, its polar attribute, taken
-on first use and read by every later sweep. One private generator,
-_half_angle_terms, takes the half-angle trig of the array argument once, by
-_half_angle_pair, and yields each factor's term w from it and those pairs.
-boundary_values multiplies the terms into B; with an offset, the result is
-the symmetric pair B(e^{i(theta + offset)}) followed by
+on first use and read by every later sweep. boundary_values takes the
+half-angle trig of its array argument once, by _half_angle_pair, and
+multiplies each factor's w, built from that pair, into B; with an offset,
+the result is the symmetric pair B(e^{i(theta + offset)}) followed by
 B(e^{i(theta - offset)}), which share that trig by parity. There theta is a
 scalar, or one rotation per offset, constant along runs, so the sweeps of
 many rotations share one call: each run's theta - gamma is reduced once, as
@@ -162,13 +161,13 @@ def _derivative_at_zero(zeros, k):
 
 def _half_angle_pair(u):
     """cos(u/2) and sin(u/2) on the array u, real values held as complex:
-    the trig that _half_angle_terms builds every term from."""
+    the trig that boundary_values builds every term w from."""
     return np.cos(0.5 * u).astype(complex), np.sin(0.5 * u).astype(complex)
 
 
 def _half_angle_scalars(gamma, rho, base=None):
     """(p, q): the term w of the zero rho e^{i gamma} at beta (as in
-    _half_angle_terms) is cu p + su q, cu and su the pair of _half_angle_pair
+    boundary_values) is cu p + su q, cu and su the pair of _half_angle_pair
     held as complex, so each term is one complex-by-scalar multiply, not a
     cast. By angle addition p = d c0 + i e s0 and q = -d s0 + i e c0, with
     d = 1 - rho, e = 1 + rho and (c0, s0) the cos and sin of (beta - u)/2."""
@@ -178,62 +177,17 @@ def _half_angle_scalars(gamma, rho, base=None):
     return complex(d * c0, e * s0), complex(-d * s0, e * c0)
 
 
-def _half_angle_terms(polar, u, base=None, half=None):
-    """Yield, zero by zero, the half-angle term w at every angle, with
-    d = 1 - rho and e^{i gamma}; w is one buffer, overwritten by the next yield.
-    polar is the zeros' (gamma, rho) pairs, a BlaschkeProduct's polar, so no
-    zero's angle is taken here.
-
-    sin and cos of u/2 are taken once, by _half_angle_pair, and each zero
-    shifts them to its beta/2 with the two scalars of _half_angle_scalars.
-    A 2 pi shift of beta only flips the sign of w, so no reduction is needed.
-    Without a base, beta is u - gamma on the array u. With a base, beta is
-    base - gamma + u and base - gamma - u, and w holds the + terms followed
-    by the - terms. The base is a scalar, or an array of u's shape that is
-    constant along runs: base - gamma is then reduced once per run, and each
-    node gets the two scalars of its run, the ones a scalar base would give
-    it. half, if given, is the pair _half_angle_pair(u) already taken by the
-    caller, and no trig is taken here; it is read, never written. No zeros,
-    no sweep.
-    """
-    if not polar:
-        return
-    pair = base is not None
-    cu, su = _half_angle_pair(u) if half is None else half
-    n = u.size
-    w = np.empty((2 * n,) if pair else u.shape, dtype=complex)
-    y = np.empty_like(cu)
-    x = np.empty_like(cu) if pair else w  # the grid form adds y to x in place
-    # one (base, cu, su, x, y) a run of equal bases, views of the sweep's arrays
-    runs = [(base, cu, su, x, y)]
-    if isinstance(base, np.ndarray):
-        first = np.ones(n, dtype=bool)  # the first node of each run
-        first[1:] = base[1:] != base[:-1]
-        starts = np.flatnonzero(first).tolist()
-        runs = [
-            (float(base[i]), cu[i:j], su[i:j], x[i:j], y[i:j]) for i, j in zip(starts, starts[1:] + [n])
-        ]
-    for gamma, rho in polar:
-        for b, cu_r, su_r, x_r, y_r in runs:
-            p, q = _half_angle_scalars(gamma, rho, b)
-            np.multiply(cu_r, p, out=x_r)
-            np.multiply(su_r, q, out=y_r)
-        if pair:
-            np.add(x, y, out=w[:n])
-            np.subtract(x, y, out=w[n:])
-        else:
-            w += y
-        yield w, 1.0 - rho, cmath.exp(1j * gamma)
-
-
 def boundary_values(B: BlaschkeProduct, theta, offset=None, half=None):
     """Evaluate B(e^{i*theta}), or with an offset the symmetric pair
     B(e^{i*(theta + offset)}) followed by B(e^{i*(theta - offset)}),
     without cancellation near the zeros.
 
-    Uses the half-angle form of the module docstring, with the terms w of
-    _half_angle_terms on u = offset if given and theta otherwise. The w are
-    multiplied as they come, and the product is normalised once, by the
+    Uses the half-angle form of the module docstring on u = offset if given
+    and theta otherwise. sin and cos of u/2 are taken once, by
+    _half_angle_pair, and each zero shifts them to its beta/2 with the two
+    scalars of _half_angle_scalars; a 2 pi shift of beta only flips the sign
+    of w, so no reduction is needed. Each zero's w is multiplied into the
+    product as it is formed, and the product is normalised once, by the
     reciprocal of its modulus, before it is squared. Values are complex128.
 
     The split argument keeps a tiny increment that theta + offset in one
@@ -241,14 +195,15 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, half=None):
     the scale of the increment: theta - gamma is reduced as a scalar and the
     increment enters only through sin(offset/2). With an offset, theta is a
     scalar, or has the offset's shape: one rotation per offset, constant
-    along runs, reduced once per run, so every value has the bits of the
-    scalar call at its rotation; any other shape raises
-    InvalidConfiguration. The offset form returns 2N values for N offsets.
-    numpy's cos is even and its sin odd, bit for bit, so both signs share
-    one trig sweep and one pair of products per factor: w = x + y for
-    +offset and x - y for -offset, with the bits of evaluating -offset
-    directly. half, _half_angle_pair(u) already taken by the caller, stands
-    in for the kernel's own trig of u; the values keep their bits.
+    along runs, reduced once per run, so every node gets the two scalars a
+    scalar theta would give it and every value has the bits of the scalar
+    call at its rotation; any other shape raises InvalidConfiguration. The
+    offset form returns 2N values for N offsets. numpy's cos is even and its
+    sin odd, bit for bit, so both signs share one trig sweep and one pair of
+    products per factor: w = x + y for +offset and x - y for -offset, with
+    the bits of evaluating -offset directly. half, _half_angle_pair(u)
+    already taken by the caller, stands in for the kernel's own trig of u;
+    it is read, never written, and the values keep their bits.
     """
     theta = np.asarray(theta, dtype=float)
     pair = offset is not None
@@ -258,19 +213,39 @@ def boundary_values(B: BlaschkeProduct, theta, offset=None, half=None):
             raise InvalidConfiguration(
                 f"boundary_values needs a scalar theta or one of the offset's shape {u.shape}, got {theta.shape}"
             )
-        theta, u = (theta.ravel() if theta.ndim else float(theta)), u.ravel()
-    prod = np.ones((2 * u.size,) if pair else u.shape, dtype=complex)
+        u = u.ravel()
+    n = u.size
+    cu, su = _half_angle_pair(u) if half is None else (p.reshape(u.shape) for p in half)
+    prod = np.ones((2 * n,) if pair else u.shape, dtype=complex)
+    w, y = np.empty_like(prod), np.empty_like(cu)
+    x = np.empty_like(cu) if pair else w  # the grid form adds y to x in place
+    # one (rotation, cu, su, x, y) a run of equal rotations, views of the sweep's arrays
+    if pair and theta.ndim:
+        theta = theta.ravel()
+        first = np.ones(n, dtype=bool)  # the first node of each run
+        first[1:] = theta[1:] != theta[:-1]
+        starts = np.flatnonzero(first).tolist()
+        runs = [(float(theta[i]), cu[i:j], su[i:j], x[i:j], y[i:j]) for i, j in zip(starts, starts[1:] + [n])]
+    else:
+        runs = [(float(theta) if pair else None, cu, su, x, y)]
     rot, floor = 1.0 + 0j, 1.0
-    if half is not None:
-        half = tuple(p.reshape(u.shape) for p in half)
-    for w, d, turn in _half_angle_terms(B.polar, u, theta if pair else None, half):
+    for gamma, rho in B.polar:
+        for b, cu_r, su_r, x_r, y_r in runs:
+            p, q = _half_angle_scalars(gamma, rho, b)
+            np.multiply(cu_r, p, out=x_r)
+            np.multiply(su_r, q, out=y_r)
+        if pair:
+            np.add(x, y, out=w[:n])
+            np.subtract(x, y, out=w[n:])
+        else:
+            w += y
         prod *= w
         # |w| >= 1 - rho: rescale before the product of the |w| can underflow
-        floor *= d
+        floor *= 1.0 - rho
         if floor < 1e-250:
             prod *= 1.0 / np.abs(prod)
             floor = 1.0
-        rot *= turn
+        rot *= cmath.exp(1j * gamma)
     prod *= 1.0 / np.abs(prod)
     prod *= prod
     prod *= rot

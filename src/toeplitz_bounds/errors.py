@@ -20,11 +20,13 @@ class PointCollision(ToeplitzBoundsError):
 
 
 class ToleranceNotMet(ToeplitzBoundsError):
-    """Adaptive quadrature hit its depth limit before reaching tolerance.
+    """Adaptive quadrature missed its tolerance at a limit: the bisection
+    depth MAX_DEPTH, or more than MAX_PENDING panels pending in one sweep.
 
-    Carries the best value found, an honest error estimate and the number of
-    integrand evaluations spent, so callers can degrade gracefully instead of
-    losing the computation.
+    Carries the best value found and an honest error estimate, both means
+    over the circle as the integrals report them, and the number of
+    integrand evaluations spent, so callers can degrade gracefully instead
+    of losing the computation.
     """
 
     def __init__(
@@ -37,7 +39,11 @@ class ToleranceNotMet(ToeplitzBoundsError):
 
 
 class NumericalBreakdown(ToeplitzBoundsError):
-    """A numeric routine (eigensolve, recursion) lost too much accuracy to continue."""
+    """A numeric routine lost too much accuracy to continue: a Cholesky pivot
+    of minimal_level that is not positive, an interpolant whose residual
+    fails its check, a slack ladder with every construction failed, or the
+    fold solver of the Lambda integrand (a NaN swept phase, or no
+    convergence)."""
 
 
 class NotStrictlyFeasible(ToeplitzBoundsError):

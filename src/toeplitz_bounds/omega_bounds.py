@@ -248,14 +248,17 @@ def bracket_norm(
     A RayConfiguration brackets its own symbol: the lower side is the best
     certificate over the probe indices m and n + m_offsets, which is the
     convergence study of that one q; probes below the deficit floor are left
-    out, and the configured m is never below it. Any other Blaschke product
+    out, and the configured m is never below it. An offset listed twice
+    raises InvalidConfiguration, as in the study. Any other Blaschke product
     gets the lower bound 1: multiplication by an inner symbol is an isometry
     of H-infinity that the operator inverts, so the norm is never below 1.
     Degree 0 gives the degenerate bracket [1, 1].
     """
     upper_prov = "1 + oscillation functional + quadrature error"
     if isinstance(symbol, RayConfiguration):
-        offsets = sorted({symbol.m - symbol.n, *m_offsets})
+        own = symbol.m - symbol.n
+        # joined only when missing, so the study's own check sees a repeated offset
+        offsets = sorted(m_offsets if own in m_offsets else (*m_offsets, own))
         study = omega_convergence_study(symbol.n, symbol.xi, (symbol.q,), offsets, lambda_spec)
         return replace(study.best, upper_provenance=upper_prov)
     if symbol.degree == 0:

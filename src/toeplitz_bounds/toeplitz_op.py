@@ -339,7 +339,7 @@ def lemma1_upper_bound(f: BlaschkeProduct, spec: QuadratureSpec = DEFAULT_LAMBDA
     operator norm is at most 1 plus the oscillation functional. The value is
     a search estimate, not certified: the rotation search reports a lower
     estimate of the supremum, and its error_estimate does not cover the
-    search (see circle_quad).
+    search (see circle_quad.lambda_functional).
     """
     res = lambda_functional(f, spec)
     return 1.0 + res.value + res.error_estimate

@@ -1194,19 +1194,19 @@ class TestRotationRecords:
         val, err, evals = result
         return val.real.hex(), val.imag.hex(), err.hex(), evals
 
-    # The integrals below keep the bits they had when _adaptive_theta still
-    # made a uniform first sweep itself: resumed from the same sweep made
-    # outside, they return the fresh integral's value and error, and its
-    # evaluations less the first sweep's.
+    # The means below, over (0, pi) at the tolerance on the mean, have the
+    # bits that _lambda_integral gave when _adaptive_theta still returned
+    # raw integrals: the raw integral at the tolerance times pi, with its
+    # error, divided by pi, and the evaluations made after the first sweep.
     RESUMED = {
-        1e-2: ("0x1.ead9d69fbab9dp+14", "0x0.0p+0", "0x1.a1496fa89a213p-14", 720),
-        1e-5: ("0x1.ead9d69fbabb0p+14", "0x0.0p+0", "0x1.c8f48826109a2p-21", 1200),
-        1e-8: ("0x1.ead9d69fbac17p+14", "0x0.0p+0", "0x1.5f51ec213448bp-30", 2970),
+        1e-2: ("0x1.387c43b3cd7bdp+13", "0x0.0p+0", "0x1.127be923e5cd5p-7", 600),
+        1e-5: ("0x1.387c43b3ce060p+13", "0x0.0p+0", "0x1.bb0fc7165ee27p-21", 1110),
+        1e-8: ("0x1.387c43b3ce0a1p+13", "0x0.0p+0", "0x1.6a0b23ef15f38p-31", 2370),
     }
     # sha256 of the repr of the list of bits() of the 41 integrals, by panels
     WITHIN_SHARES = {
-        8: "080a4b1f15aa5e8122f5de377484ce90f9e19712002090fe212841a8f16fe81e",
-        64: "bc0b909af2d32b0fa898858bbcad6d3ccffc5781ff66a1eb501c050128afc8b8",
+        8: "ea25b489b2ab8024d5458ceccf7eb31ad8bb5951280bb92905f496e935294a0a",
+        64: "1ba51bc4ec3a6c36af8a77d748c8ab0451047d48416018a0620164535ddfa86d",
     }
 
     def test_resumed_first_sweep_matches_a_fresh_integral(self):
@@ -1217,6 +1217,17 @@ class TestRotationRecords:
         for tol, pinned in self.RESUMED.items():
             for _ in range(2):
                 assert self.bits(circle_quad._adaptive_theta(g, first, tol)) == pinned
+
+    @pytest.mark.parametrize("lo", [0.0, -math.pi], ids=["half-circle", "circle"])
+    def test_a_constant_integrand_returns_its_value_as_the_mean(self, lo):
+        # the mean is the same over (0, pi) and over (-pi, pi], whatever the span
+        c, tol = 0.75, 1e-9
+        g = lambda theta: np.full(theta.shape, c)
+        edges = np.linspace(lo, math.pi, 9)
+        first = (edges[:-1], edges[1:], *circle_quad._panel_estimates(g, edges[:-1], edges[1:]))
+        value, error, evaluations = circle_quad._adaptive_theta(g, first, tol)
+        assert abs(value - c) <= 4 * np.spacing(c) and value.imag == 0.0
+        assert 0.0 <= error <= tol and evaluations == 0
 
     @pytest.mark.parametrize("panels", [8, 64])
     def test_a_first_sweep_within_its_shares_returns_the_loops_sums(self, panels):
@@ -1229,20 +1240,22 @@ class TestRotationRecords:
 
         first = self.uniform_first_sweep(g, panels)
         los, his, est, err = first
-        # the tolerance at which each panel meets its share
-        meets = err / (0.5 * (his - los) / math.pi)
+        # the tolerance on the mean at which each panel meets its share
+        meets = err / (0.5 * (his - los))
         ends, rows = set(), []
-        for tol in np.geomspace(0.5 * np.sum(err), 2.0 * np.max(meets), 41):
+        for tol in np.geomspace(0.5 * np.sum(err) / math.pi, 2.0 * np.max(meets), 41):
             result = circle_quad._adaptive_theta(g, first, tol)
             assert type(result[0]) is complex
             rows.append(self.bits(result))
             if tol >= np.max(meets):
-                done = err <= 0.5 * tol * ((his - los) / math.pi)
+                # the loop's first pass sums raw integrals against tol * pi
+                budget = tol * math.pi
+                done = err <= 0.5 * budget * ((his - los) / math.pi)
                 value, error = 0j + est[done].sum(), 0.0 + float(err[done].sum())
                 rest = ~done
                 pending = float(err[rest].sum())
-                assert not rest.any() and error + pending <= tol
-                assert rows[-1] == self.bits((value + est[rest].sum(), error + pending, 0))
+                assert not rest.any() and error + pending <= budget
+                assert rows[-1] == self.bits(((value + est[rest].sum()) / math.pi, (error + pending) / math.pi, 0))
             ends.add("refined" if result[2] > 0 else "within" if tol >= np.max(meets) else "global")
         assert ends == {"refined", "global", "within"}
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.WITHIN_SHARES[panels]
@@ -1259,7 +1272,7 @@ class TestRotationRecords:
                 circle_quad._adaptive_theta(g, first, 1e-8)
             failed = exc.value
             assert self.bits((failed.value, failed.error_estimate, failed.evaluations)) == (
-                "0x1.2d52aaa84144cp+11", "0x0.0p+0", "0x1.a56615c9babccp+10", 210
+                "0x1.7fa8003333db8p+9", "0x0.0p+0", "0x1.0c45526da97ecp+9", 180
             )
         assert all(np.array_equal(a, b) for a, b in zip(first, kept))
 
@@ -1371,35 +1384,37 @@ class TestPanelEstimates:
             k, _ = circle_quad._panel_estimates(lambda t: t**degree, los, his)
             np.testing.assert_allclose(k, monomial_integrals(degree, los, his), rtol=1e-14, atol=0.0)
 
-    # The bits of the integrals below with the production panel estimates,
-    # recorded when _adaptive_theta still made the fresh integral's uniform
-    # first sweep itself: (value.real, value.imag, error) as hex and the
-    # evaluations after the first sweep, for the oscillation then the peak,
-    # each at the tolerances 1e-3 (resumed), 1e-7 (fresh) and 1e-9 (resumed).
+    # The bits of the means below over (0, pi) with the production panel
+    # estimates, those of the raw integrals at the tolerance times pi, with
+    # their errors, divided by pi, as _lambda_integral divided them when
+    # _adaptive_theta still returned raw integrals: (value.real, value.imag,
+    # error) as hex and the evaluations after the first sweep, for the
+    # oscillation then the peak, each at the tolerances on the mean 1e-3
+    # (resumed), 1e-7 (fresh) and 1e-9 (resumed).
     PINNED = {
         "no-seeds": (
-            ("0x1.3fec27b5af43ap+3", "0x0.0p+0", "0x1.f1e054f73eb1ap-13", 600),
-            ("0x1.3fec265b8a174p+3", "0x0.0p+0", "0x1.4e13327e22a54p-30", 1620),
-            ("0x1.3fec265b8a179p+3", "0x0.0p+0", "0x1.b24145919b1d1p-42", 2070),
-            ("0x1.09306fb6e4beep+14", "0x1.9d05aff43ddaap+14", "0x1.c1c6a7d624963p-20", 690),
-            ("0x1.09306fb6e4c3fp+14", "0x1.9d05aff43de28p+14", "0x1.d054a2c601ba4p-30", 1650),
-            ("0x1.09306fb6e4c37p+14", "0x1.9d05aff43de1cp+14", "0x1.186da45ba4996p-31", 7380),
+            ("0x1.9756842a7af57p+1", "0x0.0p+0", "0x1.3cfb9c13385a2p-14", 570),
+            ("0x1.9756826ddaa8dp+1", "0x0.0p+0", "0x1.a9fb3fd6ce77ep-32", 1560),
+            ("0x1.9756826ddaa8dp+1", "0x0.0p+0", "0x1.a8e36888c7039p-32", 1800),
+            ("0x1.51a63de8e5665p+12", "0x1.06f027ec9375cp+13", "0x1.63bab95189ebep-21", 660),
+            ("0x1.51a63de8e56cbp+12", "0x1.06f027ec937abp+13", "0x1.9d2b2a2e51e6cp-31", 1440),
+            ("0x1.51a63de8e56c9p+12", "0x1.06f027ec937aap+13", "0x1.b64b24328eaf6p-32", 3480),
         ),
         "dense-seeds": (
-            ("0x1.3fec27882d4f6p+3", "0x0.0p+0", "0x1.031e9daf486ebp-12", 480),
-            ("0x1.3fec265b8a174p+3", "0x0.0p+0", "0x1.4e13327e22a54p-30", 1620),
-            ("0x1.3fec265b8a170p+3", "0x0.0p+0", "0x1.54ff656924cc4p-39", 1830),
-            ("0x1.09306fb6e4c40p+14", "0x1.9d05aff43de2dp+14", "0x1.298a44a53c869p-17", 630),
-            ("0x1.09306fb6e4c3fp+14", "0x1.9d05aff43de28p+14", "0x1.d054a2c601ba4p-30", 1650),
-            ("0x1.09306fb6e4c33p+14", "0x1.9d05aff43de18p+14", "0x1.d761570642be7p-32", 5190),
+            ("0x1.975683ec132cbp+1", "0x0.0p+0", "0x1.49edeeed1764bp-14", 450),
+            ("0x1.9756826ddaa8dp+1", "0x0.0p+0", "0x1.a9fb3fd6ce77ep-32", 1560),
+            ("0x1.9756826ddaa88p+1", "0x0.0p+0", "0x1.d0dfef263c893p-41", 1710),
+            ("0x1.51a63de8e56f9p+12", "0x1.06f027ec937d0p+13", "0x1.9ca41d70b9b37p-19", 570),
+            ("0x1.51a63de8e56cbp+12", "0x1.06f027ec937abp+13", "0x1.9d2b2a2e51e6cp-31", 1440),
+            ("0x1.51a63de8e56afp+12", "0x1.06f027ec93796p+13", "0x1.76dbbc1e1093fp-32", 2700),
         ),
         "one-panel": (
-            ("0x1.dbe6a9986a565p+1", "0x0.0p+0", "0x1.433a10db3ad66p-12", 90),
-            ("0x1.3fec265b8a174p+3", "0x0.0p+0", "0x1.42d210a891528p-29", 1950),
-            ("0x1.3fec265b8a179p+3", "0x0.0p+0", "0x1.266f79d6466c6p-36", 2460),
-            ("0x1.09306fb6e4c12p+14", "0x1.9d05aff43dde1p+14", "0x1.09aab99f70e5ep-14", 930),
-            ("0x1.09306fb6e4c3fp+14", "0x1.9d05aff43de28p+14", "0x1.7e0b2a226cd48p-27", 2070),
-            ("0x1.09306fb6e4c37p+14", "0x1.9d05aff43de1cp+14", "0x1.1f0277e739961p-31", 7890),
+            ("0x1.2ef7cf017feedp+0", "0x0.0p+0", "0x1.9b8b902e39b9fp-14", 90),
+            ("0x1.9756826ddaa8dp+1", "0x0.0p+0", "0x1.9b5702faa2347p-31", 1890),
+            ("0x1.9756826ddaa8dp+1", "0x0.0p+0", "0x1.ae9c661c80734p-32", 2190),
+            ("0x1.51a63de8e5693p+12", "0x1.06f027ec9377ep+13", "0x1.546d16e450c47p-16", 900),
+            ("0x1.51a63de8e56cbp+12", "0x1.06f027ec937abp+13", "0x1.48392545c1395p-28", 1830),
+            ("0x1.51a63de8e56c9p+12", "0x1.06f027ec937aap+13", "0x1.ba7bbc33a3f1ap-32", 3990),
         ),
     }
 
@@ -1917,9 +1932,9 @@ class TestSwallowedToleranceFailures:
         assert r.evaluations == expected
 
     def test_a_final_stage_failure_carries_lambda_and_the_calls_evaluations(self, monkeypatch):
-        # the raw integral over (0, pi) is pi times the mean, and complex;
-        # the raised error carries the mean, its error, and every evaluation
-        # of the call, the grid scan's 1,024 among them
+        # the failed integral's mean over (0, pi) is complex; the raised
+        # error carries its real part, its error, and every evaluation of
+        # the call, the grid scan's 1,024 among them
         B, spec = BlaschkeProduct(zeros=(0.999,)), QuadratureSpec(1e-12)
         expected = lambda_functional(B, spec).value
         real = circle_quad._adaptive_theta
@@ -1929,17 +1944,19 @@ class TestSwallowedToleranceFailures:
             try:
                 return real(*args, **kwargs)
             except ToleranceNotMet as exc:
-                raw.append(exc)
+                raw.append((exc.value, exc.error_estimate, exc.evaluations))
                 raise
 
         monkeypatch.setattr(circle_quad, "_adaptive_theta", record)
         monkeypatch.setattr(circle_quad, "MAX_DEPTH", 2)
         with pytest.raises(ToleranceNotMet) as exc:
             lambda_functional(B, spec)
-        assert type(exc.value.value) is float
+        value, error, evaluations = raw[-1]
+        assert type(exc.value.value) is float and type(value) is complex
         assert abs(exc.value.value - expected) < 1e-3
-        assert exc.value.error_estimate == raw[-1].error_estimate / math.pi
-        assert exc.value.evaluations >= circle_quad._GRID_NODES + raw[-1].evaluations
+        assert exc.value.value == value.real
+        assert exc.value.error_estimate == error
+        assert exc.value.evaluations >= circle_quad._GRID_NODES + evaluations
 
 
 FAULT_PROBE = """

@@ -12,12 +12,12 @@ import sys
 
 import pytest
 
-from toeplitz_bounds import BlaschkeProduct, cli, lambda_functional, omega_bounds, toeplitz_op
+from toeplitz_bounds import BlaschkeProduct, circle_quad, cli, lambda_functional, omega_bounds, toeplitz_op
 from toeplitz_bounds.cli import build_parser, main, parse_complex, zeros_digest
 from toeplitz_bounds.errors import InvalidConfiguration
 
 from test_pick_interp import benchmark_problem
-from test_scripts import acceptance_plans
+from test_scripts import acceptance_plans, load_script
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -176,6 +176,29 @@ class TestDefaultSchedule:
         assert not hasattr(cli, "SLACK_LADDER")
         assert level == cli.minimal_level(problem) * (1.0 + omega_bounds.SLACK_LADDER[0])
         assert kwargs == {"sample": True}
+
+
+class TestDefaultTolerance:
+    """The Lambda commands and scripts/run_omega_study.py default --tolerance
+    to DEFAULT_LAMBDA_SPEC's, its one owner."""
+
+    @pytest.mark.parametrize("command", ["lambda", "bracket", "omega-study"])
+    def test_lambda_commands_default_to_the_lambda_spec(self, command):
+        args = build_parser().parse_args([command] + MINIMAL_ARGS[command])
+        assert args.tolerance == circle_quad.DEFAULT_LAMBDA_SPEC.tolerance
+
+    def test_the_study_script_defaults_to_the_lambda_spec(self, monkeypatch, tmp_path):
+        script = load_script("run_omega_study")
+        specs = []
+
+        def record(*args, lambda_spec, **kwargs):
+            specs.append(lambda_spec)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(script, "omega_convergence_study", record)
+        with pytest.raises(RuntimeError, match="captured"):
+            script.main(["--degrees", "1", "--out-dir", str(tmp_path)])
+        assert specs == [circle_quad.DEFAULT_LAMBDA_SPEC]
 
 
 class TestReadmeCommands:
@@ -569,6 +592,19 @@ class TestBracketCommand:
     def test_invalid_q_exits_two(self, capsys):
         code, _, _ = run_main(capsys, ["bracket", "--q", "1.5", "--n", "1", "--m", "3"])
         assert code == 2
+
+    def test_a_repeated_m_offset_exits_two(self, capsys):
+        # as omega-study does: the ray's own offset m - n is not merged into it
+        code, out, err = run_main(
+            capsys, ["bracket", "--q", "0.1", "--n", "1", "--m", "3", "--m-offsets", "4,4"]
+        )
+        assert (code, out) == (2, "")
+        assert "m offset 4 appears more than once" in err
+
+    def test_listing_the_rays_own_offset_keeps_the_bracket(self, capsys):
+        # m - n = 2 is already listed, so the study runs the offset once
+        code, out, _ = run_main(capsys, ["bracket", "--q", "0.1", "--n", "1", "--m", "3", "--m-offsets", "2"])
+        assert (code, out) == (0, "2.4229145953549658 2.9356392173125578\n")
 
     def test_malformed_m_offsets_exit_two(self, capsys):
         code, _, err = run_main(

@@ -184,6 +184,11 @@ class TestBracket:
         assert br.lower == pytest.approx(max(per_m), rel=1e-12)
         assert br.lower <= br.upper + 1e-6
 
+    def test_a_repeated_offset_is_rejected_as_in_the_study(self):
+        ray = RayConfiguration(xi=1.0, q=0.1, n=1, m=3)
+        with pytest.raises(InvalidConfiguration, match="m offset 4 appears more than once"):
+            bracket_norm(ray, (4, 4))
+
     def test_ray_bracket_is_the_study_of_its_one_q(self):
         cfg = RayConfiguration(xi=1j, q=0.3, n=1, m=3)
         br = bracket_norm(cfg, m_offsets=(8, 2))
